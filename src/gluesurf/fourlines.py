@@ -22,6 +22,7 @@ from .gluing import (
     node_id,
     validate_gluing,
 )
+from .grouptheory import closure, compose
 from .invariants import InvariantReport, compute_report
 
 LINES = ("L1", "L2", "L3", "L4")
@@ -160,11 +161,7 @@ def generating_set(elements: tuple[Perm4, ...]) -> tuple[Perm4, ...]:
     identity = (0, 1, 2, 3)
 
     def order(g: Perm4) -> int:
-        n, cur = 1, g
-        while cur != identity:
-            cur = tuple(g[cur[i]] for i in range(4))
-            n += 1
-        return n
+        return len(closure((identity,), lambda h: (compose(g, h),)))
 
     have = {identity}
     gens: list[Perm4] = []
@@ -172,16 +169,7 @@ def generating_set(elements: tuple[Perm4, ...]) -> tuple[Perm4, ...]:
         if g in have:
             continue
         gens.append(g)
-        frontier = list(have)
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for k in gens:
-                    prod = tuple(k[h[i]] for i in range(4))
-                    if prod not in have:
-                        have.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
+        have = closure(have, lambda h: (compose(k, h) for k in gens))
     return tuple(gens)
 
 
@@ -310,21 +298,23 @@ def _cusp_partition_ids(vg: ValidatedGluing) -> frozenset[frozenset[str]]:
 
 def _assign_label(chi: int, cusp_sizes: tuple[int, ...], stab_order: int,
                   orbit: tuple[LinePairBijections, ...]) -> str:
-    def sizes(row: _TableRow) -> tuple[int, ...]:
-        return tuple(sorted(len(c) for c in row.cusp_partition))
+    """The label of the one table row whose representative lies in ``orbit``.
 
-    key_matches = [
-        row for row in TABLE
-        if row.chi == chi and sizes(row) == cusp_sizes and row.stabilizer_order == stab_order
-    ]
+    The row's stored (chi, cusp sizes, |stab|) must agree with the computed
+    key; a disagreement means the table or the pipeline is wrong.
+    """
     orbit_set = set(orbit)
-    member_matches = [row for row in key_matches if row.representative in orbit_set]
-    if len(member_matches) != 1:
+    rows = [row for row in TABLE if row.representative in orbit_set]
+    if len(rows) != 1:
+        raise LabelAmbiguousError(f"orbit of {orbit[0]} contains {len(rows)} table representatives")
+    row = rows[0]
+    stored = (row.chi, tuple(sorted(len(c) for c in row.cusp_partition)), row.stabilizer_order)
+    if stored != (chi, cusp_sizes, stab_order):
         raise LabelAmbiguousError(
             f"classification key (chi={chi}, cusps={cusp_sizes}, |stab|={stab_order}) "
-            f"matched {len(member_matches)} table rows"
+            f"disagrees with table row {row.label}"
         )
-    return member_matches[0].label
+    return row.label
 
 
 def enumerate_orbits() -> tuple[OrbitRecord, ...]:

@@ -10,7 +10,9 @@ structure, and the coherent Euler characteristics.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import GluingFormatError, GluingValidationError
@@ -55,15 +57,20 @@ class GluingData:
     """Raw gluing triple: normalization, marked curves, sigma and tau.
 
     All three maps are stored fully symmetrized (every pair appears in
-    both directions); ``validate_gluing`` checks that they really are
-    fixed-point-free involutions compatible with the component data.
+    both directions) as read-only copies of the mappings passed in;
+    ``validate_gluing`` checks that they really are fixed-point-free
+    involutions compatible with the component data.
     """
 
     normal_components: tuple[NormalComponent, ...]
     curve_components: tuple[CurveComponent, ...]
-    sigma: dict[str, str]
-    tau_components: dict[str, str]
-    tau_points: dict[str, str]
+    sigma: Mapping[str, str]
+    tau_components: Mapping[str, str]
+    tau_points: Mapping[str, str]
+
+    def __post_init__(self):
+        for name in ("sigma", "tau_components", "tau_points"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
 
 Node = tuple[str, str]
@@ -134,12 +141,24 @@ class _UnionFind:
 
 @dataclass(frozen=True)
 class ValidatedGluing:
-    """Gluing data with all invariants checked, plus connectivity annotations."""
+    """Gluing data with all invariants checked, plus connectivity annotations.
+
+    Structures derived from the gluing are cached in ``_memo`` by the
+    ``per_gluing`` functions, so each is computed once per instance.
+    """
 
     data: GluingData
     dbar_components: tuple[tuple[str, ...], ...]
     x_component_count: int
-    point_component: dict[str, str] = field(repr=False)
+    point_component: Mapping[str, str] = field(repr=False)
+    _curve_by_id: Mapping[str, CurveComponent] = field(
+        init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "point_component", MappingProxyType(dict(self.point_component)))
+        object.__setattr__(self, "_curve_by_id", MappingProxyType(
+            {c.id: c for c in self.data.curve_components}))
 
     @property
     def dbar_connected(self) -> bool:
@@ -154,34 +173,16 @@ class ValidatedGluing:
         return tuple(sorted(self.data.curve_components, key=lambda c: c.id))
 
     def curve(self, cid: str) -> CurveComponent:
-        for c in self.data.curve_components:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
-
-    def normal(self, nid: str) -> NormalComponent:
-        for n in self.data.normal_components:
-            if n.id == nid:
-                return n
-        raise KeyError(nid)
+        return self._curve_by_id[cid]
 
     def points(self) -> tuple[str, ...]:
         return tuple(sorted(self.point_component))
 
-    def sigma(self, p: str) -> str:
-        return self.data.sigma[p]
-
     def tau(self, p: str) -> str:
         return self.data.tau_points[p]
 
-    def tau_component(self, cid: str) -> str:
-        return self.data.tau_components[cid]
-
     def component_of(self, p: str) -> str:
         return self.point_component[p]
-
-    def ambient_of_point(self, p: str) -> str:
-        return self.curve(self.point_component[p]).ambient
 
     def nodes(self) -> tuple[Node, ...]:
         seen = set()
@@ -204,6 +205,23 @@ class ValidatedGluing:
             seen.update({c.id, partner})
             out.append((c.id, partner) if c.id < partner else (partner, c.id))
         return tuple(sorted(out))
+
+
+def per_gluing(fn):
+    """Cache ``fn``'s result on the ValidatedGluing among its arguments.
+
+    The key is the function name and the other arguments; the cache lives
+    and dies with the gluing.  Exceptions are not cached.
+    """
+    @functools.wraps(fn)
+    def cached(*args):
+        g = next(a for a in args if isinstance(a, ValidatedGluing))
+        key = (fn.__name__, *(a for a in args if a is not g))
+        if key not in g._memo:
+            g._memo[key] = fn(*args)
+        return g._memo[key]
+
+    return cached
 
 
 def _check_involution(name: str, mapping: Mapping[str, str], domain: set[str], issues: list[str]):
@@ -326,6 +344,7 @@ def validate_gluing(data: GluingData) -> ValidatedGluing:
     )
 
 
+@per_gluing
 def cusps(g: ValidatedGluing) -> tuple[DegenerateCusp, ...]:
     """Partition the marked points into orbits of <sigma, tau>.
 
@@ -375,6 +394,7 @@ class DCurveModel:
         return self.component_count == 1
 
 
+@per_gluing
 def quotient_curve(g: ValidatedGluing) -> DCurveModel:
     pairs = g.tau_pairs()
     pair_key = {pair: f"{pair[0]}+{pair[1]}" for pair in pairs}
@@ -418,6 +438,7 @@ class EulerCharacteristics(NamedTuple):
     chi_x: int
 
 
+@per_gluing
 def euler_characteristics(g: ValidatedGluing) -> EulerCharacteristics:
     """Coherent Euler characteristics of the conductor curves and the surface.
 
@@ -458,6 +479,13 @@ def _symmetrize(pairs: Iterable[tuple[str, str]], what: str) -> dict[str, str]:
     return out
 
 
+def _pair_list(value, message: str) -> list:
+    if not isinstance(value, list) or any(
+            not isinstance(p, list) or len(p) != 2 for p in value):
+        raise GluingFormatError(message)
+    return value
+
+
 def gluing_from_dict(doc: dict) -> GluingData:
     """Parse the JSON wire format; shape errors only, semantics are validated later."""
     if not isinstance(doc, dict):
@@ -465,6 +493,9 @@ def gluing_from_dict(doc: dict) -> GluingData:
     for key in ("normalization", "curve_components", "node_pairing", "involution"):
         if key not in doc:
             raise GluingFormatError(f"missing key {key!r}")
+    for key in ("normalization", "curve_components"):
+        if not isinstance(doc[key], list):
+            raise GluingFormatError(f"{key} must be a list of objects")
 
     normals = []
     for i, n in enumerate(doc["normalization"]):
@@ -498,17 +529,13 @@ def gluing_from_dict(doc: dict) -> GluingData:
         except (KeyError, TypeError, ValueError) as exc:
             raise GluingFormatError(f"{where}: {exc!r}") from exc
 
-    pairing = doc["node_pairing"]
-    if not isinstance(pairing, list) or any(len(p) != 2 for p in pairing):
-        raise GluingFormatError("node_pairing must be a list of point pairs")
+    pairing = _pair_list(doc["node_pairing"], "node_pairing must be a list of point pairs")
     sigma = _symmetrize(((str(a), str(b)) for a, b in pairing), "node_pairing")
 
     inv = doc["involution"]
     if not isinstance(inv, dict) or "components" not in inv or "points" not in inv:
         raise GluingFormatError("involution must contain 'components' and 'points'")
-    comp_pairs = inv["components"]
-    if not isinstance(comp_pairs, list) or any(len(p) != 2 for p in comp_pairs):
-        raise GluingFormatError("involution.components must be a list of id pairs")
+    comp_pairs = _pair_list(inv["components"], "involution.components must be a list of id pairs")
     tau_components = _symmetrize(
         ((str(a), str(b)) for a, b in comp_pairs), "involution.components"
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable, Iterable
 
 from .errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
 from .intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants
@@ -76,15 +77,8 @@ class GroupPresentation:
         return f"< {', '.join(self.generators)} | {rels} >"
 
 
-def word_to_str(w: Word, generators: tuple[str, ...] | None = None) -> str:
+def word_to_str(w: Word, generators: tuple[str, ...]) -> str:
     """Serialize as whitespace-separated powers, e.g. ``a^-1 b^2``."""
-    names = generators
-
-    def name(i: int) -> str:
-        if names is not None:
-            return names[i]
-        return chr(ord("a") + i) if i < 26 else f"g{i}"
-
     parts = []
     run_gen: int | None = None
     run_exp = 0
@@ -93,7 +87,8 @@ def word_to_str(w: Word, generators: tuple[str, ...] | None = None) -> str:
             run_exp += e
         else:
             if run_gen is not None and run_exp != 0:
-                parts.append(name(run_gen) if run_exp == 1 else f"{name(run_gen)}^{run_exp}")
+                name = generators[run_gen]
+                parts.append(name if run_exp == 1 else f"{name}^{run_exp}")
             run_gen, run_exp = g, e
     return " ".join(parts)
 
@@ -252,9 +247,28 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
 Permutation = tuple[int, ...]
 
 
-def _compose(p: Permutation, q: Permutation) -> Permutation:
+def compose(p: Permutation, q: Permutation) -> Permutation:
     """p after q: (p∘q)(i) = p(q(i))."""
     return tuple(p[q[i]] for i in range(len(p)))
+
+
+def closure(start: Iterable, successors: Callable) -> set:
+    """Everything reachable from ``start`` by repeated ``successors`` steps.
+
+    With the identity as start and multiplication by the generators as
+    the step, this is the generated subgroup.
+    """
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for x in successors(h):
+                if x not in seen:
+                    seen.add(x)
+                    nxt.append(x)
+        frontier = nxt
+    return seen
 
 
 @dataclass(frozen=True)
@@ -276,7 +290,7 @@ class FiniteGroup:
             if tuple(sorted(a)) != ident:
                 raise ValueError(f"{a} is not a permutation of degree {self.degree}")
             for b in self.elements:
-                if _compose(a, b) not in index:
+                if compose(a, b) not in index:
                     raise ValueError("not closed under composition")
 
     @property
@@ -291,7 +305,7 @@ class FiniteGroup:
     def _mult(self) -> list[list[int]]:
         index = {p: i for i, p in enumerate(self.elements)}
         return [
-            [index[_compose(a, b)] for b in self.elements] for a in self.elements
+            [index[compose(a, b)] for b in self.elements] for a in self.elements
         ]
 
     @cached_property
@@ -314,36 +328,14 @@ class FiniteGroup:
         if cached is not None:
             return cached
         table = self._mult
-        seen = {self.identity_index}
-        frontier = [self.identity_index]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                row = table[h]
-                for g in key:
-                    x = row[g]
-                    if x not in seen:
-                        seen.add(x)
-                        nxt.append(x)
-            frontier = nxt
-        self._closure_cache[key] = len(seen)
-        return len(seen)
+        size = len(closure((self.identity_index,), lambda h: map(table[h].__getitem__, key)))
+        self._closure_cache[key] = size
+        return size
 
 
 def _from_generators(name: str, degree: int, gens: list[Permutation]) -> FiniteGroup:
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                x = _compose(g, h)
-                if x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    return FiniteGroup(name, degree, tuple(sorted(seen)))
+    elements = closure((tuple(range(degree)),), lambda h: (compose(g, h) for g in gens))
+    return FiniteGroup(name, degree, tuple(sorted(elements)))
 
 
 def _cyclic(n: int) -> FiniteGroup:

@@ -97,15 +97,6 @@ class IntegerMatrix:
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols, self.rows,
-            tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
@@ -137,6 +128,11 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return len(self.divisors)
+
+    @property
+    def cokernel(self) -> AbelianGroup:
+        """Invariant factors of Z^rows / (column span of A)."""
+        return AbelianGroup(self.s.rows - self.rank, tuple(d for d in self.divisors if d > 1))
 
 
 def snf(a: IntegerMatrix) -> SmithDecomposition:
@@ -252,44 +248,4 @@ def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
 
 def cokernel_invariants(a: IntegerMatrix) -> AbelianGroup:
     """Invariant factors of Z^rows / (column span of A)."""
-    dec = snf(a)
-    return AbelianGroup(a.rows - dec.rank, tuple(d for d in dec.divisors if d > 1))
-
-
-def determinant(a: IntegerMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    if a.rows != a.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.row_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
-    """Direct sum, renormalized to invariant-factor form."""
-    free = sum(g.free_rank for g in groups)
-    factors = [d for g in groups for d in g.torsion]
-    if not factors:
-        return AbelianGroup(free)
-    # rebuild the divisibility chain via the SNF of a diagonal matrix
-    n = len(factors)
-    diag = IntegerMatrix.from_rows(
-        [[factors[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    )
-    return AbelianGroup(free, tuple(d for d in snf(diag).divisors if d > 1))
+    return snf(a).cokernel

@@ -23,27 +23,19 @@ from .intlinalg import AbelianGroup, IntegerMatrix, snf
 from .topology import HomologyOfX, homology_of_X, pi1_presentation
 
 
-def anti_invariant_basis(g: ValidatedGluing) -> tuple[tuple[str, str], ...]:
-    """One (plus-component, minus-component) pair per involution orbit.
-
-    The function is +1 on the lexicographically smaller component and -1
-    on its partner; fixed components would contribute nothing and are
-    rejected at validation.
-    """
-    return g.tau_pairs()
-
-
 def cusp_matrix(g: ValidatedGluing) -> IntegerMatrix:
-    """Rows: degenerate cusps in canonical order; columns: basis pairs.
+    """Rows: degenerate cusps in canonical order; columns: the tau-pairs.
 
-    Entry = sum over the cusp's cycle of f(r_i) - f(s_i).
+    The anti-invariant function of a pair is +1 on its lexicographically
+    smaller component and -1 on the partner (validation rejects fixed
+    components).  Entry = sum over the cusp's cycle of f(r_i) - f(s_i).
     """
     for n in g.normals:
         if n.q != 0:
             raise NormalizationIrregularError(
                 f"normal component {n.id} has q = {n.q}; the algorithm needs q = 0"
             )
-    basis = anti_invariant_basis(g)
+    basis = g.tau_pairs()
     rows = []
     for cusp in cusps(g):
         row = []

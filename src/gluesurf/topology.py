@@ -16,11 +16,12 @@ from .errors import (
     DbarDisconnectedError,
     GenusNotZeroError,
     NotSimplyConnectedError,
+    SurfaceNotConnectedError,
     UnsupportedNormalHomologyError,
 )
-from .gluing import ValidatedGluing, cusps, node_id, node_of, quotient_curve
+from .gluing import ValidatedGluing, cusps, node_id, node_of, per_gluing, quotient_curve
 from .grouptheory import GroupPresentation, Word, free_reduce
-from .intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants, snf
+from .intlinalg import AbelianGroup, IntegerMatrix, snf
 
 EdgeKey = tuple[str, int]  # (owning component label, segment position)
 
@@ -34,7 +35,7 @@ class GraphEdge:
 
 @dataclass(frozen=True)
 class HomotopyGraph:
-    """1-skeleton with sphere attachments, spanning forest, and generator edges.
+    """1-skeleton, spanning forest, and generator edges.
 
     ``parent[v]`` is (edge index, direction) leading back toward the BFS
     root of v's component, or None at a root.  ``generator_edges`` are the
@@ -44,7 +45,6 @@ class HomotopyGraph:
     side: str
     vertices: tuple[str, ...]
     edges: tuple[GraphEdge, ...]
-    spheres: tuple[tuple[str, int], ...]
     parent: tuple[tuple[int, int] | None, ...]
     tree_edges: tuple[int, ...]
     generator_edges: tuple[int, ...]
@@ -115,6 +115,7 @@ def _spanning_forest(n: int, edges: tuple[GraphEdge, ...]):
     return tuple(parent), tuple(sorted(tree_set)), generators, components
 
 
+@per_gluing
 def homotopy_graph(side: str, g: ValidatedGluing) -> HomotopyGraph:
     """Graph model of the normalized conductor (side="Dbar") or its quotient (side="D")."""
     _require_genus_zero(g)
@@ -138,9 +139,7 @@ def homotopy_graph(side: str, g: ValidatedGluing) -> HomotopyGraph:
     vertices = tuple(sorted(set(vertex_of_point.values())))
     vindex = {v: i for i, v in enumerate(vertices)}
     edges = []
-    spheres = []
     for owner, pts in rows:
-        spheres.append((owner, vindex[vertex_of_point[pts[0]]]))
         for i in range(len(pts) - 1):
             edges.append(GraphEdge(
                 u=vindex[vertex_of_point[pts[i]]],
@@ -154,7 +153,6 @@ def homotopy_graph(side: str, g: ValidatedGluing) -> HomotopyGraph:
         side=side,
         vertices=vertices,
         edges=edges,
-        spheres=tuple(sorted(spheres)),
         parent=parent,
         tree_edges=tree,
         generator_edges=generators,
@@ -174,7 +172,8 @@ def _check_pi1_preconditions(g: ValidatedGluing):
             )
 
 
-def _generator_images(g: ValidatedGluing) -> tuple[HomotopyGraph, HomotopyGraph, list[Word]]:
+@per_gluing
+def _generator_images(g: ValidatedGluing) -> tuple[HomotopyGraph, HomotopyGraph, tuple[Word, ...]]:
     """For each generator loop upstairs, its word in the quotient-graph generators.
 
     The loop for a non-tree edge is tree path in, the edge, tree path back;
@@ -207,7 +206,7 @@ def _generator_images(g: ValidatedGluing) -> tuple[HomotopyGraph, HomotopyGraph,
                 continue
             letters.append((d_letter[didx], direction))
         words.append(free_reduce(Word(tuple(letters))))
-    return gbar, gd, words
+    return gbar, gd, tuple(words)
 
 
 def _letter_names(count: int) -> tuple[str, ...]:
@@ -219,11 +218,15 @@ def _letter_names(count: int) -> tuple[str, ...]:
 def pi1_presentation(g: ValidatedGluing) -> GroupPresentation:
     """Presentation of the fundamental group of the glued surface.
 
-    Requires the normalized conductor connected and every normal component
-    simply connected; the group is then the quotient-curve graph group
-    modulo the images of the upstairs generator loops.
+    Requires X and the normalized conductor connected and every normal
+    component simply connected; the group is then the quotient-curve graph
+    group modulo the images of the upstairs generator loops.
     """
     _check_pi1_preconditions(g)
+    if g.x_component_count != 1:
+        raise SurfaceNotConnectedError(
+            f"X has {g.x_component_count} components; pi1 needs a connected surface"
+        )
     _gbar, gd, words = _generator_images(g)
     names = _letter_names(len(gd.generator_edges))
     relators = tuple(w for w in words if w.letters)
@@ -246,6 +249,7 @@ class MayerVietorisMatrices:
     h0_map: IntegerMatrix
 
 
+@per_gluing
 def mv_matrices(g: ValidatedGluing) -> MayerVietorisMatrices:
     _check_pi1_preconditions(g)
     pairs = g.tau_pairs()
@@ -315,15 +319,13 @@ def homology_of_X(g: ValidatedGluing) -> HomologyOfX:
                 f"normal component {n.id} must have trivial H1 and H3 and H4 = Z"
             )
     mv = mv_matrices(g)
-    rank_n = snf(mv.h2_map).rank
-    rank_m = snf(mv.h1_map).rank
-    rank_p = snf(mv.h0_map).rank
-    coker_n = cokernel_invariants(mv.h2_map)
-    coker_m = cokernel_invariants(mv.h1_map)
+    # one SNF per level map gives both its rank and its cokernel
+    dec_n, dec_m, dec_p = snf(mv.h2_map), snf(mv.h1_map), snf(mv.h0_map)
+    coker_n, coker_m = dec_n.cokernel, dec_m.cokernel
     return HomologyOfX(
         h0=AbelianGroup(g.x_component_count),
-        h1=AbelianGroup(coker_m.free_rank + (mv.h0_map.cols - rank_p), coker_m.torsion),
-        h2=AbelianGroup(coker_n.free_rank + (mv.h1_map.cols - rank_m), coker_n.torsion),
-        h3=AbelianGroup(mv.h2_map.cols - rank_n),
+        h1=AbelianGroup(coker_m.free_rank + (mv.h0_map.cols - dec_p.rank), coker_m.torsion),
+        h2=AbelianGroup(coker_n.free_rank + (mv.h1_map.cols - dec_m.rank), coker_n.torsion),
+        h3=AbelianGroup(mv.h2_map.cols - dec_n.rank),
         h4=AbelianGroup(len(g.normals)),
     )

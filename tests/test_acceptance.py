@@ -32,7 +32,7 @@ from gluesurf.grouptheory import (
     word_from_str,
 )
 from gluesurf.intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants, snf
-from gluesurf.invariants import anti_invariant_basis, cusp_matrix, irregularity
+from gluesurf.invariants import cusp_matrix, irregularity
 from gluesurf.topology import homology_of_X, mv_matrices, pi1_presentation
 
 EXPECTED_CHI = [3, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0]

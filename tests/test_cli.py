@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -11,6 +12,9 @@ from conftest import table_element, toy_pair
 from gluesurf.cli import main, report_to_dict
 from gluesurf.fourlines import build_four_lines, enumerate_orbits
 from gluesurf.gluing import gluing_to_dict
+
+# stdout of ``classify-four-lines --format json``, kept by the benchmark
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "classify-four-lines.json"
 
 
 @pytest.fixture
@@ -76,6 +80,11 @@ class TestClassify:
         first = runner.invoke(main, ["classify-four-lines", "--format", "json"]).output
         second = runner.invoke(main, ["classify-four-lines", "--format", "json"]).output
         assert first == second
+
+    def test_json_matches_golden_file(self, runner):
+        result = runner.invoke(main, ["classify-four-lines", "--format", "json"])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == GOLDEN.read_bytes()
 
 
 class TestInvariants:
@@ -190,3 +199,35 @@ class TestHomcountAndPi1:
         result = runner.invoke(main, ["homology", x01_file])
         assert result.exit_code == 0
         assert "H3 = Z^2" in result.output
+
+    def test_disconnected_surface(self, runner, tmp_path, x01_file):
+        # X0.1 plus an isolated plane: homology is defined, pi1 of X is not
+        doc = json.loads(open(x01_file).read())
+        doc["normalization"].append(dict(doc["normalization"][0], id="isolated"))
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(doc))
+        homology = runner.invoke(main, ["homology", str(path)])
+        assert homology.exit_code == 0
+        assert "H0 = Z^2" in homology.output
+        pi1 = runner.invoke(main, ["pi1", str(path)])
+        assert pi1.exit_code == 4
+        assert "components" in pi1.output
+
+
+@pytest.mark.parametrize("where, value", [
+    (("node_pairing",), [1, 2]),
+    (("normalization",), 5),
+    (("curve_components",), None),
+    (("involution", "components"), [1]),
+], ids=["node_pairing", "normalization", "curve_components", "involution.components"])
+def test_malformed_shape_exits_2(runner, tmp_path, x01_file, where, value):
+    doc = json.loads(open(x01_file).read())
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["invariants", str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ") and where[-1] in result.output

@@ -204,6 +204,20 @@ class TestEulerCharacteristics:
         assert chi.chi_x == 1 - chi.chi_dbar + chi.chi_d
 
 
+class TestImmutability:
+    def test_gluing_maps_are_read_only(self, x01):
+        for mapping in (x01.data.sigma, x01.data.tau_points, x01.point_component):
+            with pytest.raises(TypeError):
+                mapping["P12"] = "P13"
+
+    def test_maps_are_copies_of_the_input(self):
+        data = toy_pair(2, 1)
+        sigma = dict(data.sigma)
+        copied = dataclasses.replace(data, sigma=sigma)
+        sigma["x0"] = "x1"
+        assert copied.sigma == data.sigma and copied.sigma["x0"] == "y0"
+
+
 class TestSerialization:
     def test_round_trip_preserves_validation(self, x01):
         doc = gluing_to_dict(x01.data)

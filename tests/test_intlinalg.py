@@ -19,8 +19,6 @@ from gluesurf.intlinalg import (
     AbelianGroup,
     IntegerMatrix,
     cokernel_invariants,
-    determinant,
-    direct_sum,
     kernel_basis,
     snf,
 )
@@ -29,6 +27,44 @@ from gluesurf.intlinalg import (
 M1 = IntegerMatrix.from_rows([[2, 0, 1], [0, -1, 1], [1, 0, 0], [0, 1, -2]])
 M2 = IntegerMatrix.from_rows([[-1, 2, 0], [0, 1, -1], [0, 1, 0], [2, 0, 1]])
 N = IntegerMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
+
+
+def determinant(a: IntegerMatrix) -> int:
+    """Exact determinant by Bareiss fraction-free elimination (independent oracle)."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = a.row_lists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
+    """Direct sum, renormalized to invariant-factor form via the SNF of a diagonal matrix."""
+    free = sum(g.free_rank for g in groups)
+    factors = [d for g in groups for d in g.torsion]
+    if not factors:
+        return AbelianGroup(free)
+    n = len(factors)
+    diag = IntegerMatrix.from_rows(
+        [[factors[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    )
+    return AbelianGroup(free, tuple(d for d in snf(diag).divisors if d > 1))
 
 
 def minors_gcd_divisors(m: IntegerMatrix) -> tuple[int, ...]:

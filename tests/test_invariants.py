@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import functools
+import sys
 
 import pytest
 
@@ -14,10 +17,15 @@ from gluesurf.errors import (
     NormalizationIrregularError,
     SurfaceNotConnectedError,
 )
-from gluesurf.gluing import GluingData, NormalComponent, CurveComponent, validate_gluing
+from gluesurf.gluing import (
+    CurveComponent,
+    GluingData,
+    NormalComponent,
+    per_gluing,
+    validate_gluing,
+)
 from gluesurf.intlinalg import AbelianGroup, IntegerMatrix, snf
 from gluesurf.invariants import (
-    anti_invariant_basis,
     compute_report,
     cusp_matrix,
     irregularity,
@@ -60,7 +68,7 @@ class TestCuspMatrix:
 
     def test_four_cusp_rows_against_walk_oracle(self, x31):
         m = cusp_matrix(x31)
-        basis = anti_invariant_basis(x31)
+        basis = x31.tau_pairs()
         assert basis == (("L1", "L2"), ("L3", "L4"))
         from gluesurf.gluing import cusps
 
@@ -202,6 +210,40 @@ class TestReportAndPicard:
     def test_positive_genus_rejected(self, x31):
         with pytest.raises(GeometricGenusNonzeroError):
             picard_summary(compute_report(x31))
+
+    def test_each_derived_structure_is_built_once_per_gluing(self, monkeypatch):
+        # re-decorate each cached function around a counting body, at every
+        # module that bound it, so calls that hit the cache are not counted
+        runs = collections.Counter()
+
+        def counting(body):
+            @functools.wraps(body)
+            def counted(*args):
+                runs[(body.__name__, *(a for a in args if isinstance(a, str)))] += 1
+                return body(*args)
+            return counted
+
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "gluesurf"]
+        for home, name in (("gluing", "cusps"), ("gluing", "quotient_curve"),
+                           ("gluing", "euler_characteristics"), ("topology", "homotopy_graph"),
+                           ("topology", "_generator_images"), ("topology", "mv_matrices")):
+            cached = getattr(sys.modules[f"gluesurf.{home}"], name)
+            stub = per_gluing(counting(cached.__wrapped__))
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is cached:
+                        monkeypatch.setattr(module, attr, stub)
+
+        once = {("cusps",): 1, ("quotient_curve",): 1, ("euler_characteristics",): 1,
+                ("homotopy_graph", "D"): 1, ("homotopy_graph", "Dbar"): 1,
+                ("_generator_images",): 1, ("mv_matrices",): 1}
+        vg = table_gluing("X0.2")
+        compute_report(vg)
+        compute_report(vg)
+        assert runs == once
+        # the cache belongs to the gluing: a fresh one computes everything again
+        compute_report(table_gluing("X0.2"))
+        assert runs == {key: 2 for key in once}
 
     def test_mixed_rank_case_omits_structure(self, x01):
         report = compute_report(x01)
