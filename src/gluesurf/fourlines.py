@@ -17,8 +17,6 @@ from .gluing import (
     CurveComponent,
     GluingData,
     NormalComponent,
-    ValidatedGluing,
-    cusps,
     node_id,
     validate_gluing,
 )
@@ -32,7 +30,6 @@ LINE_POINTS = {
     "L3": ("P31", "P32", "P34"),
     "L4": ("P41", "P42", "P43"),
 }
-ALL_POINTS = tuple(p for line in LINES for p in LINE_POINTS[line])
 
 _S3 = tuple(itertools.permutations(range(3)))
 
@@ -58,9 +55,6 @@ class LinePairBijections:
 
     def key(self) -> tuple[int, ...]:
         return self.phi12 + self.phi34
-
-    def __lt__(self, other: "LinePairBijections") -> bool:
-        return self.key() < other.key()
 
 
 def all_gluings() -> tuple[LinePairBijections, ...]:
@@ -288,12 +282,6 @@ class OrbitRecord:
     @property
     def orbit_size(self) -> int:
         return len(self.orbit)
-
-
-def _cusp_partition_ids(vg: ValidatedGluing) -> frozenset[frozenset[str]]:
-    return frozenset(
-        frozenset(node_id(n) for n in c.nodes) for c in cusps(vg)
-    )
 
 
 def _assign_label(chi: int, cusp_sizes: tuple[int, ...], stab_order: int,

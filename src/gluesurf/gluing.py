@@ -13,9 +13,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import GluingFormatError, GluingValidationError
+from .grouptheory import closure
 from .intlinalg import AbelianGroup
 
 TRIVIAL = AbelianGroup(0)
@@ -115,28 +116,17 @@ class DegenerateCusp:
         return node_id(min(self.nodes))
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def groups(self) -> list[tuple]:
-        by_root: dict = {}
-        for x in self.parent:
-            by_root.setdefault(self.find(x), []).append(x)
-        out = [tuple(sorted(members)) for members in by_root.values()]
-        return sorted(out)
+def _components(items: Iterable, neighbours: Callable) -> tuple[tuple, ...]:
+    """Connected components of the graph on ``items``, each sorted, in the
+    order of their first member in ``items``."""
+    seen: set = set()
+    out = []
+    for x in items:
+        if x not in seen:
+            component = closure((x,), neighbours)
+            seen |= component
+            out.append(tuple(sorted(component)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -321,20 +311,14 @@ def validate_gluing(data: GluingData) -> ValidatedGluing:
         raise GluingValidationError(sorted(set(issues)))
 
     # connectivity of the glued conductor curve: components joined along nodes
-    uf = _UnionFind(curves)
-    for p in all_points:
-        uf.union(point_component[p], point_component[data.sigma[p]])
-    dbar_components = tuple(uf.groups())
+    dbar_components = _components(sorted(curves), lambda c: (
+        point_component[data.sigma[p]] for p in curves[c].marked_points))
 
-    # components of the glued surface: normal components identified at every
-    # point orbit (sigma joins within one component, tau joins across)
-    xuf = _UnionFind(normals)
-    for c in curves.values():
-        xuf.union(c.ambient, curves[data.tau_components[c.id]].ambient)
-    for p in all_points:
-        xuf.union(curves[point_component[p]].ambient,
-                  curves[point_component[data.sigma[p]]].ambient)
-    x_count = len(xuf.groups())
+    # components of the glued surface: normal components joined by tau;
+    # sigma never joins two of them, as checked above
+    x_count = len(_components(normals, lambda n: (
+        curves[data.tau_components[c.id]].ambient
+        for c in curves.values() if c.ambient == n)))
 
     return ValidatedGluing(
         data=data,
@@ -377,15 +361,13 @@ def cusps(g: ValidatedGluing) -> tuple[DegenerateCusp, ...]:
 class DCurveModel:
     """Shape of the quotient curve: its normalized components and gluing points.
 
-    ``components`` are the tau-pairs of curve components; ``cusp_preimages``
-    counts, per cusp (in ``cusps`` order), its points on the quotient
-    normalization; ``pair_component`` assigns each tau-pair the index of
-    its connected component in the glued curve.
+    ``components`` are the tau-pairs of curve components; ``pair_component``
+    assigns each tau-pair the index of its connected component in the
+    glued curve, numbered in order of first appearance.
     """
 
     components: tuple[tuple[str, str], ...]
     component_genus: tuple[int, ...]
-    cusp_preimages: tuple[int, ...]
     pair_component: tuple[int, ...]
     component_count: int
 
@@ -397,38 +379,21 @@ class DCurveModel:
 @per_gluing
 def quotient_curve(g: ValidatedGluing) -> DCurveModel:
     pairs = g.tau_pairs()
-    pair_key = {pair: f"{pair[0]}+{pair[1]}" for pair in pairs}
-    key_of_curve = {}
-    for pair in pairs:
-        key_of_curve[pair[0]] = pair_key[pair]
-        key_of_curve[pair[1]] = pair_key[pair]
-    tau = g.data.tau_points
-
-    all_cusps = cusps(g)
-    preimages = []
-    for c in all_cusps:
-        orbits = {frozenset((p, tau[p])) for p in c.points}
-        preimages.append(len(orbits))
-
-    uf = _UnionFind(list(pair_key.values()) + [f"cusp:{c.label}" for c in all_cusps])
-    for c in all_cusps:
-        for p in c.points:
-            uf.union(key_of_curve[g.component_of(p)], f"cusp:{c.label}")
-    component_count = len(uf.groups())
-    roots_in_order: list = []
-    pair_component = []
-    for pair in pairs:
-        root = uf.find(pair_key[pair])
-        if root not in roots_in_order:
-            roots_in_order.append(root)
-        pair_component.append(roots_in_order.index(root))
+    pair_of_curve = {cid: pair for pair in pairs for cid in pair}
+    # tau-pairs are joined when one cusp has points on both
+    joined: dict = {pair: set() for pair in pairs}
+    for c in cusps(g):
+        members = {pair_of_curve[g.component_of(p)] for p in c.points}
+        for pair in members:
+            joined[pair] |= members
+    components = _components(pairs, joined.__getitem__)
+    component_of_pair = {pair: k for k, comp in enumerate(components) for pair in comp}
 
     return DCurveModel(
         components=pairs,
         component_genus=tuple(g.curve(p[0]).genus for p in pairs),
-        cusp_preimages=tuple(preimages),
-        pair_component=tuple(pair_component),
-        component_count=component_count,
+        pair_component=tuple(component_of_pair[pair] for pair in pairs),
+        component_count=len(components),
     )
 
 
@@ -486,6 +451,12 @@ def _pair_list(value, message: str) -> list:
     return value
 
 
+def _typed(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        raise GluingFormatError(f"{where} must be a {kind.__name__}")
+    return value
+
+
 def gluing_from_dict(doc: dict) -> GluingData:
     """Parse the JSON wire format; shape errors only, semantics are validated later."""
     if not isinstance(doc, dict):
@@ -505,7 +476,8 @@ def gluing_from_dict(doc: dict) -> GluingData:
                 id=str(n["id"]),
                 chi_O=int(n["chi_O"]),
                 q=int(n.get("q", 0)),
-                simply_connected=bool(n.get("simply_connected", True)),
+                simply_connected=_typed(n.get("simply_connected", True), bool,
+                                        where + ".simply_connected"),
                 h1=_group_from_json(n.get("h1", {"rank": 0}), where + ".h1"),
                 h2_rank=int(n.get("h2_rank", 1)),
                 h3=_group_from_json(n.get("h3", {"rank": 0}), where + ".h3"),
@@ -523,8 +495,10 @@ def gluing_from_dict(doc: dict) -> GluingData:
                 id=str(c["id"]),
                 ambient=str(c["on"]),
                 genus=int(c.get("genus", 0)),
-                marked_points=tuple(str(p) for p in c["marked_points"]),
-                h2_class=tuple(int(x) for x in c.get("h2_class", ())),
+                marked_points=tuple(
+                    str(p) for p in _typed(c["marked_points"], list, where + ".marked_points")),
+                h2_class=tuple(
+                    int(x) for x in _typed(c.get("h2_class", []), list, where + ".h2_class")),
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise GluingFormatError(f"{where}: {exc!r}") from exc

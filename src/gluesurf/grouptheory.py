@@ -9,7 +9,7 @@ decided by closing the image set under multiplication.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
@@ -112,10 +112,13 @@ def word_from_str(text: str, generators: tuple[str, ...]) -> Word:
 def presentation_from_dict(doc: dict) -> GroupPresentation:
     if not isinstance(doc, dict) or "generators" not in doc or "relators" not in doc:
         raise PresentationFormatError("expected object with 'generators' and 'relators'")
-    gens = tuple(str(g) for g in doc["generators"])
+    for key in ("generators", "relators"):
+        if not isinstance(doc[key], list) or not all(isinstance(x, str) for x in doc[key]):
+            raise PresentationFormatError(f"{key} must be a list of strings")
+    gens = tuple(doc["generators"])
     if len(set(gens)) != len(gens):
         raise PresentationFormatError("duplicate generator name")
-    relators = tuple(word_from_str(str(r), gens) for r in doc["relators"])
+    relators = tuple(word_from_str(r, gens) for r in doc["relators"])
     return GroupPresentation(gens, relators)
 
 
@@ -273,49 +276,42 @@ def closure(start: Iterable, successors: Callable) -> set:
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Finite permutation group given by its full, sorted element list."""
+    """Finite permutation group given by its full, sorted element list.
+
+    The Cayley table ``_mult`` (indices into ``elements``) is built once,
+    at construction; a product missing from ``elements`` is rejected there.
+    """
 
     name: str
     degree: int
     elements: tuple[Permutation, ...]
+    identity_index: int = field(init=False, repr=False, compare=False)
+    _mult: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _inv: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError("duplicate elements")
         index = {p: i for i, p in enumerate(self.elements)}
+        if len(index) != len(self.elements):
+            raise ValueError("duplicate elements")
         ident = tuple(range(self.degree))
         if ident not in index:
             raise ValueError("identity missing")
         for a in self.elements:
             if tuple(sorted(a)) != ident:
                 raise ValueError(f"{a} is not a permutation of degree {self.degree}")
-            for b in self.elements:
-                if compose(a, b) not in index:
-                    raise ValueError("not closed under composition")
+        try:
+            mult = tuple(tuple([index[compose(a, b)] for b in self.elements])
+                         for a in self.elements)
+        except KeyError:
+            raise ValueError("not closed under composition") from None
+        e = index[ident]
+        object.__setattr__(self, "identity_index", e)
+        object.__setattr__(self, "_mult", mult)
+        object.__setattr__(self, "_inv", tuple(row.index(e) for row in mult))
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def identity_index(self) -> int:
-        return self.elements.index(tuple(range(self.degree)))
-
-    @cached_property
-    def _mult(self) -> list[list[int]]:
-        index = {p: i for i, p in enumerate(self.elements)}
-        return [
-            [index[compose(a, b)] for b in self.elements] for a in self.elements
-        ]
-
-    @cached_property
-    def _inv(self) -> list[int]:
-        e = self.identity_index
-        table = self._mult
-        out = [0] * self.order
-        for i in range(self.order):
-            out[i] = next(j for j in range(self.order) if table[i][j] == e)
-        return out
 
     @cached_property
     def _closure_cache(self) -> dict:
@@ -333,79 +329,40 @@ class FiniteGroup:
         return size
 
 
-def _from_generators(name: str, degree: int, gens: list[Permutation]) -> FiniteGroup:
+def _from_generators(name: str, degree: int, gens: tuple[Permutation, ...]) -> FiniteGroup:
     elements = closure((tuple(range(degree)),), lambda h: (compose(g, h) for g in gens))
     return FiniteGroup(name, degree, tuple(sorted(elements)))
 
 
-def _cyclic(n: int) -> FiniteGroup:
-    shift = tuple((i + 1) % n for i in range(n))
-    return _from_generators(f"C{n}", n, [shift])
+def _shift(n: int) -> Permutation:
+    return tuple((i + 1) % n for i in range(n))
 
 
-def _dihedral(name: str, n: int) -> FiniteGroup:
-    rot = tuple((i + 1) % n for i in range(n))
-    refl = tuple(n - 1 - i for i in range(n))
-    return _from_generators(name, n, [rot, refl])
+def _reflection(n: int) -> Permutation:
+    return tuple(n - 1 - i for i in range(n))
 
 
-def _symmetric(name: str, n: int) -> FiniteGroup:
-    return FiniteGroup(name, n, tuple(sorted(itertools.permutations(range(n)))))
-
-
-def _alternating(name: str, n: int) -> FiniteGroup:
-    def parity(p):
-        inv = sum(
-            1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]
-        )
-        return inv % 2
-
-    evens = [p for p in itertools.permutations(range(n)) if parity(p) == 0]
-    return FiniteGroup(name, n, tuple(sorted(evens)))
-
-
-def _quaternion() -> FiniteGroup:
-    # units ±1, ±i, ±j, ±k as (sign, axis); left-regular permutation action
-    units = [(s, a) for a in range(4) for s in (1, -1)]
-    mul_axis = {
-        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-        (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-        (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-        (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-    }
-
-    def mul(u, v):
-        (su, au), (sv, av) = u, v
-        sw, aw = mul_axis[(au, av)]
-        return (su * sv * sw, aw)
-
-    index = {u: i for i, u in enumerate(units)}
-    elements = tuple(
-        tuple(index[mul(g, u)] for u in units) for g in units
-    )
-    return FiniteGroup("Q8", 8, tuple(sorted(elements)))
-
-
-_BUILDERS = {
-    **{f"C{n}": (lambda n=n: _cyclic(n)) for n in range(2, 13)},
-    "S3": lambda: _symmetric("S3", 3),
-    "D4": lambda: _dihedral("D4", 4),
-    "Q8": _quaternion,
-    "A4": lambda: _alternating("A4", 4),
-    "D6": lambda: _dihedral("D6", 6),
-    "S4": lambda: _symmetric("S4", 4),
-    "A5": lambda: _alternating("A5", 5),
+# name -> (degree, generators); the groups themselves are built on first use
+_CATALOG: dict[str, tuple[int, tuple[Permutation, ...]]] = {
+    **{f"C{n}": (n, (_shift(n),)) for n in range(2, 13)},
+    "S3": (3, ((1, 0, 2), _shift(3))),
+    "D4": (4, (_shift(4), _reflection(4))),
+    # left multiplication by i and by j on the units ±1, ±i, ±j, ±k
+    "Q8": (8, ((2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3))),
+    "A4": (4, ((1, 2, 0, 3), (0, 2, 3, 1))),
+    "D6": (6, (_shift(6), _reflection(6))),
+    "S4": (4, ((1, 0, 2, 3), _shift(4))),
+    "A5": (5, ((1, 2, 0, 3, 4), (1, 2, 3, 4, 0))),
 }
 
-CATALOG_NAMES = tuple([f"C{n}" for n in range(2, 13)] + ["S3", "D4", "Q8", "A4", "D6", "S4", "A5"])
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 @lru_cache(maxsize=None)
 def catalog_group(name: str) -> FiniteGroup:
-    builder = _BUILDERS.get(name)
-    if builder is None:
+    if name not in _CATALOG:
         raise UnknownGroupError(f"unknown group {name!r}; known: {', '.join(CATALOG_NAMES)}")
-    return builder()
+    return _from_generators(name, *_CATALOG[name])
 
 
 def default_catalog() -> tuple[FiniteGroup, ...]:

@@ -55,6 +55,24 @@ def toy_pair(npoints: int, shift: int) -> GluingData:
     )
 
 
+def two_planes() -> GluingData:
+    """Two planes, each glued to itself along one node: X has two components."""
+    base1 = NormalComponent(id="base1", chi_O=1, k_plus_d_sq=1)
+    base2 = NormalComponent(id="base2", chi_O=1, k_plus_d_sq=1)
+    return GluingData(
+        normal_components=(base1, base2),
+        curve_components=(
+            CurveComponent("C1", "base1", 0, ("x0",), (1,)),
+            CurveComponent("C2", "base1", 0, ("y0",), (1,)),
+            CurveComponent("C3", "base2", 0, ("u0",), (1,)),
+            CurveComponent("C4", "base2", 0, ("v0",), (1,)),
+        ),
+        sigma={"x0": "y0", "y0": "x0", "u0": "v0", "v0": "u0"},
+        tau_components={"C1": "C2", "C2": "C1", "C3": "C4", "C4": "C3"},
+        tau_points={"x0": "y0", "y0": "x0", "u0": "v0", "v0": "u0"},
+    )
+
+
 @pytest.fixture
 def x01() -> ValidatedGluing:
     return table_gluing("X0.1")

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -231,3 +234,48 @@ def test_malformed_shape_exits_2(runner, tmp_path, x01_file, where, value):
     result = runner.invoke(main, ["invariants", str(path)])
     assert result.exit_code == 2
     assert result.output.startswith("error: ") and where[-1] in result.output
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"generators": 5, "relators": []}, "generators"),
+    ({"generators": ["a"], "relators": 5}, "relators"),
+    ({"generators": [1], "relators": []}, "generators"),
+    ({"generators": ["a"], "relators": [["a"]]}, "relators"),
+], ids=["generators-int", "relators-int", "generator-not-string", "relator-not-string"])
+def test_malformed_presentation_exits_2(runner, tmp_path, doc, key):
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["homcount", str(path), "--group", "C2"])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ") and key in result.output
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("curve_components", "marked_points", "P12"),
+    ("curve_components", "h2_class", "1"),
+    ("normalization", "simply_connected", "false"),
+    ("normalization", "simply_connected", 0),
+], ids=["marked_points-str", "h2_class-str", "simply_connected-str", "simply_connected-int"])
+def test_wrong_value_type_exits_2(runner, tmp_path, x01_file, section, key, value):
+    doc = json.loads(open(x01_file).read())
+    for entry in doc[section]:
+        entry[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["invariants", str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ") and key in result.output
+
+
+def test_import_builds_no_catalog_group():
+    # the catalog is generator data; each group is built on first use only
+    code = (
+        "import gluesurf.cli\n"
+        "from gluesurf.grouptheory import catalog_group\n"
+        "print(catalog_group.cache_info().currsize)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "0"

@@ -6,9 +6,9 @@ import dataclasses
 
 import pytest
 
-from conftest import table_element, table_gluing, toy_pair
+from conftest import table_element, table_gluing, toy_pair, two_planes
 from gluesurf.errors import GluingFormatError, GluingValidationError
-from gluesurf.fourlines import build_four_lines
+from gluesurf.fourlines import all_gluings, build_four_lines
 from gluesurf.gluing import (
     cusps,
     euler_characteristics,
@@ -172,19 +172,34 @@ class TestQuotientCurve:
     def test_two_components_one_cusp(self, x01):
         model = quotient_curve(x01)
         assert model.components == (("L1", "L2"), ("L3", "L4"))
-        assert model.cusp_preimages == (6,)
+        # a cusp's 2·mu points fall into mu tau-orbits, one per preimage
+        assert tuple(c.mu for c in cusps(x01)) == (6,)
         assert model.connected
 
     def test_preimage_counts_on_four_cusp_row(self, x31):
         model = quotient_curve(x31)
-        assert model.cusp_preimages == (1, 2, 2, 1)
-        assert sorted(model.cusp_preimages) == [1, 1, 2, 2]
+        assert tuple(c.mu for c in cusps(x31)) == (1, 2, 2, 1)
         assert model.connected
+
+    def test_each_cusp_has_mu_preimages(self):
+        # tau(s_i) = r_{i+1}: the 2·mu points of a cusp pair up into mu tau-orbits
+        for b in all_gluings():
+            vg = validate_gluing(build_four_lines(b))
+            for c in cusps(vg):
+                assert len({frozenset((p, vg.tau(p))) for p in c.points}) == c.mu
 
     def test_single_pair_single_node(self):
         model = quotient_curve(validate_gluing(toy_pair(1, 0)))
         assert model.components == (("C1", "C2"),)
         assert model.connected
+
+    def test_components_of_two_planes(self):
+        vg = validate_gluing(two_planes())
+        assert vg.dbar_components == (("C1", "C2"), ("C3", "C4"))
+        assert vg.x_component_count == 2
+        model = quotient_curve(vg)
+        assert model.pair_component == (0, 1)
+        assert model.component_count == 2
 
 
 class TestEulerCharacteristics:

@@ -10,6 +10,7 @@ import pytest
 from gluesurf.errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
 from gluesurf.grouptheory import (
     CATALOG_NAMES,
+    FiniteGroup,
     Fingerprint,
     GroupPresentation,
     Word,
@@ -296,6 +297,60 @@ class TestCatalog:
     def test_unknown_group(self):
         with pytest.raises(UnknownGroupError):
             catalog_group("M11")
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_elements_match_independent_construction(self, name):
+        assert catalog_group(name).elements == catalog_oracle(name)
+
+    @pytest.mark.parametrize("elements, message", [
+        (((0, 1), (0, 1), (1, 0)), "duplicate"),
+        (((1, 0),), "identity"),
+        (((0, 1), (0, 0)), "not a permutation"),
+        (((0, 1, 2), (1, 0, 2), (0, 2, 1)), "not closed"),
+    ], ids=["duplicate", "no-identity", "non-permutation", "not-closed"])
+    def test_finite_group_rejects_bad_elements(self, elements, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteGroup("bad", len(elements[0]), elements)
+
+
+def _parity(p) -> int:
+    return sum(p[i] > p[j] for i, j in itertools.combinations(range(len(p)), 2)) % 2
+
+
+def _quaternion_left_regular() -> list[tuple[int, ...]]:
+    """Q8 as its left-regular action on the units ±1, ±i, ±j, ±k."""
+    units = [(s, a) for a in range(4) for s in (1, -1)]  # (sign, axis)
+    mul_axis = {
+        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
+        (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+        (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
+        (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
+    }
+
+    def mul(u, v):
+        (su, au), (sv, av) = u, v
+        sw, aw = mul_axis[(au, av)]
+        return (su * sv * sw, aw)
+
+    index = {u: i for i, u in enumerate(units)}
+    return [tuple(index[mul(g, u)] for u in units) for g in units]
+
+
+def catalog_oracle(name: str) -> tuple[tuple[int, ...], ...]:
+    """Sorted elements of a catalog group, built without its generators."""
+    n = {"S3": 3, "D4": 4, "A4": 4, "D6": 6, "S4": 4, "A5": 5}.get(name)
+    if name == "Q8":
+        perms = _quaternion_left_regular()
+    elif name[0] == "C":
+        m = int(name[1:])
+        perms = [tuple((i + k) % m for i in range(m)) for k in range(m)]
+    elif name[0] == "D":
+        perms = [tuple((s * i + k) % n for i in range(n)) for k in range(n) for s in (1, -1)]
+    elif name[0] == "S":
+        perms = list(itertools.permutations(range(n)))
+    else:
+        perms = [p for p in itertools.permutations(range(n)) if _parity(p) == 0]
+    return tuple(sorted(perms))
 
 
 class TestPresentationJson:

@@ -6,19 +6,14 @@ import dataclasses
 
 import pytest
 
-from conftest import table_gluing, toy_pair
+from conftest import table_gluing, toy_pair, two_planes
 from gluesurf.errors import (
     DbarDisconnectedError,
     GenusNotZeroError,
     NotSimplyConnectedError,
     UnsupportedNormalHomologyError,
 )
-from gluesurf.gluing import (
-    CurveComponent,
-    GluingData,
-    NormalComponent,
-    validate_gluing,
-)
+from gluesurf.gluing import validate_gluing
 from gluesurf.grouptheory import (
     abelianization,
     catalog_group,
@@ -110,20 +105,7 @@ class TestPi1:
             pi1_presentation(validate_gluing(bad))
 
     def test_disconnected_conductor_rejected(self):
-        base1 = NormalComponent(id="base1", chi_O=1, k_plus_d_sq=1)
-        base2 = NormalComponent(id="base2", chi_O=1, k_plus_d_sq=1)
-        data = GluingData(
-            normal_components=(base1, base2),
-            curve_components=(
-                CurveComponent("C1", "base1", 0, ("x0",), (1,)),
-                CurveComponent("C2", "base1", 0, ("y0",), (1,)),
-                CurveComponent("C3", "base2", 0, ("u0",), (1,)),
-                CurveComponent("C4", "base2", 0, ("v0",), (1,)),
-            ),
-            sigma={"x0": "y0", "y0": "x0", "u0": "v0", "v0": "u0"},
-            tau_components={"C1": "C2", "C2": "C1", "C3": "C4", "C4": "C3"},
-            tau_points={"x0": "y0", "y0": "x0", "u0": "v0", "v0": "u0"},
-        )
+        data = two_planes()
         vg = validate_gluing(data)
         assert not vg.dbar_connected
         with pytest.raises(DbarDisconnectedError):
