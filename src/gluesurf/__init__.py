@@ -39,7 +39,6 @@ from .intlinalg import (
     IntegerMatrix,
     SmithDecomposition,
     cokernel_invariants,
-    kernel_basis,
     snf,
 )
 from .invariants import (

@@ -7,12 +7,11 @@ identical inputs give byte-identical documents.
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import os
 import sys
-
-import click
 
 from .errors import BudgetExceededError, InputError, UnsupportedError
 from .fourlines import enumerate_orbits, generating_set, perm_to_cycles, pretty_node
@@ -46,53 +45,44 @@ def _load_gluing(path: str):
 
 
 def _emit_json(payload) -> None:
-    click.echo(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(payload, sort_keys=True, indent=2))
+
+
+def _named_groups(names: list[str]):
+    if not names:
+        raise InputError("the list of groups is empty")
+    if len(set(names)) != len(names):
+        raise InputError(f"a group is named twice in {','.join(names)}")
+    return tuple(catalog_group(n) for n in names)
 
 
 def _catalog_from_option(names: str | None):
     if names is None:
         return default_catalog()
-    return tuple(catalog_group(n.strip()) for n in names.split(",") if n.strip())
+    return _named_groups([n.strip() for n in names.split(",") if n.strip()])
 
 
 def _with_exit_codes(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            fn(*args, **kwargs)
+            sys.stdout.flush()  # a closed pipe raises here, not at shutdown
         except BudgetExceededError as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(3)
         except UnsupportedError as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(4)
         except BrokenPipeError:
             # downstream pager closed early; silence the shutdown flush too
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             sys.exit(0)
         except (InputError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(2)
 
     return wrapper
-
-
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
-    help="Output format.",
-)
-budget_option = click.option(
-    "--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
-    help="Maximum number of image tuples per homomorphism search.",
-)
-catalog_option = click.option(
-    "--catalog", default=None,
-    help="Comma-separated finite groups to fingerprint against (default: built-in list).",
-)
-fingerprint_option = click.option(
-    "--fingerprint", "with_fingerprint", is_flag=True,
-    help="Also compute the finite-quotient fingerprint.",
-)
 
 
 def report_to_dict(report: InvariantReport) -> dict:
@@ -134,13 +124,6 @@ def _render_report_text(report: InvariantReport) -> str:
     return "\n".join(lines)
 
 
-@click.group()
-def main():
-    """Invariants of non-normal surfaces described by combinatorial gluing data."""
-
-
-@main.command("classify-four-lines")
-@format_option
 @_with_exit_codes
 def cmd_classify_four_lines(fmt):
     """Classify all gluings of the plane along four general lines."""
@@ -167,7 +150,7 @@ def cmd_classify_four_lines(fmt):
         ))
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     for row in table:
-        click.echo("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
 def _orbit_record_to_dict(r) -> dict:
@@ -184,12 +167,6 @@ def _orbit_record_to_dict(r) -> dict:
     }
 
 
-@main.command("invariants")
-@click.argument("path", type=click.Path())
-@format_option
-@fingerprint_option
-@catalog_option
-@budget_option
 @_with_exit_codes
 def cmd_invariants(path, fmt, with_fingerprint, catalog, budget):
     """Full invariant report for a gluing-data JSON file."""
@@ -197,21 +174,15 @@ def cmd_invariants(path, fmt, with_fingerprint, catalog, budget):
     report = compute_report(
         vg,
         with_fingerprint=with_fingerprint,
-        catalog=_catalog_from_option(catalog),
+        catalog=_catalog_from_option(catalog) if with_fingerprint else None,
         budget=budget,
     )
     if fmt == "json":
         _emit_json(report_to_dict(report))
     else:
-        click.echo(_render_report_text(report))
+        print(_render_report_text(report))
 
 
-@main.command("pi1")
-@click.argument("path", type=click.Path())
-@format_option
-@fingerprint_option
-@catalog_option
-@budget_option
 @_with_exit_codes
 def cmd_pi1(path, fmt, with_fingerprint, catalog, budget):
     """Fundamental-group presentation of the glued surface."""
@@ -232,16 +203,13 @@ def cmd_pi1(path, fmt, with_fingerprint, catalog, budget):
             payload["fingerprint"] = fp.as_dict()
         _emit_json(payload)
         return
-    click.echo(f"pi1        = {raw}")
-    click.echo(f"simplified = {simplified}")
-    click.echo(f"abelianized = {ab}")
+    print(f"pi1        = {raw}")
+    print(f"simplified = {simplified}")
+    print(f"abelianized = {ab}")
     if fp is not None:
-        click.echo(f"fingerprint = {fp}")
+        print(f"fingerprint = {fp}")
 
 
-@main.command("homology")
-@click.argument("path", type=click.Path())
-@format_option
 @_with_exit_codes
 def cmd_homology(path, fmt):
     """Integral homology groups of the glued surface."""
@@ -251,15 +219,9 @@ def cmd_homology(path, fmt):
         _emit_json({"homology": [h.as_dict() for h in groups.as_tuple()]})
         return
     for i, h in enumerate(groups.as_tuple()):
-        click.echo(f"H{i} = {h}")
+        print(f"H{i} = {h}")
 
 
-@main.command("distinguish")
-@click.argument("path1", type=click.Path())
-@click.argument("path2", type=click.Path())
-@format_option
-@catalog_option
-@budget_option
 @_with_exit_codes
 def cmd_distinguish(path1, path2, fmt, catalog, budget):
     """Compare fundamental groups of two gluings by finite-quotient counts.
@@ -289,35 +251,80 @@ def cmd_distinguish(path1, path2, fmt, catalog, budget):
         return
     if witness:
         name, (lt, ls), (rt, rs) = witness
-        click.echo(
+        print(
             f"DISTINGUISHED at {name}: homomorphisms {lt} vs {rt}, "
             f"surjections {ls} vs {rs}"
         )
     else:
-        click.echo("INCONCLUSIVE: fingerprints agree over the whole catalog")
+        print("INCONCLUSIVE: fingerprints agree over the whole catalog")
 
 
-@main.command("homcount")
-@click.argument("path", type=click.Path())
-@click.option("--group", "group_names", multiple=True,
-              help="Target group name; repeatable.  Default: the whole catalog.")
-@format_option
-@budget_option
 @_with_exit_codes
 def cmd_homcount(path, group_names, fmt, budget):
     """Count homomorphisms from a presentation JSON file into finite groups."""
     presentation = presentation_from_dict(_load_json(path))
-    groups = (
-        tuple(catalog_group(n) for n in group_names)
-        if group_names else default_catalog()
-    )
+    groups = default_catalog() if group_names is None else _named_groups(group_names)
     results = {g.name: hom_count(presentation, g, budget) for g in groups}
     if fmt == "json":
         _emit_json({name: list(counts) for name, counts in results.items()})
         return
     for g in groups:
         total, surj = results[g.name]
-        click.echo(f"{g.name}: total {total}, surjective {surj}")
+        print(f"{g.name}: total {total}, surjective {surj}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _option(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for each command that takes it."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(*flags, **kwargs)
+    return parser
+
+
+def _parser() -> argparse.ArgumentParser:
+    fmt = _option("--format", dest="fmt", choices=["text", "json"], default="text",
+                  help="Output format.")
+    with_fingerprint = _option("--fingerprint", dest="with_fingerprint", action="store_true",
+                               help="Also compute the finite-quotient fingerprint.")
+    catalog = _option("--catalog", help="Comma-separated finite groups to fingerprint "
+                                        "against (default: built-in list).")
+    budget = _option("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                     help="Maximum number of image tuples per homomorphism search "
+                          "(default: %(default)s).")
+    group = _option("--group", dest="group_names", action="append", metavar="GROUP",
+                    help="Target group name; repeatable.  Default: the whole catalog.")
+    parser = argparse.ArgumentParser(prog="gluesurf", allow_abbrev=False,
+                                     description=main.__doc__)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, fn, positionals, parents in (
+        ("classify-four-lines", cmd_classify_four_lines, (), [fmt]),
+        ("invariants", cmd_invariants, ("path",), [fmt, with_fingerprint, catalog, budget]),
+        ("pi1", cmd_pi1, ("path",), [fmt, with_fingerprint, catalog, budget]),
+        ("homology", cmd_homology, ("path",), [fmt]),
+        ("distinguish", cmd_distinguish, ("path1", "path2"), [fmt, catalog, budget]),
+        ("homcount", cmd_homcount, ("path",), [group, fmt, budget]),
+    ):
+        command = commands.add_parser(name, parents=parents, allow_abbrev=False,
+                                      help=fn.__doc__.splitlines()[0], description=fn.__doc__)
+        for positional in positionals:
+            command.add_argument(positional)
+        command.set_defaults(run=fn)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Invariants of non-normal surfaces described by combinatorial gluing data."""
+    args = vars(_parser().parse_args(argv))
+    args.pop("run")(**args)
 
 
 if __name__ == "__main__":

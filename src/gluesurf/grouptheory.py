@@ -19,6 +19,8 @@ from .intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants
 Letter = tuple[int, int]  # (generator index, exponent +1 or -1)
 
 DEFAULT_BUDGET = 10 ** 8
+# a parsed word is expanded letter by letter, so ``a^N`` would cost N letters
+MAX_WORD_LETTERS = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -95,17 +97,22 @@ def word_to_str(w: Word, generators: tuple[str, ...]) -> str:
 
 def word_from_str(text: str, generators: tuple[str, ...]) -> Word:
     index = {name: i for i, name in enumerate(generators)}
-    letters: list[Letter] = []
+    powers: list[tuple[int, int]] = []
     for token in text.split():
         name, _, exp = token.partition("^")
         if name not in index:
             raise PresentationFormatError(f"unknown generator {name!r} in word {text!r}")
         try:
-            e = int(exp) if exp else 1
+            powers.append((index[name], int(exp) if exp else 1))
         except ValueError as err:
             raise PresentationFormatError(f"bad exponent in token {token!r}") from err
-        sign = 1 if e > 0 else -1
-        letters.extend([(index[name], sign)] * abs(e))
+    length = sum(abs(e) for _, e in powers)
+    if length > MAX_WORD_LETTERS:
+        raise PresentationFormatError(
+            f"a word of {length} letters is over the limit of {MAX_WORD_LETTERS} letters")
+    letters: list[Letter] = []
+    for g, e in powers:
+        letters.extend([(g, 1 if e > 0 else -1)] * abs(e))
     return Word(tuple(letters))
 
 

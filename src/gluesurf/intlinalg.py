@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form with transforms, kernels, cokernels.
+"""Exact integer linear algebra: Smith normal form with transforms, cokernels.
 
 Everything runs on Python's arbitrary-precision integers.  Intermediate
 entries of a Smith reduction can outgrow any fixed-width type even for
@@ -83,10 +83,6 @@ class IntegerMatrix:
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -96,17 +92,6 @@ class IntegerMatrix:
     def row_lists(self) -> list[list[int]]:
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        a, b = self.row_lists(), other.row_lists()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                out.append(sum(ai[k] * b[k][j] for k in range(self.cols)))
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.row_lists())
@@ -234,16 +219,6 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
         v=IntegerMatrix.from_rows(v, cols=nc),
         divisors=divisors,
     )
-
-
-def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
-    """Columns form a Z-basis of the right kernel {x : Ax = 0}."""
-    dec = snf(a)
-    r = dec.rank
-    v = dec.v.row_lists()
-    width = a.cols - r
-    entries = tuple(v[i][r + j] for i in range(a.cols) for j in range(width))
-    return IntegerMatrix(a.cols, width, entries)
 
 
 def cokernel_invariants(a: IntegerMatrix) -> AbelianGroup:

@@ -18,7 +18,14 @@ from .errors import (
     SurfaceNotConnectedError,
 )
 from .gluing import DegenerateCusp, ValidatedGluing, cusps, euler_characteristics
-from .grouptheory import Fingerprint, GroupPresentation, abelianization
+from .grouptheory import (
+    DEFAULT_BUDGET,
+    Fingerprint,
+    GroupPresentation,
+    abelianization,
+    fingerprint,
+    tietze_simplify,
+)
 from .intlinalg import AbelianGroup, IntegerMatrix, snf
 from .topology import HomologyOfX, homology_of_X, pi1_presentation
 
@@ -102,19 +109,13 @@ class InvariantReport:
 
 
 def compute_report(g: ValidatedGluing, *, with_fingerprint: bool = False,
-                   catalog=None, budget: int | None = None) -> InvariantReport:
-    from .grouptheory import DEFAULT_BUDGET, fingerprint as _fingerprint, tietze_simplify
-
+                   catalog=None, budget: int = DEFAULT_BUDGET) -> InvariantReport:
     chi = euler_characteristics(g).chi_x
     q, p_g = irregularity(g)
     presentation = pi1_presentation(g)
     fp = None
     if with_fingerprint:
-        fp = _fingerprint(
-            tietze_simplify(presentation),
-            catalog=catalog,
-            budget=DEFAULT_BUDGET if budget is None else budget,
-        )
+        fp = fingerprint(tietze_simplify(presentation), catalog=catalog, budget=budget)
     return InvariantReport(
         chi=chi,
         q=q,

@@ -125,11 +125,10 @@ def homotopy_graph(side: str, g: ValidatedGluing) -> HomotopyGraph:
         vertex_of_point = {p: node_id(node_of(p, g.data.sigma)) for p in g.points()}
         rows = [(c.id, orders[c.id]) for c in g.curves]
     elif side == "D":
-        cusp_of_point: dict[str, str] = {}
+        vertex_of_point = {}
         for c in cusps(g):
-            for p in c.points:
-                cusp_of_point[p] = c.label
-        vertex_of_point = cusp_of_point
+            label = c.label  # rebuilds the cusp's nodes, so once per cusp
+            vertex_of_point.update(dict.fromkeys(c.points, label))
         rows = []
         for a, b in g.tau_pairs():
             rows.append((f"{a}+{b}", orders[a]))

@@ -2,27 +2,43 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from conftest import table_element, toy_pair
 from gluesurf.cli import main, report_to_dict
 from gluesurf.fourlines import build_four_lines, enumerate_orbits
 from gluesurf.gluing import gluing_to_dict
+from gluesurf.grouptheory import catalog_group
 
 # stdout of ``classify-four-lines --format json``, kept by the benchmark
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "classify-four-lines.json"
 
 
+def invoke(cli, args):
+    """Run ``cli(args)`` in-process; stdout, stderr and the exit code as a CLI run gives them."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli(args)
+        except SystemExit as exc:
+            code = exc.code or 0
+    return SimpleNamespace(exit_code=code, output=out.getvalue() + err.getvalue(),
+                           stdout_bytes=out.getvalue().encode())
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return SimpleNamespace(invoke=invoke)
 
 
 def write_gluing(tmp_path, name, data):
@@ -131,6 +147,11 @@ class TestInvariants:
         result = runner.invoke(main, ["invariants", str(path)])
         assert result.exit_code == 4
 
+    def test_no_catalog_group_without_fingerprint(self, runner, x01_file):
+        catalog_group.cache_clear()
+        assert runner.invoke(main, ["invariants", x01_file, "--catalog", "A5"]).exit_code == 0
+        assert catalog_group.cache_info().currsize == 0
+
     def test_fingerprint_flag(self, runner, x01_file):
         result = runner.invoke(main, [
             "invariants", x01_file, "--format", "json",
@@ -191,6 +212,15 @@ class TestHomcountAndPi1:
                                       "--group", "A5", "--budget", "1000"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_exits_2(self, runner, tmp_path, budget):
+        path = tmp_path / "pres.json"
+        path.write_text(json.dumps({"generators": ["a"], "relators": []}))
+        result = runner.invoke(main, ["homcount", str(path),
+                                      "--group", "C2", "--budget", budget])
+        assert result.exit_code == 2
+        assert "--budget" in result.output
+
     def test_pi1_output(self, runner, x02_file):
         result = runner.invoke(main, ["pi1", x02_file, "--format", "json"])
         doc = json.loads(result.output)
@@ -236,12 +266,29 @@ def test_malformed_shape_exits_2(runner, tmp_path, x01_file, where, value):
     assert result.output.startswith("error: ") and where[-1] in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["pi1", "{x02}", "--fingerprint", "--catalog", ""],
+    ["pi1", "{x02}", "--fingerprint", "--catalog", " , "],
+    ["pi1", "{x02}", "--fingerprint", "--catalog", "C2,C2"],
+    ["distinguish", "{x01}", "{x02}", "--catalog", ""],
+    ["homcount", "{pres}", "--group", "C2", "--group", "C2"],
+], ids=["empty", "blank", "repeated", "distinguish-empty", "group-repeated"])
+def test_empty_or_repeated_group_list_exits_2(runner, tmp_path, x01_file, x02_file, args):
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({"generators": ["a"], "relators": ["a^2"]}))
+    result = runner.invoke(main, [a.format(x01=x01_file, x02=x02_file, pres=pres) for a in args])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
+
+
 @pytest.mark.parametrize("doc, key", [
     ({"generators": 5, "relators": []}, "generators"),
     ({"generators": ["a"], "relators": 5}, "relators"),
     ({"generators": [1], "relators": []}, "generators"),
     ({"generators": ["a"], "relators": [["a"]]}, "relators"),
-], ids=["generators-int", "relators-int", "generator-not-string", "relator-not-string"])
+    ({"generators": ["a"], "relators": ["a^1000000000"]}, "letters"),
+], ids=["generators-int", "relators-int", "generator-not-string", "relator-not-string",
+        "relator-too-long"])
 def test_malformed_presentation_exits_2(runner, tmp_path, doc, key):
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(doc))
@@ -269,13 +316,15 @@ def test_wrong_value_type_exits_2(runner, tmp_path, x01_file, section, key, valu
 
 def test_import_builds_no_catalog_group():
     # the catalog is generator data; each group is built on first use only
+    # and the CLI parses its arguments with the standard library alone
     code = (
+        "import sys\n"
         "import gluesurf.cli\n"
         "from gluesurf.grouptheory import catalog_group\n"
-        "print(catalog_group.cache_info().currsize)\n"
+        "print(catalog_group.cache_info().currsize, 'click' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "False"]
