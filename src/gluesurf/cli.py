@@ -62,6 +62,15 @@ def _catalog_from_option(names: str | None):
     return _named_groups([n.strip() for n in names.split(",") if n.strip()])
 
 
+def _fingerprint_catalog(with_fingerprint: bool, names: str | None):
+    """The groups to fingerprint against, or None without ``--fingerprint``."""
+    if not with_fingerprint:
+        if names is not None:
+            raise InputError("--catalog needs --fingerprint")
+        return None
+    return _catalog_from_option(names)
+
+
 def _with_exit_codes(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -170,13 +179,9 @@ def _orbit_record_to_dict(r) -> dict:
 @_with_exit_codes
 def cmd_invariants(path, fmt, with_fingerprint, catalog, budget):
     """Full invariant report for a gluing-data JSON file."""
+    groups = _fingerprint_catalog(with_fingerprint, catalog)
     vg = _load_gluing(path)
-    report = compute_report(
-        vg,
-        with_fingerprint=with_fingerprint,
-        catalog=_catalog_from_option(catalog) if with_fingerprint else None,
-        budget=budget,
-    )
+    report = compute_report(vg, with_fingerprint=with_fingerprint, catalog=groups, budget=budget)
     if fmt == "json":
         _emit_json(report_to_dict(report))
     else:
@@ -186,13 +191,14 @@ def cmd_invariants(path, fmt, with_fingerprint, catalog, budget):
 @_with_exit_codes
 def cmd_pi1(path, fmt, with_fingerprint, catalog, budget):
     """Fundamental-group presentation of the glued surface."""
+    groups = _fingerprint_catalog(with_fingerprint, catalog)
     vg = _load_gluing(path)
     raw = pi1_presentation(vg)
     simplified = tietze_simplify(raw)
     ab = abelianization(raw)
     fp = None
     if with_fingerprint:
-        fp = fingerprint(simplified, catalog=_catalog_from_option(catalog), budget=budget)
+        fp = fingerprint(simplified, catalog=groups, budget=budget)
     if fmt == "json":
         payload = {
             "presentation": presentation_to_dict(raw),

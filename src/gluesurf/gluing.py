@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import GluingFormatError, GluingValidationError
 from .grouptheory import closure
-from .intlinalg import AbelianGroup
+from .intlinalg import AbelianGroup, _int
 
 TRIVIAL = AbelianGroup(0)
 
@@ -474,15 +474,16 @@ def gluing_from_dict(doc: dict) -> GluingData:
         try:
             normals.append(NormalComponent(
                 id=str(n["id"]),
-                chi_O=int(n["chi_O"]),
-                q=int(n.get("q", 0)),
+                chi_O=_int(n["chi_O"], "chi_O"),
+                q=_int(n.get("q", 0), "q"),
                 simply_connected=_typed(n.get("simply_connected", True), bool,
                                         where + ".simply_connected"),
                 h1=_group_from_json(n.get("h1", {"rank": 0}), where + ".h1"),
-                h2_rank=int(n.get("h2_rank", 1)),
+                h2_rank=_int(n.get("h2_rank", 1), "h2_rank"),
                 h3=_group_from_json(n.get("h3", {"rank": 0}), where + ".h3"),
-                h4_rank=int(n.get("h4_rank", 1)),
-                k_plus_d_sq=None if n.get("k_plus_d_sq") is None else int(n["k_plus_d_sq"]),
+                h4_rank=_int(n.get("h4_rank", 1), "h4_rank"),
+                k_plus_d_sq=(None if n.get("k_plus_d_sq") is None
+                             else _int(n["k_plus_d_sq"], "k_plus_d_sq")),
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise GluingFormatError(f"{where}: {exc!r}") from exc
@@ -494,11 +495,12 @@ def gluing_from_dict(doc: dict) -> GluingData:
             curves.append(CurveComponent(
                 id=str(c["id"]),
                 ambient=str(c["on"]),
-                genus=int(c.get("genus", 0)),
+                genus=_int(c.get("genus", 0), "genus"),
                 marked_points=tuple(
                     str(p) for p in _typed(c["marked_points"], list, where + ".marked_points")),
                 h2_class=tuple(
-                    int(x) for x in _typed(c.get("h2_class", []), list, where + ".h2_class")),
+                    _int(x, "h2_class entry")
+                    for x in _typed(c.get("h2_class", []), list, where + ".h2_class")),
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise GluingFormatError(f"{where}: {exc!r}") from exc

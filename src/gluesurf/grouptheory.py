@@ -1,9 +1,16 @@
 """Finitely presented groups: words, Tietze simplification, finite-quotient counts.
 
 Presentations here are tiny (a handful of generators, relators of length
-under ~20), so everything is exhaustive: homomorphisms into a finite group
-are counted by enumerating all generator-image tuples, and surjectivity is
-decided by closing the image set under multiplication.
+under ~20), so homomorphisms into a finite group G are counted by
+enumerating generator images, and surjectivity is decided by closing the
+image set under multiplication.  G acts on the homomorphisms by
+conjugating every image at once; this maps homomorphisms to homomorphisms
+and keeps the image subgroup's order, so surjections to surjections.  A
+tuple's count therefore stands for its whole orbit, and only one image
+pair (a, b) per orbit of G on pairs is tried: a runs over the conjugacy
+class representatives and b over the orbits of a's centralizer C(a),
+weighted by |class(a)| * |C(a)-orbit of b|.  Images past the second are
+enumerated in full.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from .intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants
 Letter = tuple[int, int]  # (generator index, exponent +1 or -1)
 
 DEFAULT_BUDGET = 10 ** 8
+# entries a group's subgroup-order cache keeps before it is cleared
+MAX_CLOSURE_CACHE = 2 ** 16
 # a parsed word is expanded letter by letter, so ``a^N`` would cost N letters
 MAX_WORD_LETTERS = 10 ** 5
 
@@ -327,13 +336,48 @@ class FiniteGroup:
     def subgroup_size(self, generator_indices) -> int:
         """Order of the subgroup generated by the given element indices."""
         key = tuple(sorted(set(generator_indices)))
-        cached = self._closure_cache.get(key)
+        cache = self._closure_cache
+        cached = cache.get(key)
         if cached is not None:
             return cached
         table = self._mult
         size = len(closure((self.identity_index,), lambda h: map(table[h].__getitem__, key)))
-        self._closure_cache[key] = size
+        if len(cache) >= MAX_CLOSURE_CACHE:
+            cache.clear()
+        cache[key] = size
         return size
+
+    @cached_property
+    def _orbit_table(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+        """Per conjugacy class: (representative a, class size, C(a)-orbits on G).
+
+        The orbits of the centralizer C(a) acting on G by conjugation are
+        given as (representative b, orbit size) pairs.  Representatives are
+        the smallest indices of their class or orbit.
+        """
+        n = self.order
+        mult, inv = self._mult, self._inv
+
+        def conjugates(x: int, by) -> set[int]:
+            return {mult[mult[g][x]][inv[g]] for g in by}
+
+        table = []
+        seen: set[int] = set()
+        for a in range(n):
+            if a in seen:
+                continue
+            cls = conjugates(a, range(n))
+            seen |= cls
+            centralizer = [g for g in range(n) if mult[g][a] == mult[a][g]]
+            orbits = []
+            covered: set[int] = set()
+            for b in range(n):
+                if b not in covered:
+                    orbit = conjugates(b, centralizer)
+                    covered |= orbit
+                    orbits.append((b, len(orbit)))
+            table.append((a, len(cls), tuple(orbits)))
+        return tuple(table)
 
 
 def _from_generators(name: str, degree: int, gens: tuple[Permutation, ...]) -> FiniteGroup:
@@ -376,9 +420,26 @@ def default_catalog() -> tuple[FiniteGroup, ...]:
     return tuple(catalog_group(name) for name in CATALOG_NAMES)
 
 
+def _orbit_heads(group: FiniteGroup, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """One (first images, orbit size) pair per conjugation orbit of the first min(k, 2) images."""
+    if k == 0:
+        return [((), 1)]
+    table = group._orbit_table
+    if k == 1:
+        return [((a,), size) for a, size, _ in table]
+    return [((a, b), size * orbit) for a, size, orbits in table for b, orbit in orbits]
+
+
 def hom_count(p: GroupPresentation, group: FiniteGroup,
               budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
-    """(total, surjective) homomorphism counts into ``group``, by full enumeration."""
+    """(total, surjective) homomorphism counts into ``group``.
+
+    Conjugating all images by one element maps homomorphisms to
+    homomorphisms and surjections to surjections, so the first two images
+    run over one pair per orbit of simultaneous conjugation, weighted by
+    the orbit's size; any further images are enumerated in full.  The
+    budget bounds the |G|^k tuples this count stands for.
+    """
     k = len(p.generators)
     n = group.order
     if n ** k > budget:
@@ -389,23 +450,27 @@ def hom_count(p: GroupPresentation, group: FiniteGroup,
     mult = group._mult
     inv = group._inv
     e = group.identity_index
-    relators = [w.letters for w in p.relators]
+    # a letter is a slot of ``images + inverse images``
+    relators = [tuple(g if sign == 1 else k + g for g, sign in w.letters) for w in p.relators]
     total = 0
     surjective = 0
-    for images in itertools.product(range(n), repeat=k):
-        ok = True
-        for rel in relators:
-            cur = e
-            for g, sign in rel:
-                cur = mult[cur][images[g] if sign == 1 else inv[images[g]]]
-            if cur != e:
-                ok = False
-                break
-        if not ok:
-            continue
-        total += 1
-        if group.subgroup_size(images) == n:
-            surjective += 1
+    for head, weight in _orbit_heads(group, k):
+        for rest in itertools.product(range(n), repeat=k - len(head)):
+            images = head + rest
+            vals = images + tuple(map(inv.__getitem__, images))
+            ok = True
+            for rel in relators:
+                cur = e
+                for x in rel:
+                    cur = mult[cur][vals[x]]
+                if cur != e:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            total += weight
+            if group.subgroup_size(images) == n:
+                surjective += weight
     return total, surjective
 
 

@@ -3,13 +3,21 @@
 Everything runs on Python's arbitrary-precision integers.  Intermediate
 entries of a Smith reduction can outgrow any fixed-width type even for
 small matrices, so no floating point or fixed-width shortcuts anywhere.
-Matrices here stay small (tens of rows); clarity wins over speed.
+The level maps of the plane glued along 16 lines are about 110 x 105; the
+reduction is dense and keeps both transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+
+def _int(value, where: str) -> int:
+    """``value`` if it is an integer; a bool, float or string is rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{where} must be an integer, not {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -49,7 +57,7 @@ class AbelianGroup:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AbelianGroup":
-        return cls(int(d["rank"]), tuple(int(t) for t in d.get("torsion", ())))
+        return cls(_int(d["rank"], "rank"), tuple(_int(t, "torsion") for t in d.get("torsion", ())))
 
 
 @dataclass(frozen=True)

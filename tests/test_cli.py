@@ -149,7 +149,8 @@ class TestInvariants:
 
     def test_no_catalog_group_without_fingerprint(self, runner, x01_file):
         catalog_group.cache_clear()
-        assert runner.invoke(main, ["invariants", x01_file, "--catalog", "A5"]).exit_code == 0
+        assert runner.invoke(main, ["invariants", x01_file]).exit_code == 0
+        assert runner.invoke(main, ["invariants", x01_file, "--catalog", "A5"]).exit_code == 2
         assert catalog_group.cache_info().currsize == 0
 
     def test_fingerprint_flag(self, runner, x01_file):
@@ -281,6 +282,14 @@ def test_empty_or_repeated_group_list_exits_2(runner, tmp_path, x01_file, x02_fi
     assert result.output.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["pi1", "invariants"])
+@pytest.mark.parametrize("catalog", ["Z7", "", "A4"])
+def test_catalog_without_fingerprint_exits_2(runner, x02_file, command, catalog):
+    result = runner.invoke(main, [command, x02_file, "--catalog", catalog])
+    assert result.exit_code == 2
+    assert result.output == "error: --catalog needs --fingerprint\n"
+
+
 @pytest.mark.parametrize("doc, key", [
     ({"generators": 5, "relators": []}, "generators"),
     ({"generators": ["a"], "relators": 5}, "relators"),
@@ -312,6 +321,32 @@ def test_wrong_value_type_exits_2(runner, tmp_path, x01_file, section, key, valu
     result = runner.invoke(main, ["invariants", str(path)])
     assert result.exit_code == 2
     assert result.output.startswith("error: ") and key in result.output
+
+
+@pytest.mark.parametrize("value", [1.7, True, "1"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("section, key, shape, named", [
+    ("normalization", "chi_O", "value", "chi_O"),
+    ("normalization", "q", "value", "q"),
+    ("normalization", "h2_rank", "value", "h2_rank"),
+    ("normalization", "h4_rank", "value", "h4_rank"),
+    ("normalization", "k_plus_d_sq", "value", "k_plus_d_sq"),
+    ("curve_components", "genus", "value", "genus"),
+    ("curve_components", "h2_class", "entry", "h2_class"),
+    ("normalization", "h1", "rank", "rank"),
+    ("normalization", "h3", "torsion", "torsion"),
+], ids=["chi_O", "q", "h2_rank", "h4_rank", "k_plus_d_sq", "genus", "h2_class",
+        "h1-rank", "h3-torsion"])
+def test_non_integer_value_exits_2(runner, tmp_path, x01_file, section, key, shape, named, value):
+    doc = json.loads(open(x01_file).read())
+    wrapped = {"value": value, "entry": [value], "rank": {"rank": value},
+               "torsion": {"rank": 0, "torsion": [value]}}[shape]
+    for entry in doc[section]:
+        entry[key] = wrapped
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["invariants", str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ") and named in result.output
 
 
 def test_import_builds_no_catalog_group():

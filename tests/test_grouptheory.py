@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from gluesurf import grouptheory
 from gluesurf.errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
 from gluesurf.grouptheory import (
     CATALOG_NAMES,
@@ -131,46 +132,64 @@ class TestTietze:
             assert abelianization(tietze_simplify(p)) == abelianization(p)
 
 
-def brute_force_hom_count_a4(relator):
-    """Independent counter with its own composition code.
+def brute_force_hom_count(p: GroupPresentation, perms) -> tuple[int, int]:
+    """(total, surjective) by walking every image tuple, with its own composition code.
 
-    relator: sequence of (generator in {0,1}, sign).
+    ``perms`` lists the target group's elements as permutation tuples.
     """
-    perms = [
-        p for p in itertools.permutations(range(4))
-        if sum(1 for i in range(4) for j in range(i + 1, 4) if p[i] > p[j]) % 2 == 0
-    ]
-    e = tuple(range(4))
+    e = tuple(range(len(perms[0])))
 
-    def mul(p, q):
-        return tuple(p[q[i]] for i in range(4))
+    def mul(a, b):
+        return tuple(map(a.__getitem__, b))
 
-    def inv(p):
-        return tuple(sorted(range(4), key=lambda i: p[i]))
-
+    inv = {a: tuple(sorted(e, key=a.__getitem__)) for a in perms}
+    generates: dict[frozenset, bool] = {}
     total = surjective = 0
-    for a, b in itertools.product(perms, repeat=2):
-        cur = e
-        for g, s in relator:
-            img = a if g == 0 else b
-            cur = mul(cur, img if s > 0 else inv(img))
-        if cur != e:
+    for images in itertools.product(perms, repeat=len(p.generators)):
+        ok = True
+        for rel in p.relators:
+            cur = e
+            for g, s in rel.letters:
+                cur = mul(cur, images[g] if s > 0 else inv[images[g]])
+            ok = ok and cur == e
+        if not ok:
             continue
         total += 1
-        closure = {e}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for gen in (a, b):
-                    x = mul(h, gen)
-                    if x not in closure:
-                        closure.add(x)
-                        nxt.append(x)
-            frontier = nxt
-        if len(closure) == len(perms):
-            surjective += 1
+        key = frozenset(images)
+        if key not in generates:
+            closure = {e}
+            frontier = [e]
+            while frontier:
+                nxt = []
+                for h in frontier:
+                    for gen in key:
+                        x = mul(h, gen)
+                        if x not in closure:
+                            closure.add(x)
+                            nxt.append(x)
+                frontier = nxt
+            generates[key] = len(closure) == len(perms)
+        surjective += generates[key]
     return total, surjective
+
+
+def random_presentation(rng: random.Random, rank: int, relators: int) -> GroupPresentation:
+    gens = tuple("abc"[:rank])
+    return GroupPresentation(gens, tuple(
+        Word(tuple((rng.randrange(rank), rng.choice((1, -1)))
+                   for _ in range(rng.randint(1, 7))))
+        for _ in range(relators if rank else 0)
+    ))
+
+
+def generated_order(group: FiniteGroup, gens) -> int:
+    """Order of <gens>, by multiplying the whole set by itself until it stops growing."""
+    current = {group.identity_index, *gens}
+    while True:
+        nxt = current | {group._mult[a][b] for a in current for b in current}
+        if nxt == current:
+            return len(current)
+        current = nxt
 
 
 class TestHomCount:
@@ -180,12 +199,12 @@ class TestHomCount:
     def test_first_group_surjects_onto_a4(self):
         total, surj = hom_count(TWO_GEN_FIRST, catalog_group("A4"))
         assert (total, surj) == (36, 24)
-        assert (total, surj) == brute_force_hom_count_a4(TWO_GEN_FIRST.relators[0].letters)
+        assert (total, surj) == brute_force_hom_count(TWO_GEN_FIRST, catalog_oracle("A4"))
 
     def test_second_group_has_no_a4_quotient(self):
         total, surj = hom_count(TWO_GEN_SECOND, catalog_group("A4"))
         assert (total, surj) == (12, 0)
-        assert (total, surj) == brute_force_hom_count_a4(TWO_GEN_SECOND.relators[0].letters)
+        assert (total, surj) == brute_force_hom_count(TWO_GEN_SECOND, catalog_oracle("A4"))
 
     def test_witness_homomorphism_into_a4(self):
         # A -> (234), B -> (123) kills the relator and generates
@@ -205,6 +224,23 @@ class TestHomCount:
         total, _ = hom_count(p, catalog_group(f"C{n}"))
         assert total == n ** rank
 
+    # A5 stops at rank 2: its rank-3 oracle walks 216,000 tuples per presentation
+    @pytest.mark.parametrize("name, rank", [
+        (name, rank) for name in CATALOG_NAMES for rank in range(4 if name != "A5" else 3)
+    ])
+    def test_matches_full_enumeration(self, name, rank):
+        rng = random.Random(f"{name}:{rank}")
+        perms = catalog_oracle(name)
+        for relators in (0, 1, 2, 2):
+            p = random_presentation(rng, rank, relators)
+            assert hom_count(p, catalog_group(name)) == brute_force_hom_count(p, perms), str(p)
+
+    def test_empty_presentation_builds_no_orbit_table(self):
+        # the benchmark's set-up code: every catalog group built, none enumerated
+        catalog_group.cache_clear()
+        assert fingerprint(GroupPresentation((), ())).counts[0] == ("C2", 1, 0)
+        assert [g.name for g in default_catalog() if "_orbit_table" in vars(g)] == []
+
     def test_budget(self):
         p = GroupPresentation(("a", "b", "c", "d"), ())
         with pytest.raises(BudgetExceededError):
@@ -216,16 +252,17 @@ class TestHomCount:
             for _ in range(5):
                 gens = tuple(rng.randrange(group.order)
                              for _ in range(rng.randint(0, 3)))
-                # oracle: repeatedly multiply the whole set by itself
-                current = {group.identity_index, *gens}
-                while True:
-                    nxt = current | {
-                        group._mult[a][b] for a in current for b in current
-                    }
-                    if nxt == current:
-                        break
-                    current = nxt
-                assert group.subgroup_size(gens) == len(current)
+                assert group.subgroup_size(gens) == generated_order(group, gens)
+
+    def test_closure_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(grouptheory, "MAX_CLOSURE_CACHE", 5)
+        s4 = catalog_group("S4")
+        group = FiniteGroup("S4", s4.degree, s4.elements)
+        pairs = list(itertools.combinations(range(group.order), 2))[:12]
+        for _ in range(2):
+            for pair in pairs:
+                assert group.subgroup_size(pair) == generated_order(group, pair)
+                assert len(group._closure_cache) <= 5
 
 
 class TestFingerprint:
