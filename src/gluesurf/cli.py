@@ -26,7 +26,6 @@ from .grouptheory import (
     presentation_from_dict,
     presentation_to_dict,
     tietze_simplify,
-    word_to_str,
 )
 from .invariants import InvariantReport, compute_report
 from .topology import homology_of_X, pi1_presentation
@@ -36,8 +35,9 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # not JSON or not UTF-8, an integer of too many digits, nesting too deep
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _load_gluing(path: str):
@@ -95,11 +95,8 @@ def _with_exit_codes(fn):
 
 
 def report_to_dict(report: InvariantReport) -> dict:
-    pi1 = {
-        "generators": list(report.pi1.generators),
-        "relators": [word_to_str(w, report.pi1.generators) for w in report.pi1.relators],
-        "abelianization": report.pi1_abelianization.as_dict(),
-    }
+    pi1 = {**presentation_to_dict(report.pi1),
+           "abelianization": report.pi1_abelianization.as_dict()}
     if report.fingerprint is not None:
         pi1["fingerprint"] = report.fingerprint.as_dict()
     return {

@@ -238,6 +238,10 @@ def validate_gluing(data: GluingData) -> ValidatedGluing:
     normal_ids = [n.id for n in data.normal_components]
     if len(set(normal_ids)) != len(normal_ids):
         issues.append("DuplicateId: repeated normal component id")
+    for n in data.normal_components:
+        # H1 is the abelianised pi1, so a trivial pi1 has trivial H1
+        if n.simply_connected and not n.h1.is_trivial:
+            issues.append(f"InconsistentHomology: {n.id} is simply connected but h1 = {n.h1}")
     curve_ids = [c.id for c in data.curve_components]
     if len(set(curve_ids)) != len(curve_ids):
         issues.append("DuplicateId: repeated curve component id")

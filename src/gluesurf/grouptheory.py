@@ -1,72 +1,77 @@
 """Finitely presented groups: words, Tietze simplification, finite-quotient counts.
 
-Presentations here are tiny (a handful of generators, relators of length
-under ~20), so homomorphisms into a finite group G are counted by
-enumerating generator images, and surjectivity is decided by closing the
-image set under multiplication.  G acts on the homomorphisms by
-conjugating every image at once; this maps homomorphisms to homomorphisms
-and keeps the image subgroup's order, so surjections to surjections.  A
-tuple's count therefore stands for its whole orbit, and only one image
-pair (a, b) per orbit of G on pairs is tried: a runs over the conjugacy
-class representatives and b over the orbits of a's centralizer C(a),
-weighted by |class(a)| * |C(a)-orbit of b|.  Images past the second are
-enumerated in full.
+A word is a plain tuple of signed ints: letter ``+(g+1)`` is generator g
+and ``-(g+1)`` its inverse.  Raw relators run to thousands of letters (the
+pi1 of the plane glued along 16 general lines has 1,042), but simplified
+presentations have few generators, so homomorphisms into a finite group G
+are counted by enumerating generator images, and surjectivity is decided
+by closing the image set under multiplication.  G acts on the
+homomorphisms by conjugating every image at once; this maps homomorphisms
+to homomorphisms and keeps the image subgroup's order, so surjections to
+surjections.  A tuple's count therefore stands for its whole orbit, and
+only one image pair (a, b) per orbit of G on pairs is tried: a runs over
+the conjugacy class representatives and b over the orbits of a's
+centralizer C(a), weighted by |class(a)| * |C(a)-orbit of b|.  Images past
+the second are enumerated in full.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
 from .intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants
 
-Letter = tuple[int, int]  # (generator index, exponent +1 or -1)
+Word = tuple[int, ...]  # letter +(g+1) is generator g, -(g+1) its inverse
 
 DEFAULT_BUDGET = 10 ** 8
 # entries a group's subgroup-order cache keeps before it is cleared
 MAX_CLOSURE_CACHE = 2 ** 16
-# a parsed word is expanded letter by letter, so ``a^N`` would cost N letters
+# a parsed word is expanded letter by letter, so ``a^N`` would cost N
+# letters; the bound holds for one word and for a whole presentation
 MAX_WORD_LETTERS = 10 ** 5
+_EXPONENT = re.compile(r"[+-]?[0-9]+")
 
 
-@dataclass(frozen=True)
-class Word:
-    """Word in a free group, as a tuple of (generator index, ±1) letters."""
+def inverse(w: Word) -> Word:
+    return tuple(-x for x in reversed(w))
 
-    letters: tuple[Letter, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.letters)
+def exponent_sums(w: Word, num_generators: int) -> list[int]:
+    sums = [0] * num_generators
+    for x in w:
+        sums[abs(x) - 1] += 1 if x > 0 else -1
+    return sums
 
-    def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
-    def exponent_sums(self, num_generators: int) -> list[int]:
-        sums = [0] * num_generators
-        for g, e in self.letters:
-            sums[g] += e
-        return sums
+def exponent_sum_matrix(words: Sequence[Word], num_generators: int) -> IntegerMatrix:
+    """Generators x words matrix whose column j is word j's exponent sums."""
+    sums = [exponent_sums(w, num_generators) for w in words]
+    return IntegerMatrix(num_generators, len(words),
+                         tuple(s[i] for i in range(num_generators) for s in sums))
 
 
 def free_reduce(w: Word) -> Word:
-    stack: list[Letter] = []
-    for g, e in w.letters:
-        if stack and stack[-1] == (g, -e):
+    stack: list[int] = []
+    for x in w:
+        if stack and stack[-1] == -x:
             stack.pop()
         else:
-            stack.append((g, e))
-    return Word(tuple(stack))
+            stack.append(x)
+    return tuple(stack)
 
 
 def cyclic_reduce(w: Word) -> Word:
     w = free_reduce(w)
-    letters = list(w.letters)
-    while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
-        letters = letters[1:-1]
-    return Word(tuple(letters))
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i] == -w[j - 1]:
+        i, j = i + 1, j - 1
+    return w[i:j]
 
 
 @dataclass(frozen=True)
@@ -77,11 +82,9 @@ class GroupPresentation:
     def __post_init__(self):
         n = len(self.generators)
         for w in self.relators:
-            for g, e in w.letters:
-                if not 0 <= g < n:
-                    raise ValueError(f"letter index {g} out of range")
-                if e not in (1, -1):
-                    raise ValueError(f"letter exponent {e} not ±1")
+            for x in w:
+                if not 0 < abs(x) <= n:
+                    raise ValueError(f"letter {x} out of range")
 
     def __str__(self) -> str:
         rels = ", ".join(word_to_str(w, self.generators) or "1" for w in self.relators)
@@ -91,51 +94,61 @@ class GroupPresentation:
 def word_to_str(w: Word, generators: tuple[str, ...]) -> str:
     """Serialize as whitespace-separated powers, e.g. ``a^-1 b^2``."""
     parts = []
-    run_gen: int | None = None
-    run_exp = 0
-    for g, e in list(w.letters) + [(-1, 0)]:
-        if g == run_gen:
-            run_exp += e
-        else:
-            if run_gen is not None and run_exp != 0:
-                name = generators[run_gen]
-                parts.append(name if run_exp == 1 else f"{name}^{run_exp}")
-            run_gen, run_exp = g, e
+    for g, run in itertools.groupby(w, abs):
+        e = sum(1 if x > 0 else -1 for x in run)
+        if e:
+            name = generators[g - 1]
+            parts.append(name if e == 1 else f"{name}^{e}")
     return " ".join(parts)
 
 
-def word_from_str(text: str, generators: tuple[str, ...]) -> Word:
-    index = {name: i for i, name in enumerate(generators)}
-    powers: list[tuple[int, int]] = []
-    for token in text.split():
-        name, _, exp = token.partition("^")
-        if name not in index:
-            raise PresentationFormatError(f"unknown generator {name!r} in word {text!r}")
-        try:
-            powers.append((index[name], int(exp) if exp else 1))
-        except ValueError as err:
-            raise PresentationFormatError(f"bad exponent in token {token!r}") from err
-    length = sum(abs(e) for _, e in powers)
+def _parse_words(texts: Iterable[str], generators: tuple[str, ...], what: str) -> tuple[Word, ...]:
+    """Words of tokens ``name`` or ``name^exponent``; their letters together
+    are checked against ``MAX_WORD_LETTERS`` before any word is expanded."""
+    index = {name: x for x, name in enumerate(generators, 1)}
+    parsed = []
+    for text in texts:
+        powers = []
+        for token in text.split():
+            name, caret, exp = token.partition("^")
+            if name not in index:
+                raise PresentationFormatError(f"unknown generator {name!r} in word {text!r}")
+            if caret and not _EXPONENT.fullmatch(exp):
+                raise PresentationFormatError(f"bad exponent in token {token!r}")
+            try:
+                powers.append((index[name], int(exp) if caret else 1))
+            except ValueError as err:  # more digits than int() converts
+                raise PresentationFormatError(f"an exponent of {len(exp)} digits is over the "
+                                              f"limit of {MAX_WORD_LETTERS} letters") from err
+        parsed.append(powers)
+    length = sum(abs(e) for powers in parsed for _, e in powers)
     if length > MAX_WORD_LETTERS:
         raise PresentationFormatError(
-            f"a word of {length} letters is over the limit of {MAX_WORD_LETTERS} letters")
-    letters: list[Letter] = []
-    for g, e in powers:
-        letters.extend([(g, 1 if e > 0 else -1)] * abs(e))
-    return Word(tuple(letters))
+            f"{what} of {length} letters is over the limit of {MAX_WORD_LETTERS} letters")
+    return tuple(tuple(y for x, e in powers for y in [x if e > 0 else -x] * abs(e))
+                 for powers in parsed)
+
+
+def word_from_str(text: str, generators: tuple[str, ...]) -> Word:
+    return _parse_words([text], generators, "a word")[0]
 
 
 def presentation_from_dict(doc: dict) -> GroupPresentation:
+    """Read ``{"generators": [names], "relators": [words]}``; a name is
+    non-empty and has no whitespace and no ``^``."""
     if not isinstance(doc, dict) or "generators" not in doc or "relators" not in doc:
         raise PresentationFormatError("expected object with 'generators' and 'relators'")
     for key in ("generators", "relators"):
         if not isinstance(doc[key], list) or not all(isinstance(x, str) for x in doc[key]):
             raise PresentationFormatError(f"{key} must be a list of strings")
     gens = tuple(doc["generators"])
+    for name in gens:
+        if name.split() != [name] or "^" in name:
+            raise PresentationFormatError(
+                f"generator name {name!r} must be non-empty, without whitespace or '^'")
     if len(set(gens)) != len(gens):
         raise PresentationFormatError("duplicate generator name")
-    relators = tuple(word_from_str(r, gens) for r in doc["relators"])
-    return GroupPresentation(gens, relators)
+    return GroupPresentation(gens, _parse_words(doc["relators"], gens, "the presentation"))
 
 
 def presentation_to_dict(p: GroupPresentation) -> dict:
@@ -147,47 +160,40 @@ def presentation_to_dict(p: GroupPresentation) -> dict:
 
 def abelianization(p: GroupPresentation) -> AbelianGroup:
     """Cokernel of the exponent-sum matrix (generators x relators)."""
-    rows = len(p.generators)
-    cols = len(p.relators)
-    entries = []
-    sums = [w.exponent_sums(rows) for w in p.relators]
-    for i in range(rows):
-        entries.extend(sums[j][i] for j in range(cols))
-    return cokernel_invariants(IntegerMatrix(rows, cols, tuple(entries)))
+    return cokernel_invariants(exponent_sum_matrix(p.relators, len(p.generators)))
 
 
 # -- Tietze simplification ----------------------------------------------------
+#
+# Generators keep their letters while the moves run; ``alive`` lists the
+# letters not yet eliminated, in order.  Renumbering them 1, 2, ... at the
+# end is monotone, so ranking moves by letter ranks them as by index.
 
-def _substitute(w: Word, gen: int, replacement: Word) -> Word:
-    inv = replacement.inverse()
-    out: list[Letter] = []
-    for g, e in w.letters:
-        if g == gen:
-            out.extend(replacement.letters if e == 1 else inv.letters)
+def _substitute(w: Word, letter: int, replacement: Word) -> Word:
+    inv = inverse(replacement)
+    out: list[int] = []
+    for x in w:
+        if x == letter:
+            out.extend(replacement)
+        elif x == -letter:
+            out.extend(inv)
         else:
-            out.append((g, e))
-    return Word(tuple(out))
-
-
-def _drop_generator(w: Word, gen: int) -> Word:
-    return Word(tuple((g - 1 if g > gen else g, e) for g, e in w.letters))
+            out.append(x)
+    return tuple(out)
 
 
 def _normalize(relators: list[Word]) -> list[Word]:
     reduced = [cyclic_reduce(w) for w in relators]
-    return [w for w in reduced if w.letters]
+    return [w for w in reduced if w]
 
 
-def _eliminate_once(gens: list[str], relators: list[Word]) -> bool:
+def _eliminate_once(alive: list[int], relators: list[Word]) -> bool:
     """One greedy elimination: a generator occurring exactly once in some
     relator is solved for and substituted everywhere.  Candidates are
-    ranked by relator length, then generator index, then relator index."""
+    ranked by relator length, then generator, then relator index."""
     best = None
     for ridx, rel in enumerate(relators):
-        counts: dict[int, int] = {}
-        for g, _ in rel.letters:
-            counts[g] = counts.get(g, 0) + 1
-        for g, c in counts.items():
+        for g, c in Counter(map(abs, rel)).items():
             if c == 1:
                 key = (len(rel), g, ridx)
                 if best is None or key < best:
@@ -196,22 +202,18 @@ def _eliminate_once(gens: list[str], relators: list[Word]) -> bool:
         return False
     _, gen, ridx = best
     rel = relators[ridx]
-    pos = next(i for i, (g, _) in enumerate(rel.letters) if g == gen)
-    rotated = rel.letters[pos:] + rel.letters[:pos]  # starts with gen^e
-    e = rotated[0][1]
-    tail = Word(rotated[1:])
-    replacement = tail.inverse() if e == 1 else tail
-    new_relators = [
-        _drop_generator(_substitute(w, gen, replacement), gen)
-        for i, w in enumerate(relators)
-        if i != ridx
-    ]
-    gens.pop(gen)
-    relators[:] = _normalize(new_relators)
+    pos = next(i for i, x in enumerate(rel) if abs(x) == gen)
+    rotated = rel[pos:] + rel[:pos]  # starts with gen^±1
+    tail = rotated[1:]
+    replacement = inverse(tail) if rotated[0] > 0 else tail
+    alive.remove(gen)
+    relators[:] = _normalize([
+        _substitute(w, gen, replacement) for i, w in enumerate(relators) if i != ridx
+    ])
     return True
 
 
-def _nielsen_once(gens: list[str], relators: list[Word]) -> bool:
+def _nielsen_once(alive: list[int], relators: list[Word]) -> bool:
     """Apply the best strictly length-reducing substitution x -> y^s x or x y^s.
 
     These are free-group automorphisms, so the presented group is
@@ -219,17 +221,13 @@ def _nielsen_once(gens: list[str], relators: list[Word]) -> bool:
     """
     total = sum(len(w) for w in relators)
     best = None
-    k = len(gens)
-    for x in range(k):
-        for y in range(k):
+    for x in alive:
+        for y in alive:
             if x == y:
                 continue
             for side in (0, 1):  # 0: y^s x, 1: x y^s
                 for s in (1, -1):
-                    if side == 0:
-                        plus = Word(((y, s), (x, 1)))
-                    else:
-                        plus = Word(((x, 1), (y, s)))
+                    plus = (s * y, x) if side == 0 else (x, s * y)
                     new = [cyclic_reduce(_substitute(w, x, plus)) for w in relators]
                     length = sum(len(w) for w in new)
                     key = (length, x, y, side, s)
@@ -250,15 +248,15 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
     x -> y^±1·x / x·y^±1 that shrinks the total relator length most.
     The output presents an isomorphic group.
     """
-    gens = list(p.generators)
+    alive = list(range(1, len(p.generators) + 1))
     relators = _normalize(list(p.relators))
-    while True:
-        if _eliminate_once(gens, relators):
-            continue
-        if _nielsen_once(gens, relators):
-            continue
-        break
-    return GroupPresentation(tuple(gens), tuple(relators))
+    while _eliminate_once(alive, relators) or _nielsen_once(alive, relators):
+        pass
+    position = {x: new for new, x in enumerate(alive, 1)}
+    return GroupPresentation(
+        tuple(p.generators[x - 1] for x in alive),
+        tuple(tuple(position[x] if x > 0 else -position[-x] for x in w) for w in relators),
+    )
 
 
 # -- finite groups ------------------------------------------------------------
@@ -450,27 +448,28 @@ def hom_count(p: GroupPresentation, group: FiniteGroup,
     mult = group._mult
     inv = group._inv
     e = group.identity_index
-    # a letter is a slot of ``images + inverse images``
-    relators = [tuple(g if sign == 1 else k + g for g, sign in w.letters) for w in p.relators]
+    relators = p.relators
     total = 0
     surjective = 0
+    # the image of each letter ±1..±k; a dict, since a negative tuple
+    # subscript misses the interpreter's fast path in the inner loop
+    vals: dict[int, int] = {}
     for head, weight in _orbit_heads(group, k):
+        for x, g in enumerate(head, 1):
+            vals[x], vals[-x] = g, inv[g]
         for rest in itertools.product(range(n), repeat=k - len(head)):
-            images = head + rest
-            vals = images + tuple(map(inv.__getitem__, images))
-            ok = True
+            for x, g in enumerate(rest, len(head) + 1):
+                vals[x], vals[-x] = g, inv[g]
             for rel in relators:
                 cur = e
                 for x in rel:
                     cur = mult[cur][vals[x]]
                 if cur != e:
-                    ok = False
                     break
-            if not ok:
-                continue
-            total += weight
-            if group.subgroup_size(images) == n:
-                surjective += weight
+            else:
+                total += weight
+                if group.subgroup_size(head + rest) == n:
+                    surjective += weight
     return total, surjective
 
 

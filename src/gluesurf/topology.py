@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedNormalHomologyError,
 )
 from .gluing import ValidatedGluing, cusps, node_id, node_of, per_gluing, quotient_curve
-from .grouptheory import GroupPresentation, Word, free_reduce
+from .grouptheory import GroupPresentation, Word, exponent_sum_matrix, free_reduce
 from .intlinalg import AbelianGroup, IntegerMatrix, snf
 
 EdgeKey = tuple[str, int]  # (owning component label, segment position)
@@ -188,7 +188,7 @@ def _generator_images(g: ValidatedGluing) -> tuple[HomotopyGraph, HomotopyGraph,
         pair_label[b] = f"{a}+{b}"
     d_index = {e.key: i for i, e in enumerate(gd.edges)}
     d_tree = set(gd.tree_edges)
-    d_letter = {eidx: pos for pos, eidx in enumerate(gd.generator_edges)}
+    d_letter = {eidx: x for x, eidx in enumerate(gd.generator_edges, 1)}
 
     words = []
     for eidx in gbar.generator_edges:
@@ -203,8 +203,8 @@ def _generator_images(g: ValidatedGluing) -> tuple[HomotopyGraph, HomotopyGraph,
             didx = d_index[(pair_label[owner], pos)]
             if didx in d_tree:
                 continue
-            letters.append((d_letter[didx], direction))
-        words.append(free_reduce(Word(tuple(letters))))
+            letters.append(direction * d_letter[didx])
+        words.append(free_reduce(letters))
     return gbar, gd, tuple(words)
 
 
@@ -228,7 +228,7 @@ def pi1_presentation(g: ValidatedGluing) -> GroupPresentation:
         )
     _gbar, gd, words = _generator_images(g)
     names = _letter_names(len(gd.generator_edges))
-    relators = tuple(w for w in words if w.letters)
+    relators = tuple(w for w in words if w)
     return GroupPresentation(names, relators)
 
 
@@ -273,12 +273,7 @@ def mv_matrices(g: ValidatedGluing) -> MayerVietorisMatrices:
     h2_map = IntegerMatrix.from_rows(entries, cols=len(curves))
 
     _gbar, gd, words = _generator_images(g)
-    ngen_d = len(gd.generator_edges)
-    cols = [w.exponent_sums(ngen_d) for w in words]
-    h1_map = IntegerMatrix.from_rows(
-        [[cols[j][i] for j in range(len(words))] for i in range(ngen_d)],
-        cols=len(words),
-    )
+    h1_map = exponent_sum_matrix(words, len(gd.generator_edges))
 
     model = quotient_curve(g)
     d_count = model.component_count

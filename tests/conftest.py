@@ -16,6 +16,11 @@ from gluesurf.gluing import (
 _ROWS = {row.label: row for row in TABLE}
 
 
+def letter(g: int, s: int) -> int:
+    """The word letter for generator index g raised to s = ±1."""
+    return s * (g + 1)
+
+
 def table_element(label: str) -> LinePairBijections:
     """The built-in classifier's stored representative for a table row."""
     return _ROWS[label].representative

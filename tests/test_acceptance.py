@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from conftest import table_gluing
+from conftest import letter, table_gluing
 from gluesurf.fourlines import (
     D4_ELEMENTS,
     TABLE,
@@ -21,7 +21,6 @@ from gluesurf.fourlines import (
 from gluesurf.gluing import cusps, node_id, validate_gluing
 from gluesurf.grouptheory import (
     GroupPresentation,
-    Word,
     abelianization,
     catalog_group,
     default_catalog,
@@ -154,8 +153,8 @@ def test_criterion_07_pi1_pipeline(irregular_records):
     )
     images = (group.elements.index((0, 2, 3, 1)), group.elements.index((1, 2, 0, 3)))
     cur = group.identity_index
-    for g, s in reference.relators[0].letters:
-        cur = group._mult[cur][images[g] if s == 1 else group._inv[images[g]]]
+    for x in reference.relators[0]:
+        cur = group._mult[cur][images[x - 1] if x > 0 else group._inv[images[-x - 1]]]
     assert cur == group.identity_index
     assert group.subgroup_size(images) == group.order
     assert fingerprint(reference).as_dict() == by_label["X0.1"]
@@ -251,10 +250,10 @@ def _random_presentation(rng):
     ngens = rng.randint(1, 3)
     gens = tuple("xyz"[:ngens])
     relators = tuple(
-        Word(tuple(
-            (rng.randrange(ngens), rng.choice((1, -1)))
+        tuple(
+            letter(rng.randrange(ngens), rng.choice((1, -1)))
             for _ in range(rng.randint(1, 5))
-        ))
+        )
         for _ in range(rng.randint(0, 3))
     )
     return GroupPresentation(gens, relators)

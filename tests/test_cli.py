@@ -12,6 +12,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import table_element, toy_pair
 from gluesurf.cli import main, report_to_dict
@@ -146,6 +148,18 @@ class TestInvariants:
         path.write_text(json.dumps(doc))
         result = runner.invoke(main, ["invariants", str(path)])
         assert result.exit_code == 4
+
+    @pytest.mark.parametrize("command", ["pi1", "homology", "invariants"])
+    def test_simply_connected_with_nontrivial_h1_exits_2(self, runner, tmp_path, x01_file,
+                                                         command):
+        # H1 is the abelianised pi1, so a simply connected plane has H1 = 0
+        doc = json.loads(open(x01_file).read())
+        doc["normalization"][0]["h1"] = {"rank": 2, "torsion": []}
+        path = tmp_path / "inconsistent.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ") and "InconsistentHomology" in result.output
 
     def test_no_catalog_group_without_fingerprint(self, runner, x01_file):
         catalog_group.cache_clear()
@@ -296,14 +310,84 @@ def test_catalog_without_fingerprint_exits_2(runner, x02_file, command, catalog)
     ({"generators": [1], "relators": []}, "generators"),
     ({"generators": ["a"], "relators": [["a"]]}, "relators"),
     ({"generators": ["a"], "relators": ["a^1000000000"]}, "letters"),
+    ({"generators": ["a"], "relators": ["a^60000", "a^60000"]}, "letters"),
+    ({"generators": ["a"], "relators": ["a^"]}, "exponent"),
+    ({"generators": ["a"], "relators": ["a^1_0"]}, "exponent"),
+    ({"generators": ["a"], "relators": ["a^\u0663"]}, "exponent"),
+    ({"generators": [""], "relators": []}, "generator name"),
+    ({"generators": ["a b"], "relators": []}, "generator name"),
+    ({"generators": ["a\n"], "relators": []}, "generator name"),
+    ({"generators": ["a^b"], "relators": []}, "generator name"),
 ], ids=["generators-int", "relators-int", "generator-not-string", "relator-not-string",
-        "relator-too-long"])
+        "relator-too-long", "presentation-too-long", "empty-exponent", "underscore-exponent",
+        "non-ascii-exponent", "empty-name", "space-in-name", "newline-in-name", "caret-in-name"])
 def test_malformed_presentation_exits_2(runner, tmp_path, doc, key):
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(doc))
     result = runner.invoke(main, ["homcount", str(path), "--group", "C2"])
     assert result.exit_code == 2
     assert result.output.startswith("error: ") and key in result.output
+
+
+@pytest.mark.parametrize("content", [
+    b"[" * 100000 + b"]" * 100000,
+    b'{"generators": ["\xff"], "relators": []}',
+    b'{"generators": ' + b"9" * 5000 + b', "relators": []}',
+    b'{"generators": ["a"], "relators": ["a^' + b"9" * 5000 + b'"]}',
+], ids=["deep-nesting", "not-utf8", "long-integer", "long-exponent"])
+def test_undecodable_presentation_exits_2(runner, tmp_path, content):
+    path = tmp_path / "pres.json"
+    path.write_bytes(content)
+    result = runner.invoke(main, ["homcount", str(path), "--group", "C2"])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=4,
+)
+tokens = st.one_of(
+    st.sampled_from("abc"),
+    st.builds("{}^{}".format, st.sampled_from("abc"), st.integers(-10 ** 12, 10 ** 12)),
+    st.text(alphabet="abc^-+_09\u0663", max_size=6),
+)
+
+
+@st.composite
+def presentation_documents(draw):
+    """Presentation documents over a, b, c, most of them broken in one way."""
+    doc = {"generators": draw(st.lists(st.sampled_from("abc"), max_size=3, unique=True)),
+           "relators": draw(st.lists(st.lists(tokens, max_size=4).map(" ".join), max_size=3))}
+    mutation = draw(st.sampled_from(
+        ["none", "drop", "swap", "swap-entry", "top", "bad-name", "duplicate-name"]))
+    key = draw(st.sampled_from(sorted(doc)))
+    if mutation == "drop":
+        del doc[key]
+    elif mutation == "swap":
+        doc[key] = draw(json_values)
+    elif mutation == "swap-entry" and doc[key]:
+        doc[key][draw(st.integers(0, len(doc[key]) - 1))] = draw(json_values)
+    elif mutation == "top":
+        doc = draw(json_values)
+    elif mutation == "bad-name":
+        doc["generators"].append(draw(st.sampled_from(["", "a b", "b^", " c", "a\t"])))
+    elif mutation == "duplicate-name" and doc["generators"]:
+        doc["generators"].append(doc["generators"][0])
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(presentation_documents())
+def test_homcount_fuzz_exits_0_2_or_3(runner, tmp_path, doc):
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["homcount", str(path), "--group", "C2"])
+    assert result.exit_code in (0, 2, 3)
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("section, key, value", [

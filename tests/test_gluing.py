@@ -18,6 +18,7 @@ from gluesurf.gluing import (
     quotient_curve,
     validate_gluing,
 )
+from gluesurf.intlinalg import AbelianGroup
 
 
 def orbit_partition_oracle(sigma, tau, points):
@@ -94,6 +95,18 @@ class TestValidation:
         with pytest.raises(GluingValidationError) as err:
             validate_gluing(bad)
         assert any(issue.startswith("DanglingPoint") for issue in err.value.issues)
+
+    @pytest.mark.parametrize("h1", [AbelianGroup(2), AbelianGroup(0, (2,))])
+    def test_simply_connected_with_nontrivial_h1_rejected(self, h1):
+        data = build_four_lines(table_element("X0.1"))
+        bad = dataclasses.replace(data, normal_components=tuple(
+            dataclasses.replace(n, h1=h1) for n in data.normal_components))
+        with pytest.raises(GluingValidationError) as err:
+            validate_gluing(bad)
+        assert any(issue.startswith("InconsistentHomology") for issue in err.value.issues)
+        # without the simply connected claim the same h1 is valid input
+        validate_gluing(dataclasses.replace(bad, normal_components=tuple(
+            dataclasses.replace(n, simply_connected=False) for n in bad.normal_components)))
 
     def test_marked_point_without_node_partner_rejected(self):
         data = build_four_lines(table_element("X0.1"))

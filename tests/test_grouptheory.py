@@ -6,7 +6,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import letter
 from gluesurf import grouptheory
 from gluesurf.errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
 from gluesurf.grouptheory import (
@@ -14,14 +17,15 @@ from gluesurf.grouptheory import (
     FiniteGroup,
     Fingerprint,
     GroupPresentation,
-    Word,
     abelianization,
     catalog_group,
     cyclic_reduce,
     default_catalog,
+    exponent_sums,
     fingerprint,
     free_reduce,
     hom_count,
+    inverse,
     presentation_from_dict,
     presentation_to_dict,
     tietze_simplify,
@@ -50,8 +54,8 @@ class TestWords:
 
     def test_cyclic_reduce_conjugate_to_empty(self):
         w = word_from_str("a b b^-1 a^-1", ("a", "b"))
-        assert free_reduce(w) == Word()
-        assert cyclic_reduce(w) == Word()
+        assert free_reduce(w) == ()
+        assert cyclic_reduce(w) == ()
 
     def test_cyclic_reduce_strips_conjugation(self):
         gens = ("a", "b", "c", "d")
@@ -59,9 +63,9 @@ class TestWords:
         reduced = cyclic_reduce(conjugated)
         target = word_from_str("a^2 c", gens)
         rotations = {
-            target.letters[k:] + target.letters[:k] for k in range(len(target))
+            target[k:] + target[:k] for k in range(len(target))
         }
-        assert reduced.letters in rotations
+        assert reduced in rotations
 
     def test_round_trip(self):
         gens = ("a", "b")
@@ -72,6 +76,43 @@ class TestWords:
     def test_unknown_generator(self):
         with pytest.raises(PresentationFormatError):
             word_from_str("z", ("a",))
+
+
+GENERATORS = ("a", "b", "c", "d")
+reduced_words = st.lists(
+    st.integers(1, len(GENERATORS)).flatmap(lambda x: st.sampled_from((x, -x))), max_size=30,
+).map(free_reduce)
+
+
+class TestWordProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(reduced_words)
+    def test_string_round_trip(self, w):
+        assert word_from_str(word_to_str(w, GENERATORS), GENERATORS) == w
+
+    @settings(max_examples=100, deadline=None)
+    @given(reduced_words)
+    def test_inverse(self, w):
+        assert inverse(inverse(w)) == w
+        assert free_reduce(w + inverse(w)) == ()
+        assert exponent_sums(inverse(w), len(GENERATORS)) == [
+            -e for e in exponent_sums(w, len(GENERATORS))]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(reduced_words, max_size=4))
+    def test_presentation_round_trip(self, relators):
+        p = GroupPresentation(GENERATORS, tuple(relators))
+        assert presentation_from_dict(presentation_to_dict(p)) == p
+
+    @settings(max_examples=50, deadline=None)
+    @given(reduced_words)
+    def test_cyclic_reduce_is_a_reduced_conjugate(self, w):
+        c = cyclic_reduce(w)
+        assert free_reduce(c) == c
+        assert len(c) < 2 or c[0] != -c[-1]
+        # w = u c u^-1 with u the stripped prefix
+        u = w[:(len(w) - len(c)) // 2]
+        assert free_reduce(u + c + inverse(u)) == w
 
 
 class TestAbelianization:
@@ -122,10 +163,10 @@ class TestTietze:
             ngens = rng.randint(1, 4)
             gens = tuple("abcd"[:ngens])
             relators = tuple(
-                Word(tuple(
-                    (rng.randrange(ngens), rng.choice((1, -1)))
+                tuple(
+                    letter(rng.randrange(ngens), rng.choice((1, -1)))
                     for _ in range(rng.randint(0, 6))
-                ))
+                )
                 for _ in range(rng.randint(0, 3))
             )
             p = GroupPresentation(gens, relators)
@@ -149,8 +190,8 @@ def brute_force_hom_count(p: GroupPresentation, perms) -> tuple[int, int]:
         ok = True
         for rel in p.relators:
             cur = e
-            for g, s in rel.letters:
-                cur = mul(cur, images[g] if s > 0 else inv[images[g]])
+            for x in rel:
+                cur = mul(cur, images[x - 1] if x > 0 else inv[images[-x - 1]])
             ok = ok and cur == e
         if not ok:
             continue
@@ -176,8 +217,8 @@ def brute_force_hom_count(p: GroupPresentation, perms) -> tuple[int, int]:
 def random_presentation(rng: random.Random, rank: int, relators: int) -> GroupPresentation:
     gens = tuple("abc"[:rank])
     return GroupPresentation(gens, tuple(
-        Word(tuple((rng.randrange(rank), rng.choice((1, -1)))
-                   for _ in range(rng.randint(1, 7))))
+        tuple(letter(rng.randrange(rank), rng.choice((1, -1)))
+              for _ in range(rng.randint(1, 7)))
         for _ in range(relators if rank else 0)
     ))
 
@@ -211,9 +252,9 @@ class TestHomCount:
         group = catalog_group("A4")
         images = (group.elements.index((0, 2, 3, 1)), group.elements.index((1, 2, 0, 3)))
         cur = group.identity_index
-        for g, s in TWO_GEN_FIRST.relators[0].letters:
-            x = images[g] if s == 1 else group._inv[images[g]]
-            cur = group._mult[cur][x]
+        for x in TWO_GEN_FIRST.relators[0]:
+            image = images[x - 1] if x > 0 else group._inv[images[-x - 1]]
+            cur = group._mult[cur][image]
         assert cur == group.identity_index
         assert group.subgroup_size(images) == group.order
 
@@ -296,11 +337,11 @@ class TestFingerprint:
         reordered = pres("a b", "b^4", "a^-1 b^-1 a^2 b^2")
         inverted = GroupPresentation(
             base.generators,
-            (base.relators[0].inverse(), base.relators[1]),
+            (inverse(base.relators[0]), base.relators[1]),
         )
         rotated = GroupPresentation(
             base.generators,
-            (Word(base.relators[0].letters[2:] + base.relators[0].letters[:2]),
+            (base.relators[0][2:] + base.relators[0][:2],
              base.relators[1]),
         )
         expected = fingerprint(base, catalog)

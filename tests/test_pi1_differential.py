@@ -1,0 +1,59 @@
+"""Differential test: raw and Tietze-simplified pi1 of generated gluings.
+
+The fixture holds ``presentation_to_dict`` of the raw and the simplified
+pi1 presentation of ``random_n_lines(n, seed)`` from ``bench/nlines.py``
+for n in 4, 6, 8, 10 and seeds 0-4.  Any change to the word format, the
+pi1 construction or Tietze's move choice that alters a single byte of
+either presentation fails here.
+
+The fixture was recorded before letters became signed ints, with
+
+    PYTHONPATH=src python tests/test_pi1_differential.py --record
+
+and is only re-recorded when a change of output is intended and named.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = Path(__file__).resolve().parent / "data" / "pi1_nlines.json"
+if str(ROOT / "bench") not in sys.path:
+    sys.path.append(str(ROOT / "bench"))
+
+import nlines  # noqa: E402
+
+from gluesurf.gluing import gluing_from_dict, validate_gluing  # noqa: E402
+from gluesurf.grouptheory import presentation_to_dict, tietze_simplify  # noqa: E402
+from gluesurf.topology import pi1_presentation  # noqa: E402
+
+SIZES = (4, 6, 8, 10)
+SEEDS = range(5)
+
+
+def recorded_text() -> str:
+    records = []
+    for n in SIZES:
+        for seed in SEEDS:
+            raw = pi1_presentation(validate_gluing(gluing_from_dict(nlines.random_n_lines(n, seed))))
+            records.append({
+                "n": n,
+                "seed": seed,
+                "raw": presentation_to_dict(raw),
+                "simplified": presentation_to_dict(tietze_simplify(raw)),
+            })
+    return json.dumps(records, indent=1) + "\n"
+
+
+def test_pi1_presentations_match_the_recorded_fixture():
+    assert recorded_text() == FIXTURE.read_text()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_pi1_differential.py --record")
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(recorded_text())

@@ -184,7 +184,7 @@ class TestHomology:
         bad = dataclasses.replace(
             data,
             normal_components=tuple(
-                dataclasses.replace(n, h1=AbelianGroup(0, (2,)))
+                dataclasses.replace(n, simply_connected=False, h1=AbelianGroup(0, (2,)))
                 for n in data.normal_components
             ),
         )
