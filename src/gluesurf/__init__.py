@@ -62,10 +62,10 @@ from .fourlines import (
     LinePairBijections,
     OrbitRecord,
     all_gluings,
-    automorphism_group,
     build_four_lines,
     d4_action,
     enumerate_orbits,
+    orbit_and_stabilizer,
 )
 
 __version__ = "0.1.0"

@@ -178,7 +178,7 @@ def cmd_invariants(path, fmt, with_fingerprint, catalog, budget):
     """Full invariant report for a gluing-data JSON file."""
     groups = _fingerprint_catalog(with_fingerprint, catalog)
     vg = _load_gluing(path)
-    report = compute_report(vg, with_fingerprint=with_fingerprint, catalog=groups, budget=budget)
+    report = compute_report(vg, catalog=groups, budget=budget)
     if fmt == "json":
         _emit_json(report_to_dict(report))
     else:
@@ -194,7 +194,7 @@ def cmd_pi1(path, fmt, with_fingerprint, catalog, budget):
     simplified = tietze_simplify(raw)
     ab = abelianization(raw)
     fp = None
-    if with_fingerprint:
+    if groups is not None:
         fp = fingerprint(simplified, catalog=groups, budget=budget)
     if fmt == "json":
         payload = {

@@ -24,12 +24,17 @@ from .grouptheory import closure, compose
 from .invariants import InvariantReport, compute_report
 
 LINES = ("L1", "L2", "L3", "L4")
-LINE_POINTS = {
-    "L1": ("P12", "P13", "P14"),
-    "L2": ("P21", "P23", "P24"),
-    "L3": ("P31", "P32", "P34"),
-    "L4": ("P41", "P42", "P43"),
-}
+# A marked point as an integer pair: (its line, the line it meets there),
+# both 0-indexed; the k-th point of line i meets line _OTHERS[i][k].
+Point = tuple[int, int]
+_OTHERS = tuple(tuple(j for j in range(4) if j != i) for i in range(4))
+
+
+def _name(p: Point) -> str:
+    return f"P{p[0] + 1}{p[1] + 1}"
+
+
+LINE_POINTS = {LINES[i]: tuple(_name((i, j)) for j in _OTHERS[i]) for i in range(4)}
 
 _S3 = tuple(itertools.permutations(range(3)))
 
@@ -63,14 +68,17 @@ def all_gluings() -> tuple[LinePairBijections, ...]:
     )
 
 
-def tau_point_map(b: LinePairBijections) -> dict[str, str]:
-    tau: dict[str, str] = {}
-    for src, dst, phi in (("L1", "L2", b.phi12), ("L3", "L4", b.phi34)):
-        for i, point in enumerate(LINE_POINTS[src]):
-            image = LINE_POINTS[dst][phi[i]]
-            tau[point] = image
-            tau[image] = point
+def _tau(b: LinePairBijections) -> dict[Point, Point]:
+    tau: dict[Point, Point] = {}
+    for src, phi in ((0, b.phi12), (2, b.phi34)):
+        for k, image in enumerate(phi):
+            p, q = (src, _OTHERS[src][k]), (src + 1, _OTHERS[src + 1][image])
+            tau[p], tau[q] = q, p
     return tau
+
+
+def tau_point_map(b: LinePairBijections) -> dict[str, str]:
+    return {_name(p): _name(q) for p, q in _tau(b).items()}
 
 
 def build_four_lines(b: LinePairBijections) -> GluingData:
@@ -86,9 +94,7 @@ def build_four_lines(b: LinePairBijections) -> GluingData:
         )
         for line in LINES
     )
-    sigma = {}
-    for i, j in itertools.permutations((1, 2, 3, 4), 2):
-        sigma[f"P{i}{j}"] = f"P{j}{i}"
+    sigma = {_name((i, j)): _name((j, i)) for i, j in itertools.permutations(range(4), 2)}
     return GluingData(
         normal_components=(plane,),
         curve_components=curves,
@@ -98,37 +104,28 @@ def build_four_lines(b: LinePairBijections) -> GluingData:
     )
 
 
-def _relabel_point(point: str, g: Perm4) -> str:
-    i, j = int(point[1]), int(point[2])
-    return f"P{g[i - 1] + 1}{g[j - 1] + 1}"
-
-
 def d4_action(g: Perm4, b: LinePairBijections) -> LinePairBijections:
     """Relabel the line indices by g and re-read the conjugated involution."""
     if tuple(g) not in D4_ELEMENTS:
         raise NotInD4Error(f"{g} does not preserve the line pairing")
-    tau = tau_point_map(b)
-    new_tau = {
-        _relabel_point(p, g): _relabel_point(q, g) for p, q in tau.items()
-    }
+    moved = {(g[i], g[j]): (g[k], g[l]) for (i, j), (k, l) in _tau(b).items()}
 
-    def read(src: str, dst: str) -> tuple[int, int, int]:
-        out = []
-        for point in LINE_POINTS[src]:
-            image = new_tau[point]
-            out.append(LINE_POINTS[dst].index(image))
-        return tuple(out)
+    def read(src: int) -> tuple[int, int, int]:
+        return tuple(_OTHERS[src + 1].index(moved[(src, j)][1]) for j in _OTHERS[src])
 
-    return LinePairBijections(phi12=read("L1", "L2"), phi34=read("L3", "L4"))
+    return LinePairBijections(phi12=read(0), phi34=read(2))
 
 
-def orbit_of(b: LinePairBijections) -> tuple[LinePairBijections, ...]:
-    return tuple(sorted({d4_action(g, b) for g in D4_ELEMENTS}, key=lambda x: x.key()))
+def orbit_and_stabilizer(
+        b: LinePairBijections) -> tuple[tuple[LinePairBijections, ...], tuple[Perm4, ...]]:
+    """The orbit of b in key order, and its stabilizer in the index group.
 
-
-def automorphism_group(b: LinePairBijections) -> tuple[Perm4, ...]:
-    """The stabilizer in the index group; equals the surface's automorphisms."""
-    return tuple(g for g in D4_ELEMENTS if d4_action(g, b) == b)
+    The stabilizer equals the surface's automorphism group.  Both come
+    from one image of b per group element.
+    """
+    images = {g: d4_action(g, b) for g in D4_ELEMENTS}
+    orbit = tuple(sorted(set(images.values()), key=LinePairBijections.key))
+    return orbit, tuple(g for g, image in images.items() if image == b)
 
 
 def perm_to_cycles(g: Perm4) -> str:
@@ -313,13 +310,12 @@ def enumerate_orbits() -> tuple[OrbitRecord, ...]:
     """
     remaining = set(all_gluings())
     records = []
-    for b in all_gluings():
-        if b not in remaining:
+    # gluings come in key order, so each orbit is met first at its minimum
+    for rep in all_gluings():
+        if rep not in remaining:
             continue
-        orbit = orbit_of(b)
+        orbit, stab = orbit_and_stabilizer(rep)
         remaining -= set(orbit)
-        rep = orbit[0]
-        stab = automorphism_group(rep)
         if len(orbit) * len(stab) != len(D4_ELEMENTS):
             raise LabelAmbiguousError(
                 f"orbit-stabilizer mismatch at {rep}: {len(orbit)} * {len(stab)} != 8"

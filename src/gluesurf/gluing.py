@@ -101,17 +101,17 @@ class DegenerateCusp:
     def mu(self) -> int:
         return len(self.r_cycle)
 
-    @property
+    @functools.cached_property
     def nodes(self) -> tuple[Node, ...]:
         return tuple(
             (r, s) if r < s else (s, r) for r, s in zip(self.r_cycle, self.s_cycle)
         )
 
-    @property
+    @functools.cached_property
     def points(self) -> frozenset[str]:
         return frozenset(self.r_cycle) | frozenset(self.s_cycle)
 
-    @property
+    @functools.cached_property
     def label(self) -> str:
         return node_id(min(self.nodes))
 
@@ -133,34 +133,35 @@ def _components(items: Iterable, neighbours: Callable) -> tuple[tuple, ...]:
 class ValidatedGluing:
     """Gluing data with all invariants checked, plus connectivity annotations.
 
-    Structures derived from the gluing are cached in ``_memo`` by the
-    ``per_gluing`` functions, so each is computed once per instance.
+    Structures derived from the gluing are computed once per instance: the
+    sorted components, the tau-pairs and ``pair_index`` are cached
+    attributes, and the ``per_gluing`` functions cache theirs in ``_memo``.
     """
 
     data: GluingData
     dbar_components: tuple[tuple[str, ...], ...]
     x_component_count: int
     point_component: Mapping[str, str] = field(repr=False)
-    _curve_by_id: Mapping[str, CurveComponent] = field(
-        init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "point_component", MappingProxyType(dict(self.point_component)))
-        object.__setattr__(self, "_curve_by_id", MappingProxyType(
-            {c.id: c for c in self.data.curve_components}))
 
     @property
     def dbar_connected(self) -> bool:
         return len(self.dbar_components) == 1
 
-    @property
+    @functools.cached_property
     def normals(self) -> tuple[NormalComponent, ...]:
         return tuple(sorted(self.data.normal_components, key=lambda n: n.id))
 
-    @property
+    @functools.cached_property
     def curves(self) -> tuple[CurveComponent, ...]:
         return tuple(sorted(self.data.curve_components, key=lambda c: c.id))
+
+    @functools.cached_property
+    def _curve_by_id(self) -> Mapping[str, CurveComponent]:
+        return MappingProxyType({c.id: c for c in self.data.curve_components})
 
     def curve(self, cid: str) -> CurveComponent:
         return self._curve_by_id[cid]
@@ -175,26 +176,19 @@ class ValidatedGluing:
         return self.point_component[p]
 
     def nodes(self) -> tuple[Node, ...]:
-        seen = set()
-        out = []
-        for p in self.points():
-            n = node_of(p, self.data.sigma)
-            if n not in seen:
-                seen.add(n)
-                out.append(n)
-        return tuple(sorted(out))
+        return tuple(sorted({node_of(p, self.data.sigma) for p in self.point_component}))
 
+    @functools.cached_property
     def tau_pairs(self) -> tuple[tuple[str, str], ...]:
         """tau-orbits of curve components, as sorted (smaller, larger) id pairs."""
-        seen = set()
-        out = []
-        for c in self.curves:
-            if c.id in seen:
-                continue
-            partner = self.data.tau_components[c.id]
-            seen.update({c.id, partner})
-            out.append((c.id, partner) if c.id < partner else (partner, c.id))
-        return tuple(sorted(out))
+        tau = self.data.tau_components
+        return tuple(sorted({(c.id, tau[c.id]) for c in self.curves if c.id < tau[c.id]}))
+
+    @functools.cached_property
+    def pair_index(self) -> Mapping[str, int]:
+        """Position in ``tau_pairs`` of the pair holding each curve id."""
+        return MappingProxyType(
+            {cid: k for k, pair in enumerate(self.tau_pairs) for cid in pair})
 
 
 def per_gluing(fn):
@@ -352,12 +346,11 @@ def cusps(g: ValidatedGluing) -> tuple[DegenerateCusp, ...]:
             if cur == start:
                 break
             r.append(cur)
-        s = [sigma[x] for x in r]
-        orbit = set(r) | set(s)
-        if len(orbit) != 2 * len(r):
+        cusp = DegenerateCusp(r_cycle=tuple(r), s_cycle=tuple(sigma[x] for x in r))
+        if len(cusp.points) != 2 * cusp.mu:
             raise RuntimeError(f"orbit of {start} is not an alternating cycle")
-        seen |= orbit
-        out.append(DegenerateCusp(r_cycle=tuple(r), s_cycle=tuple(s)))
+        seen |= cusp.points
+        out.append(cusp)
     return tuple(sorted(out, key=lambda c: min(c.nodes)))
 
 
@@ -365,38 +358,31 @@ def cusps(g: ValidatedGluing) -> tuple[DegenerateCusp, ...]:
 class DCurveModel:
     """Shape of the quotient curve: its normalized components and gluing points.
 
-    ``components`` are the tau-pairs of curve components; ``pair_component``
-    assigns each tau-pair the index of its connected component in the
-    glued curve, numbered in order of first appearance.
+    Its normalized components are the gluing's ``tau_pairs``;
+    ``pair_component`` assigns each tau-pair the index of its connected
+    component in the glued curve, numbered in order of first appearance.
     """
 
-    components: tuple[tuple[str, str], ...]
     component_genus: tuple[int, ...]
     pair_component: tuple[int, ...]
     component_count: int
 
-    @property
-    def connected(self) -> bool:
-        return self.component_count == 1
-
 
 @per_gluing
 def quotient_curve(g: ValidatedGluing) -> DCurveModel:
-    pairs = g.tau_pairs()
-    pair_of_curve = {cid: pair for pair in pairs for cid in pair}
+    pairs = range(len(g.tau_pairs))
     # tau-pairs are joined when one cusp has points on both
-    joined: dict = {pair: set() for pair in pairs}
+    joined: list[set[int]] = [set() for _ in pairs]
     for c in cusps(g):
-        members = {pair_of_curve[g.component_of(p)] for p in c.points}
-        for pair in members:
-            joined[pair] |= members
+        members = {g.pair_index[g.component_of(p)] for p in c.points}
+        for k in members:
+            joined[k] |= members
     components = _components(pairs, joined.__getitem__)
-    component_of_pair = {pair: k for k, comp in enumerate(components) for pair in comp}
+    component_of_pair = {k: n for n, comp in enumerate(components) for k in comp}
 
     return DCurveModel(
-        components=pairs,
-        component_genus=tuple(g.curve(p[0]).genus for p in pairs),
-        pair_component=tuple(component_of_pair[pair] for pair in pairs),
+        component_genus=tuple(g.curve(a).genus for a, _b in g.tau_pairs),
+        pair_component=tuple(component_of_pair[k] for k in pairs),
         component_count=len(components),
     )
 
@@ -427,9 +413,26 @@ def euler_characteristics(g: ValidatedGluing) -> EulerCharacteristics:
 
 # -- JSON wire format ---------------------------------------------------------
 
+# every key the wire format knows, per object
+_GROUP_KEYS = ("rank", "torsion")
+_TOP_KEYS = ("normalization", "curve_components", "node_pairing", "involution")
+_NORMAL_KEYS = ("id", "chi_O", "q", "simply_connected", "h1", "h2_rank", "h3",
+                "h4_rank", "k_plus_d_sq")
+_CURVE_KEYS = ("id", "on", "genus", "marked_points", "h2_class")
+_INVOLUTION_KEYS = ("components", "points")
+
+
+def _known_keys(obj: dict, keys: tuple[str, ...], where: str) -> dict:
+    unknown = [k for k in obj if k not in keys]
+    if unknown:
+        raise GluingFormatError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+    return obj
+
+
 def _group_from_json(obj, where: str) -> AbelianGroup:
     if not isinstance(obj, dict) or "rank" not in obj:
         raise GluingFormatError(f"{where}: expected {{'rank', 'torsion'}} object")
+    _known_keys(obj, _GROUP_KEYS, where)
     try:
         return AbelianGroup.from_dict(obj)
     except (ValueError, TypeError) as exc:
@@ -439,6 +442,8 @@ def _group_from_json(obj, where: str) -> AbelianGroup:
 def _symmetrize(pairs: Iterable[tuple[str, str]], what: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for a, b in pairs:
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise GluingFormatError(f"{what}: {a!r} and {b!r} must both be strings")
         for x, y in ((a, b), (b, a)):
             if x in out and out[x] != y:
                 raise GluingFormatError(
@@ -461,23 +466,35 @@ def _typed(value, kind: type, where: str):
     return value
 
 
+def _entries(doc: dict, key: str, keys: tuple[str, ...]) -> list[tuple[str, dict]]:
+    """The objects listed under ``key``, each with its place for messages."""
+    if not isinstance(doc[key], list):
+        raise GluingFormatError(f"{key} must be a list of objects")
+    out = []
+    for i, entry in enumerate(doc[key]):
+        where = f"{key}[{i}]"
+        out.append((where, _known_keys(_typed(entry, dict, where), keys, where)))
+    return out
+
+
 def gluing_from_dict(doc: dict) -> GluingData:
-    """Parse the JSON wire format; shape errors only, semantics are validated later."""
+    """Parse the JSON wire format; shape errors only, semantics are validated later.
+
+    Ids and point names must be strings, and every key must be one the
+    format knows.
+    """
     if not isinstance(doc, dict):
         raise GluingFormatError("top level must be an object")
-    for key in ("normalization", "curve_components", "node_pairing", "involution"):
+    _known_keys(doc, _TOP_KEYS, "top level")
+    for key in _TOP_KEYS:
         if key not in doc:
             raise GluingFormatError(f"missing key {key!r}")
-    for key in ("normalization", "curve_components"):
-        if not isinstance(doc[key], list):
-            raise GluingFormatError(f"{key} must be a list of objects")
 
     normals = []
-    for i, n in enumerate(doc["normalization"]):
-        where = f"normalization[{i}]"
+    for where, n in _entries(doc, "normalization", _NORMAL_KEYS):
         try:
             normals.append(NormalComponent(
-                id=str(n["id"]),
+                id=_typed(n["id"], str, where + ".id"),
                 chi_O=_int(n["chi_O"], "chi_O"),
                 q=_int(n.get("q", 0), "q"),
                 simply_connected=_typed(n.get("simply_connected", True), bool,
@@ -493,15 +510,15 @@ def gluing_from_dict(doc: dict) -> GluingData:
             raise GluingFormatError(f"{where}: {exc!r}") from exc
 
     curves = []
-    for i, c in enumerate(doc["curve_components"]):
-        where = f"curve_components[{i}]"
+    for where, c in _entries(doc, "curve_components", _CURVE_KEYS):
         try:
             curves.append(CurveComponent(
-                id=str(c["id"]),
-                ambient=str(c["on"]),
+                id=_typed(c["id"], str, where + ".id"),
+                ambient=_typed(c["on"], str, where + ".on"),
                 genus=_int(c.get("genus", 0), "genus"),
                 marked_points=tuple(
-                    str(p) for p in _typed(c["marked_points"], list, where + ".marked_points")),
+                    _typed(p, str, where + ".marked_points entry")
+                    for p in _typed(c["marked_points"], list, where + ".marked_points")),
                 h2_class=tuple(
                     _int(x, "h2_class entry")
                     for x in _typed(c.get("h2_class", []), list, where + ".h2_class")),
@@ -510,20 +527,17 @@ def gluing_from_dict(doc: dict) -> GluingData:
             raise GluingFormatError(f"{where}: {exc!r}") from exc
 
     pairing = _pair_list(doc["node_pairing"], "node_pairing must be a list of point pairs")
-    sigma = _symmetrize(((str(a), str(b)) for a, b in pairing), "node_pairing")
+    sigma = _symmetrize(pairing, "node_pairing")
 
     inv = doc["involution"]
     if not isinstance(inv, dict) or "components" not in inv or "points" not in inv:
         raise GluingFormatError("involution must contain 'components' and 'points'")
+    _known_keys(inv, _INVOLUTION_KEYS, "involution")
     comp_pairs = _pair_list(inv["components"], "involution.components must be a list of id pairs")
-    tau_components = _symmetrize(
-        ((str(a), str(b)) for a, b in comp_pairs), "involution.components"
-    )
+    tau_components = _symmetrize(comp_pairs, "involution.components")
     if not isinstance(inv["points"], dict):
         raise GluingFormatError("involution.points must be an object")
-    tau_points = _symmetrize(
-        ((str(a), str(b)) for a, b in inv["points"].items()), "involution.points"
-    )
+    tau_points = _symmetrize(inv["points"].items(), "involution.points")
 
     return GluingData(
         normal_components=tuple(normals),

@@ -42,24 +42,17 @@ def cusp_matrix(g: ValidatedGluing) -> IntegerMatrix:
             raise NormalizationIrregularError(
                 f"normal component {n.id} has q = {n.q}; the algorithm needs q = 0"
             )
-    basis = g.tau_pairs()
     rows = []
     for cusp in cusps(g):
-        row = []
-        for plus, minus in basis:
-            def value(point: str) -> int:
+        # f is zero off a point's own pair, so each point adds to one entry
+        row = [0] * len(g.tau_pairs)
+        for r, s in zip(cusp.r_cycle, cusp.s_cycle):
+            for point, sign in ((r, 1), (s, -1)):
                 comp = g.component_of(point)
-                if comp == plus:
-                    return 1
-                if comp == minus:
-                    return -1
-                return 0
-
-            row.append(
-                sum(value(r) - value(s) for r, s in zip(cusp.r_cycle, cusp.s_cycle))
-            )
+                k = g.pair_index[comp]
+                row[k] += sign if comp == g.tau_pairs[k][0] else -sign
         rows.append(row)
-    return IntegerMatrix.from_rows(rows, cols=len(basis))
+    return IntegerMatrix.from_rows(rows, cols=len(g.tau_pairs))
 
 
 def irregularity(g: ValidatedGluing) -> tuple[int, int]:
@@ -108,13 +101,14 @@ class InvariantReport:
             raise ValueError("p_g, chi and q are inconsistent")
 
 
-def compute_report(g: ValidatedGluing, *, with_fingerprint: bool = False,
-                   catalog=None, budget: int = DEFAULT_BUDGET) -> InvariantReport:
+def compute_report(g: ValidatedGluing, *, catalog=None,
+                   budget: int = DEFAULT_BUDGET) -> InvariantReport:
+    """The full report; it carries a fingerprint against ``catalog`` when one is given."""
     chi = euler_characteristics(g).chi_x
     q, p_g = irregularity(g)
     presentation = pi1_presentation(g)
     fp = None
-    if with_fingerprint:
+    if catalog is not None:
         fp = fingerprint(tietze_simplify(presentation), catalog=catalog, budget=budget)
     return InvariantReport(
         chi=chi,

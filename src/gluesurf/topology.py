@@ -78,11 +78,16 @@ def _model_orders(g: ValidatedGluing) -> dict[str, tuple[str, ...]]:
     of each involution pair keeps its stored order, the partner inherits the
     transported order, so the involution is simplicial on the models."""
     orders: dict[str, tuple[str, ...]] = {}
-    for a, b in g.tau_pairs():
+    for a, b in g.tau_pairs:
         pts = g.curve(a).marked_points
         orders[a] = pts
         orders[b] = tuple(g.tau(x) for x in pts)
     return orders
+
+
+def _d_owner(pair: tuple[str, str]) -> str:
+    """Edge owner of a tau-pair in the graph model of D: its label "a+b"."""
+    return f"{pair[0]}+{pair[1]}"
 
 
 def _spanning_forest(n: int, edges: tuple[GraphEdge, ...]):
@@ -125,13 +130,8 @@ def homotopy_graph(side: str, g: ValidatedGluing) -> HomotopyGraph:
         vertex_of_point = {p: node_id(node_of(p, g.data.sigma)) for p in g.points()}
         rows = [(c.id, orders[c.id]) for c in g.curves]
     elif side == "D":
-        vertex_of_point = {}
-        for c in cusps(g):
-            label = c.label  # rebuilds the cusp's nodes, so once per cusp
-            vertex_of_point.update(dict.fromkeys(c.points, label))
-        rows = []
-        for a, b in g.tau_pairs():
-            rows.append((f"{a}+{b}", orders[a]))
+        vertex_of_point = {p: c.label for c in cusps(g) for p in c.points}
+        rows = [(_d_owner(pair), orders[pair[0]]) for pair in g.tau_pairs]
     else:
         raise ValueError(f"side must be 'Dbar' or 'D', got {side!r}")
 
@@ -182,11 +182,10 @@ def _generator_images(g: ValidatedGluing) -> tuple[HomotopyGraph, HomotopyGraph,
     gbar = homotopy_graph("Dbar", g)
     gd = homotopy_graph("D", g)
 
-    pair_label = {}
-    for a, b in g.tau_pairs():
-        pair_label[a] = f"{a}+{b}"
-        pair_label[b] = f"{a}+{b}"
     d_index = {e.key: i for i, e in enumerate(gd.edges)}
+    # the quotient edge under each upstairs edge: same position on its tau-pair
+    below = [d_index[(_d_owner(g.tau_pairs[g.pair_index[owner]]), pos)]
+             for owner, pos in (e.key for e in gbar.edges)]
     d_tree = set(gd.tree_edges)
     d_letter = {eidx: x for x, eidx in enumerate(gd.generator_edges, 1)}
 
@@ -199,8 +198,7 @@ def _generator_images(g: ValidatedGluing) -> tuple[HomotopyGraph, HomotopyGraph,
         path.extend(back)
         letters = []
         for bidx, direction in path:
-            owner, pos = gbar.edges[bidx].key
-            didx = d_index[(pair_label[owner], pos)]
+            didx = below[bidx]
             if didx in d_tree:
                 continue
             letters.append(direction * d_letter[didx])
@@ -251,11 +249,7 @@ class MayerVietorisMatrices:
 @per_gluing
 def mv_matrices(g: ValidatedGluing) -> MayerVietorisMatrices:
     _check_pi1_preconditions(g)
-    pairs = g.tau_pairs()
-    pair_index = {}
-    for i, pair in enumerate(pairs):
-        pair_index[pair[0]] = i
-        pair_index[pair[1]] = i
+    pairs = g.tau_pairs
     curves = g.curves
     normals = g.normals
 
@@ -267,7 +261,7 @@ def mv_matrices(g: ValidatedGluing) -> MayerVietorisMatrices:
         offset += n.h2_rank
     entries = [[0] * len(curves) for _ in range(h2_rows)]
     for j, c in enumerate(curves):
-        entries[pair_index[c.id]][j] = 1
+        entries[g.pair_index[c.id]][j] = 1
         for r, coeff in enumerate(c.h2_class):
             entries[block_start[c.ambient] + r][j] = coeff
     h2_map = IntegerMatrix.from_rows(entries, cols=len(curves))
@@ -281,7 +275,7 @@ def mv_matrices(g: ValidatedGluing) -> MayerVietorisMatrices:
     normal_row = {n.id: d_count + i for i, n in enumerate(normals)}
     for j, group in enumerate(g.dbar_components):
         first = group[0]
-        rows[model.pair_component[pair_index[first]]][j] = 1
+        rows[model.pair_component[g.pair_index[first]]][j] = 1
         rows[normal_row[g.curve(first).ambient]][j] = 1
     h0_map = IntegerMatrix.from_rows(rows, cols=len(g.dbar_components))
 

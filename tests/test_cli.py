@@ -447,3 +447,56 @@ def test_import_builds_no_catalog_group():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True)
     assert out.stdout.split() == ["0", "False"]
+
+
+def _renamed(doc: dict, old: str, new, sections: tuple[str, ...]) -> dict:
+    """``doc`` with the id or point name ``old`` renamed: to ``new`` in the
+    given top-level sections, and to its string form everywhere else."""
+    out = {}
+    for key, value in doc.items():
+        name = new if key in sections else str(new)
+        out[key] = json.loads(json.dumps(value).replace(json.dumps(old), json.dumps(name)))
+    return out
+
+
+@pytest.mark.parametrize("old, new, sections, named", [
+    ("plane", ["plane"], ("normalization", "curve_components"), "id"),
+    ("L1", 7, ("curve_components",), "id"),
+    ("plane", 5, ("curve_components",), "on"),
+    ("P43", 43, ("curve_components",), "marked_points"),
+    ("P43", 43, ("node_pairing",), "node_pairing"),
+    ("P43", 43, ("involution",), "involution"),
+    ("L1", 7, ("involution",), "involution"),
+], ids=["normal-id-list", "curve-id-int", "on-int", "marked_points-int", "node_pairing-int",
+        "involution-points-int", "involution-components-int"])
+def test_non_string_name_exits_2(runner, tmp_path, x01_file, old, new, sections, named):
+    doc = json.loads(open(x01_file).read())
+    path = tmp_path / "named.json"
+    # the same renaming with strings throughout is a valid gluing
+    path.write_text(json.dumps(_renamed(doc, old, new, ())))
+    assert runner.invoke(main, ["invariants", str(path)]).exit_code == 0
+    path.write_text(json.dumps(_renamed(doc, old, new, sections)))
+    result = runner.invoke(main, ["invariants", str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ") and named in result.output
+
+
+@pytest.mark.parametrize("where, key", [
+    ((), "comment"),
+    (("normalization", 0), "simply_conected"),
+    (("curve_components", 2), "genera"),
+    (("involution",), "point"),
+    (("normalization", 0, "h1"), "ranks"),
+    (("normalization", 0, "h3"), "torsion_free"),
+], ids=["top-level", "normalization", "curve", "involution", "h1", "h3"])
+def test_unknown_key_exits_2(runner, tmp_path, x01_file, where, key):
+    doc = json.loads(open(x01_file).read())
+    target = doc
+    for step in where:
+        target = target[step]
+    target[key] = False
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["pi1", str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ") and repr(key) in result.output

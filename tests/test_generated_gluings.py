@@ -1,0 +1,159 @@
+"""Generated gluings: oracle checks on the n-line family, and a CLI fuzz.
+
+The property tests draw ``bench/nlines.py`` gluings of the plane along n
+general lines and their relabellings, and check them with the benchmark's
+independent oracles (``bench/oracles.py``), imported rather than copied.
+The fuzz mutates such documents at random and runs them through the CLI:
+every run must keep the exit-code contract.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import random
+import sys
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT / "bench") not in sys.path:
+    sys.path.append(str(ROOT / "bench"))
+
+import nlines  # noqa: E402
+import oracles  # noqa: E402
+
+from gluesurf.cli import main, report_to_dict  # noqa: E402
+from gluesurf.gluing import cusps, gluing_from_dict, gluing_to_dict, validate_gluing  # noqa: E402
+from gluesurf.grouptheory import catalog_group, fingerprint, tietze_simplify  # noqa: E402
+from gluesurf.invariants import compute_report  # noqa: E402
+from test_cli import invoke  # noqa: E402
+
+SMALL_CATALOG = ("C2", "C3", "S3")
+
+
+def _report(doc: dict) -> dict:
+    return report_to_dict(compute_report(validate_gluing(gluing_from_dict(doc))))
+
+
+def _shape(doc: dict) -> tuple:
+    """What a relabelling must keep: homology, q and the cusp sizes."""
+    out = _report(doc)
+    return out["homology"], out["q"], sorted(len(c) for c in out["cusps"])
+
+
+def _fingerprint(doc: dict) -> dict:
+    raw = compute_report(validate_gluing(gluing_from_dict(doc))).pi1
+    groups = tuple(catalog_group(name) for name in SMALL_CATALOG)
+    return fingerprint(tietze_simplify(raw), catalog=groups).as_dict()
+
+
+line_counts = st.sampled_from((4, 6, 8, 10))
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(line_counts, seeds)
+def test_oracles_hold_on_generated_gluings(n, seed):
+    doc = nlines.random_n_lines(n, seed)
+    out = _report(doc)
+    # Euler number, H0/H3/H4, chi, K² and H1 against the abelianized pi1
+    assert oracles.check_homology(doc, out, out["pi1"]["abelianization"]) == []
+    assert len(out["cusps"]) == oracles.cusp_count(doc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(line_counts, seeds)
+def test_json_round_trip(n, seed):
+    data = gluing_from_dict(nlines.random_n_lines(n, seed))
+    again = gluing_from_dict(json.loads(json.dumps(gluing_to_dict(data))))
+    assert again == data
+    assert cusps(validate_gluing(again)) == cusps(validate_gluing(data))
+
+
+@settings(max_examples=25, deadline=None)
+@given(line_counts, seeds, seeds)
+def test_relabelling_keeps_the_invariants(n, seed, relabel_seed):
+    bijections = nlines.random_bijections(n, random.Random(seed))
+    g = nlines.pairing_permutations(n, random.Random(relabel_seed))
+    doc = nlines.n_lines_gluing(n, bijections)
+    moved = nlines.n_lines_gluing(n, nlines.relabel(n, bijections, g))
+    assert _shape(moved) == _shape(doc)
+    if n <= 6:
+        assert _fingerprint(moved) == _fingerprint(doc)
+
+
+# -- CLI fuzz ------------------------------------------------------------------
+
+class _Pairs(list):
+    """A JSON object kept as (key, value) pairs, so that a key may repeat."""
+
+
+def _dumps(x) -> str:
+    if isinstance(x, dict):
+        x = _Pairs(x.items())
+    if isinstance(x, _Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v)}" for k, v in x) + "}"
+    if isinstance(x, list):
+        return "[" + ", ".join(_dumps(v) for v in x) + "]"
+    return json.dumps(x)
+
+
+def _slots(x, out: list) -> list:
+    """Every (container, key) place under ``x``, parents before children."""
+    for key, value in list(x.items() if isinstance(x, dict) else enumerate(x)):
+        out.append((x, key))
+        if isinstance(value, (dict, list)) and not isinstance(value, _Pairs):
+            _slots(value, out)
+    return out
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**20) | st.floats(allow_nan=False)
+    | st.text(max_size=4) | st.sampled_from(["plane", "L1", "L2", "P1_2", "P2_1", "P3_4"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _mutate(data, root: list, names: list[str]) -> None:
+    """One random mutation of the document ``root[0]``, in place."""
+    container, key = data.draw(st.sampled_from(_slots(root, [])))
+    value = container[key]
+    kind = data.draw(st.sampled_from(["drop", "duplicate", "misspell", "retype", "repair"]))
+    if kind == "drop" and container is not root:
+        del container[key]
+    elif kind == "duplicate" and isinstance(value, dict) and value:
+        # one key written twice, the second time with another value
+        twice = data.draw(st.sampled_from(sorted(value)))
+        container[key] = _Pairs([*value.items(), (twice, data.draw(json_values))])
+    elif kind == "duplicate" and container is not root and isinstance(container, list):
+        container.append(copy.deepcopy(value))
+    elif kind == "misspell" and isinstance(container, dict):
+        name = data.draw(st.sampled_from(
+            [key[:-1], key + "s", key.upper(), key.replace("_", ""), "_" + key]))
+        container[name] = container.pop(key)
+    elif kind == "repair":
+        # break a pairing: point a member at another known name
+        container[key] = data.draw(st.sampled_from(names))
+    else:
+        container[key] = data.draw(json_values)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 50), st.sampled_from(["invariants", "homology", "pi1"]), st.data())
+def test_cli_fuzz_keeps_exit_codes(tmp_path, seed, command, data):
+    doc = nlines.random_n_lines(4, seed)
+    names = sorted({p for c in doc["curve_components"] for p in c["marked_points"]}
+                   | {c["id"] for c in doc["curve_components"]} | {"plane"})
+    root = [doc]
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, root, names)
+    path = tmp_path / "fuzz.json"
+    path.write_text(_dumps(root[0]))
+    result = invoke(main, [command, str(path)])
+    assert result.exit_code in (0, 2, 3, 4)
+    assert "Traceback" not in result.output

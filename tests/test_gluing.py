@@ -184,15 +184,15 @@ class TestCusps:
 class TestQuotientCurve:
     def test_two_components_one_cusp(self, x01):
         model = quotient_curve(x01)
-        assert model.components == (("L1", "L2"), ("L3", "L4"))
+        assert x01.tau_pairs == (("L1", "L2"), ("L3", "L4"))
         # a cusp's 2·mu points fall into mu tau-orbits, one per preimage
         assert tuple(c.mu for c in cusps(x01)) == (6,)
-        assert model.connected
+        assert model.component_count == 1
 
     def test_preimage_counts_on_four_cusp_row(self, x31):
         model = quotient_curve(x31)
         assert tuple(c.mu for c in cusps(x31)) == (1, 2, 2, 1)
-        assert model.connected
+        assert model.component_count == 1
 
     def test_each_cusp_has_mu_preimages(self):
         # tau(s_i) = r_{i+1}: the 2·mu points of a cusp pair up into mu tau-orbits
@@ -202,9 +202,10 @@ class TestQuotientCurve:
                 assert len({frozenset((p, vg.tau(p))) for p in c.points}) == c.mu
 
     def test_single_pair_single_node(self):
-        model = quotient_curve(validate_gluing(toy_pair(1, 0)))
-        assert model.components == (("C1", "C2"),)
-        assert model.connected
+        vg = validate_gluing(toy_pair(1, 0))
+        model = quotient_curve(vg)
+        assert vg.tau_pairs == (("C1", "C2"),)
+        assert model.component_count == 1
 
     def test_components_of_two_planes(self):
         vg = validate_gluing(two_planes())

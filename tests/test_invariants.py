@@ -68,7 +68,7 @@ class TestCuspMatrix:
 
     def test_four_cusp_rows_against_walk_oracle(self, x31):
         m = cusp_matrix(x31)
-        basis = x31.tau_pairs()
+        basis = x31.tau_pairs
         assert basis == (("L1", "L2"), ("L3", "L4"))
         from gluesurf.gluing import cusps
 
