@@ -31,10 +31,20 @@ from .invariants import InvariantReport, compute_report
 from .topology import homology_of_X, pi1_presentation
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a key given twice is an input error."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"key {key!r} is repeated in one object")
+        out[key] = value
+    return out
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         # not JSON or not UTF-8, an integer of too many digits, nesting too deep
         raise InputError(f"{path}: {exc}") from exc

@@ -500,3 +500,22 @@ def test_unknown_key_exits_2(runner, tmp_path, x01_file, where, key):
     result = runner.invoke(main, ["pi1", str(path)])
     assert result.exit_code == 2
     assert result.output.startswith("error: ") and repr(key) in result.output
+
+
+@pytest.mark.parametrize("command", ["pi1", "invariants", "homcount"])
+def test_repeated_key_exits_2(runner, tmp_path, x01_file, command):
+    if command == "homcount":
+        text = '{"generators": ["a"], "relators": [], "relators": ["a^2"]}'
+        args = ["--group", "C2"]
+    else:
+        # read as the last of its two values, the plane is the valid X0.1 again
+        text = open(x01_file).read().replace(
+            '"simply_connected": true', '"simply_connected": false, "simply_connected": true')
+        assert text != open(x01_file).read()
+        args = []
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    result = runner.invoke(main, [command, str(path), *args])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
+    assert "simply_connected" in result.output or "relators" in result.output

@@ -2,20 +2,39 @@
 
 The oracle for the invariant factors is the classical determinantal one:
 d_1 * ... * d_k equals the gcd of all k x k minors, which never touches
-the reduction code under test.
+the reduction code under test.  ``dense_snf`` is the plain Euclidean
+reduction of the whole matrix; ``snf`` is compared with it on the level
+maps and cusp matrices of generated gluings.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gluesurf.intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants, snf
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT / "bench") not in sys.path:
+    sys.path.append(str(ROOT / "bench"))
+
+import nlines  # noqa: E402
+
+from gluesurf.gluing import gluing_from_dict, validate_gluing  # noqa: E402
+from gluesurf.intlinalg import (  # noqa: E402
+    AbelianGroup,
+    IntegerMatrix,
+    SmithDecomposition,
+    cokernel_invariants,
+    snf,
+)
+from gluesurf.invariants import cusp_matrix  # noqa: E402
+from gluesurf.topology import mv_matrices  # noqa: E402
 
 # matrices appearing in the homology computation of the two irregular surfaces
 M1 = IntegerMatrix.from_rows([[2, 0, 1], [0, -1, 1], [1, 0, 0], [0, 1, -2]])
@@ -49,17 +68,135 @@ def determinant(a: IntegerMatrix) -> int:
 
 
 def matmul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
-    """Matrix product, for checking U @ A @ V == S."""
+    """Matrix product, for checking U @ A @ V == S; zero entries of ``a`` are skipped."""
     if a.cols != b.rows:
         raise ValueError("dimension mismatch in matrix product")
-    rows, cols = a.row_lists(), b.row_lists()
-    return IntegerMatrix(a.rows, b.cols, tuple(
-        sum(r[k] * cols[k][j] for k in range(a.cols)) for r in rows for j in range(b.cols)
-    ))
+    b_rows = b.row_lists()
+    out = []
+    for r in a.row_lists():
+        acc = [0] * b.cols
+        for k, x in enumerate(r):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_rows[k])]
+        out.extend(acc)
+    return IntegerMatrix(a.rows, b.cols, tuple(out))
+
+
+def dense_snf(a: IntegerMatrix) -> SmithDecomposition:
+    """Smith normal form by Euclidean row/column reduction of the whole matrix (oracle).
+
+    The pivot at each step is driven down to the gcd of the remaining
+    submatrix, which guarantees the divisibility chain.
+    """
+    nr, nc = a.rows, a.cols
+    s = a.row_lists()
+    u = identity(nr).row_lists()
+    v = identity(nc).row_lists()
+
+    def swap_rows(i, j):
+        if i != j:
+            s[i], s[j] = s[j], s[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in s:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        # row[dst] += q * row[src]
+        if q:
+            srow, drow = s[src], s[dst]
+            for k in range(nc):
+                drow[k] += q * srow[k]
+            srow, drow = u[src], u[dst]
+            for k in range(nr):
+                drow[k] += q * srow[k]
+
+    def add_col(src, dst, q):
+        if q:
+            for row in s:
+                row[dst] += q * row[src]
+            for row in v:
+                row[dst] += q * row[src]
+
+    t = 0
+    limit = min(nr, nc)
+    while t < limit:
+        pivot = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if s[i][j] != 0 and (pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            restart = False
+            for i in range(t + 1, nr):
+                if s[i][t] == 0:
+                    continue
+                add_row(t, i, -(s[i][t] // s[t][t]))
+                if s[i][t]:
+                    # pivot does not divide: the remainder becomes the new pivot
+                    swap_rows(t, i)
+                    restart = True
+                    break
+            if restart:
+                continue
+            for j in range(t + 1, nc):
+                if s[t][j] == 0:
+                    continue
+                add_col(t, j, -(s[t][j] // s[t][t]))
+                if s[t][j]:
+                    swap_cols(t, j)
+                    restart = True
+                    break
+            if restart:
+                continue
+            bad = None
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if s[i][j] % s[t][t]:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            # pull the offending row up so the next pass shrinks the pivot to a gcd
+            add_row(bad, t, 1)
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+
+    divisors = tuple(s[i][i] for i in range(limit) if s[i][i] != 0)
+    return SmithDecomposition(
+        u=IntegerMatrix.from_rows(u, cols=nr),
+        s=IntegerMatrix.from_rows(s, cols=nc),
+        v=IntegerMatrix.from_rows(v, cols=nc),
+        divisors=divisors,
+    )
+
+
+def identity(n: int) -> IntegerMatrix:
+    return IntegerMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
 
 def zeros(rows: int, cols: int) -> IntegerMatrix:
     return IntegerMatrix(rows, cols, (0,) * (rows * cols))
+
+
+def diagonal(rows: int, cols: int, divisors: tuple[int, ...]) -> IntegerMatrix:
+    """The rows x cols matrix with ``divisors`` leading its diagonal and zeros elsewhere."""
+    entries = [0] * (rows * cols)
+    for t, d in enumerate(divisors):
+        entries[t * cols + t] = d
+    return IntegerMatrix(rows, cols, tuple(entries))
 
 
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
@@ -157,7 +294,7 @@ def in_column_span_over_q(basis: IntegerMatrix, vec: list[int]) -> list[Fraction
 
 class TestSmithNormalForm:
     def test_identity(self):
-        assert snf(IntegerMatrix.identity(3)).divisors == (1, 1, 1)
+        assert snf(identity(3)).divisors == (1, 1, 1)
 
     def test_h1_level_matrix_full_column_rank(self):
         dec = snf(M1)
@@ -171,12 +308,23 @@ class TestSmithNormalForm:
 
     @pytest.mark.parametrize("m", [M1, M2, N], ids=["M1", "M2", "N"])
     def test_reconstruction_and_oracles(self, m):
+        for smith in (snf, dense_snf):
+            dec = smith(m)
+            assert matmul(matmul(dec.u, m), dec.v) == dec.s
+            assert abs(determinant(dec.u)) == 1
+            assert abs(determinant(dec.v)) == 1
+            assert dec.divisors == minors_gcd_divisors(m)
+            assert dec.rank == rational_rank(m)
+
+    def test_block_left_without_unit_entries(self):
+        # the unit pivot clears its row and column and leaves [[2, 0], [0, 3]],
+        # whose Smith form is diag(1, 6)
+        m = IntegerMatrix.from_rows([[1, 2, 3], [2, 6, 6], [3, 6, 12]])
         dec = snf(m)
+        assert dec.divisors == minors_gcd_divisors(m) == (1, 1, 6)
+        assert dec.s == diagonal(3, 3, (1, 1, 6))
         assert matmul(matmul(dec.u, m), dec.v) == dec.s
-        assert abs(determinant(dec.u)) == 1
-        assert abs(determinant(dec.v)) == 1
-        assert dec.divisors == minors_gcd_divisors(m)
-        assert dec.rank == rational_rank(m)
+        assert abs(determinant(dec.u)) == abs(determinant(dec.v)) == 1
 
 
 class TestKernel:
@@ -196,7 +344,7 @@ class TestKernel:
             assert all(c.denominator == 1 for c in coeffs)
 
     def test_invertible_matrix_has_no_kernel(self):
-        assert kernel_basis(IntegerMatrix.identity(2)).cols == 0
+        assert kernel_basis(identity(2)).cols == 0
 
     def test_zero_matrix_kernel_is_everything(self):
         k = kernel_basis(zeros(2, 3))
@@ -245,18 +393,51 @@ small_matrices = st.integers(1, 4).flatmap(
 ).map(IntegerMatrix.from_rows)
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_matrices)
+# No entry is a unit, so ``snf`` has no unit pivot and reduces the whole
+# matrix as its leftover block; the shapes include 0 x k, k x 0 and all-zero.
+unitless_matrices = st.integers(0, 4).flatmap(
+    lambda r: st.integers(0, 4).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from((0, 2, -2, 3, -3, 4, -4, 6, -6)), min_size=c, max_size=c),
+            min_size=r, max_size=r,
+        ).map(lambda rows: IntegerMatrix.from_rows(rows, cols=c))
+    )
+) | st.builds(zeros, st.integers(0, 4), st.integers(0, 4))
+
+
+@settings(max_examples=250, deadline=None)
+@given(small_matrices | unitless_matrices)
 def test_snf_properties(m):
-    dec = snf(m)
-    assert matmul(matmul(dec.u, m), dec.v) == dec.s
-    assert abs(determinant(dec.u)) == 1
-    assert abs(determinant(dec.v)) == 1
-    for a, b in zip(dec.divisors, dec.divisors[1:]):
-        assert a >= 1 and b % a == 0
-    assert dec.divisors == minors_gcd_divisors(m)
+    for smith in (snf, dense_snf):
+        dec = smith(m)
+        assert matmul(matmul(dec.u, m), dec.v) == dec.s
+        assert abs(determinant(dec.u)) == 1
+        assert abs(determinant(dec.v)) == 1
+        for a, b in zip(dec.divisors, dec.divisors[1:]):
+            assert a >= 1 and b % a == 0
+        assert dec.divisors == minors_gcd_divisors(m)
+        assert dec.s == diagonal(m.rows, m.cols, dec.divisors)
     assert dec.rank + kernel_basis(m).cols == m.cols
     assert cokernel_invariants(m).free_rank == m.rows - dec.rank
+
+
+def generated_matrices(n: int, seed: int) -> dict[str, IntegerMatrix]:
+    """The three level maps and the cusp matrix of the plane glued along n random lines."""
+    g = validate_gluing(gluing_from_dict(nlines.random_n_lines(n, seed)))
+    mv = mv_matrices(g)
+    return {"h2": mv.h2_map, "h1": mv.h1_map, "h0": mv.h0_map, "cusp": cusp_matrix(g)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_snf_matches_dense_oracle_on_generated_gluings(n, seed):
+    for name, m in generated_matrices(n, seed).items():
+        dec = snf(m)
+        assert dec.divisors == dense_snf(m).divisors, name
+        assert dec.s == diagonal(m.rows, m.cols, dec.divisors), name
+        assert matmul(dec.u, matmul(m, dec.v)) == dec.s, name
+        if n <= 8:
+            assert abs(determinant(dec.u)) == abs(determinant(dec.v)) == 1, name
 
 
 @settings(max_examples=60, deadline=None)
