@@ -19,12 +19,6 @@ from math import gcd
 from typing import Sequence
 
 
-# ``snf`` finds unit pivots by scanning every entry in a matrix with at most
-# this many nonzeros; above it, count buckets cost less (about 40 nonzeros
-# is where the two broke even on the level maps and cusp matrices).
-SCAN_NONZEROS = 32
-
-
 def _int(value, where: str) -> int:
     """``value`` if it is an integer; a bool, float or string is rejected, not coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -311,25 +305,15 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
     # Markowitz's search: once the rows and columns with at most k nonzeros
     # are searched, every entry left costs at least k * k, so it stops there.
     # A step moves only the rows and columns whose count it changes.
-    counted = sum(map(len, rows)) > SCAN_NONZEROS
     row_at: defaultdict[int, set[int]] = defaultdict(set)
     col_at: defaultdict[int, set[int]] = defaultdict(set)
-    if counted:
-        for i, row in enumerate(rows):
-            row_at[len(row)].add(i)
-        for j, col in enumerate(cols):
-            col_at[len(col)].add(j)
+    for i, row in enumerate(rows):
+        row_at[len(row)].add(i)
+    for j, col in enumerate(cols):
+        col_at[len(col)].add(j)
 
     def pivot():
         best = None
-        if not counted:
-            for i, row in enumerate(rows):
-                for j, x in row.items() if row else ():
-                    if x == 1 or x == -1:
-                        cost = (len(row) - 1) * (len(cols[j]) - 1)
-                        if best is None or cost < best[0]:
-                            best = (cost, i, j)
-            return best
         for k in range(1, max(nr, nc) + 1):
             for i in row_at.get(k, ()):
                 for j, x in rows[i].items():
@@ -354,12 +338,11 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
     while (best := pivot()) is not None:
         _, p, q = best
         row_p, touched = rows[p], cols[q]
-        if counted:
-            # out of their buckets until the step has changed their counts
-            for i in touched:
-                row_at[len(rows[i])].remove(i)
-            for j in row_p:
-                col_at[len(cols[j])].remove(j)
+        # out of their buckets until the step has changed their counts
+        for i in touched:
+            row_at[len(rows[i])].remove(i)
+        for j in row_p:
+            col_at[len(cols[j])].remove(j)
         e = row_p.pop(q)
         touched.remove(p)
         for j in row_p:
@@ -382,11 +365,10 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
         v_q = v[q]
         for j, x in row_p.items():
             _sub(v[j], e * x, v_q)
-        if counted:
-            for i in touched:
-                row_at[len(rows[i])].add(i)
-            for j in row_p:
-                col_at[len(cols[j])].add(j)
+        for i in touched:
+            row_at[len(rows[i])].add(i)
+        for j in row_p:
+            col_at[len(cols[j])].add(j)
         if e == -1:
             u[p] = {k: -x for k, x in u_p.items()}
         pivots.append((p, q))
