@@ -236,6 +236,10 @@ def validate_gluing(data: GluingData) -> ValidatedGluing:
         # H1 is the abelianised pi1, so a trivial pi1 has trivial H1
         if n.simply_connected and not n.h1.is_trivial:
             issues.append(f"InconsistentHomology: {n.id} is simply connected but h1 = {n.h1}")
+        # q is a dimension and h2_rank, h4_rank are ranks
+        for key in ("q", "h2_rank", "h4_rank"):
+            if getattr(n, key) < 0:
+                issues.append(f"BadRank: {n.id} has {key} = {getattr(n, key)}")
     curve_ids = [c.id for c in data.curve_components]
     if len(set(curve_ids)) != len(curve_ids):
         issues.append("DuplicateId: repeated curve component id")

@@ -4,11 +4,13 @@ Everything runs on Python's arbitrary-precision integers.  Intermediate
 entries of a Smith reduction can outgrow any fixed-width type even for
 small matrices, so no floating point or fixed-width shortcuts anywhere.
 The level maps of the plane glued along 16 lines are about 110 x 105,
-about 8% nonzero, and almost every pivot is +-1.  So ``snf`` first
-eliminates unit pivots on sparse rows in Markowitz order (Markowitz 1957;
-Havas, Holt and Rees, *Recognizing badly presented Z-modules*, 1993) and
-runs a dense Euclidean reduction only on the block without a unit entry
-that is left.  Both transforms are kept.
+about 8% nonzero, and almost every pivot is +-1.  So ``snf`` is one
+elimination loop on sparse rows: it takes unit pivots in Markowitz order
+(Markowitz 1957; Havas, Holt and Rees, *Recognizing badly presented
+Z-modules*, 1993) and, when none is left, makes one in place by a 2 x 2
+unimodular step on two rows or columns, a Euclidean chain done at once
+(Cohen, *A Course in Computational Algebraic Number Theory*, 2.4).  Both
+transforms are kept.
 """
 
 from __future__ import annotations
@@ -130,124 +132,6 @@ class SmithDecomposition:
         return AbelianGroup(self.s.rows - self.rank, tuple(d for d in self.divisors if d > 1))
 
 
-def _euclidean(s: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Reduce the dense rows ``s`` in place to Smith form; return U and V with U @ s0 @ V == s.
-
-    The pivot at each step is the smallest entry left, or a unit made from
-    it and a coprime entry in its row or column.  It is driven down to the
-    gcd of the remaining submatrix, which guarantees the divisibility
-    chain; the nonzero diagonal entries come first.
-    """
-    nr = len(s)
-    nc = len(s[0]) if s else 0
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        if i != j:
-            s[i], s[j] = s[j], s[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in s:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row[dst] += q * row[src]
-        if q:
-            srow, drow = s[src], s[dst]
-            for k in range(nc):
-                drow[k] += q * srow[k]
-            srow, drow = u[src], u[dst]
-            for k in range(nr):
-                drow[k] += q * srow[k]
-
-    def add_col(src, dst, q):
-        if q:
-            for row in s:
-                row[dst] += q * row[src]
-            for row in v:
-                row[dst] += q * row[src]
-
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if s[i][j] != 0 and (pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        if abs(s[i][j]) != 1:
-            # No unit is left.  A Euclidean chain between the pivot and the
-            # smallest entry coprime to it in its row or column makes one;
-            # pivoting on that keeps the entries from doubling, as they do
-            # when every row is reduced by a larger pivot.
-            partners = [(abs(s[i][k]), True, k) for k in range(t, nc) if gcd(s[i][j], s[i][k]) == 1]
-            partners += [(abs(s[k][j]), False, k) for k in range(t, nr) if gcd(s[i][j], s[k][j]) == 1]
-            if partners:
-                _, in_row, y = min(partners)
-                if in_row:
-                    x = j
-                    while s[i][y]:
-                        add_col(y, x, -(s[i][x] // s[i][y]))
-                        x, y = y, x
-                    pivot = (i, x)
-                else:
-                    x = i
-                    while s[y][j]:
-                        add_row(y, x, -(s[x][j] // s[y][j]))
-                        x, y = y, x
-                    pivot = (x, j)
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            restart = False
-            for i in range(t + 1, nr):
-                if s[i][t] == 0:
-                    continue
-                add_row(t, i, -(s[i][t] // s[t][t]))
-                if s[i][t]:
-                    # pivot does not divide: the remainder becomes the new pivot
-                    swap_rows(t, i)
-                    restart = True
-                    break
-            if restart:
-                continue
-            for j in range(t + 1, nc):
-                if s[t][j] == 0:
-                    continue
-                add_col(t, j, -(s[t][j] // s[t][t]))
-                if s[t][j]:
-                    swap_cols(t, j)
-                    restart = True
-                    break
-            if restart:
-                continue
-            bad = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if s[i][j] % s[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            # pull the offending row up so the next pass shrinks the pivot to a gcd
-            add_row(bad, t, 1)
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return u, v
-
-
 def _sub(dst: dict[int, int], f: int, src: dict[int, int]) -> None:
     """dst -= f * src for sparse vectors, in place; zero entries are dropped."""
     for k, x in src.items():
@@ -258,14 +142,27 @@ def _sub(dst: dict[int, int], f: int, src: dict[int, int]) -> None:
             del dst[k]
 
 
-def _combine(coeffs: list[int], vectors: list[dict[int, int]]) -> dict[int, int]:
-    """The sparse vector sum of coeffs[k] * vectors[k]."""
+def _combine(coeffs: Sequence[int], vectors: Sequence[dict[int, int]]) -> dict[int, int]:
+    """The sparse vector sum of coeffs[k] * vectors[k]; zero entries are dropped."""
     out: dict[int, int] = {}
     for c, vec in zip(coeffs, vectors):
         if c:
             for k, x in vec.items():
                 out[k] = out.get(k, 0) + c * x
-    return out
+    return {k: x for k, x in out.items() if x}
+
+
+def _unimodular(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """[[x, y], [-b/g, a/g]] with g = gcd(a, b) = xa + yb, for nonzero a and b.
+
+    Its determinant is 1, and it takes the column (a, b) to (g, 0).
+    """
+    g = gcd(a, b)
+    n = abs(b // g)
+    x = pow(a // g, -1, n)
+    if 2 * x > n:
+        x -= n  # the Bezout pair of least size, as extended Euclid gives
+    return (x, (g - x * a) // b), (-(b // g), a // g)
 
 
 def _dense(n: int, vectors: list[dict[int, int]], columns: bool = False) -> IntegerMatrix:
@@ -279,18 +176,29 @@ def _dense(n: int, vectors: list[dict[int, int]], columns: bool = False) -> Inte
 
 
 def snf(a: IntegerMatrix) -> SmithDecomposition:
-    """Smith normal form with both transforms, in two phases.
+    """Smith normal form with both transforms, by one elimination loop on sparse rows.
 
-    Phase 1 works on sparse rows.  While a +-1 entry is left it takes the
-    one of least Markowitz cost (row nonzeros - 1) * (column nonzeros - 1),
-    clears its column with row operations and then drops its row and
-    column: the column operations that would clear the row change only V.
-    U is kept as sparse rows and V as sparse columns, and the rows and
-    columns are bucketed by nonzero count so a pivot is found without
-    rescanning the matrix.  Phase 2 runs the Euclidean reduction on the
-    block that is left, which has no unit entry and is small for the level
-    maps, and composes its transforms into the block's rows of U and
-    columns of V.  S is diag(1, ..., 1, block divisors, 0, ...).
+    Each step looks at what is left of the matrix:
+
+    1. While a +-1 entry is left, the pivot is the one of least Markowitz
+       cost (row nonzeros - 1) * (column nonzeros - 1).
+    2. Otherwise the pivot is an entry e of least absolute value.  If its
+       row or column holds an entry b that e does not divide, the smallest
+       such, preferring one coprime to e, is paired with it: a 2 x 2
+       unimodular step on their two columns or rows (a whole Euclidean
+       chain at once) leaves gcd(e, b) in place of e and 0 in place of b.
+       That is a unit when they are coprime, and else an entry smaller than
+       e.  The loop then starts again.
+    3. A pivot that divides its row and column clears its column with row
+       operations, by exact division, and its row and column are dropped:
+       the column operations that would clear the row change only V.
+
+    U is kept as sparse rows and V as sparse columns.  The rows and columns
+    sit in buckets by nonzero count, so a unit pivot is found without
+    rescanning the matrix, and a step moves only those whose count it
+    changes.  At the end each pair of pivots (a, b) that breaks the
+    divisibility chain becomes (gcd, lcm) by a 2 x 2 unimodular step on its
+    rows of U and columns of V.  S is diag(1, ..., 1, other divisors, 0, ...).
     """
     nr, nc = a.rows, a.cols
     # row i: {column: nonzero entry}; column j: the rows nonzero in it
@@ -304,15 +212,19 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
 
     # Markowitz's search: once the rows and columns with at most k nonzeros
     # are searched, every entry left costs at least k * k, so it stops there.
-    # A step moves only the rows and columns whose count it changes.
     row_at: defaultdict[int, set[int]] = defaultdict(set)
     col_at: defaultdict[int, set[int]] = defaultdict(set)
-    for i, row in enumerate(rows):
-        row_at[len(row)].add(i)
-    for j, col in enumerate(cols):
-        col_at[len(col)].add(j)
 
-    def pivot():
+    def buckets(row_ids, col_ids, op):
+        # op is set.add or set.remove on the buckets of these rows and columns
+        for i in row_ids:
+            op(row_at[len(rows[i])], i)
+        for j in col_ids:
+            op(col_at[len(cols[j])], j)
+
+    buckets(range(nr), range(nc), set.add)
+
+    def unit_pivot():
         best = None
         for k in range(1, max(nr, nc) + 1):
             for i in row_at.get(k, ()):
@@ -334,24 +246,70 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
                 break
         return best
 
-    pivots = []
-    while (best := pivot()) is not None:
-        _, p, q = best
+    def row_pair(i, k, m):
+        # rows i and k become the combinations m[0] and m[1] of the two, in A and in U
+        touched = rows[i].keys() | rows[k].keys()
+        buckets((i, k), touched, set.remove)
+        new = [_combine(c, (rows[i], rows[k])) for c in m]
+        for j in touched:
+            for r, row in zip((i, k), new):
+                (cols[j].add if j in row else cols[j].discard)(r)
+        rows[i], rows[k] = new
+        u[i], u[k] = [_combine(c, (u[i], u[k])) for c in m]
+        buckets((i, k), touched, set.add)
+
+    def col_pair(j, k, m):
+        # columns j and k become the combinations m[0] and m[1] of the two, in A and in V
+        touched = cols[j] | cols[k]
+        buckets(touched, (j, k), set.remove)
+        for i in touched:
+            row = rows[i]
+            pair = row.pop(j, 0), row.pop(k, 0)
+            for c, col in zip(m, (j, k)):
+                y = c[0] * pair[0] + c[1] * pair[1]
+                if y:
+                    row[col] = y
+                    cols[col].add(i)
+                else:
+                    cols[col].discard(i)
+        v[j], v[k] = [_combine(c, (v[j], v[k])) for c in m]
+        buckets(touched, (j, k), set.add)
+
+    pivots = []  # (|e|, p, q) in elimination order
+    while True:
+        best = unit_pivot()
+        if best is None:
+            left = [(abs(x), i, j)
+                    for ids in row_at.values() for i in ids for j, x in rows[i].items()]
+            if not left:
+                break
+            _, p, q = min(left)
+            e = rows[p][q]
+            partners = [(gcd(e, x) != 1, abs(x), k, True) for k, x in rows[p].items() if x % e]
+            partners += [(gcd(e, rows[k][q]) != 1, abs(rows[k][q]), k, False)
+                         for k in cols[q] if rows[k][q] % e]
+            if partners:
+                # gcd(e, partner) at (p, q), 0 at the partner
+                *_, k, in_row = min(partners)
+                if in_row:
+                    col_pair(q, k, _unimodular(e, rows[p][k]))
+                else:
+                    row_pair(p, k, _unimodular(e, rows[k][q]))
+                continue
+        else:
+            _, p, q = best
         row_p, touched = rows[p], cols[q]
         # out of their buckets until the step has changed their counts
-        for i in touched:
-            row_at[len(rows[i])].remove(i)
-        for j in row_p:
-            col_at[len(cols[j])].remove(j)
+        buckets(touched, row_p, set.remove)
         e = row_p.pop(q)
         touched.remove(p)
         for j in row_p:
             cols[j].remove(p)
         u_p = u[p]
         for i in touched:
-            # row i -= f * row p, which clears entry (i, q)
+            # row i -= f * row p, which clears entry (i, q); e divides it
             row_i = rows[i]
-            f = row_i.pop(q) * e
+            f = row_i.pop(q) // e
             for j, x in row_p.items():
                 y = row_i.get(j, 0) - f * x
                 if y:
@@ -361,33 +319,34 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
                     del row_i[j]
                     cols[j].remove(i)
             _sub(u[i], f, u_p)
-        # column j -= e * x * column q clears (p, j) and changes only V
+        # column j -= (x / e) * column q clears (p, j) and changes only V
         v_q = v[q]
         for j, x in row_p.items():
-            _sub(v[j], e * x, v_q)
-        for i in touched:
-            row_at[len(rows[i])].add(i)
-        for j in row_p:
-            col_at[len(cols[j])].add(j)
-        if e == -1:
+            _sub(v[j], x // e, v_q)
+        buckets(touched, row_p, set.add)
+        if e < 0:
             u[p] = {k: -x for k, x in u_p.items()}
-        pivots.append((p, q))
+        pivots.append((abs(e), p, q))
         rows[p] = cols[q] = None
 
-    # pivot rows and columns are None now, zero ones empty
-    block_rows = [i for i in range(nr) if rows[i]]
-    block_cols = [j for j in range(nc) if cols[j]]
-    block = [[rows[i].get(j, 0) for j in block_cols] for i in block_rows]
-    ub, vb = _euclidean(block) if block else ([], [])
-    diagonal = [block[t][t] for t in range(min(len(block_rows), len(block_cols)))]
-    divisors = (1,) * len(pivots) + tuple(d for d in diagonal if d)
-    block_u, block_v = [u[i] for i in block_rows], [v[j] for j in block_cols]
-    u_rows = ([u[p] for p, _ in pivots]
-              + [_combine(coeffs, block_u) for coeffs in ub]
-              + [u[i] for i in range(nr) if rows[i] == {}])
-    v_cols = ([v[q] for _, q in pivots]
-              + [_combine(coeffs, block_v) for coeffs in zip(*vb)]
-              + [v[j] for j in range(nc) if cols[j] == set()])
+    # Units first.  Then (a, b) -> (g, ab/g) with g = xa + yb = gcd(a, b), by
+    # [[x, y], [-b/g, a/g]] diag(a, b) [[1, -yb/g], [1, xa/g]] = diag(g, ab/g).
+    ones = [t for t in pivots if t[0] == 1]
+    rest = [t for t in pivots if t[0] != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            (a, p, q), (b, p2, q2) = rest[i], rest[j]
+            if b % a:
+                m = _unimodular(a, b)
+                (x, y), (c, d) = m
+                u[p], u[p2] = [_combine(r, (u[p], u[p2])) for r in m]
+                v[q], v[q2] = [_combine(r, (v[q], v[q2])) for r in ((1, 1), (y * c, x * d))]
+                g = gcd(a, b)
+                rest[i], rest[j] = (g, p, q), (a * b // g, p2, q2)
+    pivots = ones + rest
+    divisors = tuple(d for d, _, _ in pivots)
+    u_rows = [u[p] for _, p, _ in pivots] + [u[i] for i in range(nr) if rows[i] is not None]
+    v_cols = [v[q] for _, _, q in pivots] + [v[j] for j in range(nc) if cols[j] is not None]
     s = [0] * (nr * nc)
     for t, d in enumerate(divisors):
         s[t * nc + t] = d

@@ -42,7 +42,6 @@ class HomotopyGraph:
     non-tree edges in key order; they index the fundamental-group basis.
     """
 
-    side: str
     vertices: tuple[str, ...]
     edges: tuple[GraphEdge, ...]
     parent: tuple[tuple[int, int] | None, ...]
@@ -149,7 +148,6 @@ def homotopy_graph(side: str, g: ValidatedGluing) -> HomotopyGraph:
     edges = tuple(edges)
     parent, tree, generators, comps = _spanning_forest(len(vertices), edges)
     return HomotopyGraph(
-        side=side,
         vertices=vertices,
         edges=edges,
         parent=parent,

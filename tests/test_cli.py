@@ -161,6 +161,23 @@ class TestInvariants:
         assert result.exit_code == 2
         assert result.output.startswith("error: ") and "InconsistentHomology" in result.output
 
+    @pytest.mark.parametrize("command", ["homology", "pi1", "invariants"])
+    @pytest.mark.parametrize("key, value", [("q", -1), ("h2_rank", -1), ("h4_rank", -2)])
+    def test_negative_rank_exits_2(self, runner, tmp_path, x01_file, key, value, command):
+        doc = json.loads(open(x01_file).read())
+        if key == "h2_rank":
+            # on the plane the curves' h2_class lengths already disagree with
+            # it; a second component without curves has nothing to disagree
+            doc["normalization"].append({"id": "zz", "chi_O": 1, "h2_rank": value})
+        else:
+            doc["normalization"][0][key] = value
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ") and "BadRank: " in result.output
+        assert key in result.output
+
     def test_no_catalog_group_without_fingerprint(self, runner, x01_file):
         catalog_group.cache_clear()
         assert runner.invoke(main, ["invariants", x01_file]).exit_code == 0

@@ -316,13 +316,26 @@ class TestSmithNormalForm:
             assert dec.divisors == minors_gcd_divisors(m)
             assert dec.rank == rational_rank(m)
 
-    def test_block_left_without_unit_entries(self):
+    @pytest.mark.parametrize("rows, divisors", [
         # the unit pivot clears its row and column and leaves [[2, 0], [0, 3]],
         # whose Smith form is diag(1, 6)
-        m = IntegerMatrix.from_rows([[1, 2, 3], [2, 6, 6], [3, 6, 12]])
+        ([[1, 2, 3], [2, 6, 6], [3, 6, 12]], (1, 1, 6)),
+        # 2 and a coprime entry in its row, or in its column, make a unit
+        ([[2, 3]], (1,)),
+        ([[2], [3]], (1,)),
+        # 4 has no coprime partner: paired with a 6 it leaves gcd 2, which divides
+        ([[4, 6], [6, 4]], (2, 10)),
+        # 4 and 6 break the divisibility chain: (gcd, lcm) at the end
+        ([[4, 0], [0, 6]], (2, 12)),
+        # the pivot 2 divides its row and column, and clearing them leaves a unit
+        ([[2, 2], [2, 3]], (1, 2)),
+    ], ids=["unit-then-block", "row-chain", "column-chain", "non-coprime-pair",
+            "divisibility-fix", "unit-after-non-unit"])
+    def test_block_left_without_unit_entries(self, rows, divisors):
+        m = IntegerMatrix.from_rows(rows)
         dec = snf(m)
-        assert dec.divisors == minors_gcd_divisors(m) == (1, 1, 6)
-        assert dec.s == diagonal(3, 3, (1, 1, 6))
+        assert dec.divisors == minors_gcd_divisors(m) == divisors
+        assert dec.s == diagonal(m.rows, m.cols, divisors)
         assert matmul(matmul(dec.u, m), dec.v) == dec.s
         assert abs(determinant(dec.u)) == abs(determinant(dec.v)) == 1
 
@@ -393,8 +406,8 @@ small_matrices = st.integers(1, 4).flatmap(
 ).map(IntegerMatrix.from_rows)
 
 
-# No entry is a unit, so ``snf`` has no unit pivot and reduces the whole
-# matrix as its leftover block; the shapes include 0 x k, k x 0 and all-zero.
+# No entry is a unit, so ``snf`` starts without a unit pivot and must pair
+# entries or divide exactly; the shapes include 0 x k, k x 0 and all-zero.
 unitless_matrices = st.integers(0, 4).flatmap(
     lambda r: st.integers(0, 4).flatmap(
         lambda c: st.lists(
@@ -405,9 +418,9 @@ unitless_matrices = st.integers(0, 4).flatmap(
 ) | st.builds(zeros, st.integers(0, 4), st.integers(0, 4))
 
 
-# Up to 7 x 7 and mostly zero, with units among other entries: phase 1
-# takes several pivots, moving rows and columns between count buckets, and
-# often stops with a block that has no unit entry left.
+# Up to 7 x 7 and mostly zero, with units among other entries: ``snf``
+# takes several unit pivots, moving rows and columns between count buckets,
+# and often is left with a block that has no unit entry.
 sparse_matrices = st.integers(0, 7).flatmap(
     lambda r: st.integers(0, 7).flatmap(
         lambda c: st.lists(
@@ -452,6 +465,18 @@ def test_snf_matches_dense_oracle_on_generated_gluings(n, seed):
         assert matmul(dec.u, matmul(m, dec.v)) == dec.s, name
         if n <= 8:
             assert abs(determinant(dec.u)) == abs(determinant(dec.v)) == 1, name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_snf_entries_stay_small_on_generated_gluings(seed):
+    # Entries of U, S and V stay far below 128 bits at n = 32 (the largest is
+    # 81).  Pairing the pivot with the smallest entry it does not divide,
+    # rather than with a coprime one first, takes them to 195 bits at seed 2.
+    for name, m in generated_matrices(32, seed).items():
+        dec = snf(m)
+        bits = max((abs(x).bit_length() for t in (dec.u, dec.s, dec.v) for x in t.entries),
+                   default=0)
+        assert bits < 128, name
 
 
 @settings(max_examples=60, deadline=None)
