@@ -8,7 +8,6 @@ identical inputs give byte-identical documents.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -81,29 +80,6 @@ def _fingerprint_catalog(with_fingerprint: bool, names: str | None):
     return _catalog_from_option(names)
 
 
-def _with_exit_codes(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            fn(*args, **kwargs)
-            sys.stdout.flush()  # a closed pipe raises here, not at shutdown
-        except BudgetExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            sys.exit(3)
-        except UnsupportedError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            sys.exit(4)
-        except BrokenPipeError:
-            # downstream pager closed early; silence the shutdown flush too
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            sys.exit(0)
-        except (InputError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            sys.exit(2)
-
-    return wrapper
-
-
 def report_to_dict(report: InvariantReport) -> dict:
     pi1 = {**presentation_to_dict(report.pi1),
            "abelianization": report.pi1_abelianization.as_dict()}
@@ -140,7 +116,6 @@ def _render_report_text(report: InvariantReport) -> str:
     return "\n".join(lines)
 
 
-@_with_exit_codes
 def cmd_classify_four_lines(fmt):
     """Classify all gluings of the plane along four general lines."""
     records = enumerate_orbits()
@@ -183,7 +158,6 @@ def _orbit_record_to_dict(r) -> dict:
     }
 
 
-@_with_exit_codes
 def cmd_invariants(path, fmt, with_fingerprint, catalog, budget):
     """Full invariant report for a gluing-data JSON file."""
     groups = _fingerprint_catalog(with_fingerprint, catalog)
@@ -195,7 +169,6 @@ def cmd_invariants(path, fmt, with_fingerprint, catalog, budget):
         print(_render_report_text(report))
 
 
-@_with_exit_codes
 def cmd_pi1(path, fmt, with_fingerprint, catalog, budget):
     """Fundamental-group presentation of the glued surface."""
     groups = _fingerprint_catalog(with_fingerprint, catalog)
@@ -223,7 +196,6 @@ def cmd_pi1(path, fmt, with_fingerprint, catalog, budget):
         print(f"fingerprint = {fp}")
 
 
-@_with_exit_codes
 def cmd_homology(path, fmt):
     """Integral homology groups of the glued surface."""
     vg = _load_gluing(path)
@@ -235,7 +207,6 @@ def cmd_homology(path, fmt):
         print(f"H{i} = {h}")
 
 
-@_with_exit_codes
 def cmd_distinguish(path1, path2, fmt, catalog, budget):
     """Compare fundamental groups of two gluings by finite-quotient counts.
 
@@ -272,7 +243,6 @@ def cmd_distinguish(path1, path2, fmt, catalog, budget):
         print("INCONCLUSIVE: fingerprints agree over the whole catalog")
 
 
-@_with_exit_codes
 def cmd_homcount(path, group_names, fmt, budget):
     """Count homomorphisms from a presentation JSON file into finite groups."""
     presentation = presentation_from_dict(_load_json(path))
@@ -337,7 +307,22 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> None:
     """Invariants of non-normal surfaces described by combinatorial gluing data."""
     args = vars(_parser().parse_args(argv))
-    args.pop("run")(**args)
+    try:
+        args.pop("run")(**args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(3)
+    except UnsupportedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(4)
+    except BrokenPipeError:
+        # downstream pager closed early; silence the shutdown flush too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(0)
+    except (InputError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

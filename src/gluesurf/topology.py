@@ -19,11 +19,12 @@ from .errors import (
     SurfaceNotConnectedError,
     UnsupportedNormalHomologyError,
 )
-from .gluing import ValidatedGluing, cusps, node_id, node_of, per_gluing, quotient_curve
+from .gluing import ValidatedGluing, cusps, node_id, per_gluing, quotient_curve
 from .grouptheory import GroupPresentation, Word, exponent_sum_matrix, free_reduce
-from .intlinalg import AbelianGroup, IntegerMatrix, snf
+from .intlinalg import AbelianGroup, IntegerMatrix, check_dense_cells, snf
 
-EdgeKey = tuple[str, int]  # (owning component label, segment position)
+EdgeKey = tuple[object, int]  # (owning component, segment position)
+Step = tuple[int, int]  # (edge index, direction): +1 runs u -> v, -1 runs v -> u
 
 
 @dataclass(frozen=True)
@@ -37,33 +38,15 @@ class GraphEdge:
 class HomotopyGraph:
     """1-skeleton, spanning forest, and generator edges.
 
-    ``parent[v]`` is (edge index, direction) leading back toward the BFS
-    root of v's component, or None at a root.  ``generator_edges`` are the
-    non-tree edges in key order; they index the fundamental-group basis.
+    ``paths[v]`` is the tree path from the BFS root of v's component to v.
+    ``generator_edges`` are the non-tree edges in key order; they index the
+    fundamental-group basis.
     """
 
-    vertices: tuple[str, ...]
+    vertices: tuple[tuple, ...]
     edges: tuple[GraphEdge, ...]
-    parent: tuple[tuple[int, int] | None, ...]
-    tree_edges: tuple[int, ...]
+    paths: tuple[tuple[Step, ...], ...]
     generator_edges: tuple[int, ...]
-    component_count: int
-
-    @property
-    def b1(self) -> int:
-        return len(self.edges) - len(self.vertices) + self.component_count
-
-    def path_from_root(self, vertex: int) -> list[tuple[int, int]]:
-        """Edge path (edge index, direction) from the BFS root to ``vertex``."""
-        path = []
-        cur = vertex
-        while self.parent[cur] is not None:
-            eidx, direction = self.parent[cur]
-            path.append((eidx, direction))
-            edge = self.edges[eidx]
-            cur = edge.u if direction == 1 else edge.v
-        path.reverse()
-        return path
 
 
 def _require_genus_zero(g: ValidatedGluing):
@@ -84,39 +67,32 @@ def _model_orders(g: ValidatedGluing) -> dict[str, tuple[str, ...]]:
     return orders
 
 
-def _d_owner(pair: tuple[str, str]) -> str:
-    """Edge owner of a tau-pair in the graph model of D: its label "a+b"."""
-    return f"{pair[0]}+{pair[1]}"
+def _d_owner(g: ValidatedGluing, k: int) -> tuple[str, int]:
+    """Edge owner of the k-th tau-pair in the graph model of D: ("a+b", k)."""
+    a, b = g.tau_pairs[k]
+    return (f"{a}+{b}", k)
 
 
 def _spanning_forest(n: int, edges: tuple[GraphEdge, ...]):
-    adjacency: list[list[tuple[EdgeKey, int, int, int]]] = [[] for _ in range(n)]
+    # edges come in key order, so each adjacency list is in key order too
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for idx, e in enumerate(edges):
-        adjacency[e.u].append((e.key, 1, idx, e.v))
-        adjacency[e.v].append((e.key, -1, idx, e.u))
-    for lst in adjacency:
-        lst.sort()
-    parent: list[tuple[int, int] | None] = [None] * n
-    visited = [False] * n
-    tree: list[int] = []
-    components = 0
+        adjacency[e.u].append((idx, 1, e.v))
+        adjacency[e.v].append((idx, -1, e.u))
+    paths: list[tuple[Step, ...] | None] = [None] * n
+    tree: set[int] = set()
     for root in range(n):
-        if visited[root]:
+        if paths[root] is not None:
             continue
-        components += 1
-        visited[root] = True
+        paths[root] = ()
         queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for _key, direction, idx, other in adjacency[u]:
-                if not visited[other]:
-                    visited[other] = True
-                    parent[other] = (idx, direction)
-                    tree.append(idx)
+        for u in queue:
+            for idx, direction, other in adjacency[u]:
+                if paths[other] is None:
+                    paths[other] = paths[u] + ((idx, direction),)
+                    tree.add(idx)
                     queue.append(other)
-    tree_set = set(tree)
-    generators = tuple(i for i in range(len(edges)) if i not in tree_set)
-    return tuple(parent), tuple(sorted(tree_set)), generators, components
+    return tuple(paths), tuple(i for i in range(len(edges)) if i not in tree)
 
 
 @per_gluing
@@ -125,12 +101,15 @@ def homotopy_graph(side: str, g: ValidatedGluing) -> HomotopyGraph:
     _require_genus_zero(g)
     orders = _model_orders(g)
 
+    # Vertices and edge owners are keyed by their printed label, then by the
+    # structure it names: two labels glued from ids can be equal, and the
+    # label order is kept because the generator names follow this order.
     if side == "Dbar":
-        vertex_of_point = {p: node_id(node_of(p, g.data.sigma)) for p in g.points()}
+        vertex_of_point = {p: (node_id(n), n) for n in g.nodes() for p in n}
         rows = [(c.id, orders[c.id]) for c in g.curves]
     elif side == "D":
-        vertex_of_point = {p: c.label for c in cusps(g) for p in c.points}
-        rows = [(_d_owner(pair), orders[pair[0]]) for pair in g.tau_pairs]
+        vertex_of_point = {p: (c.label, i) for i, c in enumerate(cusps(g)) for p in c.points}
+        rows = [(_d_owner(g, k), orders[a]) for k, (a, _b) in enumerate(g.tau_pairs)]
     else:
         raise ValueError(f"side must be 'Dbar' or 'D', got {side!r}")
 
@@ -146,15 +125,8 @@ def homotopy_graph(side: str, g: ValidatedGluing) -> HomotopyGraph:
             ))
     edges.sort(key=lambda e: e.key)
     edges = tuple(edges)
-    parent, tree, generators, comps = _spanning_forest(len(vertices), edges)
-    return HomotopyGraph(
-        vertices=vertices,
-        edges=edges,
-        parent=parent,
-        tree_edges=tree,
-        generator_edges=generators,
-        component_count=comps,
-    )
+    paths, generators = _spanning_forest(len(vertices), edges)
+    return HomotopyGraph(vertices=vertices, edges=edges, paths=paths, generator_edges=generators)
 
 
 def _check_pi1_preconditions(g: ValidatedGluing):
@@ -170,8 +142,9 @@ def _check_pi1_preconditions(g: ValidatedGluing):
 
 
 @per_gluing
-def _generator_images(g: ValidatedGluing) -> tuple[HomotopyGraph, HomotopyGraph, tuple[Word, ...]]:
-    """For each generator loop upstairs, its word in the quotient-graph generators.
+def _generator_images(g: ValidatedGluing) -> tuple[int, tuple[Word, ...]]:
+    """The quotient graph's generator count, and for each generator loop
+    upstairs its word in those generators.
 
     The loop for a non-tree edge is tree path in, the edge, tree path back;
     its image is read off edge by edge: quotient tree edges contribute
@@ -180,28 +153,19 @@ def _generator_images(g: ValidatedGluing) -> tuple[HomotopyGraph, HomotopyGraph,
     gbar = homotopy_graph("Dbar", g)
     gd = homotopy_graph("D", g)
 
-    d_index = {e.key: i for i, e in enumerate(gd.edges)}
-    # the quotient edge under each upstairs edge: same position on its tau-pair
-    below = [d_index[(_d_owner(g.tau_pairs[g.pair_index[owner]]), pos)]
-             for owner, pos in (e.key for e in gbar.edges)]
-    d_tree = set(gd.tree_edges)
-    d_letter = {eidx: x for x, eidx in enumerate(gd.generator_edges, 1)}
+    d_letter = {gd.edges[eidx].key: x for x, eidx in enumerate(gd.generator_edges, 1)}
+    # the letter, or 0, of the quotient edge under each upstairs edge: the
+    # same position on its tau-pair
+    letter = [d_letter.get((_d_owner(g, g.pair_index[owner]), pos), 0)
+              for owner, pos in (e.key for e in gbar.edges)]
 
     words = []
     for eidx in gbar.generator_edges:
         edge = gbar.edges[eidx]
-        path = gbar.path_from_root(edge.u)
-        path.append((eidx, 1))
-        back = [(i, -d) for i, d in reversed(gbar.path_from_root(edge.v))]
-        path.extend(back)
-        letters = []
-        for bidx, direction in path:
-            didx = below[bidx]
-            if didx in d_tree:
-                continue
-            letters.append(direction * d_letter[didx])
-        words.append(free_reduce(letters))
-    return gbar, gd, tuple(words)
+        loop = (gbar.paths[edge.u] + ((eidx, 1),)
+                + tuple((i, -d) for i, d in reversed(gbar.paths[edge.v])))
+        words.append(free_reduce([d * letter[i] for i, d in loop if letter[i]]))
+    return len(gd.generator_edges), tuple(words)
 
 
 def _letter_names(count: int) -> tuple[str, ...]:
@@ -222,8 +186,8 @@ def pi1_presentation(g: ValidatedGluing) -> GroupPresentation:
         raise SurfaceNotConnectedError(
             f"X has {g.x_component_count} components; pi1 needs a connected surface"
         )
-    _gbar, gd, words = _generator_images(g)
-    names = _letter_names(len(gd.generator_edges))
+    count, words = _generator_images(g)
+    names = _letter_names(count)
     relators = tuple(w for w in words if w)
     return GroupPresentation(names, relators)
 
@@ -252,6 +216,8 @@ def mv_matrices(g: ValidatedGluing) -> MayerVietorisMatrices:
     normals = g.normals
 
     h2_rows = len(pairs) + sum(n.h2_rank for n in normals)
+    # the one size here that the file's length does not bound
+    check_dense_cells("the sphere-level map", h2_rows, len(curves))
     block_start = {}
     offset = len(pairs)
     for n in normals:
@@ -264,8 +230,8 @@ def mv_matrices(g: ValidatedGluing) -> MayerVietorisMatrices:
             entries[block_start[c.ambient] + r][j] = coeff
     h2_map = IntegerMatrix.from_rows(entries, cols=len(curves))
 
-    _gbar, gd, words = _generator_images(g)
-    h1_map = exponent_sum_matrix(words, len(gd.generator_edges))
+    count, words = _generator_images(g)
+    h1_map = exponent_sum_matrix(words, count)
 
     model = quotient_curve(g)
     d_count = model.component_count

@@ -278,6 +278,18 @@ class TestHomcountAndPi1:
         assert pi1.exit_code == 4
         assert "components" in pi1.output
 
+    @pytest.mark.parametrize("h2_rank", [10**5, 10**9])
+    def test_huge_sphere_level_map_exits_3(self, runner, tmp_path, x01_file, h2_rank):
+        # a component with no curves adds h2_rank rows to the sphere-level
+        # map, a size that the file's length does not bound
+        doc = json.loads(open(x01_file).read())
+        doc["normalization"].append(dict(doc["normalization"][0], id="zz", h2_rank=h2_rank))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["homology", str(path)])
+        assert result.exit_code == 3
+        assert f"sphere-level map is {h2_rank + 3} x 4" in result.output
+
 
 @pytest.mark.parametrize("where, value", [
     (("node_pairing",), [1, 2]),

@@ -1,16 +1,19 @@
 """Differential test: raw and Tietze-simplified pi1 of generated gluings.
 
-The fixture holds ``presentation_to_dict`` of the raw and the simplified
-pi1 presentation of ``random_n_lines(n, seed)`` from ``bench/nlines.py``
-for n in 4, 6, 8, 10 and seeds 0-4.  Any change to the word format, the
-pi1 construction or Tietze's move choice that alters a single byte of
-either presentation fails here.
+The first fixture holds ``presentation_to_dict`` of the raw and the
+simplified pi1 presentation of ``random_n_lines(n, seed)`` from
+``bench/nlines.py`` for n in 4, 6, 8, 10 and seeds 0-4.  The second holds
+the raw presentation alone for n in 12, 16 and seeds 0-2, where Tietze
+would take seconds.  Any change to the word format, the pi1 construction
+or Tietze's move choice that alters a single byte of a presentation fails
+here.
 
-The fixture was recorded before letters became signed ints, with
+The first fixture was recorded before letters became signed ints, the
+second before the graph models kept root paths, with
 
     PYTHONPATH=src python tests/test_pi1_differential.py --record
 
-and is only re-recorded when a change of output is intended and named.
+and they are only re-recorded when a change of output is intended and named.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = Path(__file__).resolve().parent / "data" / "pi1_nlines.json"
+RAW_FIXTURE = FIXTURE.with_name("pi1_raw_nlines.json")
 if str(ROOT / "bench") not in sys.path:
     sys.path.append(str(ROOT / "bench"))
 
@@ -32,24 +36,32 @@ from gluesurf.topology import pi1_presentation  # noqa: E402
 
 SIZES = (4, 6, 8, 10)
 SEEDS = range(5)
+RAW_SIZES = (12, 16)
+RAW_SEEDS = range(3)
 
 
-def recorded_text() -> str:
+def recorded_text(sizes=SIZES, seeds=SEEDS, simplified=True) -> str:
     records = []
-    for n in SIZES:
-        for seed in SEEDS:
+    for n in sizes:
+        for seed in seeds:
             raw = pi1_presentation(validate_gluing(gluing_from_dict(nlines.random_n_lines(n, seed))))
-            records.append({
-                "n": n,
-                "seed": seed,
-                "raw": presentation_to_dict(raw),
-                "simplified": presentation_to_dict(tietze_simplify(raw)),
-            })
+            record = {"n": n, "seed": seed, "raw": presentation_to_dict(raw)}
+            if simplified:
+                record["simplified"] = presentation_to_dict(tietze_simplify(raw))
+            records.append(record)
     return json.dumps(records, indent=1) + "\n"
+
+
+def raw_recorded_text() -> str:
+    return recorded_text(RAW_SIZES, RAW_SEEDS, simplified=False)
 
 
 def test_pi1_presentations_match_the_recorded_fixture():
     assert recorded_text() == FIXTURE.read_text()
+
+
+def test_raw_pi1_of_larger_gluings_matches_the_recorded_fixture():
+    assert raw_recorded_text() == RAW_FIXTURE.read_text()
 
 
 if __name__ == "__main__":
@@ -57,3 +69,4 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_pi1_differential.py --record")
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(recorded_text())
+    RAW_FIXTURE.write_text(raw_recorded_text())

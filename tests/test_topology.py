@@ -13,7 +13,7 @@ from gluesurf.errors import (
     NotSimplyConnectedError,
     UnsupportedNormalHomologyError,
 )
-from gluesurf.gluing import validate_gluing
+from gluesurf.gluing import quotient_curve, validate_gluing
 from gluesurf.grouptheory import (
     abelianization,
     catalog_group,
@@ -34,32 +34,68 @@ REFERENCE_SECOND = GroupPresentation(
 )
 
 
+def _tree_count_holds(vg, side: str) -> bool:
+    """Tree edges = vertices - components, with the components counted from
+    the gluing rather than from the graph's own forest."""
+    components = (len(vg.dbar_components) if side == "Dbar"
+                  else quotient_curve(vg).component_count)
+    g = homotopy_graph(side, vg)
+    return len(g.edges) - len(g.generator_edges) == len(g.vertices) - components
+
+
+def _least_vertex_of_component(g) -> list[int]:
+    """Each vertex's least component mate, by label propagation over all edges."""
+    least = list(range(len(g.vertices)))
+    changed = True
+    while changed:
+        changed = False
+        for e in g.edges:
+            low = min(least[e.u], least[e.v])
+            if (least[e.u], least[e.v]) != (low, low):
+                least[e.u] = least[e.v] = low
+                changed = True
+    return least
+
+
 class TestHomotopyGraph:
     def test_normalized_conductor_graph(self, x01):
         g = homotopy_graph("Dbar", x01)
         assert len(g.vertices) == 6
         assert len(g.edges) == 8
-        assert g.component_count == 1
-        assert g.b1 == 3
+        assert len(x01.dbar_components) == 1
+        assert len(g.generator_edges) == 3
+        assert _tree_count_holds(x01, "Dbar")
 
     def test_quotient_conductor_graph(self, x01):
         g = homotopy_graph("D", x01)
         assert len(g.vertices) == 1
         assert len(g.edges) == 4
-        assert g.b1 == 4
+        assert _tree_count_holds(x01, "D")
         assert len(g.generator_edges) == 4
 
     def test_b1_identity_everywhere(self, x01, x31):
-        for vg in (x01, x31, validate_gluing(toy_pair(3, 1))):
+        for vg in (x01, x31, validate_gluing(toy_pair(3, 1)), validate_gluing(two_planes())):
+            for side in ("Dbar", "D"):
+                assert _tree_count_holds(vg, side)
+
+    def test_paths_walk_the_tree_from_each_component_root(self, x01, x31):
+        for vg in (x01, x31, validate_gluing(toy_pair(3, 1)), validate_gluing(two_planes())):
             for side in ("Dbar", "D"):
                 g = homotopy_graph(side, vg)
-                assert g.b1 == len(g.edges) - len(g.vertices) + g.component_count
-                assert len(g.tree_edges) == len(g.vertices) - g.component_count
+                generators = set(g.generator_edges)
+                for v, (start, path) in enumerate(zip(_least_vertex_of_component(g), g.paths)):
+                    at = start
+                    for eidx, direction in path:
+                        edge = g.edges[eidx]
+                        assert eidx not in generators
+                        assert at == (edge.u if direction == 1 else edge.v)
+                        at = edge.v if direction == 1 else edge.u
+                    assert at == v
 
     def test_single_node_pair(self):
         vg = validate_gluing(toy_pair(1, 0))
         g = homotopy_graph("Dbar", vg)
-        assert (len(g.vertices), len(g.edges), g.b1) == (1, 0, 0)
+        assert (len(g.vertices), len(g.edges), len(g.generator_edges)) == (1, 0, 0)
 
     def test_genus_rejected(self):
         data = toy_pair(2, 1)
