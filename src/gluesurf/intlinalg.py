@@ -20,12 +20,6 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .errors import BudgetExceededError
-
-# Bound on rows^2 + cols^2, the cells of a matrix's dense transforms U and V;
-# the level maps of the plane glued along 64 lines need 7.7 million.
-MAX_DENSE_CELLS = 1 << 24
-
 
 def _int(value, where: str) -> int:
     """``value`` if it is an integer; a bool, float or string is rejected, not coerced."""
@@ -171,16 +165,6 @@ def _unimodular(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (x, (g - x * a) // b), (-(b // g), a // g)
 
 
-def check_dense_cells(what: str, rows: int, cols: int) -> None:
-    """Raise BudgetExceededError if the transforms of a rows x cols matrix
-    would pass ``MAX_DENSE_CELLS``."""
-    cells = rows * rows + cols * cols
-    if cells > MAX_DENSE_CELLS:
-        raise BudgetExceededError(
-            f"{what} is {rows} x {cols}: its Smith transforms would take {cells} "
-            f"dense cells, over the bound of {MAX_DENSE_CELLS}")
-
-
 def _dense(n: int, vectors: list[dict[int, int]], columns: bool = False) -> IntegerMatrix:
     """The n x n matrix whose rows, or with ``columns`` whose columns, are ``vectors``."""
     entries = [0] * (n * n)
@@ -217,7 +201,6 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
     rows of U and columns of V.  S is diag(1, ..., 1, other divisors, 0, ...).
     """
     nr, nc = a.rows, a.cols
-    check_dense_cells("the matrix", nr, nc)
     # row i: {column: nonzero entry}; column j: the rows nonzero in it
     rows = [{j: x for j, x in enumerate(a.entries[i * nc:(i + 1) * nc]) if x} for i in range(nr)]
     cols: list[set[int]] = [set() for _ in range(nc)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    BudgetExceededError,
     DbarDisconnectedError,
     GenusNotZeroError,
     NotSimplyConnectedError,
@@ -21,10 +22,14 @@ from .errors import (
 )
 from .gluing import ValidatedGluing, cusps, node_id, per_gluing, quotient_curve
 from .grouptheory import GroupPresentation, Word, exponent_sum_matrix, free_reduce
-from .intlinalg import AbelianGroup, IntegerMatrix, check_dense_cells, snf
+from .intlinalg import AbelianGroup, IntegerMatrix, snf
 
 EdgeKey = tuple[object, int]  # (owning component, segment position)
 Step = tuple[int, int]  # (edge index, direction): +1 runs u -> v, -1 runs v -> u
+
+# Bound on rows^2 of the sphere-level map, the cells of the dense row
+# transform U that snf builds for it: about 270 MB at the bound.
+MAX_SPHERE_MAP_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -38,14 +43,15 @@ class GraphEdge:
 class HomotopyGraph:
     """1-skeleton, spanning forest, and generator edges.
 
-    ``paths[v]`` is the tree path from the BFS root of v's component to v.
-    ``generator_edges`` are the non-tree edges in key order; they index the
-    fundamental-group basis.
+    ``tree_step[v]`` is the tree edge into v, as a step running toward v,
+    or None at a BFS root; one step per vertex keeps the forest linear in
+    size however deep it is.  ``generator_edges`` are the non-tree edges in
+    key order; they index the fundamental-group basis.
     """
 
     vertices: tuple[tuple, ...]
     edges: tuple[GraphEdge, ...]
-    paths: tuple[tuple[Step, ...], ...]
+    tree_step: tuple[Step | None, ...]
     generator_edges: tuple[int, ...]
 
 
@@ -79,20 +85,22 @@ def _spanning_forest(n: int, edges: tuple[GraphEdge, ...]):
     for idx, e in enumerate(edges):
         adjacency[e.u].append((idx, 1, e.v))
         adjacency[e.v].append((idx, -1, e.u))
-    paths: list[tuple[Step, ...] | None] = [None] * n
+    tree_step: list[Step | None] = [None] * n
+    visited = [False] * n
     tree: set[int] = set()
     for root in range(n):
-        if paths[root] is not None:
+        if visited[root]:
             continue
-        paths[root] = ()
+        visited[root] = True
         queue = [root]
         for u in queue:
             for idx, direction, other in adjacency[u]:
-                if paths[other] is None:
-                    paths[other] = paths[u] + ((idx, direction),)
+                if not visited[other]:
+                    visited[other] = True
+                    tree_step[other] = (idx, direction)
                     tree.add(idx)
                     queue.append(other)
-    return tuple(paths), tuple(i for i in range(len(edges)) if i not in tree)
+    return tuple(tree_step), tuple(i for i in range(len(edges)) if i not in tree)
 
 
 @per_gluing
@@ -125,8 +133,9 @@ def homotopy_graph(side: str, g: ValidatedGluing) -> HomotopyGraph:
             ))
     edges.sort(key=lambda e: e.key)
     edges = tuple(edges)
-    paths, generators = _spanning_forest(len(vertices), edges)
-    return HomotopyGraph(vertices=vertices, edges=edges, paths=paths, generator_edges=generators)
+    tree_step, generators = _spanning_forest(len(vertices), edges)
+    return HomotopyGraph(vertices=vertices, edges=edges, tree_step=tree_step,
+                         generator_edges=generators)
 
 
 def _check_pi1_preconditions(g: ValidatedGluing):
@@ -139,6 +148,17 @@ def _check_pi1_preconditions(g: ValidatedGluing):
                 f"normal component {n.id} is not simply connected; "
                 "the general amalgamated case is not supported"
             )
+
+
+def root_path(graph: HomotopyGraph, vertex: int) -> list[Step]:
+    """Tree path from the BFS root of ``vertex``'s component to ``vertex``."""
+    path = []
+    while (step := graph.tree_step[vertex]) is not None:
+        path.append(step)
+        edge = graph.edges[step[0]]
+        vertex = edge.u if step[1] == 1 else edge.v
+    path.reverse()
+    return path
 
 
 @per_gluing
@@ -162,8 +182,8 @@ def _generator_images(g: ValidatedGluing) -> tuple[int, tuple[Word, ...]]:
     words = []
     for eidx in gbar.generator_edges:
         edge = gbar.edges[eidx]
-        loop = (gbar.paths[edge.u] + ((eidx, 1),)
-                + tuple((i, -d) for i, d in reversed(gbar.paths[edge.v])))
+        loop = (root_path(gbar, edge.u) + [(eidx, 1)]
+                + [(i, -d) for i, d in reversed(root_path(gbar, edge.v))])
         words.append(free_reduce([d * letter[i] for i, d in loop if letter[i]]))
     return len(gd.generator_edges), tuple(words)
 
@@ -216,8 +236,13 @@ def mv_matrices(g: ValidatedGluing) -> MayerVietorisMatrices:
     normals = g.normals
 
     h2_rows = len(pairs) + sum(n.h2_rank for n in normals)
-    # the one size here that the file's length does not bound
-    check_dense_cells("the sphere-level map", h2_rows, len(curves))
+    # a component with no curves adds h2_rank zero rows: the row count is the
+    # one size here that the file's length does not bound
+    if h2_rows * h2_rows > MAX_SPHERE_MAP_CELLS:
+        raise BudgetExceededError(
+            f"the sphere-level map is {h2_rows} x {len(curves)}: its Smith transform U "
+            f"would take {h2_rows * h2_rows} dense cells, over the bound of "
+            f"{MAX_SPHERE_MAP_CELLS}")
     block_start = {}
     offset = len(pairs)
     for n in normals:

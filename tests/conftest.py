@@ -78,6 +78,32 @@ def two_planes() -> GluingData:
     )
 
 
+def curve_cycle(count: int) -> GluingData:
+    """``count`` (even) curves with two marked points each, joined by nodes
+    into one cycle; the involution swaps curves 2i and 2i + 1.  The
+    normalized conductor is a single loop of ``count`` nodes, so its
+    spanning tree runs about count / 2 deep."""
+    curves = tuple(CurveComponent(f"C{i}", "base", 0, (f"a{i}", f"b{i}"), (1,))
+                   for i in range(count))
+    sigma: dict[str, str] = {}
+    tau_components: dict[str, str] = {}
+    tau: dict[str, str] = {}
+    for i in range(count):
+        j = (i + 1) % count
+        sigma[f"b{i}"], sigma[f"a{j}"] = f"a{j}", f"b{i}"
+    for i in range(0, count, 2):
+        tau_components[f"C{i}"], tau_components[f"C{i + 1}"] = f"C{i + 1}", f"C{i}"
+        for x in "ab":
+            tau[f"{x}{i}"], tau[f"{x}{i + 1}"] = f"{x}{i + 1}", f"{x}{i}"
+    return GluingData(
+        normal_components=(NormalComponent(id="base", chi_O=1, k_plus_d_sq=1),),
+        curve_components=curves,
+        sigma=sigma,
+        tau_components=tau_components,
+        tau_points=tau,
+    )
+
+
 @pytest.fixture
 def x01() -> ValidatedGluing:
     return table_gluing("X0.1")

@@ -25,14 +25,11 @@ if str(ROOT / "bench") not in sys.path:
 
 import nlines  # noqa: E402
 
-from gluesurf.errors import BudgetExceededError  # noqa: E402
 from gluesurf.gluing import gluing_from_dict, validate_gluing  # noqa: E402
 from gluesurf.intlinalg import (  # noqa: E402
-    MAX_DENSE_CELLS,
     AbelianGroup,
     IntegerMatrix,
     SmithDecomposition,
-    check_dense_cells,
     cokernel_invariants,
     snf,
 )
@@ -480,14 +477,6 @@ def test_snf_entries_stay_small_on_generated_gluings(seed):
         bits = max((abs(x).bit_length() for t in (dec.u, dec.s, dec.v) for x in t.entries),
                    default=0)
         assert bits < 128, name
-
-
-def test_snf_refuses_transforms_past_the_dense_cell_bound():
-    # rows^2 + cols^2 is what U and V take; one row more than the bound allows
-    rows = math.isqrt(MAX_DENSE_CELLS - 1)
-    check_dense_cells("the matrix", rows, 1)
-    with pytest.raises(BudgetExceededError, match=f"{rows + 1} x 1"):
-        snf(IntegerMatrix(rows + 1, 1, (1,) * (rows + 1)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
-from conftest import table_gluing, toy_pair, two_planes
+from conftest import curve_cycle, table_gluing, toy_pair, two_planes
 from gluesurf.errors import (
     DbarDisconnectedError,
     GenusNotZeroError,
@@ -24,7 +25,13 @@ from gluesurf.grouptheory import (
 )
 from gluesurf import intlinalg, topology
 from gluesurf.intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants, snf
-from gluesurf.topology import homology_of_X, homotopy_graph, mv_matrices, pi1_presentation
+from gluesurf.topology import (
+    homology_of_X,
+    homotopy_graph,
+    mv_matrices,
+    pi1_presentation,
+    root_path,
+)
 
 REFERENCE_FIRST = GroupPresentation(
     ("A", "B"), (word_from_str("A^-1 B^-1 A^2 B^2", ("A", "B")),)
@@ -78,19 +85,29 @@ class TestHomotopyGraph:
             for side in ("Dbar", "D"):
                 assert _tree_count_holds(vg, side)
 
-    def test_paths_walk_the_tree_from_each_component_root(self, x01, x31):
+    def test_root_paths_walk_the_tree_from_each_component_root(self, x01, x31):
         for vg in (x01, x31, validate_gluing(toy_pair(3, 1)), validate_gluing(two_planes())):
             for side in ("Dbar", "D"):
                 g = homotopy_graph(side, vg)
                 generators = set(g.generator_edges)
-                for v, (start, path) in enumerate(zip(_least_vertex_of_component(g), g.paths)):
+                for v, start in enumerate(_least_vertex_of_component(g)):
                     at = start
-                    for eidx, direction in path:
+                    for eidx, direction in root_path(g, v):
                         edge = g.edges[eidx]
                         assert eidx not in generators
                         assert at == (edge.u if direction == 1 else edge.v)
                         at = edge.v if direction == 1 else edge.u
                     assert at == v
+
+    def test_deep_spanning_tree_stays_linear(self):
+        # the normalized conductor is one cycle of 30000 nodes, so the tree
+        # paths run 15000 deep; a whole path stored per vertex made this
+        # quadratic (about 7 s and 2 GB)
+        vg = validate_gluing(curve_cycle(30000))
+        start = time.perf_counter()
+        p = pi1_presentation(vg)
+        assert time.perf_counter() - start < 3
+        assert (len(p.generators), len(p.relators)) == (15000, 1)
 
     def test_single_node_pair(self):
         vg = validate_gluing(toy_pair(1, 0))
