@@ -5,14 +5,23 @@ and ``-(g+1)`` its inverse.  Raw relators run to thousands of letters (the
 pi1 of the plane glued along 16 general lines has 1,042), but simplified
 presentations have few generators, so homomorphisms into a finite group G
 are counted by enumerating generator images, and surjectivity is decided
-by closing the image set under multiplication.  G acts on the
-homomorphisms by conjugating every image at once; this maps homomorphisms
-to homomorphisms and keeps the image subgroup's order, so surjections to
-surjections.  A tuple's count therefore stands for its whole orbit, and
-only one image pair (a, b) per orbit of G on pairs is tried: a runs over
-the conjugacy class representatives and b over the orbits of a's
-centralizer C(a), weighted by |class(a)| * |C(a)-orbit of b|.  Images past
-the second are enumerated in full.
+by closing the image set under multiplication.
+
+Three facts cut the enumeration (see Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 9.1).  Every homomorphism into an abelian G
+factors through the abelianization, with the same image, so an abelian
+target counts the homomorphisms of Z^f + Z/d_1 + ..., where a^d_i = e
+reads a^gcd(d_i, |G|) = e.  G acts on the homomorphisms by conjugating
+every image at once; this maps homomorphisms to homomorphisms and keeps
+the image subgroup's order, so surjections to surjections.  A tuple's
+count therefore stands for its whole orbit, and only one image pair
+(a, b) per orbit of G on pairs is tried: a runs over the conjugacy class
+representatives and b over the orbits of a's centralizer C(a), weighted
+by |class(a)| * |C(a)-orbit of b|.  Images past the second are enumerated
+in full, the generator with the fewest letters last: for each tuple of the
+other images, every relator is multiplied out once into constants between
+that generator's letters, and its image, innermost, is then tried at two
+table lookups per letter of it.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
@@ -35,6 +45,9 @@ MAX_CLOSURE_CACHE = 2 ** 16
 # a parsed word is expanded letter by letter, so ``a^N`` would cost N
 # letters; the bound holds for one word and for a whole presentation
 MAX_WORD_LETTERS = 10 ** 5
+# relator letters one hom_count may walk: the image tuples it tries times
+# the letters of the relators it evaluates them on
+MAX_LETTER_STEPS = 10 ** 8
 _EXPONENT = re.compile(r"[+-]?[0-9]+")
 
 
@@ -328,6 +341,11 @@ class FiniteGroup:
         return len(self.elements)
 
     @cached_property
+    def is_abelian(self) -> bool:
+        mult = self._mult
+        return all(mult[a][b] == mult[b][a] for a in range(self.order) for b in range(a))
+
+    @cached_property
     def _closure_cache(self) -> dict:
         return {}
 
@@ -428,15 +446,97 @@ def _orbit_heads(group: FiniteGroup, k: int) -> list[tuple[tuple[int, ...], int]
     return [((a, b), size * orbit) for a, size, orbits in table for b, orbit in orbits]
 
 
+def _abelian_relators(p: GroupPresentation, n: int) -> tuple[int, list[Word]]:
+    """Rank and relators of <x_1..x_r | x_i^gcd(d_i, n)> for p's abelianization.
+
+    Every homomorphism into an abelian group A of order n factors through
+    the abelianization Z^f + Z/d_1 + ... with the same image, and a^d = e
+    in A exactly when a^gcd(d, n) = e; the f free factors get no relator.
+    """
+    ab = _abelianization_of_last(p)
+    relators = [(x,) * gcd(d, n) for x, d in enumerate(ab.torsion, 1)]
+    return len(ab.torsion) + ab.free_rank, relators
+
+
+@lru_cache(maxsize=1)
+def _abelianization_of_last(p: GroupPresentation) -> AbelianGroup:
+    """``abelianization``, kept while a fingerprint counts into each abelian group."""
+    return abelianization(p)
+
+
+def _split_at_rarest(k: int, relators: Sequence[Word]
+                     ) -> tuple[list[Word], list[list[tuple[Word, bool]]]]:
+    """Renumber generators by falling letter count; then the relators
+    without the last generator z, and the others as steps around it.
+
+    A relator is cyclic, so one holding z^±1 is rotated to end with it and
+    read as B_1 z^s_1 ... B_m z^s_m; its steps (B_m, s_m > 0) ... (B_1,
+    s_1 > 0) evaluate it from the right.
+    """
+    counts = Counter(map(abs, itertools.chain.from_iterable(relators)))
+    order = sorted(range(1, k + 1), key=lambda g: -counts[g])
+    position = {g: new for new, g in enumerate(order, 1)}
+    z = k
+    settled, around = [], []
+    for w in relators:
+        w = tuple(position[x] if x > 0 else -position[-x] for x in w)
+        cuts = [i for i, x in enumerate(w) if abs(x) == z]
+        if not cuts:
+            settled.append(w)
+            continue
+        w = w[cuts[-1] + 1:] + w[:cuts[-1] + 1]
+        steps, start = [], 0
+        for i, x in enumerate(w):
+            if abs(x) == z:
+                steps.append((w[start:i], x > 0))
+                start = i + 1
+        around.append(steps[::-1])
+    return settled, around
+
+
+def _last_images(group: FiniteGroup, outer: tuple[int, ...], vals: dict[int, int],
+                 around: list[list[tuple[Word, bool]]]) -> tuple[int, int]:
+    """(homomorphisms, surjections) among the extensions of the outer images
+    by one last image z; ``vals`` holds the image of each outer letter."""
+    mult, inv, e, n = group._mult, group._inv, group.identity_index, group.order
+    # step (B, s) becomes (row of B, s > 0), which takes cur to B z^s cur
+    relators = []
+    for rel in around:
+        steps = []
+        for segment, positive in rel:
+            cur = e
+            for x in segment:
+                cur = mult[cur][vals[x]]
+            steps.append((mult[cur], positive))
+        relators.append(steps)
+    homs = surjective = 0
+    for z in range(n):
+        zrow, zinv = mult[z], mult[inv[z]]
+        for steps in relators:
+            cur = e
+            for row, positive in steps:
+                cur = row[zrow[cur] if positive else zinv[cur]]
+            if cur != e:
+                break
+        else:
+            homs += 1
+            if group.subgroup_size(outer + (z,)) == n:
+                surjective += 1
+    return homs, surjective
+
+
 def hom_count(p: GroupPresentation, group: FiniteGroup,
               budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """(total, surjective) homomorphism counts into ``group``.
 
-    Conjugating all images by one element maps homomorphisms to
-    homomorphisms and surjections to surjections, so the first two images
-    run over one pair per orbit of simultaneous conjugation, weighted by
-    the orbit's size; any further images are enumerated in full.  The
-    budget bounds the |G|^k tuples this count stands for.
+    An abelian group counts through p's abelianization.  The first two
+    images run over one pair per orbit of simultaneous conjugation,
+    weighted by the orbit's size.  With three or more generators, the one
+    with the fewest letters runs innermost, against relators multiplied
+    out once per tuple of the other images.  ``budget`` bounds the |G|^k
+    tuples this count stands for, k being p's rank, and
+    ``MAX_LETTER_STEPS`` the tuples walked times the relator letters they
+    are evaluated on.
     """
     k = len(p.generators)
     n = group.order
@@ -445,31 +545,47 @@ def hom_count(p: GroupPresentation, group: FiniteGroup,
             f"{n}^{k} image tuples exceed the budget of {budget}; "
             "apply tietze_simplify first"
         )
+    relators = p.relators
+    if k and group.is_abelian:
+        k, relators = _abelian_relators(p, n)
+    heads = _orbit_heads(group, k)
+    tuples = len(heads) * n ** (k - min(k, 2))
+    letters = sum(map(len, relators))
+    if tuples * letters > MAX_LETTER_STEPS:
+        raise BudgetExceededError(
+            f"hom_count: {tuples} image tuples times {letters} relator letters exceed "
+            f"the bound of {MAX_LETTER_STEPS} letter steps")
+    inner = k > 2  # whether the last generator runs innermost
+    settled, around = _split_at_rarest(k, relators) if inner else (relators, [])
     mult = group._mult
     inv = group._inv
     e = group.identity_index
-    relators = p.relators
     total = 0
     surjective = 0
     # the image of each letter ±1..±k; a dict, since a negative tuple
     # subscript misses the interpreter's fast path in the inner loop
     vals: dict[int, int] = {}
-    for head, weight in _orbit_heads(group, k):
+    for head, weight in heads:
         for x, g in enumerate(head, 1):
             vals[x], vals[-x] = g, inv[g]
-        for rest in itertools.product(range(n), repeat=k - len(head)):
+        for rest in itertools.product(range(n), repeat=k - len(head) - inner):
             for x, g in enumerate(rest, len(head) + 1):
                 vals[x], vals[-x] = g, inv[g]
-            for rel in relators:
+            for rel in settled:
                 cur = e
                 for x in rel:
                     cur = mult[cur][vals[x]]
                 if cur != e:
                     break
             else:
-                total += weight
-                if group.subgroup_size(head + rest) == n:
-                    surjective += weight
+                if not inner:
+                    total += weight
+                    if group.subgroup_size(head + rest) == n:
+                        surjective += weight
+                    continue
+                homs, surj = _last_images(group, head + rest, vals, around)
+                total += weight * homs
+                surjective += weight * surj
     return total, surjective
 
 

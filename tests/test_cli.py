@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -243,6 +244,18 @@ class TestHomcountAndPi1:
         result = runner.invoke(main, ["homcount", str(path),
                                       "--group", "A5", "--budget", "1000"])
         assert result.exit_code == 3
+
+    def test_long_relator_exits_3_on_the_letter_bound(self, runner, tmp_path):
+        # 77 image-pair orbits of A5 times 60 last images times 96,000 letters:
+        # about 4.4e8 letter steps, within the tuple budget of 10^8
+        path = tmp_path / "pres.json"
+        path.write_text(json.dumps({"generators": ["a", "b", "c"],
+                                    "relators": [" ".join(["a b c a^-1 b^-1 c^-1"] * 16000)]}))
+        start = time.perf_counter()
+        result = runner.invoke(main, ["homcount", str(path), "--group", "A5"])
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 3
+        assert "hom_count" in result.output and "letter steps" in result.output
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_budget_below_one_exits_2(self, runner, tmp_path, budget):

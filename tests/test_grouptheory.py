@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,8 @@ RELATORS_FIRST = ("a^2 c", "d c^-1 b^-1 c", "a b d^-2")
 RELATORS_SECOND = ("d^2 a^-1", "a b a c", "d c^-1 b^-1 c")
 TWO_GEN_FIRST = pres("A B", "A^-1 B^-1 A^2 B^2")
 TWO_GEN_SECOND = pres("A B", "A B^-1 A^2 B^2")
+# a has 2 letters, b and c 9 each, so a runs innermost from rank 3 on
+RAREST_FIRST = pres("a b c", "a b^2 c b^-1 c^2", "b c b c^-1 b^-1 a^-1 c", "c^3 b^-3")
 
 
 class TestWords:
@@ -215,7 +218,7 @@ def brute_force_hom_count(p: GroupPresentation, perms) -> tuple[int, int]:
 
 
 def random_presentation(rng: random.Random, rank: int, relators: int) -> GroupPresentation:
-    gens = tuple("abc"[:rank])
+    gens = tuple("abcd"[:rank])
     return GroupPresentation(gens, tuple(
         tuple(letter(rng.randrange(rank), rng.choice((1, -1)))
               for _ in range(rng.randint(1, 7)))
@@ -276,16 +279,67 @@ class TestHomCount:
             p = random_presentation(rng, rank, relators)
             assert hom_count(p, catalog_group(name)) == brute_force_hom_count(p, perms), str(p)
 
+    @pytest.mark.parametrize("name", ["C2", "C3", "S3"])
+    def test_rank_four_matches_full_enumeration(self, name):
+        rng = random.Random(f"{name}:4")
+        perms = catalog_oracle(name)
+        for relators in (0, 1, 2, 3):
+            p = random_presentation(rng, 4, relators)
+            assert hom_count(p, catalog_group(name)) == brute_force_hom_count(p, perms), str(p)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_power_relator_into_every_cyclic_group(self, d):
+        # gcd(d, n) images satisfy x^d = e: only the trivial one when gcd(d, n) = 1
+        p = pres("x", f"x^{d}")
+        for n in range(2, 13):
+            counts = hom_count(p, catalog_group(f"C{n}"))
+            assert counts == brute_force_hom_count(p, catalog_oracle(f"C{n}"))
+            assert counts[0] == gcd(d, n)
+
+    @pytest.mark.parametrize("name", ["C6", "S3", "D4", "Q8", "A4"])
+    def test_rarest_generator_first(self, name):
+        p = RAREST_FIRST
+        assert hom_count(p, catalog_group(name)) == brute_force_hom_count(p, catalog_oracle(name))
+
+    def test_rarest_generator_runs_innermost(self):
+        settled, around = grouptheory._split_at_rarest(3, RAREST_FIRST.relators)
+        # a is renumbered last; c^3 b^-3 lacks it, the others hold it once
+        assert [sorted(set(map(abs, w))) for w in settled] == [[1, 2]]
+        assert [len(steps) for steps in around] == [1, 1]
+
+    def test_budget_is_on_the_given_rank(self):
+        # abelianizes to Z/2: an abelian group walks n tuples, but the budget
+        # still bounds the n^5 tuples of the given presentation
+        p = pres("a b c d e", "a^2", "b a", "c b^-1", "d c e^-1", "e")
+        with pytest.raises(BudgetExceededError, match=r"12\^5"):
+            hom_count(p, catalog_group("C12"), budget=60 ** 3)
+        assert hom_count(p, catalog_group("C11"), budget=60 ** 3) == (1, 0)
+        assert hom_count(p, catalog_group("C2"), budget=60 ** 3) == (2, 1)
+
+    def test_only_the_cyclic_groups_are_abelian(self):
+        assert [g.name for g in default_catalog() if g.is_abelian] == [f"C{n}" for n in range(2, 13)]
+
     def test_empty_presentation_builds_no_orbit_table(self):
         # the benchmark's set-up code: every catalog group built, none enumerated
         catalog_group.cache_clear()
         assert fingerprint(GroupPresentation((), ())).counts[0] == ("C2", 1, 0)
         assert [g.name for g in default_catalog() if "_orbit_table" in vars(g)] == []
+        assert [g.name for g in default_catalog() if "is_abelian" in vars(g)] == []
 
     def test_budget(self):
         p = GroupPresentation(("a", "b", "c", "d"), ())
         with pytest.raises(BudgetExceededError):
             hom_count(p, catalog_group("A5"), budget=10 ** 6)
+
+    def test_letter_bound(self, monkeypatch):
+        # D4 walks its 28 image-pair orbits on 60 letters; C6 walks Z^2, which has no relator
+        p = pres("a b", " ".join(["a b a^-1 b^-1"] * 15))
+        monkeypatch.setattr(grouptheory, "MAX_LETTER_STEPS", 28 * 60 - 1)
+        with pytest.raises(BudgetExceededError, match="hom_count"):
+            hom_count(p, catalog_group("D4"))
+        assert hom_count(p, catalog_group("C6")) == (36, 24)
+        monkeypatch.setattr(grouptheory, "MAX_LETTER_STEPS", 28 * 60)
+        assert hom_count(p, catalog_group("D4")) == brute_force_hom_count(p, catalog_oracle("D4"))
 
     def test_surjectivity_closure_matches_direct_enumeration(self):
         rng = random.Random(3)
