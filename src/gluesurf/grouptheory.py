@@ -11,9 +11,11 @@ Three facts cut the enumeration (see Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, 9.1).  Every homomorphism into an abelian G
 factors through the abelianization, with the same image, so an abelian
 target counts the homomorphisms of Z^f + Z/d_1 + ..., where a^d_i = e
-reads a^gcd(d_i, |G|) = e.  G acts on the homomorphisms by conjugating
-every image at once; this maps homomorphisms to homomorphisms and keeps
-the image subgroup's order, so surjections to surjections.  A tuple's
+reads a^gcd(d_i, |G|) = e; those gcds need the relators' exponent sums
+only modulo a multiple of |G|, in a k x k matrix.  G acts on the
+homomorphisms by conjugating every image at once; this maps homomorphisms
+to homomorphisms and keeps the image subgroup's order, so surjections to
+surjections.  A tuple's
 count therefore stands for its whole orbit, and only one image pair
 (a, b) per orbit of G on pairs is tried: a runs over the conjugacy class
 representatives and b over the orbits of a's centralizer C(a), weighted
@@ -31,7 +33,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
@@ -45,8 +47,9 @@ MAX_CLOSURE_CACHE = 2 ** 16
 # a parsed word is expanded letter by letter, so ``a^N`` would cost N
 # letters; the bound holds for one word and for a whole presentation
 MAX_WORD_LETTERS = 10 ** 5
-# relator letters one hom_count may walk: the image tuples it tries times
-# the letters of the relators it evaluates them on
+# letter steps one hom_count may walk: per tuple of outer images, every
+# relator letter once, then two per letter of the innermost generator for
+# each of its images
 MAX_LETTER_STEPS = 10 ** 8
 _EXPONENT = re.compile(r"[+-]?[0-9]+")
 
@@ -102,6 +105,11 @@ class GroupPresentation:
     def __str__(self) -> str:
         rels = ", ".join(word_to_str(w, self.generators) or "1" for w in self.relators)
         return f"< {', '.join(self.generators)} | {rels} >"
+
+    @cached_property
+    def _abelian_quotients(self) -> dict[int, AbelianGroup]:
+        """``_abelian_quotient(self, m)`` by m, for the counts into abelian groups."""
+        return {}
 
 
 def word_to_str(w: Word, generators: tuple[str, ...]) -> str:
@@ -409,9 +417,11 @@ def _reflection(n: int) -> Permutation:
     return tuple(n - 1 - i for i in range(n))
 
 
+_CYCLIC_ORDERS = range(2, 13)
+_CYCLIC_LCM = lcm(*_CYCLIC_ORDERS)
 # name -> (degree, generators); the groups themselves are built on first use
 _CATALOG: dict[str, tuple[int, tuple[Permutation, ...]]] = {
-    **{f"C{n}": (n, (_shift(n),)) for n in range(2, 13)},
+    **{f"C{n}": (n, (_shift(n),)) for n in _CYCLIC_ORDERS},
     "S3": (3, ((1, 0, 2), _shift(3))),
     "D4": (4, (_shift(4), _reflection(4))),
     # left multiplication by i and by j on the units ±1, ±i, ±j, ±k
@@ -446,22 +456,66 @@ def _orbit_heads(group: FiniteGroup, k: int) -> list[tuple[tuple[int, ...], int]
     return [((a, b), size * orbit) for a, size, orbits in table for b, orbit in orbits]
 
 
+def _abelian_quotient(p: GroupPresentation, m: int) -> AbelianGroup:
+    """Z^k / L' for a lattice L' with L' + m Z^k = L + m Z^k, L spanned by
+    the relators' exponent sums; its invariant factors d' meet the
+    abelianization's d in gcd(d', m) = gcd(d, m), and a free factor counts
+    as d = 0.
+
+    L' has one vector per generator, slot g starting as m e_g.  Each
+    relator's sums are reduced at their least generator (the pivot)
+    against the vector in that slot, where Euclid's algorithm leaves the
+    gcd of the two pivot entries.  Every other entry is kept modulo m, so
+    the k x k matrix stays small however many relators there are.
+    """
+    k = len(p.generators)
+    half = m // 2
+    basis = [{g: m} for g in range(k)]
+    for w in p.relators:
+        v: dict[int, int] = {}
+        for x in w:
+            if x > 0:
+                v[x - 1] = v.get(x - 1, 0) + 1
+            else:
+                v[-x - 1] = v.get(-x - 1, 0) - 1
+        v = {g: (c + half) % m - half for g, c in v.items() if c % m}
+        while v:
+            pivot = min(v)
+            b = basis[pivot]
+            while pivot in v:  # v -= q * b, until v's pivot entry is 0
+                q = v[pivot] // b[pivot]
+                for g, c in b.items():
+                    y = v.get(g, 0) - q * c
+                    if g != pivot:
+                        y = (y + half) % m - half
+                    if y:
+                        v[g] = y
+                    else:
+                        v.pop(g, None)
+                if pivot in v:
+                    b, v = v, b
+            basis[pivot] = b
+    return cokernel_invariants(IntegerMatrix(
+        k, k, tuple(v.get(g, 0) for g in range(k) for v in basis)))
+
+
 def _abelian_relators(p: GroupPresentation, n: int) -> tuple[int, list[Word]]:
-    """Rank and relators of <x_1..x_r | x_i^gcd(d_i, n)> for p's abelianization.
+    """Rank and relators of <x_1..x_r | x_i^e_i> for an abelian group of order n.
 
     Every homomorphism into an abelian group A of order n factors through
     the abelianization Z^f + Z/d_1 + ... with the same image, and a^d = e
-    in A exactly when a^gcd(d, n) = e; the f free factors get no relator.
+    in A exactly when a^gcd(d, n) = e.  So e_i runs over the gcd(d_i, n)
+    above 1, n for a free factor, and x^n needs no relator.  The gcds are
+    read off ``_abelian_quotient`` modulo lcm(n, every cyclic catalog
+    order), kept on p, so a fingerprint reduces p's relators once.
     """
-    ab = _abelianization_of_last(p)
-    relators = [(x,) * gcd(d, n) for x, d in enumerate(ab.torsion, 1)]
-    return len(ab.torsion) + ab.free_rank, relators
-
-
-@lru_cache(maxsize=1)
-def _abelianization_of_last(p: GroupPresentation) -> AbelianGroup:
-    """``abelianization``, kept while a fingerprint counts into each abelian group."""
-    return abelianization(p)
+    m = lcm(n, _CYCLIC_LCM)
+    quotients = p._abelian_quotients
+    if m not in quotients:
+        quotients[m] = _abelian_quotient(p, m)
+    ab = quotients[m]
+    orders = [e for e in (gcd(d, n) for d in ab.torsion) if e > 1]  # L' has full rank
+    return len(orders), [(x,) * e for x, e in enumerate(orders, 1) if e < n]
 
 
 def _split_at_rarest(k: int, relators: Sequence[Word]
@@ -510,6 +564,7 @@ def _last_images(group: FiniteGroup, outer: tuple[int, ...], vals: dict[int, int
             steps.append((mult[cur], positive))
         relators.append(steps)
     homs = surjective = 0
+    onto = None  # whether the outer images alone generate the group
     for z in range(n):
         zrow, zinv = mult[z], mult[inv[z]]
         for steps in relators:
@@ -520,7 +575,9 @@ def _last_images(group: FiniteGroup, outer: tuple[int, ...], vals: dict[int, int
                 break
         else:
             homs += 1
-            if group.subgroup_size(outer + (z,)) == n:
+            if onto is None:
+                onto = group.subgroup_size(outer) == n
+            if onto or group.subgroup_size(outer + (z,)) == n:
                 surjective += 1
     return homs, surjective
 
@@ -535,8 +592,7 @@ def hom_count(p: GroupPresentation, group: FiniteGroup,
     with the fewest letters runs innermost, against relators multiplied
     out once per tuple of the other images.  ``budget`` bounds the |G|^k
     tuples this count stands for, k being p's rank, and
-    ``MAX_LETTER_STEPS`` the tuples walked times the relator letters they
-    are evaluated on.
+    ``MAX_LETTER_STEPS`` the relator letters the enumeration walks.
     """
     k = len(p.generators)
     n = group.order
@@ -545,18 +601,20 @@ def hom_count(p: GroupPresentation, group: FiniteGroup,
             f"{n}^{k} image tuples exceed the budget of {budget}; "
             "apply tietze_simplify first"
         )
-    relators = p.relators
+    relators = [w for w in p.relators if w]  # an empty relator always holds
     if k and group.is_abelian:
         k, relators = _abelian_relators(p, n)
     heads = _orbit_heads(group, k)
-    tuples = len(heads) * n ** (k - min(k, 2))
-    letters = sum(map(len, relators))
-    if tuples * letters > MAX_LETTER_STEPS:
-        raise BudgetExceededError(
-            f"hom_count: {tuples} image tuples times {letters} relator letters exceed "
-            f"the bound of {MAX_LETTER_STEPS} letter steps")
     inner = k > 2  # whether the last generator runs innermost
     settled, around = _split_at_rarest(k, relators) if inner else (relators, [])
+    # per outer tuple: every relator letter once, then two lookups per
+    # letter of the last generator for each of its n images
+    outer = len(heads) * n ** (k - len(heads[0][0]) - inner)
+    steps = sum(map(len, relators)) + 2 * n * sum(map(len, around))
+    if outer * steps > MAX_LETTER_STEPS:
+        raise BudgetExceededError(
+            f"hom_count: {outer} image tuples walking {steps} relator letters each exceed "
+            f"the bound of {MAX_LETTER_STEPS} letter steps")
     mult = group._mult
     inv = group._inv
     e = group.identity_index

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -246,8 +247,9 @@ class TestHomcountAndPi1:
         assert result.exit_code == 3
 
     def test_long_relator_exits_3_on_the_letter_bound(self, runner, tmp_path):
-        # 77 image-pair orbits of A5 times 60 last images times 96,000 letters:
-        # about 4.4e8 letter steps, within the tuple budget of 10^8
+        # per each of A5's 77 image-pair orbits: the 96,000 letters once, then two
+        # lookups per letter of c (32,000) for each of its 60 images; about 3e8
+        # letter steps, while 60^3 tuples are within the budget of 10^8
         path = tmp_path / "pres.json"
         path.write_text(json.dumps({"generators": ["a", "b", "c"],
                                     "relators": [" ".join(["a b c a^-1 b^-1 c^-1"] * 16000)]}))
@@ -256,6 +258,24 @@ class TestHomcountAndPi1:
         assert time.perf_counter() - start < 1
         assert result.exit_code == 3
         assert "hom_count" in result.output and "letter steps" in result.output
+
+    def test_many_relators_count_into_c2(self, runner, tmp_path):
+        # C2 counts through a 1 x 1 quotient of the relators modulo 27720; the
+        # 1 x 10^5 exponent-sum matrix would give a Smith form with 10^10 cells in V
+        path = tmp_path / "pres.json"
+        path.write_text(json.dumps({"generators": ["a"], "relators": ["a"] * 10 ** 5}))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["homcount", str(path), "--group", "C2",
+                                          "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 10
+        assert peak < 10 ** 8
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"C2": [1, 0]}
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_budget_below_one_exits_2(self, runner, tmp_path, budget):

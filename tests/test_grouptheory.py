@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -33,7 +35,7 @@ from gluesurf.grouptheory import (
     word_from_str,
     word_to_str,
 )
-from gluesurf.intlinalg import AbelianGroup
+from gluesurf.intlinalg import AbelianGroup, cokernel_invariants
 
 
 def pres(generators: str, *relators: str) -> GroupPresentation:
@@ -340,6 +342,60 @@ class TestHomCount:
         assert hom_count(p, catalog_group("C6")) == (36, 24)
         monkeypatch.setattr(grouptheory, "MAX_LETTER_STEPS", 28 * 60)
         assert hom_count(p, catalog_group("D4")) == brute_force_hom_count(p, catalog_oracle("D4"))
+
+    def test_letter_bound_counts_the_innermost_walk(self, monkeypatch):
+        # per image pair of b and c: the 20 letters once, then two lookups per
+        # letter of a (2 of them) for each of the 6 images of a
+        group = catalog_group("S3")
+        steps = len(grouptheory._orbit_heads(group, 2)) * (20 + 2 * 6 * 2)
+        monkeypatch.setattr(grouptheory, "MAX_LETTER_STEPS", steps - 1)
+        with pytest.raises(BudgetExceededError, match="hom_count"):
+            hom_count(RAREST_FIRST, group)
+        monkeypatch.setattr(grouptheory, "MAX_LETTER_STEPS", steps)
+        assert hom_count(RAREST_FIRST, group) == brute_force_hom_count(RAREST_FIRST,
+                                                                       catalog_oracle("S3"))
+
+    @pytest.mark.parametrize("m", [2, 12, 13, 27720])
+    def test_abelian_quotient_agrees_modulo_m(self, m, monkeypatch):
+        # more relators than generators, large exponents and empty relators;
+        # the k x k matrix keeps its entries within m
+        matrices = []
+        monkeypatch.setattr(grouptheory, "cokernel_invariants",
+                            lambda a: matrices.append(a) or cokernel_invariants(a))
+        rng = random.Random(m)
+        for _ in range(100):
+            rank = rng.randint(1, 5)
+            relators = tuple(
+                tuple(letter(rng.randrange(rank), rng.choice((1, -1)))
+                      for _ in range(rng.choice((0, rng.randint(1, 8), rng.randint(20, 60)))))
+                for _ in range(rng.randint(0, 12)))
+            p = GroupPresentation(tuple("abcde"[:rank]), relators)
+            ab, quotient = abelianization(p), grouptheory._abelian_quotient(p, m)
+            assert quotient.free_rank == 0 and len(quotient.torsion) <= rank
+            assert sorted(gcd(d, m) for d in quotient.torsion if gcd(d, m) > 1) == sorted(
+                e for e in [gcd(d, m) for d in ab.torsion] + [m] * ab.free_rank if e > 1), str(p)
+            assert matrices[-1].rows == matrices[-1].cols == rank
+            assert max(map(abs, matrices[-1].entries)) <= m
+
+    def test_many_relators_count_in_little_memory(self):
+        # the abelianization's 2 x 99,999 exponent-sum matrix would give a Smith
+        # form with 10^10 cells in V; the quotient modulo 27720 has 2 x 2
+        p = GroupPresentation(("a", "b"), ((1,), (2, 2), ()) * 33333)
+        tracemalloc.start()
+        try:
+            assert hom_count(p, catalog_group("C12")) == (2, 0)
+            assert hom_count(p, catalog_group("C2")) == (2, 1)
+            assert tracemalloc.get_traced_memory()[1] < 10 ** 7
+        finally:
+            tracemalloc.stop()
+
+    def test_empty_relators_are_not_walked(self):
+        # each always holds; walking them would visit 10^6 relators per image tuple
+        free = GroupPresentation(("a", "b", "c"), ())
+        p = GroupPresentation(free.generators, ((),) * 10 ** 6)
+        start = time.perf_counter()
+        assert hom_count(p, catalog_group("A5")) == hom_count(free, catalog_group("A5"))
+        assert time.perf_counter() - start < 2
 
     def test_surjectivity_closure_matches_direct_enumeration(self):
         rng = random.Random(3)
