@@ -3,13 +3,14 @@
 The first fixture holds ``presentation_to_dict`` of the raw and the
 simplified pi1 presentation of ``random_n_lines(n, seed)`` from
 ``bench/nlines.py`` for n in 4, 6, 8, 10 and seeds 0-4.  The second holds
-the raw presentation alone for n in 12, 16 and seeds 0-2, where Tietze
-would take seconds.  Any change to the word format, the pi1 construction
-or Tietze's move choice that alters a single byte of a presentation fails
-here.
+the raw presentation alone for n in 12, 16 and seeds 0-2, and the third
+the simplified one alone for the same gluings.  Any change to the word
+format, the pi1 construction or Tietze's move choice that alters a single
+byte of a presentation fails here.
 
 The first fixture was recorded before letters became signed ints, the
-second before the graph models kept root paths, with
+second before the graph models kept root paths, the third before Nielsen
+moves were scored from bigram counts, with
 
     PYTHONPATH=src python tests/test_pi1_differential.py --record
 
@@ -25,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = Path(__file__).resolve().parent / "data" / "pi1_nlines.json"
 RAW_FIXTURE = FIXTURE.with_name("pi1_raw_nlines.json")
+LARGE_FIXTURE = FIXTURE.with_name("pi1_simplified_large.json")
 if str(ROOT / "bench") not in sys.path:
     sys.path.append(str(ROOT / "bench"))
 
@@ -40,20 +42,26 @@ RAW_SIZES = (12, 16)
 RAW_SEEDS = range(3)
 
 
-def recorded_text(sizes=SIZES, seeds=SEEDS, simplified=True) -> str:
+def recorded_text(sizes=SIZES, seeds=SEEDS, raw=True, simplified=True) -> str:
     records = []
     for n in sizes:
         for seed in seeds:
-            raw = pi1_presentation(validate_gluing(gluing_from_dict(nlines.random_n_lines(n, seed))))
-            record = {"n": n, "seed": seed, "raw": presentation_to_dict(raw)}
+            p = pi1_presentation(validate_gluing(gluing_from_dict(nlines.random_n_lines(n, seed))))
+            record = {"n": n, "seed": seed}
+            if raw:
+                record["raw"] = presentation_to_dict(p)
             if simplified:
-                record["simplified"] = presentation_to_dict(tietze_simplify(raw))
+                record["simplified"] = presentation_to_dict(tietze_simplify(p))
             records.append(record)
     return json.dumps(records, indent=1) + "\n"
 
 
 def raw_recorded_text() -> str:
     return recorded_text(RAW_SIZES, RAW_SEEDS, simplified=False)
+
+
+def large_recorded_text() -> str:
+    return recorded_text(RAW_SIZES, RAW_SEEDS, raw=False)
 
 
 def test_pi1_presentations_match_the_recorded_fixture():
@@ -64,9 +72,14 @@ def test_raw_pi1_of_larger_gluings_matches_the_recorded_fixture():
     assert raw_recorded_text() == RAW_FIXTURE.read_text()
 
 
+def test_simplified_pi1_of_larger_gluings_matches_the_recorded_fixture():
+    assert large_recorded_text() == LARGE_FIXTURE.read_text()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_pi1_differential.py --record")
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(recorded_text())
     RAW_FIXTURE.write_text(raw_recorded_text())
+    LARGE_FIXTURE.write_text(large_recorded_text())
