@@ -34,7 +34,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from operator import neg
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
 from .intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants
@@ -55,7 +56,7 @@ _EXPONENT = re.compile(r"[+-]?[0-9]+")
 
 
 def inverse(w: Word) -> Word:
-    return tuple(-x for x in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 def exponent_sums(w: Word, num_generators: int) -> list[int]:
@@ -190,73 +191,158 @@ def abelianization(p: GroupPresentation) -> AbelianGroup:
 # letters not yet eliminated, in order.  Renumbering them 1, 2, ... at the
 # end is monotone, so ranking moves by letter ranks them as by index.
 
-def _substitute(w: Word, letter: int, replacement: Word) -> Word:
-    inv = inverse(replacement)
+def _rewritten(w: Word, gen: int, rep: Word, inv: Word) -> Word:
+    """w with gen replaced by ``rep`` and gen^-1 by ``inv``, then freely and
+    cyclically reduced.  All three are reduced, so letters cancel only
+    where the pieces of w between its letters ±gen meet the inserted words:
+    the letters ±gen are found by ``tuple.index``, and each piece is copied
+    whole past what cancels at its head."""
+    cuts = []
+    for x in (gen, -gen):
+        i = -1
+        for _ in range(w.count(x)):
+            i = w.index(x, i + 1)
+            cuts.append(i)
+    cuts.sort()
+    pieces = []
+    start = 0
+    for cut in cuts:
+        pieces += w[start:cut], rep if w[cut] == gen else inv
+        start = cut + 1
+    pieces.append(w[start:])
     out: list[int] = []
-    for x in w:
-        if x == letter:
-            out.extend(replacement)
-        elif x == -letter:
-            out.extend(inv)
-        else:
-            out.append(x)
-    return tuple(out)
+    for piece in pieces:
+        i = 0
+        while out and i < len(piece) and out[-1] == -piece[i]:
+            out.pop()
+            i += 1
+        out += piece[i:] if i else piece
+    i, j = 0, len(out)
+    while j - i >= 2 and out[i] == -out[j - 1]:
+        i, j = i + 1, j - 1
+    return tuple(out[i:j])
 
 
-def _normalize(relators: list[Word]) -> list[Word]:
-    reduced = [cyclic_reduce(w) for w in relators]
-    return [w for w in reduced if w]
+class _Relators:
+    """Cyclically reduced, non-empty relators, in order, with the counts the
+    Tietze moves read, kept up to date as relators are rewritten.
+
+    Per relator i: ``letters[i]`` counts its letters ±g by generator g, and
+    ``single[i]`` is the least generator occurring in it exactly once (0 if
+    none); ``total`` is the relators' length.  ``bigrams()`` counts the
+    cyclic bigrams (a, b) over all relators, the wrap from the last letter
+    to the first included.  A relator's bigrams are counted the first time
+    they are read, so one rewritten again before any Nielsen move is never
+    counted; they are kept in ``pairs[i]``, and taken off the sum when the
+    relator is rewritten.
+    """
+
+    def __init__(self, words: Iterable[Word]):
+        self.words = [w for w in map(cyclic_reduce, words) if w]
+        self.letters = [Counter(map(abs, w)) for w in self.words]
+        self.single = [_least_single(letters) for letters in self.letters]
+        self.pairs: list[Counter | None] = [None] * len(self.words)
+        self.total = sum(map(len, self.words))
+        self._bigrams: Counter = Counter()
+
+    def bigrams(self) -> Counter:
+        pairs, bigrams = self.pairs, self._bigrams
+        get = bigrams.get
+        for i, w in enumerate(self.words):
+            if pairs[i] is None:
+                pairs[i] = Counter(zip(w, w[1:] + w[:1]))
+                for pair, c in pairs[i].items():
+                    bigrams[pair] = get(pair, 0) + c
+        return bigrams
+
+    def substitute(self, gen: int, replacement: Word, solved: int = -1) -> None:
+        """Replace gen by ``replacement`` (gen^-1 by its inverse) in the
+        relators holding it, reduce them cyclically and drop any left empty.
+        Relator ``solved``, the one gen was solved from, would rewrite to
+        the empty word; it is dropped without rewriting."""
+        inv = inverse(replacement)
+        bigrams = self._bigrams
+        gone = []
+        for i in [i for i, letters in enumerate(self.letters) if gen in letters]:
+            w, pairs = self.words[i], self.pairs[i]
+            if pairs is not None:
+                for pair, c in pairs.items():
+                    bigrams[pair] -= c
+            new = _rewritten(w, gen, replacement, inv) if i != solved else ()
+            self.total += len(new) - len(w)
+            if new:
+                self.words[i] = new
+                self.letters[i] = letters = Counter(map(abs, new))
+                self.single[i] = _least_single(letters)
+                self.pairs[i] = None
+            else:
+                gone.append(i)
+        for i in reversed(gone):
+            for column in (self.words, self.letters, self.single, self.pairs):
+                del column[i]
 
 
-def _eliminate_once(alive: list[int], relators: list[Word]) -> bool:
+def _least_single(letters: Counter) -> int:
+    """The least generator occurring once, or 0."""
+    return min([g for g, c in letters.items() if c == 1], default=0)
+
+
+def _eliminate_once(alive: list[int], relators: _Relators) -> bool:
     """One greedy elimination: a generator occurring exactly once in some
     relator is solved for and substituted everywhere.  Candidates are
     ranked by relator length, then generator, then relator index."""
-    best = None
-    for ridx, rel in enumerate(relators):
-        for g, c in Counter(map(abs, rel)).items():
-            if c == 1:
-                key = (len(rel), g, ridx)
-                if best is None or key < best:
-                    best = key
+    best = min(((len(w), g, i) for i, (w, g) in enumerate(zip(relators.words, relators.single))
+                if g), default=None)
     if best is None:
         return False
     _, gen, ridx = best
-    rel = relators[ridx]
-    pos = next(i for i, x in enumerate(rel) if abs(x) == gen)
+    rel = relators.words[ridx]
+    pos = rel.index(gen) if gen in rel else rel.index(-gen)
     rotated = rel[pos:] + rel[:pos]  # starts with gen^±1
     tail = rotated[1:]
-    replacement = inverse(tail) if rotated[0] > 0 else tail
     alive.remove(gen)
-    relators[:] = _normalize([
-        _substitute(w, gen, replacement) for i, w in enumerate(relators) if i != ridx
-    ])
+    relators.substitute(gen, inverse(tail) if rotated[0] > 0 else tail, solved=ridx)
     return True
 
 
-def _nielsen_once(alive: list[int], relators: list[Word]) -> bool:
+def _nielsen_scores(alive: list[int], relators: _Relators) -> Iterator[tuple[int, int, int, int, int]]:
+    """(total length after, x, y, side, s) for every candidate of
+    ``_nielsen_once``, read off the kept counts by its two formulas."""
+    total, pairs = relators.total, relators.bigrams().get
+    for x in alive:
+        grown = total + sum(letters.get(x, 0) for letters in relators.letters)
+        for y in alive:
+            if x != y:
+                yield grown - 2 * (pairs((-y, x), 0) + pairs((-x, y), 0)), x, y, 0, 1
+                yield grown - 2 * (pairs((y, x), 0) + pairs((-x, -y), 0)), x, y, 0, -1
+                yield grown - 2 * (pairs((x, -y), 0) + pairs((y, -x), 0)), x, y, 1, 1
+                yield grown - 2 * (pairs((x, y), 0) + pairs((-y, -x), 0)), x, y, 1, -1
+
+
+def _nielsen_once(alive: list[int], relators: _Relators) -> bool:
     """Apply the best strictly length-reducing substitution x -> y^s x or x y^s.
 
     These are free-group automorphisms, so the presented group is
     unchanged; they reach shorter relators that plain eliminations miss.
+
+    On cyclically reduced words (Lyndon and Schupp, *Combinatorial Group
+    Theory*, I.4) the substitution puts y^±1 beside each of the occ(x)
+    letters x^±1, and an inserted letter cancels at most the original
+    letter beside it, never further.  So with t the total length and #(a, b)
+    the cyclic bigrams a·b, the wrap from last letter to first included:
+
+        x -> y^s x:  t + occ(x) - 2 (#(y^-s, x) + #(x^-1, y^s))
+        x -> x y^s:  t + occ(x) - 2 (#(x, y^-s) + #(y^s, x^-1))
+
+    Every candidate is scored so, ranked by (length, x, y, side, s), and
+    only the winner is applied.
     """
-    total = sum(len(w) for w in relators)
-    best = None
-    for x in alive:
-        for y in alive:
-            if x == y:
-                continue
-            for side in (0, 1):  # 0: y^s x, 1: x y^s
-                for s in (1, -1):
-                    plus = (s * y, x) if side == 0 else (x, s * y)
-                    new = [cyclic_reduce(_substitute(w, x, plus)) for w in relators]
-                    length = sum(len(w) for w in new)
-                    key = (length, x, y, side, s)
-                    if length < total and (best is None or key < best[0]):
-                        best = (key, new)
+    total = relators.total
+    best = min((key for key in _nielsen_scores(alive, relators) if key[0] < total), default=None)
     if best is None:
         return False
-    relators[:] = _normalize(best[1])
+    _, x, y, side, s = best
+    relators.substitute(x, (s * y, x) if side == 0 else (x, s * y))
     return True
 
 
@@ -267,16 +353,22 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
     generator with a unique occurrence (shortest relator first, ties by
     generator index); when no elimination applies, take the substitution
     x -> y^±1·x / x·y^±1 that shrinks the total relator length most.
-    The output presents an isomorphic group.
+    A Nielsen move's new length is read off counts kept up to date (Lyndon
+    and Schupp, *Combinatorial Group Theory*, I.4): with t the total
+    length, occ(x) the letters x^±1 and #(a, b) the cyclic bigrams a·b,
+    x -> y^s·x gives t + occ(x) - 2·(#(y^-s, x) + #(x^-1, y^s)) and
+    x -> x·y^s gives t + occ(x) - 2·(#(x, y^-s) + #(y^s, x^-1)).  A move
+    rewrites only the relators holding x.  The output presents an
+    isomorphic group.
     """
     alive = list(range(1, len(p.generators) + 1))
-    relators = _normalize(list(p.relators))
+    relators = _Relators(p.relators)
     while _eliminate_once(alive, relators) or _nielsen_once(alive, relators):
         pass
     position = {x: new for new, x in enumerate(alive, 1)}
     return GroupPresentation(
         tuple(p.generators[x - 1] for x in alive),
-        tuple(tuple(position[x] if x > 0 else -position[-x] for x in w) for w in relators),
+        tuple(tuple(position[x] if x > 0 else -position[-x] for x in w) for w in relators.words),
     )
 
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import time
 import tracemalloc
+from collections import Counter
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +38,15 @@ from gluesurf.grouptheory import (
     word_from_str,
     word_to_str,
 )
+from gluesurf.gluing import gluing_from_dict, validate_gluing
 from gluesurf.intlinalg import AbelianGroup, cokernel_invariants
+from gluesurf.topology import pi1_presentation
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.append(str(BENCH))
+
+import nlines  # noqa: E402
 
 
 def pres(generators: str, *relators: str) -> GroupPresentation:
@@ -176,6 +187,154 @@ class TestTietze:
             )
             p = GroupPresentation(gens, relators)
             assert abelianization(tietze_simplify(p)) == abelianization(p)
+
+
+# -- the Nielsen search and its kept counts, against the rewrite they replace --
+
+def _substitute(w, letter, replacement):
+    """w with ``letter`` replaced by ``replacement`` and its inverse by the inverse."""
+    inv = inverse(replacement)
+    out = []
+    for x in w:
+        out.extend(replacement if x == letter else inv if x == -letter else (x,))
+    return tuple(out)
+
+
+def _normalize(words):
+    return [w for w in map(cyclic_reduce, words) if w]
+
+
+def rewrite_oracle(alive, words):
+    """Every Nielsen candidate's total length by rewriting every relator, and
+    the move the rewrite-every-candidate search took: its key and relators."""
+    total = sum(map(len, words))
+    lengths, best = {}, None
+    for x, y in itertools.permutations(alive, 2):
+        for side in (0, 1):
+            for s in (1, -1):
+                new = _normalize([_substitute(w, x, (s * y, x) if side == 0 else (x, s * y))
+                                  for w in words])
+                key = (sum(map(len, new)), x, y, side, s)
+                lengths[key[1:]] = key[0]
+                if key[0] < total and (best is None or key < best[0]):
+                    best = (key, new)
+    return lengths, best
+
+
+def random_cyclic_words(rng, gens, count, longest):
+    words = (cyclic_reduce(tuple(rng.choice(gens) * rng.choice((1, -1))
+                                 for _ in range(rng.randint(1, longest))))
+             for _ in range(count))
+    return [w for w in words if w]
+
+
+# length 1 and 2, x and y alone, and cancellations across the wrap: x -> y x
+# turns 1 3 -2 into 2 1 3 -2, whose ends cancel
+NIELSEN_CASES = [
+    [(1,), (2,)],
+    [(1,), (1, 2)],
+    [(1, 2)],
+    [(-2, 1)],
+    [(1, -2)],
+    [(1, 1), (2, -1)],
+    [(2, 1, 2, -1)],
+    [(1, 2, -1, -2)],
+    [(1, 1, 2, 2), (1, -2, -2)],
+    [(1, 3, -2)],
+    [(-1, 3, 2)],
+    [(2, 3, 1)],
+    [(3, -1, -2)],
+    [(1, 3, -2), (-2, 3, -1, 3)],
+    [(1,), (2,), (3,), (1, 3), (2, -3)],
+]
+
+
+def nielsen_cases():
+    rng = random.Random(11)
+    assert all(_normalize(words) == words for words in NIELSEN_CASES)
+    yield from NIELSEN_CASES
+    for _ in range(60):  # x and y alone
+        yield random_cyclic_words(rng, (1, 2), rng.randint(1, 3), 6)
+    for _ in range(240):
+        gens = tuple(range(1, rng.randint(2, 4) + 1))
+        yield random_cyclic_words(rng, gens, rng.randint(1, 5), rng.choice((2, 5, 9)))
+
+
+class TestNielsenScores:
+    @staticmethod
+    def alive(words):
+        return sorted({abs(x) for w in words for x in w} | {1, 2})
+
+    def test_every_score_equals_the_rewritten_length(self):
+        for words in nielsen_cases():
+            alive = self.alive(words)
+            lengths, _ = rewrite_oracle(alive, words)
+            scores = {tuple(key): length for length, *key in
+                      grouptheory._nielsen_scores(alive, grouptheory._Relators(words))}
+            assert scores == lengths, words
+
+    def test_the_winning_move_is_the_rewrite_searchs(self):
+        moves = 0
+        for words in nielsen_cases():
+            alive = self.alive(words)
+            _, best = rewrite_oracle(alive, words)
+            relators = grouptheory._Relators(words)
+            assert grouptheory._nielsen_once(alive, relators) == (best is not None), words
+            if best is not None:
+                moves += 1
+                assert relators.words == best[1], words
+        assert moves > 100
+
+
+def assert_counts_fresh(relators):
+    """The kept counts of ``relators`` equal a recount of its words."""
+    words = relators.words
+    assert all(w and w == cyclic_reduce(w) for w in words)
+    letters = [Counter(map(abs, w)) for w in words]
+    assert relators.letters == letters
+    assert relators.single == [min([g for g, c in counts.items() if c == 1], default=0)
+                               for counts in letters]
+    assert relators.total == sum(map(len, words))
+    assert relators.bigrams() == Counter(itertools.chain.from_iterable(
+        zip(w, w[1:] + w[:1]) for w in words))
+
+
+def moves_with_fresh_counts(p, every):
+    """Run Tietze's moves on p, checking the kept counts after every
+    ``every``-th move (bigrams not read in between are counted later);
+    the moves made and the relators reached."""
+    alive = list(range(1, len(p.generators) + 1))
+    relators = grouptheory._Relators(p.relators)
+    assert_counts_fresh(relators)
+    moves = 0
+    while grouptheory._eliminate_once(alive, relators) or grouptheory._nielsen_once(alive, relators):
+        moves += 1
+        if moves % every == 0:
+            assert_counts_fresh(relators)
+    assert_counts_fresh(relators)
+    return moves, relators.words
+
+
+class TestKeptCounts:
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_random_presentations(self, every):
+        rng = random.Random(5)
+        for _ in range(150):
+            gens = "abcde"[:rng.randint(1, 5)]
+            p = GroupPresentation(tuple(gens), tuple(random_cyclic_words(
+                rng, range(1, len(gens) + 1), rng.randint(0, 5), 10)))
+            moves, words = moves_with_fresh_counts(p, every)
+            assert len(words) == len(tietze_simplify(p).relators)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_n_lines(self, seed):
+        raw = pi1_presentation(validate_gluing(gluing_from_dict(nlines.random_n_lines(8, seed))))
+        simplified = tietze_simplify(raw)
+        for every in (1, 3):
+            moves, words = moves_with_fresh_counts(raw, every)
+            assert moves > 20
+            assert len(words) == len(simplified.relators)
+            assert sum(map(len, words)) == sum(map(len, simplified.relators))
 
 
 def brute_force_hom_count(p: GroupPresentation, perms) -> tuple[int, int]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,6 +75,18 @@ def test_raw_pi1_of_larger_gluings_matches_the_recorded_fixture():
 
 def test_simplified_pi1_of_larger_gluings_matches_the_recorded_fixture():
     assert large_recorded_text() == LARGE_FIXTURE.read_text()
+
+
+def test_tietze_on_sixteen_lines_takes_seconds():
+    # Nielsen moves scored from bigram counts, relators rewritten only where
+    # they hold the letter: about 1 s for the three; rewriting every relator
+    # for every candidate move took 20-60 s
+    raws = [pi1_presentation(validate_gluing(gluing_from_dict(nlines.random_n_lines(16, seed))))
+            for seed in RAW_SEEDS]
+    start = time.perf_counter()
+    for raw in raws:
+        tietze_simplify(raw)
+    assert time.perf_counter() - start < 5
 
 
 if __name__ == "__main__":
