@@ -34,7 +34,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import neg
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
@@ -56,7 +55,7 @@ _EXPONENT = re.compile(r"[+-]?[0-9]+")
 
 
 def inverse(w: Word) -> Word:
-    return tuple(map(neg, reversed(w)))
+    return tuple(-x for x in reversed(w))
 
 
 def exponent_sums(w: Word, num_generators: int) -> list[int]:

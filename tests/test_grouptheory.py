@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import letter
 from gluesurf import grouptheory
 from gluesurf.errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
+from gluesurf.gluing import gluing_from_dict, validate_gluing
 from gluesurf.grouptheory import (
     CATALOG_NAMES,
     FiniteGroup,
@@ -38,7 +39,6 @@ from gluesurf.grouptheory import (
     word_from_str,
     word_to_str,
 )
-from gluesurf.gluing import gluing_from_dict, validate_gluing
 from gluesurf.intlinalg import AbelianGroup, cokernel_invariants
 from gluesurf.topology import pi1_presentation
 
