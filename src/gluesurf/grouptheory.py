@@ -222,6 +222,11 @@ def _rewritten(w: Word, gen: int, rep: Word, inv: Word) -> Word:
     return tuple(out[i:j])
 
 
+def _least_single(letters: Counter) -> int:
+    """The least generator occurring once, or 0."""
+    return min([g for g, c in letters.items() if c == 1], default=0)
+
+
 class _Relators:
     """Cyclically reduced, non-empty relators, in order, with the counts the
     Tietze moves read, kept up to date as relators are rewritten.
@@ -245,6 +250,7 @@ class _Relators:
         self._bigrams: Counter = Counter()
 
     def bigrams(self) -> Counter:
+        """The bigram counts over all relators, once those not yet read are counted."""
         pairs, bigrams = self.pairs, self._bigrams
         get = bigrams.get
         for i, w in enumerate(self.words):
@@ -281,11 +287,6 @@ class _Relators:
                 del column[i]
 
 
-def _least_single(letters: Counter) -> int:
-    """The least generator occurring once, or 0."""
-    return min([g for g, c in letters.items() if c == 1], default=0)
-
-
 def _eliminate_once(alive: list[int], relators: _Relators) -> bool:
     """One greedy elimination: a generator occurring exactly once in some
     relator is solved for and substituted everywhere.  Candidates are
@@ -304,7 +305,8 @@ def _eliminate_once(alive: list[int], relators: _Relators) -> bool:
     return True
 
 
-def _nielsen_scores(alive: list[int], relators: _Relators) -> Iterator[tuple[int, int, int, int, int]]:
+def _nielsen_scores(alive: list[int], relators: _Relators
+                    ) -> Iterator[tuple[int, int, int, int, int]]:
     """(total length after, x, y, side, s) for every candidate of
     ``_nielsen_once``, read off the kept counts by its two formulas."""
     total, pairs = relators.total, relators.bigrams().get

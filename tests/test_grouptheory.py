@@ -307,7 +307,8 @@ def moves_with_fresh_counts(p, every):
     relators = grouptheory._Relators(p.relators)
     assert_counts_fresh(relators)
     moves = 0
-    while grouptheory._eliminate_once(alive, relators) or grouptheory._nielsen_once(alive, relators):
+    while (grouptheory._eliminate_once(alive, relators)
+           or grouptheory._nielsen_once(alive, relators)):
         moves += 1
         if moves % every == 0:
             assert_counts_fresh(relators)
