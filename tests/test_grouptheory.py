@@ -286,6 +286,45 @@ class TestNielsenScores:
         assert moves > 100
 
 
+def reference_tietze(p):
+    """Tietze as it ran before the counts: a Counter of every relator per
+    elimination, and every relator rewritten for every Nielsen candidate."""
+    alive = list(range(1, len(p.generators) + 1))
+    words = _normalize(p.relators)
+    while True:
+        best = min(((len(w), g, i) for i, w in enumerate(words)
+                    for g, c in Counter(map(abs, w)).items() if c == 1), default=None)
+        if best is None:
+            move = rewrite_oracle(alive, words)[1]
+            if move is None:
+                break
+            words = move[1]
+            continue
+        _, gen, ridx = best
+        rel = words[ridx]
+        pos = next(i for i, x in enumerate(rel) if abs(x) == gen)
+        rotated = rel[pos:] + rel[:pos]
+        tail = rotated[1:]
+        alive.remove(gen)
+        words = _normalize([_substitute(w, gen, inverse(tail) if rotated[0] > 0 else tail)
+                            for i, w in enumerate(words) if i != ridx])
+    position = {x: new for new, x in enumerate(alive, 1)}
+    return GroupPresentation(
+        tuple(p.generators[x - 1] for x in alive),
+        tuple(tuple(position[x] if x > 0 else -position[-x] for x in w) for w in words))
+
+
+def test_tietze_matches_the_rewrite_every_relator_search():
+    rng = random.Random(17)
+    for _ in range(300):
+        gens = "abcdef"[:rng.randint(1, 6)]
+        p = GroupPresentation(tuple(gens), tuple(
+            tuple(rng.choice(range(1, len(gens) + 1)) * rng.choice((1, -1))
+                  for _ in range(rng.randint(0, 10)))
+            for _ in range(rng.randint(0, 6))))
+        assert tietze_simplify(p) == reference_tietze(p), p
+
+
 def assert_counts_fresh(relators):
     """The kept counts of ``relators`` equal a recount of its words."""
     words = relators.words
