@@ -69,7 +69,7 @@ def exponent_sum_matrix(words: Sequence[Word], num_generators: int) -> IntegerMa
     """Generators x words matrix whose column j is word j's exponent sums."""
     sums = [exponent_sums(w, num_generators) for w in words]
     return IntegerMatrix(num_generators, len(words),
-                         tuple(s[i] for i in range(num_generators) for s in sums))
+                         tuple(itertools.chain.from_iterable(zip(*sums))))
 
 
 def free_reduce(w: Word) -> Word:

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form with transforms, cokernels.
+"""Exact integer linear algebra: Smith normal form, cokernels.
 
 Everything runs on Python's arbitrary-precision integers.  Intermediate
 entries of a Smith reduction can outgrow any fixed-width type even for
@@ -9,14 +9,17 @@ elimination loop on sparse rows: it takes unit pivots in Markowitz order
 (Markowitz 1957; Havas, Holt and Rees, *Recognizing badly presented
 Z-modules*, 1993) and, when none is left, makes one in place by a 2 x 2
 unimodular step on two rows or columns, a Euclidean chain done at once
-(Cohen, *A Course in Computational Algebraic Number Theory*, 2.4).  Both
-transforms are kept.
+(Cohen, *A Course in Computational Algebraic Number Theory*, 2.4).  The
+divisors, and so the rank and the cokernel, come from that loop without
+the transforms U and V; they are built only when a caller reads them, by
+the same loop with their updates on.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Sequence
 
@@ -111,16 +114,32 @@ class IntegerMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V == S with U, V unimodular and S diagonal.
+    """U @ A @ V == S with U, V unimodular and S diagonal, for A = ``matrix``.
 
     ``divisors`` are the nonzero diagonal entries of S, positive and
-    forming a divisibility chain; their count is the rank of A.
+    forming a divisibility chain; their count is the rank of A.  ``u``,
+    ``s`` and ``v`` are built on first read, by one more elimination pass
+    with the transform updates on, and then kept.
     """
 
-    u: IntegerMatrix
-    s: IntegerMatrix
-    v: IntegerMatrix
+    matrix: IntegerMatrix
     divisors: tuple[int, ...]
+
+    @cached_property
+    def _transforms(self) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
+        return _smith(self.matrix, transforms=True)[1]
+
+    @property
+    def u(self) -> IntegerMatrix:
+        return self._transforms[0]
+
+    @property
+    def s(self) -> IntegerMatrix:
+        return self._transforms[1]
+
+    @property
+    def v(self) -> IntegerMatrix:
+        return self._transforms[2]
 
     @property
     def rank(self) -> int:
@@ -129,7 +148,7 @@ class SmithDecomposition:
     @property
     def cokernel(self) -> AbelianGroup:
         """Invariant factors of Z^rows / (column span of A)."""
-        return AbelianGroup(self.s.rows - self.rank, tuple(d for d in self.divisors if d > 1))
+        return AbelianGroup(self.matrix.rows - self.rank, tuple(d for d in self.divisors if d > 1))
 
 
 def _sub(dst: dict[int, int], f: int, src: dict[int, int]) -> None:
@@ -176,7 +195,7 @@ def _dense(n: int, vectors: list[dict[int, int]], columns: bool = False) -> Inte
 
 
 def snf(a: IntegerMatrix) -> SmithDecomposition:
-    """Smith normal form with both transforms, by one elimination loop on sparse rows.
+    """Smith normal form by one elimination loop on sparse rows.
 
     Each step looks at what is left of the matrix:
 
@@ -193,13 +212,20 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
        operations, by exact division, and its row and column are dropped:
        the column operations that would clear the row change only V.
 
-    U is kept as sparse rows and V as sparse columns.  The rows and columns
-    sit in buckets by nonzero count, so a unit pivot is found without
-    rescanning the matrix, and a step moves only those whose count it
-    changes.  At the end each pair of pivots (a, b) that breaks the
-    divisibility chain becomes (gcd, lcm) by a 2 x 2 unimodular step on its
-    rows of U and columns of V.  S is diag(1, ..., 1, other divisors, 0, ...).
+    The rows and columns sit in buckets by nonzero count, so a unit pivot
+    is found without rescanning the matrix, and a step moves only those
+    whose count it changes.  At the end each pair of pivots (a, b) that
+    breaks the divisibility chain becomes (gcd, lcm).  The divisors are
+    found without U and V; reading ``u``, ``s`` or ``v`` of the result runs
+    the loop once more with them, U kept as sparse rows and V as sparse
+    columns.  S is diag(1, ..., 1, other divisors, 0, ...).
     """
+    return SmithDecomposition(a, _smith(a, transforms=False)[0])
+
+
+def _smith(a: IntegerMatrix, transforms: bool):
+    """The divisors of ``a`` by the loop ``snf`` describes, and with
+    ``transforms`` also (U, S, V); without, the second item is None."""
     nr, nc = a.rows, a.cols
     # row i: {column: nonzero entry}; column j: the rows nonzero in it
     rows = [{j: x for j, x in enumerate(a.entries[i * nc:(i + 1) * nc]) if x} for i in range(nr)]
@@ -207,8 +233,9 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    u = [{i: 1} for i in range(nr)]  # rows of U
-    v = [{j: 1} for j in range(nc)]  # columns of V
+    # rows of U and columns of V
+    u = [{i: 1} for i in range(nr)] if transforms else None
+    v = [{j: 1} for j in range(nc)] if transforms else None
 
     # Markowitz's search: once the rows and columns with at most k nonzeros
     # are searched, every entry left costs at least k * k, so it stops there.
@@ -255,7 +282,8 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
             for r, row in zip((i, k), new):
                 (cols[j].add if j in row else cols[j].discard)(r)
         rows[i], rows[k] = new
-        u[i], u[k] = [_combine(c, (u[i], u[k])) for c in m]
+        if transforms:
+            u[i], u[k] = [_combine(c, (u[i], u[k])) for c in m]
         buckets((i, k), touched, set.add)
 
     def col_pair(j, k, m):
@@ -272,7 +300,8 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
                     cols[col].add(i)
                 else:
                     cols[col].discard(i)
-        v[j], v[k] = [_combine(c, (v[j], v[k])) for c in m]
+        if transforms:
+            v[j], v[k] = [_combine(c, (v[j], v[k])) for c in m]
         buckets(touched, (j, k), set.add)
 
     pivots = []  # (|e|, p, q) in elimination order
@@ -305,7 +334,6 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
         touched.remove(p)
         for j in row_p:
             cols[j].remove(p)
-        u_p = u[p]
         for i in touched:
             # row i -= f * row p, which clears entry (i, q); e divides it
             row_i = rows[i]
@@ -318,14 +346,15 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
                 else:
                     del row_i[j]
                     cols[j].remove(i)
-            _sub(u[i], f, u_p)
-        # column j -= (x / e) * column q clears (p, j) and changes only V
-        v_q = v[q]
-        for j, x in row_p.items():
-            _sub(v[j], x // e, v_q)
+            if transforms:
+                _sub(u[i], f, u[p])
         buckets(touched, row_p, set.add)
-        if e < 0:
-            u[p] = {k: -x for k, x in u_p.items()}
+        if transforms:
+            # column j -= (x / e) * column q clears (p, j) and changes only V
+            for j, x in row_p.items():
+                _sub(v[j], x // e, v[q])
+            if e < 0:
+                u[p] = {k: -x for k, x in u[p].items()}
         pivots.append((abs(e), p, q))
         rows[p] = cols[q] = None
 
@@ -337,21 +366,24 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
         for j in range(i + 1, len(rest)):
             (a, p, q), (b, p2, q2) = rest[i], rest[j]
             if b % a:
-                m = _unimodular(a, b)
-                (x, y), (c, d) = m
-                u[p], u[p2] = [_combine(r, (u[p], u[p2])) for r in m]
-                v[q], v[q2] = [_combine(r, (v[q], v[q2])) for r in ((1, 1), (y * c, x * d))]
+                if transforms:
+                    m = _unimodular(a, b)
+                    (x, y), (c, d) = m
+                    u[p], u[p2] = [_combine(r, (u[p], u[p2])) for r in m]
+                    v[q], v[q2] = [_combine(r, (v[q], v[q2])) for r in ((1, 1), (y * c, x * d))]
                 g = gcd(a, b)
                 rest[i], rest[j] = (g, p, q), (a * b // g, p2, q2)
     pivots = ones + rest
     divisors = tuple(d for d, _, _ in pivots)
+    if not transforms:
+        return divisors, None
     u_rows = [u[p] for _, p, _ in pivots] + [u[i] for i in range(nr) if rows[i] is not None]
     v_cols = [v[q] for _, _, q in pivots] + [v[j] for j in range(nc) if cols[j] is not None]
     s = [0] * (nr * nc)
     for t, d in enumerate(divisors):
         s[t * nc + t] = d
-    return SmithDecomposition(u=_dense(nr, u_rows), s=IntegerMatrix(nr, nc, tuple(s)),
-                              v=_dense(nc, v_cols, columns=True), divisors=divisors)
+    return divisors, (_dense(nr, u_rows), IntegerMatrix(nr, nc, tuple(s)),
+                      _dense(nc, v_cols, columns=True))
 
 
 def cokernel_invariants(a: IntegerMatrix) -> AbelianGroup:

@@ -11,6 +11,7 @@ spanning trees and three integer matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import (
     BudgetExceededError,
@@ -27,8 +28,8 @@ from .intlinalg import AbelianGroup, IntegerMatrix, snf
 EdgeKey = tuple[object, int]  # (owning component, segment position)
 Step = tuple[int, int]  # (edge index, direction): +1 runs u -> v, -1 runs v -> u
 
-# Bound on rows^2 of the sphere-level map, the cells of the dense row
-# transform U that snf builds for it: about 270 MB at the bound.
+# Bound on rows^2 of the sphere-level map, so at most 4096 rows: mv_matrices
+# builds the map as dense rows, one cell per curve in each.
 MAX_SPHERE_MAP_CELLS = 1 << 24
 
 
@@ -240,9 +241,8 @@ def mv_matrices(g: ValidatedGluing) -> MayerVietorisMatrices:
     # one size here that the file's length does not bound
     if h2_rows * h2_rows > MAX_SPHERE_MAP_CELLS:
         raise BudgetExceededError(
-            f"the sphere-level map is {h2_rows} x {len(curves)}: its Smith transform U "
-            f"would take {h2_rows * h2_rows} dense cells, over the bound of "
-            f"{MAX_SPHERE_MAP_CELLS}")
+            f"the sphere-level map is {h2_rows} x {len(curves)}: its rows, built dense, "
+            f"are over the bound of {isqrt(MAX_SPHERE_MAP_CELLS)} rows")
     block_start = {}
     offset = len(pairs)
     for n in normals:

@@ -28,6 +28,7 @@ from gluesurf.grouptheory import (
     catalog_group,
     cyclic_reduce,
     default_catalog,
+    exponent_sum_matrix,
     exponent_sums,
     fingerprint,
     free_reduce,
@@ -39,7 +40,7 @@ from gluesurf.grouptheory import (
     word_from_str,
     word_to_str,
 )
-from gluesurf.intlinalg import AbelianGroup, cokernel_invariants
+from gluesurf.intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants
 from gluesurf.topology import pi1_presentation
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -113,6 +114,18 @@ class TestWordProperties:
         assert free_reduce(w + inverse(w)) == ()
         assert exponent_sums(inverse(w), len(GENERATORS)) == [
             -e for e in exponent_sums(w, len(GENERATORS))]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(reduced_words, max_size=4))
+    def test_exponent_sum_matrix_columns_are_exponent_sums(self, words):
+        m = exponent_sum_matrix(words, len(GENERATORS))
+        assert (m.rows, m.cols) == (len(GENERATORS), len(words))
+        for j, w in enumerate(words):
+            assert [m[i, j] for i in range(m.rows)] == exponent_sums(w, len(GENERATORS))
+
+    def test_exponent_sum_matrix_without_words_or_generators(self):
+        assert exponent_sum_matrix([], 3) == IntegerMatrix(3, 0, ())
+        assert exponent_sum_matrix([(), ()], 0) == IntegerMatrix(0, 2, ())
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(reduced_words, max_size=4))

@@ -14,6 +14,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -25,16 +26,22 @@ if str(ROOT / "bench") not in sys.path:
 
 import nlines  # noqa: E402
 
+from gluesurf import intlinalg  # noqa: E402
 from gluesurf.gluing import gluing_from_dict, validate_gluing  # noqa: E402
+from gluesurf.grouptheory import (  # noqa: E402
+    abelianization,
+    catalog_group,
+    fingerprint,
+    tietze_simplify,
+)
 from gluesurf.intlinalg import (  # noqa: E402
     AbelianGroup,
     IntegerMatrix,
-    SmithDecomposition,
     cokernel_invariants,
     snf,
 )
-from gluesurf.invariants import cusp_matrix  # noqa: E402
-from gluesurf.topology import mv_matrices  # noqa: E402
+from gluesurf.invariants import cusp_matrix, irregularity  # noqa: E402
+from gluesurf.topology import homology_of_X, mv_matrices, pi1_presentation  # noqa: E402
 
 # matrices appearing in the homology computation of the two irregular surfaces
 M1 = IntegerMatrix.from_rows([[2, 0, 1], [0, -1, 1], [1, 0, 0], [0, 1, -2]])
@@ -82,8 +89,9 @@ def matmul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix(a.rows, b.cols, tuple(out))
 
 
-def dense_snf(a: IntegerMatrix) -> SmithDecomposition:
-    """Smith normal form by Euclidean row/column reduction of the whole matrix (oracle).
+def dense_snf(a: IntegerMatrix) -> SimpleNamespace:
+    """Smith normal form by Euclidean row/column reduction of the whole matrix (oracle),
+    with the public names of ``SmithDecomposition``.
 
     The pivot at each step is driven down to the gcd of the remaining
     submatrix, which guarantees the divisibility chain.
@@ -175,11 +183,12 @@ def dense_snf(a: IntegerMatrix) -> SmithDecomposition:
         t += 1
 
     divisors = tuple(s[i][i] for i in range(limit) if s[i][i] != 0)
-    return SmithDecomposition(
+    return SimpleNamespace(
         u=IntegerMatrix.from_rows(u, cols=nr),
         s=IntegerMatrix.from_rows(s, cols=nc),
         v=IntegerMatrix.from_rows(v, cols=nc),
         divisors=divisors,
+        rank=len(divisors),
     )
 
 
@@ -310,11 +319,11 @@ class TestSmithNormalForm:
     def test_reconstruction_and_oracles(self, m):
         for smith in (snf, dense_snf):
             dec = smith(m)
+            assert dec.divisors == minors_gcd_divisors(m)
+            assert dec.rank == rational_rank(m)
             assert matmul(matmul(dec.u, m), dec.v) == dec.s
             assert abs(determinant(dec.u)) == 1
             assert abs(determinant(dec.v)) == 1
-            assert dec.divisors == minors_gcd_divisors(m)
-            assert dec.rank == rational_rank(m)
 
     @pytest.mark.parametrize("rows, divisors", [
         # the unit pivot clears its row and column and leaves [[2, 0], [0, 3]],
@@ -437,13 +446,14 @@ sparse_matrices = st.integers(0, 7).flatmap(
 def test_snf_properties(m):
     for smith in (snf, dense_snf):
         dec = smith(m)
-        assert matmul(matmul(dec.u, m), dec.v) == dec.s
-        assert abs(determinant(dec.u)) == 1
-        assert abs(determinant(dec.v)) == 1
+        # the divisors before any transform: snf's pass without U and V
         for a, b in zip(dec.divisors, dec.divisors[1:]):
             assert a >= 1 and b % a == 0
         assert dec.divisors == minors_gcd_divisors(m)
         assert dec.s == diagonal(m.rows, m.cols, dec.divisors)
+        assert matmul(matmul(dec.u, m), dec.v) == dec.s
+        assert abs(determinant(dec.u)) == 1
+        assert abs(determinant(dec.v)) == 1
     assert dec.rank + kernel_basis(m).cols == m.cols
     assert cokernel_invariants(m).free_rank == m.rows - dec.rank
 
@@ -460,11 +470,32 @@ def generated_matrices(n: int, seed: int) -> dict[str, IntegerMatrix]:
 def test_snf_matches_dense_oracle_on_generated_gluings(n, seed):
     for name, m in generated_matrices(n, seed).items():
         dec = snf(m)
+        # read before any transform, so the pass without U and V meets the oracle
         assert dec.divisors == dense_snf(m).divisors, name
         assert dec.s == diagonal(m.rows, m.cols, dec.divisors), name
         assert matmul(dec.u, matmul(m, dec.v)) == dec.s, name
         if n <= 8:
             assert abs(determinant(dec.u)) == abs(determinant(dec.v)) == 1, name
+
+
+def test_callers_read_no_transform_and_one_pass_builds_them(monkeypatch):
+    passes = []  # the transforms flag of each elimination pass
+    smith = intlinalg._smith
+    monkeypatch.setattr(intlinalg, "_smith",
+                        lambda a, transforms: passes.append(transforms) or smith(a, transforms))
+    for seed in (0, 1, 2):
+        g = validate_gluing(gluing_from_dict(nlines.random_n_lines(8, seed)))
+        homology_of_X(g)
+        irregularity(g)
+        p = pi1_presentation(g)
+        abelianization(p)
+        fingerprint(tietze_simplify(p), (catalog_group("C6"),))
+    assert passes and not any(passes)
+    passes.clear()
+    m = generated_matrices(8, 0)["h1"]
+    dec = snf(m)
+    assert (dec.u.rows, dec.v.cols, dec.s.rows) == (m.rows, m.cols, m.rows)
+    assert passes == [False, True]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
