@@ -4,26 +4,30 @@ A word is a plain tuple of signed ints: letter ``+(g+1)`` is generator g
 and ``-(g+1)`` its inverse.  Raw relators run to thousands of letters (the
 pi1 of the plane glued along 16 general lines has 1,042), but simplified
 presentations have few generators, so homomorphisms into a finite group G
-are counted by enumerating generator images, and surjectivity is decided
-by closing the image set under multiplication.
+that is not cyclic are counted by enumerating generator images, and
+surjectivity is decided by closing the image set under multiplication.
 
-Three facts cut the enumeration (see Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, 9.1).  Every homomorphism into an abelian G
-factors through the abelianization, with the same image, so an abelian
-target counts the homomorphisms of Z^f + Z/d_1 + ..., where a^d_i = e
-reads a^gcd(d_i, |G|) = e; those gcds need the relators' exponent sums
-only modulo a multiple of |G|, in a k x k matrix.  G acts on the
+A cyclic G is counted in closed form, with no image tuple walked (P. Hall,
+*The Eulerian functions of a group*, 1936; Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, 9.1).  Every homomorphism into
+an abelian group factors through the abelianization Z^f + Z/d_1 + ...,
+so H(t) = prod gcd(d_i, t) of them go into C_t, a free factor counting as
+d = 0.  Each has its image in one subgroup C_s, s | t, so Moebius
+inversion over the divisors of |G| = n gives the surjections onto C_n:
+the sum over t | n of mu(n/t) H(t).  The gcds need the relators'
+exponent sums only modulo a multiple of n, in a k x k matrix.
+
+Two facts cut the enumeration into other groups.  G acts on the
 homomorphisms by conjugating every image at once; this maps homomorphisms
 to homomorphisms and keeps the image subgroup's order, so surjections to
-surjections.  A tuple's
-count therefore stands for its whole orbit, and only one image pair
-(a, b) per orbit of G on pairs is tried: a runs over the conjugacy class
-representatives and b over the orbits of a's centralizer C(a), weighted
-by |class(a)| * |C(a)-orbit of b|.  Images past the second are enumerated
-in full, the generator with the fewest letters last: for each tuple of the
-other images, every relator is multiplied out once into constants between
-that generator's letters, and its image, innermost, is then tried at two
-table lookups per letter of it.
+surjections.  A tuple's count therefore stands for its whole orbit, and
+only one image pair (a, b) per orbit of G on pairs is tried: a runs over
+the conjugacy class representatives and b over the orbits of a's
+centralizer C(a), weighted by |class(a)| * |C(a)-orbit of b|.  Images
+past the second are enumerated in full, the generator with the fewest
+letters last: for each tuple of the other images, every relator is
+multiplied out once into constants between that generator's letters, and
+its image, innermost, is then tried at two table lookups per letter of it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
@@ -108,7 +112,7 @@ class GroupPresentation:
 
     @cached_property
     def _abelian_quotients(self) -> dict[int, AbelianGroup]:
-        """``_abelian_quotient(self, m)`` by m, for the counts into abelian groups."""
+        """``_abelian_quotient(self, m)`` by m, for the counts into cyclic groups."""
         return {}
 
 
@@ -442,9 +446,11 @@ class FiniteGroup:
         return len(self.elements)
 
     @cached_property
-    def is_abelian(self) -> bool:
+    def is_cyclic(self) -> bool:
+        """Whether the powers of one element run through the whole group."""
         mult = self._mult
-        return all(mult[a][b] == mult[b][a] for a in range(self.order) for b in range(a))
+        return any(len(closure((self.identity_index,), lambda h, row=mult[a]: (row[h],)))
+                   == self.order for a in range(self.order))
 
     @cached_property
     def _closure_cache(self) -> dict:
@@ -592,23 +598,28 @@ def _abelian_quotient(p: GroupPresentation, m: int) -> AbelianGroup:
         k, k, tuple(v.get(g, 0) for g in range(k) for v in basis)))
 
 
-def _abelian_relators(p: GroupPresentation, n: int) -> tuple[int, list[Word]]:
-    """Rank and relators of <x_1..x_r | x_i^e_i> for an abelian group of order n.
+def _cyclic_counts(p: GroupPresentation, n: int) -> tuple[int, int]:
+    """(homomorphisms, surjections) into the cyclic group of order n.
 
-    Every homomorphism into an abelian group A of order n factors through
-    the abelianization Z^f + Z/d_1 + ... with the same image, and a^d = e
-    in A exactly when a^gcd(d, n) = e.  So e_i runs over the gcd(d_i, n)
-    above 1, n for a free factor, and x^n needs no relator.  The gcds are
-    read off ``_abelian_quotient`` modulo lcm(n, every cyclic catalog
-    order), kept on p, so a fingerprint reduces p's relators once.
+    H(t) = prod gcd(d, t) of them go into C_t.  Each maps onto C_s for one
+    s | t, so H(t) is the sum of the surjections S(s) over s | t; solving
+    for S from the least divisor up is Moebius inversion, S(n) = sum over
+    t | n of mu(n/t) H(t).  The d are read as the factors d' of
+    ``_abelian_quotient`` modulo m = lcm(n, every cyclic catalog order),
+    kept on p, so a fingerprint reduces p's relators once; gcd(d', t) =
+    gcd(d, t) for every t | m.
     """
     m = lcm(n, _CYCLIC_LCM)
     quotients = p._abelian_quotients
     if m not in quotients:
         quotients[m] = _abelian_quotient(p, m)
-    ab = quotients[m]
-    orders = [e for e in (gcd(d, n) for d in ab.torsion) if e > 1]  # L' has full rank
-    return len(orders), [(x,) * e for x, e in enumerate(orders, 1) if e < n]
+    torsion = quotients[m].torsion  # L' has full rank: no free factor
+    onto: dict[int, int] = {}
+    for t in range(1, n + 1):
+        if n % t == 0:
+            homs = prod(gcd(d, t) for d in torsion)
+            onto[t] = homs - sum(c for s, c in onto.items() if t % s == 0)
+    return homs, onto[n]  # t = n came last
 
 
 def _split_at_rarest(k: int, relators: Sequence[Word]
@@ -679,13 +690,15 @@ def hom_count(p: GroupPresentation, group: FiniteGroup,
               budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """(total, surjective) homomorphism counts into ``group``.
 
-    An abelian group counts through p's abelianization.  The first two
-    images run over one pair per orbit of simultaneous conjugation,
-    weighted by the orbit's size.  With three or more generators, the one
-    with the fewest letters runs innermost, against relators multiplied
-    out once per tuple of the other images.  ``budget`` bounds the |G|^k
-    tuples this count stands for, k being p's rank, and
-    ``MAX_LETTER_STEPS`` the relator letters the enumeration walks.
+    A cyclic group is counted in closed form from p's abelianization, by
+    Moebius inversion over the divisors of its order; no tuple is walked.
+    Into any other group, the first two images run over one pair per
+    orbit of simultaneous conjugation, weighted by the orbit's size.  With
+    three or more generators, the one with the fewest letters runs
+    innermost, against relators multiplied out once per tuple of the other
+    images.  ``budget`` bounds the |G|^k tuples this count stands for, k
+    being p's rank, and ``MAX_LETTER_STEPS`` the relator letters the
+    enumeration walks.
     """
     k = len(p.generators)
     n = group.order
@@ -694,9 +707,9 @@ def hom_count(p: GroupPresentation, group: FiniteGroup,
             f"{n}^{k} image tuples exceed the budget of {budget}; "
             "apply tietze_simplify first"
         )
+    if k and group.is_cyclic:
+        return _cyclic_counts(p, n)
     relators = [w for w in p.relators if w]  # an empty relator always holds
-    if k and group.is_abelian:
-        k, relators = _abelian_relators(p, n)
     heads = _orbit_heads(group, k)
     inner = k > 2  # whether the last generator runs innermost
     settled, around = _split_at_rarest(k, relators) if inner else (relators, [])

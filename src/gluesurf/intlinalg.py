@@ -254,12 +254,17 @@ def _smith(a: IntegerMatrix, transforms: bool):
     def unit_pivot():
         best = None
         for k in range(1, max(nr, nc) + 1):
+            # an entry not yet seen costs at least (k - 1)^2 in the row pass and
+            # k (k - 1) in the column pass; one of equal cost would not replace
+            # the best, so returning there keeps the pivot of the whole scan
             for i in row_at.get(k, ()):
                 for j, x in rows[i].items():
                     if x == 1 or x == -1:
                         cost = (k - 1) * (len(cols[j]) - 1)
                         if best is None or cost < best[0]:
                             best = (cost, i, j)
+                            if cost <= (k - 1) * (k - 1):
+                                return best
             if best is not None and best[0] <= k * (k - 1):
                 break
             for j in col_at.get(k, ()):
@@ -269,6 +274,8 @@ def _smith(a: IntegerMatrix, transforms: bool):
                         cost = (len(rows[i]) - 1) * (k - 1)
                         if best is None or cost < best[0]:
                             best = (cost, i, j)
+                            if cost <= k * (k - 1):
+                                return best
             if best is not None and best[0] <= k * k:
                 break
         return best

@@ -432,12 +432,23 @@ def brute_force_hom_count(p: GroupPresentation, perms) -> tuple[int, int]:
 
 
 def random_presentation(rng: random.Random, rank: int, relators: int) -> GroupPresentation:
-    gens = tuple("abcd"[:rank])
+    gens = tuple("abcde"[:rank])
     return GroupPresentation(gens, tuple(
         tuple(letter(rng.randrange(rank), rng.choice((1, -1)))
               for _ in range(rng.randint(1, 7)))
         for _ in range(relators if rank else 0)
     ))
+
+
+def powers_product(*gens) -> set[tuple[int, ...]]:
+    """The products g_1^e_1 g_2^e_2 ... of (generator, order) pairs, e_i below the order."""
+    elements = {tuple(range(len(gens[0][0])))}
+    for g, order in gens:
+        powers = [tuple(range(len(g)))]
+        for _ in range(order - 1):
+            powers.append(tuple(map(g.__getitem__, powers[-1])))
+        elements = {tuple(map(a.__getitem__, b)) for a in elements for b in powers}
+    return elements
 
 
 def generated_order(group: FiniteGroup, gens) -> int:
@@ -495,11 +506,49 @@ class TestHomCount:
 
     @pytest.mark.parametrize("name", ["C2", "C3", "S3"])
     def test_rank_four_matches_full_enumeration(self, name):
+        # the cyclic groups also at rank 5, with the same draws at rank 4
         rng = random.Random(f"{name}:4")
         perms = catalog_oracle(name)
-        for relators in (0, 1, 2, 3):
-            p = random_presentation(rng, 4, relators)
-            assert hom_count(p, catalog_group(name)) == brute_force_hom_count(p, perms), str(p)
+        for rank in (4, 5) if name != "S3" else (4,):
+            for relators in (0, 1, 2, 3):
+                p = random_presentation(rng, rank, relators)
+                assert hom_count(p, catalog_group(name)) == brute_force_hom_count(p, perms), str(p)
+
+    @pytest.mark.parametrize("group", [
+        FiniteGroup("V4", 4, tuple(sorted(
+            powers_product(((1, 0, 3, 2), 2), ((2, 3, 0, 1), 2))))),
+        FiniteGroup("C2xC4", 6, tuple(sorted(
+            powers_product(((1, 0, 2, 3, 4, 5), 2), ((0, 1, 3, 4, 5, 2), 4))))),
+    ], ids=["V4", "C2xC4"])
+    @pytest.mark.parametrize("rank", range(4))
+    def test_non_cyclic_abelian_targets_match_full_enumeration(self, group, rank):
+        # not cyclic, so they take the conjugation-orbit enumeration
+        assert not group.is_cyclic
+        rng = random.Random(f"{group.name}:{rank}")
+        for relators in (0, 1, 2, 2):
+            p = random_presentation(rng, rank, relators)
+            assert hom_count(p, group) == brute_force_hom_count(p, group.elements), str(p)
+
+    def test_cyclic_counts_walk_no_tuple(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("an image tuple was walked")
+
+        expected = {n: brute_force_hom_count(RAREST_FIRST, catalog_oracle(f"C{n}"))
+                    for n in range(2, 13)}
+        monkeypatch.setattr(grouptheory, "_orbit_heads", walk)
+        monkeypatch.setattr(FiniteGroup, "subgroup_size", walk)
+        for n in range(2, 13):
+            assert hom_count(RAREST_FIRST, catalog_group(f"C{n}")) == expected[n]
+
+    def test_rank_eleven_counts_into_c12(self):
+        # abelianizes to Z^10 + Z/2; walking it would take 6.2e10 tuples
+        p = pres("a b c d e f g h i j k", "a^2 b^4 c^-6")
+
+        def homs(t):
+            return gcd(2, t) * t ** 10
+
+        assert hom_count(p, catalog_group("C12"), budget=10 ** 15) == (
+            2 * 12 ** 10, homs(12) - homs(6) - homs(4) + homs(2))
 
     @pytest.mark.parametrize("d", range(2, 13))
     def test_power_relator_into_every_cyclic_group(self, d):
@@ -522,7 +571,7 @@ class TestHomCount:
         assert [len(steps) for steps in around] == [1, 1]
 
     def test_budget_is_on_the_given_rank(self):
-        # abelianizes to Z/2: an abelian group walks n tuples, but the budget
+        # abelianizes to Z/2: a cyclic group walks no tuple, but the budget
         # still bounds the n^5 tuples of the given presentation
         p = pres("a b c d e", "a^2", "b a", "c b^-1", "d c e^-1", "e")
         with pytest.raises(BudgetExceededError, match=r"12\^5"):
@@ -531,14 +580,22 @@ class TestHomCount:
         assert hom_count(p, catalog_group("C2"), budget=60 ** 3) == (2, 1)
 
     def test_only_the_cyclic_groups_are_abelian(self):
-        assert [g.name for g in default_catalog() if g.is_abelian] == [f"C{n}" for n in range(2, 13)]
+        # so every abelian catalog group is counted in closed form
+        def commutes(name):
+            perms = catalog_oracle(name)
+            return all(tuple(map(a.__getitem__, b)) == tuple(map(b.__getitem__, a))
+                       for a in perms for b in perms)
+
+        cyclic = [f"C{n}" for n in range(2, 13)]
+        assert [name for name in CATALOG_NAMES if commutes(name)] == cyclic
+        assert [g.name for g in default_catalog() if g.is_cyclic] == cyclic
 
     def test_empty_presentation_builds_no_orbit_table(self):
         # the benchmark's set-up code: every catalog group built, none enumerated
         catalog_group.cache_clear()
         assert fingerprint(GroupPresentation((), ())).counts[0] == ("C2", 1, 0)
         assert [g.name for g in default_catalog() if "_orbit_table" in vars(g)] == []
-        assert [g.name for g in default_catalog() if "is_abelian" in vars(g)] == []
+        assert [g.name for g in default_catalog() if "is_cyclic" in vars(g)] == []
 
     def test_budget(self):
         p = GroupPresentation(("a", "b", "c", "d"), ())
@@ -546,7 +603,7 @@ class TestHomCount:
             hom_count(p, catalog_group("A5"), budget=10 ** 6)
 
     def test_letter_bound(self, monkeypatch):
-        # D4 walks its 28 image-pair orbits on 60 letters; C6 walks Z^2, which has no relator
+        # D4 walks its 28 image-pair orbits on 60 letters; C6 walks nothing
         p = pres("a b", " ".join(["a b a^-1 b^-1"] * 15))
         monkeypatch.setattr(grouptheory, "MAX_LETTER_STEPS", 28 * 60 - 1)
         with pytest.raises(BudgetExceededError, match="hom_count"):
