@@ -175,7 +175,7 @@ def cmd_pi1(path, fmt, with_fingerprint, catalog, budget):
     vg = _load_gluing(path)
     raw = pi1_presentation(vg)
     simplified = tietze_simplify(raw)
-    ab = abelianization(raw)
+    ab = abelianization(simplified)  # Tietze moves keep the group
     fp = None
     if groups is not None:
         fp = fingerprint(simplified, catalog=groups, budget=budget)

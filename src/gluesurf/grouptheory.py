@@ -14,8 +14,9 @@ an abelian group factors through the abelianization Z^f + Z/d_1 + ...,
 so H(t) = prod gcd(d_i, t) of them go into C_t, a free factor counting as
 d = 0.  Each has its image in one subgroup C_s, s | t, so Moebius
 inversion over the divisors of |G| = n gives the surjections onto C_n:
-the sum over t | n of mu(n/t) H(t).  The gcds need the relators'
-exponent sums only modulo a multiple of n, in a k x k matrix.
+the sum over t | n of mu(n/t) H(t).  The invariant factors are the exact
+ones of ``abelianization``, kept on the presentation, so a fingerprint
+reduces its relators once.
 
 Two facts cut the enumeration into other groups.  G acts on the
 homomorphisms by conjugating every image at once; this maps homomorphisms
@@ -37,7 +38,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
@@ -69,11 +70,14 @@ def exponent_sums(w: Word, num_generators: int) -> list[int]:
     return sums
 
 
+def _columns_matrix(rows: int, columns: Sequence[Sequence[int]]) -> IntegerMatrix:
+    """The matrix with ``rows`` rows whose column j is ``columns[j]``."""
+    return IntegerMatrix(rows, len(columns), tuple(itertools.chain.from_iterable(zip(*columns))))
+
+
 def exponent_sum_matrix(words: Sequence[Word], num_generators: int) -> IntegerMatrix:
     """Generators x words matrix whose column j is word j's exponent sums."""
-    sums = [exponent_sums(w, num_generators) for w in words]
-    return IntegerMatrix(num_generators, len(words),
-                         tuple(itertools.chain.from_iterable(zip(*sums))))
+    return _columns_matrix(num_generators, [exponent_sums(w, num_generators) for w in words])
 
 
 def free_reduce(w: Word) -> Word:
@@ -111,9 +115,14 @@ class GroupPresentation:
         return f"< {', '.join(self.generators)} | {rels} >"
 
     @cached_property
-    def _abelian_quotients(self) -> dict[int, AbelianGroup]:
-        """``_abelian_quotient(self, m)`` by m, for the counts into cyclic groups."""
-        return {}
+    def _abelianization(self) -> AbelianGroup:
+        """The cokernel of the exponent-sum columns; a repeated or zero
+        column spans nothing new, so only the distinct nonzero ones are
+        reduced, and 10^5 relators ``a`` make a 1 x 1 Smith form."""
+        k = len(self.generators)
+        columns = dict.fromkeys(tuple(exponent_sums(w, k)) for w in self.relators)
+        columns.pop((0,) * k, None)
+        return cokernel_invariants(_columns_matrix(k, list(columns)))
 
 
 def word_to_str(w: Word, generators: tuple[str, ...]) -> str:
@@ -184,8 +193,8 @@ def presentation_to_dict(p: GroupPresentation) -> dict:
 
 
 def abelianization(p: GroupPresentation) -> AbelianGroup:
-    """Cokernel of the exponent-sum matrix (generators x relators)."""
-    return cokernel_invariants(exponent_sum_matrix(p.relators, len(p.generators)))
+    """Cokernel of the exponent-sum matrix (generators x relators); p keeps it."""
+    return p._abelianization
 
 
 # -- Tietze simplification ----------------------------------------------------
@@ -517,7 +526,6 @@ def _reflection(n: int) -> Permutation:
 
 
 _CYCLIC_ORDERS = range(2, 13)
-_CYCLIC_LCM = lcm(*_CYCLIC_ORDERS)
 # name -> (degree, generators); the groups themselves are built on first use
 _CATALOG: dict[str, tuple[int, tuple[Permutation, ...]]] = {
     **{f"C{n}": (n, (_shift(n),)) for n in _CYCLIC_ORDERS},
@@ -555,69 +563,19 @@ def _orbit_heads(group: FiniteGroup, k: int) -> list[tuple[tuple[int, ...], int]
     return [((a, b), size * orbit) for a, size, orbits in table for b, orbit in orbits]
 
 
-def _abelian_quotient(p: GroupPresentation, m: int) -> AbelianGroup:
-    """Z^k / L' for a lattice L' with L' + m Z^k = L + m Z^k, L spanned by
-    the relators' exponent sums; its invariant factors d' meet the
-    abelianization's d in gcd(d', m) = gcd(d, m), and a free factor counts
-    as d = 0.
-
-    L' has one vector per generator, slot g starting as m e_g.  Each
-    relator's sums are reduced at their least generator (the pivot)
-    against the vector in that slot, where Euclid's algorithm leaves the
-    gcd of the two pivot entries.  Every other entry is kept modulo m, so
-    the k x k matrix stays small however many relators there are.
-    """
-    k = len(p.generators)
-    half = m // 2
-    basis = [{g: m} for g in range(k)]
-    for w in p.relators:
-        v: dict[int, int] = {}
-        for x in w:
-            if x > 0:
-                v[x - 1] = v.get(x - 1, 0) + 1
-            else:
-                v[-x - 1] = v.get(-x - 1, 0) - 1
-        v = {g: (c + half) % m - half for g, c in v.items() if c % m}
-        while v:
-            pivot = min(v)
-            b = basis[pivot]
-            while pivot in v:  # v -= q * b, until v's pivot entry is 0
-                q = v[pivot] // b[pivot]
-                for g, c in b.items():
-                    y = v.get(g, 0) - q * c
-                    if g != pivot:
-                        y = (y + half) % m - half
-                    if y:
-                        v[g] = y
-                    else:
-                        v.pop(g, None)
-                if pivot in v:
-                    b, v = v, b
-            basis[pivot] = b
-    return cokernel_invariants(IntegerMatrix(
-        k, k, tuple(v.get(g, 0) for g in range(k) for v in basis)))
-
-
 def _cyclic_counts(p: GroupPresentation, n: int) -> tuple[int, int]:
     """(homomorphisms, surjections) into the cyclic group of order n.
 
-    H(t) = prod gcd(d, t) of them go into C_t.  Each maps onto C_s for one
-    s | t, so H(t) is the sum of the surjections S(s) over s | t; solving
-    for S from the least divisor up is Moebius inversion, S(n) = sum over
-    t | n of mu(n/t) H(t).  The d are read as the factors d' of
-    ``_abelian_quotient`` modulo m = lcm(n, every cyclic catalog order),
-    kept on p, so a fingerprint reduces p's relators once; gcd(d', t) =
-    gcd(d, t) for every t | m.
+    H(t) = t^f prod gcd(d, t) of them go into C_t, for p's abelianization
+    Z^f + sum Z/d.  Each maps onto C_s for one s | t, so H(t) is the sum
+    of the surjections S(s) over s | t; solving for S from the least
+    divisor up is Moebius inversion, S(n) = sum over t | n of mu(n/t) H(t).
     """
-    m = lcm(n, _CYCLIC_LCM)
-    quotients = p._abelian_quotients
-    if m not in quotients:
-        quotients[m] = _abelian_quotient(p, m)
-    torsion = quotients[m].torsion  # L' has full rank: no free factor
+    ab = abelianization(p)
     onto: dict[int, int] = {}
     for t in range(1, n + 1):
         if n % t == 0:
-            homs = prod(gcd(d, t) for d in torsion)
+            homs = t ** ab.free_rank * prod(gcd(d, t) for d in ab.torsion)
             onto[t] = homs - sum(c for s, c in onto.items() if t % s == 0)
     return homs, onto[n]  # t = n came last
 
@@ -690,8 +648,9 @@ def hom_count(p: GroupPresentation, group: FiniteGroup,
               budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """(total, surjective) homomorphism counts into ``group``.
 
-    A cyclic group is counted in closed form from p's abelianization, by
-    Moebius inversion over the divisors of its order; no tuple is walked.
+    A cyclic group is counted in closed form from the exact invariant
+    factors of p's abelianization, kept on p, by Moebius inversion over the
+    divisors of its order; no tuple is walked.
     Into any other group, the first two images run over one pair per
     orbit of simultaneous conjugation, weighted by the orbit's size.  With
     three or more generators, the one with the fewest letters runs

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import table_element, toy_pair
+from gluesurf import intlinalg
 from gluesurf.cli import main, report_to_dict
 from gluesurf.fourlines import build_four_lines, enumerate_orbits
 from gluesurf.gluing import gluing_to_dict
@@ -49,6 +50,15 @@ def write_gluing(tmp_path, name, data):
     path = tmp_path / name
     path.write_text(json.dumps(gluing_to_dict(data), indent=2, sort_keys=True))
     return str(path)
+
+
+@pytest.fixture
+def smith_forms(monkeypatch):
+    """The matrices ``intlinalg.snf`` is called on while the test runs."""
+    matrices = []
+    monkeypatch.setattr(intlinalg, "snf",
+                        lambda a, snf=intlinalg.snf: matrices.append(a) or snf(a))
+    return matrices
 
 
 @pytest.fixture
@@ -259,9 +269,8 @@ class TestHomcountAndPi1:
         assert result.exit_code == 3
         assert "hom_count" in result.output and "letter steps" in result.output
 
-    def test_many_relators_count_into_c2(self, runner, tmp_path):
-        # C2 counts through a 1 x 1 quotient of the relators modulo 27720; the
-        # 1 x 10^5 exponent-sum matrix would give a Smith form with 10^10 cells in V
+    def test_many_relators_count_into_c2(self, runner, tmp_path, smith_forms):
+        # the repeated relators are dropped before the Smith form, which is 1 x 1
         path = tmp_path / "pres.json"
         path.write_text(json.dumps({"generators": ["a"], "relators": ["a"] * 10 ** 5}))
         start = time.perf_counter()
@@ -276,6 +285,7 @@ class TestHomcountAndPi1:
         assert peak < 10 ** 8
         assert result.exit_code == 0
         assert json.loads(result.output) == {"C2": [1, 0]}
+        assert [(a.rows, a.cols) for a in smith_forms] == [(1, 1)]
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_budget_below_one_exits_2(self, runner, tmp_path, budget):
@@ -292,6 +302,14 @@ class TestHomcountAndPi1:
         assert len(doc["presentation"]["generators"]) == 4
         assert len(doc["simplified"]["generators"]) == 2
         assert doc["abelianization"] == {"rank": 1, "torsion": []}
+
+    def test_pi1_fingerprint_runs_one_smith_form(self, runner, x02_file, smith_forms):
+        # the printed abelianization is the simplified presentation's, which
+        # the fingerprint's cyclic counts then reuse
+        result = runner.invoke(main, ["pi1", x02_file, "--fingerprint"])
+        assert result.exit_code == 0
+        assert "abelianized = Z\n" in result.output
+        assert len(smith_forms) == 1
 
     def test_homology_command(self, runner, x01_file):
         result = runner.invoke(main, ["homology", x01_file])

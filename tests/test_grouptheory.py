@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import letter
-from gluesurf import grouptheory
+from gluesurf import grouptheory, intlinalg
 from gluesurf.errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
 from gluesurf.gluing import gluing_from_dict, validate_gluing
 from gluesurf.grouptheory import (
@@ -440,6 +440,25 @@ def random_presentation(rng: random.Random, rank: int, relators: int) -> GroupPr
     ))
 
 
+def long_random_presentation(rng: random.Random, rank: int) -> GroupPresentation:
+    """Up to 12 relators, each empty, of 1-8 letters or of 20-60 letters."""
+    return GroupPresentation(tuple("abcde"[:rank]), tuple(
+        tuple(letter(rng.randrange(rank), rng.choice((1, -1)))
+              for _ in range(rng.choice((0, rng.randint(1, 8), rng.randint(20, 60)))))
+        for _ in range(rng.randint(0, 12))
+    ))
+
+
+def diamond(radius: int, units: bool = True) -> GroupPresentation:
+    """<a, b | a^i b^j for 1 <= |i| + |j| <= radius>, with ``units`` False
+    leaving out every relator whose i or j is +-1; trivial either way."""
+    return GroupPresentation(("a", "b"), tuple(
+        (letter(0, 1 if i > 0 else -1),) * abs(i) + (letter(1, 1 if j > 0 else -1),) * abs(j)
+        for i in range(-radius, radius + 1) for j in range(-radius, radius + 1)
+        if 1 <= abs(i) + abs(j) <= radius and (units or 1 not in (abs(i), abs(j)))
+    ))
+
+
 def powers_product(*gens) -> set[tuple[int, ...]]:
     """The products g_1^e_1 g_2^e_2 ... of (generator, order) pairs, e_i below the order."""
     elements = {tuple(range(len(gens[0][0])))}
@@ -498,10 +517,14 @@ class TestHomCount:
         (name, rank) for name in CATALOG_NAMES for rank in range(4 if name != "A5" else 3)
     ])
     def test_matches_full_enumeration(self, name, rank):
+        # a cyclic group, counted from the exact invariant factors, also on more
+        # relators than generators, long relators and empty ones
         rng = random.Random(f"{name}:{rank}")
         perms = catalog_oracle(name)
-        for relators in (0, 1, 2, 2):
-            p = random_presentation(rng, rank, relators)
+        draws = [random_presentation(rng, rank, relators) for relators in (0, 1, 2, 2)]
+        if name[0] == "C" and rank:
+            draws += [long_random_presentation(rng, rank) for _ in range(3)]
+        for p in draws:
             assert hom_count(p, catalog_group(name)) == brute_force_hom_count(p, perms), str(p)
 
     @pytest.mark.parametrize("name", ["C2", "C3", "S3"])
@@ -624,31 +647,9 @@ class TestHomCount:
         assert hom_count(RAREST_FIRST, group) == brute_force_hom_count(RAREST_FIRST,
                                                                        catalog_oracle("S3"))
 
-    @pytest.mark.parametrize("m", [2, 12, 13, 27720])
-    def test_abelian_quotient_agrees_modulo_m(self, m, monkeypatch):
-        # more relators than generators, large exponents and empty relators;
-        # the k x k matrix keeps its entries within m
-        matrices = []
-        monkeypatch.setattr(grouptheory, "cokernel_invariants",
-                            lambda a: matrices.append(a) or cokernel_invariants(a))
-        rng = random.Random(m)
-        for _ in range(100):
-            rank = rng.randint(1, 5)
-            relators = tuple(
-                tuple(letter(rng.randrange(rank), rng.choice((1, -1)))
-                      for _ in range(rng.choice((0, rng.randint(1, 8), rng.randint(20, 60)))))
-                for _ in range(rng.randint(0, 12)))
-            p = GroupPresentation(tuple("abcde"[:rank]), relators)
-            ab, quotient = abelianization(p), grouptheory._abelian_quotient(p, m)
-            assert quotient.free_rank == 0 and len(quotient.torsion) <= rank
-            assert sorted(gcd(d, m) for d in quotient.torsion if gcd(d, m) > 1) == sorted(
-                e for e in [gcd(d, m) for d in ab.torsion] + [m] * ab.free_rank if e > 1), str(p)
-            assert matrices[-1].rows == matrices[-1].cols == rank
-            assert max(map(abs, matrices[-1].entries)) <= m
-
     def test_many_relators_count_in_little_memory(self):
-        # the abelianization's 2 x 99,999 exponent-sum matrix would give a Smith
-        # form with 10^10 cells in V; the quotient modulo 27720 has 2 x 2
+        # repeated and empty relators are dropped before the Smith form, so the
+        # 99,999 relators leave a 2 x 2 one: a, b^2
         p = GroupPresentation(("a", "b"), ((1,), (2, 2), ()) * 33333)
         tracemalloc.start()
         try:
@@ -657,6 +658,22 @@ class TestHomCount:
             assert tracemalloc.get_traced_memory()[1] < 10 ** 7
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("units", [True, False], ids=["units", "no-units"])
+    def test_thousands_of_distinct_relators_count_into_c12(self, units, monkeypatch):
+        # 3,444 distinct exponent vectors in 95,284 letters; without the
+        # relators a^+-1 b^j and a^i b^+-1 (3,448 vectors in 102,180 letters)
+        # the Smith form has no unit entry, and starts with a 2 x 2 unimodular step
+        steps = []
+        monkeypatch.setattr(intlinalg, "_unimodular",
+                            lambda a, b, unimodular=intlinalg._unimodular:
+                            steps.append((a, b)) or unimodular(a, b))
+        p = diamond(41) if units else diamond(43, units=False)
+        assert len(p.relators) == (3444 if units else 3448)
+        start = time.perf_counter()
+        assert hom_count(p, catalog_group("C12")) == (1, 0)
+        assert time.perf_counter() - start < 5
+        assert bool(steps) != units
 
     def test_empty_relators_are_not_walked(self):
         # each always holds; walking them would visit 10^6 relators per image tuple
@@ -696,6 +713,21 @@ class TestFingerprint:
         # the two groups abelianize identically, so cyclic counts agree
         for n in range(2, 13):
             assert d1[f"C{n}"] == d2[f"C{n}"]
+
+    def test_one_smith_form_per_presentation(self, monkeypatch):
+        # every cyclic count of a fingerprint, and a second fingerprint, reads
+        # the abelianization kept on the presentation: one column per relator here
+        matrices = []
+        monkeypatch.setattr(grouptheory, "cokernel_invariants",
+                            lambda a: matrices.append(a) or cokernel_invariants(a))
+        presentations = [tietze_simplify(pres("a b c d", *relators))
+                         for relators in (RELATORS_FIRST, RELATORS_SECOND)]
+        presentations += [pres("A B", "A^-1 B^-1 A^2 B^2"), pres("A B", "A B^-1 A^2 B^2")]
+        for p in presentations:
+            fingerprint(p)
+            fingerprint(p)
+        assert [(a.rows, a.cols) for a in matrices] == [(len(p.generators), len(p.relators))
+                                                        for p in presentations]
 
     def test_invariant_under_tietze(self):
         p = pres("a b c d", *RELATORS_FIRST)
