@@ -18,17 +18,21 @@ the sum over t | n of mu(n/t) H(t).  The invariant factors are the exact
 ones of ``abelianization``, kept on the presentation, so a fingerprint
 reduces its relators once.
 
-Two facts cut the enumeration into other groups.  G acts on the
-homomorphisms by conjugating every image at once; this maps homomorphisms
-to homomorphisms and keeps the image subgroup's order, so surjections to
-surjections.  A tuple's count therefore stands for its whole orbit, and
-only one image pair (a, b) per orbit of G on pairs is tried: a runs over
-the conjugacy class representatives and b over the orbits of a's
-centralizer C(a), weighted by |class(a)| * |C(a)-orbit of b|.  Images
-past the second are enumerated in full, the generator with the fewest
-letters last: for each tuple of the other images, every relator is
-multiplied out once into constants between that generator's letters, and
-its image, innermost, is then tried at two table lookups per letter of it.
+Two facts cut the enumeration into other groups.  Aut(G) acts on the
+homomorphisms by applying one automorphism to every image at once; this
+maps homomorphisms to homomorphisms and keeps the image subgroup's order,
+so surjections to surjections (P. Hall, 1936, counts surjections up to
+automorphisms; Holt, Eick and O'Brien, ch. 9, list epimorphisms so).  A
+tuple's count therefore stands for its whole orbit, and only one image
+pair (a, b) per orbit of Aut(G) on pairs is tried: a runs over the
+representatives of the Aut(G)-orbits on G and b over the orbits of a's
+stabilizer, weighted by |orbit(a)| * |Stab(a)-orbit of b|.  Aut(G) is
+found from the Cayley table alone; it holds the conjugations, Inn(G), and
+in A5 it has 44 pair orbits where conjugation has 77.  Images past the
+second are enumerated in full, the generator with the fewest letters
+last: for each tuple of the other images, every relator is multiplied
+out once into constants between that generator's letters, and its image,
+innermost, is then tried at two table lookups per letter of it.
 """
 
 from __future__ import annotations
@@ -455,11 +459,16 @@ class FiniteGroup:
         return len(self.elements)
 
     @cached_property
+    def _orders(self) -> tuple[int, ...]:
+        """The order of each element: how many distinct powers it has."""
+        mult = self._mult
+        return tuple(len(closure((self.identity_index,), lambda h, row=mult[a]: (row[h],)))
+                     for a in range(self.order))
+
+    @cached_property
     def is_cyclic(self) -> bool:
         """Whether the powers of one element run through the whole group."""
-        mult = self._mult
-        return any(len(closure((self.identity_index,), lambda h, row=mult[a]: (row[h],)))
-                   == self.order for a in range(self.order))
+        return self.order in self._orders
 
     @cached_property
     def _closure_cache(self) -> dict:
@@ -481,35 +490,81 @@ class FiniteGroup:
 
     @cached_property
     def _orbit_table(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
-        """Per conjugacy class: (representative a, class size, C(a)-orbits on G).
+        """Per orbit of Aut(G) on G: (representative a, orbit size, Stab(a)-orbits on G).
 
-        The orbits of the centralizer C(a) acting on G by conjugation are
-        given as (representative b, orbit size) pairs.  Representatives are
-        the smallest indices of their class or orbit.
+        The orbits of a's stabilizer in Aut(G) are given as (representative
+        b, orbit size) pairs.  Representatives are the smallest indices of
+        their orbit.
         """
-        n = self.order
-        mult, inv = self._mult, self._inv
-
-        def conjugates(x: int, by) -> set[int]:
-            return {mult[mult[g][x]][inv[g]] for g in by}
-
+        automorphisms = _automorphisms(self)
         table = []
         seen: set[int] = set()
-        for a in range(n):
+        for a in range(self.order):
             if a in seen:
                 continue
-            cls = conjugates(a, range(n))
-            seen |= cls
-            centralizer = [g for g in range(n) if mult[g][a] == mult[a][g]]
+            orbit = {s[a] for s in automorphisms}
+            seen |= orbit
+            stabilizer = [s for s in automorphisms if s[a] == a]
             orbits = []
             covered: set[int] = set()
-            for b in range(n):
+            for b in range(self.order):
                 if b not in covered:
-                    orbit = conjugates(b, centralizer)
-                    covered |= orbit
-                    orbits.append((b, len(orbit)))
-            table.append((a, len(cls), tuple(orbits)))
+                    images = {s[b] for s in stabilizer}
+                    covered |= images
+                    orbits.append((b, len(images)))
+            table.append((a, len(orbit), tuple(orbits)))
         return tuple(table)
+
+
+def _automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every automorphism of ``group``, as the tuple of images of the element
+    indices, found from the Cayley table alone.
+
+    Generators g_1 .. g_r are taken by falling element order, ties going
+    to the order with the fewest elements, each one not yet spanned.  An
+    automorphism is fixed by the images h_i of the g_i, which keep their
+    orders; up to an inner automorphism, h_1 is the least index of its
+    conjugacy class.  Each such candidate is extended by one breadth-first
+    walk of the Cayley graph, x g_i -> phi(x) h_i, and kept when every edge
+    agrees and the images are distinct.  The kept maps, composed with every
+    inner automorphism, are all of Aut(G); a candidate whose images one of
+    these already has is not extended again.
+    """
+    n, mult, inv, e = group.order, group._mult, group._inv, group.identity_index
+    orders = group._orders
+    with_order = Counter(orders)
+    gens: list[int] = []
+    spanned = {e}
+    for x in sorted(range(n), key=lambda x: (-orders[x], with_order[orders[x]], x)):
+        if x not in spanned:
+            gens.append(x)
+            spanned = closure(spanned, lambda h: map(mult[h].__getitem__, gens))
+
+    def extend(images: tuple[int, ...]) -> tuple[int, ...] | None:
+        phi = [-1] * n
+        phi[e] = e
+        frontier = [e]
+        for x in frontier:
+            for g, h in zip(gens, images):
+                y, image = mult[x][g], mult[phi[x]][h]
+                if phi[y] < 0:
+                    phi[y] = image
+                    frontier.append(y)
+                elif phi[y] != image:
+                    return None
+        return tuple(phi) if len(set(phi)) == n else None
+
+    conjugate = [[mult[mult[c][x]][inv[c]] for x in range(n)] for c in range(n)]
+    first = sorted({min(column) for column in zip(*conjugate)})  # least of each class
+    choices = [[h for h in first if orders[h] == orders[gens[0]]]]
+    choices += [[h for h in range(n) if orders[h] == orders[g]] for g in gens[1:]]
+    by_images: dict[tuple[int, ...], tuple[int, ...]] = {}  # keyed by the images of gens
+    for images in itertools.product(*choices):
+        if images not in by_images and (phi := extend(images)) is not None:
+            for row in conjugate:
+                s = tuple(map(row.__getitem__, phi))
+                by_images[tuple(map(s.__getitem__, gens))] = s
+    return sorted(by_images.values())
 
 
 def _from_generators(name: str, degree: int, gens: tuple[Permutation, ...]) -> FiniteGroup:
@@ -554,7 +609,7 @@ def default_catalog() -> tuple[FiniteGroup, ...]:
 
 
 def _orbit_heads(group: FiniteGroup, k: int) -> list[tuple[tuple[int, ...], int]]:
-    """One (first images, orbit size) pair per conjugation orbit of the first min(k, 2) images."""
+    """One (first images, orbit size) pair per Aut(G)-orbit of the first min(k, 2) images."""
     if k == 0:
         return [((), 1)]
     table = group._orbit_table
@@ -652,7 +707,7 @@ def hom_count(p: GroupPresentation, group: FiniteGroup,
     factors of p's abelianization, kept on p, by Moebius inversion over the
     divisors of its order; no tuple is walked.
     Into any other group, the first two images run over one pair per
-    orbit of simultaneous conjugation, weighted by the orbit's size.  With
+    orbit of Aut(G) acting on both at once, weighted by the orbit's size.  With
     three or more generators, the one with the fewest letters runs
     innermost, against relators multiplied out once per tuple of the other
     images.  ``budget`` bounds the |G|^k tuples this count stands for, k

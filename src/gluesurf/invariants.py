@@ -103,13 +103,19 @@ class InvariantReport:
 
 def compute_report(g: ValidatedGluing, *, catalog=None,
                    budget: int = DEFAULT_BUDGET) -> InvariantReport:
-    """The full report; it carries a fingerprint against ``catalog`` when one is given."""
+    """The full report; it carries a fingerprint against ``catalog`` when one is given.
+
+    With a catalog, the abelianization is read off the simplified
+    presentation, which keeps the group, so the report and the cyclic
+    counts share one Smith form.
+    """
     chi = euler_characteristics(g).chi_x
     q, p_g = irregularity(g)
     presentation = pi1_presentation(g)
-    fp = None
+    abelian_source, fp = presentation, None
     if catalog is not None:
-        fp = fingerprint(tietze_simplify(presentation), catalog=catalog, budget=budget)
+        abelian_source = tietze_simplify(presentation)
+        fp = fingerprint(abelian_source, catalog=catalog, budget=budget)
     return InvariantReport(
         chi=chi,
         q=q,
@@ -118,7 +124,7 @@ def compute_report(g: ValidatedGluing, *, catalog=None,
         cusp_partition=cusps(g),
         homology=homology_of_X(g),
         pi1=presentation,
-        pi1_abelianization=abelianization(presentation),
+        pi1_abelianization=abelianization(abelian_source),
         fingerprint=fp,
     )
 

@@ -257,8 +257,8 @@ class TestHomcountAndPi1:
         assert result.exit_code == 3
 
     def test_long_relator_exits_3_on_the_letter_bound(self, runner, tmp_path):
-        # per each of A5's 77 image-pair orbits: the 96,000 letters once, then two
-        # lookups per letter of c (32,000) for each of its 60 images; about 3e8
+        # per each of A5's 44 image-pair orbits: the 96,000 letters once, then two
+        # lookups per letter of c (32,000) for each of its 60 images; about 1.7e8
         # letter steps, while 60^3 tuples are within the budget of 10^8
         path = tmp_path / "pres.json"
         path.write_text(json.dumps({"generators": ["a", "b", "c"],

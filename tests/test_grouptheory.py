@@ -470,6 +470,15 @@ def powers_product(*gens) -> set[tuple[int, ...]]:
     return elements
 
 
+# non-cyclic abelian groups built by hand, outside the catalog
+HAND_BUILT = [
+    FiniteGroup("V4", 4, tuple(sorted(
+        powers_product(((1, 0, 3, 2), 2), ((2, 3, 0, 1), 2))))),
+    FiniteGroup("C2xC4", 6, tuple(sorted(
+        powers_product(((1, 0, 2, 3, 4, 5), 2), ((0, 1, 3, 4, 5, 2), 4))))),
+]
+
+
 def generated_order(group: FiniteGroup, gens) -> int:
     """Order of <gens>, by multiplying the whole set by itself until it stops growing."""
     current = {group.identity_index, *gens}
@@ -537,15 +546,10 @@ class TestHomCount:
                 p = random_presentation(rng, rank, relators)
                 assert hom_count(p, catalog_group(name)) == brute_force_hom_count(p, perms), str(p)
 
-    @pytest.mark.parametrize("group", [
-        FiniteGroup("V4", 4, tuple(sorted(
-            powers_product(((1, 0, 3, 2), 2), ((2, 3, 0, 1), 2))))),
-        FiniteGroup("C2xC4", 6, tuple(sorted(
-            powers_product(((1, 0, 2, 3, 4, 5), 2), ((0, 1, 3, 4, 5, 2), 4))))),
-    ], ids=["V4", "C2xC4"])
+    @pytest.mark.parametrize("group", HAND_BUILT, ids=["V4", "C2xC4"])
     @pytest.mark.parametrize("rank", range(4))
     def test_non_cyclic_abelian_targets_match_full_enumeration(self, group, rank):
-        # not cyclic, so they take the conjugation-orbit enumeration
+        # not cyclic, so they take the orbit enumeration
         assert not group.is_cyclic
         rng = random.Random(f"{group.name}:{rank}")
         for relators in (0, 1, 2, 2):
@@ -613,11 +617,16 @@ class TestHomCount:
         assert [name for name in CATALOG_NAMES if commutes(name)] == cyclic
         assert [g.name for g in default_catalog() if g.is_cyclic] == cyclic
 
-    def test_empty_presentation_builds_no_orbit_table(self):
+    def test_empty_presentation_builds_no_orbit_table(self, monkeypatch):
         # the benchmark's set-up code: every catalog group built, none enumerated
+        searched = []
+        monkeypatch.setattr(grouptheory, "_automorphisms",
+                            lambda group: searched.append(group.name) or [])
         catalog_group.cache_clear()
         assert fingerprint(GroupPresentation((), ())).counts[0] == ("C2", 1, 0)
-        assert [g.name for g in default_catalog() if "_orbit_table" in vars(g)] == []
+        assert searched == []
+        assert [g.name for g in default_catalog()
+                if {"_orbit_table", "_orders"} & set(vars(g))] == []
         assert [g.name for g in default_catalog() if "is_cyclic" in vars(g)] == []
 
     def test_budget(self):
@@ -626,13 +635,14 @@ class TestHomCount:
             hom_count(p, catalog_group("A5"), budget=10 ** 6)
 
     def test_letter_bound(self, monkeypatch):
-        # D4 walks its 28 image-pair orbits on 60 letters; C6 walks nothing
+        # D4 walks each of its image-pair orbits on 60 letters; C6 walks nothing
         p = pres("a b", " ".join(["a b a^-1 b^-1"] * 15))
-        monkeypatch.setattr(grouptheory, "MAX_LETTER_STEPS", 28 * 60 - 1)
+        steps = len(grouptheory._orbit_heads(catalog_group("D4"), 2)) * 60
+        monkeypatch.setattr(grouptheory, "MAX_LETTER_STEPS", steps - 1)
         with pytest.raises(BudgetExceededError, match="hom_count"):
             hom_count(p, catalog_group("D4"))
         assert hom_count(p, catalog_group("C6")) == (36, 24)
-        monkeypatch.setattr(grouptheory, "MAX_LETTER_STEPS", 28 * 60)
+        monkeypatch.setattr(grouptheory, "MAX_LETTER_STEPS", steps)
         assert hom_count(p, catalog_group("D4")) == brute_force_hom_count(p, catalog_oracle("D4"))
 
     def test_letter_bound_counts_the_innermost_walk(self, monkeypatch):
@@ -700,6 +710,84 @@ class TestHomCount:
             for pair in pairs:
                 assert group.subgroup_size(pair) == generated_order(group, pair)
                 assert len(group._closure_cache) <= 5
+
+
+def conjugation_orbit_table(group: FiniteGroup):
+    """Per conjugacy class: (representative a, class size, C(a)-orbits on G).
+
+    The orbit table of G acting on image pairs by conjugation alone, in the
+    format of ``FiniteGroup._orbit_table``: Inn(G) is a subgroup of Aut(G),
+    so counts summed over its orbits are the same.  The orbits of the
+    centralizer C(a) are (representative b, orbit size) pairs, with the
+    smallest index of each class or orbit as its representative.
+    """
+    n = group.order
+    mult, inv = group._mult, group._inv
+
+    def conjugates(x: int, by) -> set[int]:
+        return {mult[mult[g][x]][inv[g]] for g in by}
+
+    table = []
+    seen: set[int] = set()
+    for a in range(n):
+        if a in seen:
+            continue
+        cls = conjugates(a, range(n))
+        seen |= cls
+        centralizer = [g for g in range(n) if mult[g][a] == mult[a][g]]
+        orbits = []
+        covered: set[int] = set()
+        for b in range(n):
+            if b not in covered:
+                orbit = conjugates(b, centralizer)
+                covered |= orbit
+                orbits.append((b, len(orbit)))
+        table.append((a, len(cls), tuple(orbits)))
+    return tuple(table)
+
+
+NON_CYCLIC = [name for name in CATALOG_NAMES if name[0] != "C"]
+AUT_ORDERS = {"S3": 6, "D4": 8, "Q8": 24, "A4": 24, "D6": 12, "S4": 24, "A5": 120,
+              "V4": 6, "C2xC4": 8}
+
+
+def non_cyclic_groups() -> list[FiniteGroup]:
+    return [catalog_group(name) for name in NON_CYCLIC] + HAND_BUILT
+
+
+class TestAutomorphismOrbits:
+    @pytest.mark.parametrize("group", non_cyclic_groups(), ids=lambda g: g.name)
+    def test_automorphisms_respect_the_multiplication(self, group):
+        automorphisms = grouptheory._automorphisms(group)
+        assert len(automorphisms) == len(set(automorphisms)) == AUT_ORDERS[group.name]
+        mult, n = group._mult, group.order
+        for s in automorphisms:
+            assert sorted(s) == list(range(n))
+            assert all(s[mult[x][y]] == mult[s[x]][s[y]] for x in range(n) for y in range(n))
+
+    @pytest.mark.parametrize("group", non_cyclic_groups(), ids=lambda g: g.name)
+    def test_head_weights_cover_every_image_tuple(self, group):
+        for k in range(4):
+            heads = grouptheory._orbit_heads(group, k)
+            assert sum(weight for _, weight in heads) == group.order ** min(k, 2)
+        # a table walks no more heads than the conjugation orbits
+        assert len(group._orbit_table) <= len(conjugation_orbit_table(group))
+
+    @pytest.mark.parametrize("name", ["S3", "S4"])
+    def test_every_automorphism_is_inner(self, name):
+        group = catalog_group(name)
+        assert group._orbit_table == conjugation_orbit_table(group)
+
+    @pytest.mark.parametrize("group", non_cyclic_groups(), ids=lambda g: g.name)
+    def test_counts_match_the_conjugation_orbit_table(self, group):
+        # the same elements with the conjugation-only table in place of the Aut(G) one
+        oracle = FiniteGroup(group.name, group.degree, group.elements)
+        vars(oracle)["_orbit_table"] = conjugation_orbit_table(oracle)
+        rng = random.Random(f"aut:{group.name}")
+        for rank in (2, 3):
+            for relators in (0, 1, 1, 2, 2, 3):
+                p = random_presentation(rng, rank, relators)
+                assert hom_count(p, group) == hom_count(p, oracle), str(p)
 
 
 class TestFingerprint:

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from conftest import table_gluing, toy_pair, two_planes
+from gluesurf import intlinalg, invariants, topology
 from gluesurf.errors import (
     GeometricGenusNonzeroError,
     MissingFieldError,
@@ -17,6 +18,7 @@ from gluesurf.errors import (
     NormalizationIrregularError,
     SurfaceNotConnectedError,
 )
+from gluesurf.fourlines import all_gluings, build_four_lines
 from gluesurf.gluing import (
     CurveComponent,
     GluingData,
@@ -24,6 +26,7 @@ from gluesurf.gluing import (
     per_gluing,
     validate_gluing,
 )
+from gluesurf.grouptheory import abelianization, catalog_group, default_catalog
 from gluesurf.intlinalg import AbelianGroup, IntegerMatrix, snf
 from gluesurf.invariants import (
     compute_report,
@@ -32,6 +35,7 @@ from gluesurf.invariants import (
     k_squared,
     picard_summary,
 )
+from gluesurf.topology import pi1_presentation
 
 
 def alternating_sum_oracle(vg, cusp_points, plus, minus):
@@ -231,6 +235,34 @@ class TestReportAndPicard:
         # the cache belongs to the gluing: a fresh one computes everything again
         compute_report(table_gluing("X0.2"))
         assert runs == {key: 2 for key in once}
+
+    def test_report_abelianization_matches_the_raw_pi1(self):
+        # with a catalog it is read off the simplified presentation
+        catalog = (catalog_group("C2"),)
+        assert len(all_gluings()) == 36
+        for b in all_gluings():
+            vg = validate_gluing(build_four_lines(b))
+            report = compute_report(vg, catalog=catalog)
+            assert report.pi1_abelianization == abelianization(pi1_presentation(vg))
+
+    def test_fingerprint_shares_the_abelianization_smith_form(self, monkeypatch):
+        # X0.2: the cusp matrix, the three level maps and one abelianization
+        # of pi1; with a catalog that is the 2 x 1 one of the simplified
+        # presentation, read by the report and the cyclic counts alike, and
+        # the 4 x 3 one of the raw presentation is not reduced
+        shapes = []
+
+        def counted(a, snf=snf):
+            shapes.append((a.rows, a.cols))
+            return snf(a)
+
+        for module in (intlinalg, invariants, topology):
+            monkeypatch.setattr(module, "snf", counted)
+        compute_report(table_gluing("X0.2"))
+        assert sorted(shapes) == [(1, 2), (2, 1), (3, 4), (4, 3), (4, 3)]
+        shapes.clear()
+        compute_report(table_gluing("X0.2"), catalog=default_catalog())
+        assert sorted(shapes) == [(1, 2), (2, 1), (2, 1), (3, 4), (4, 3)]
 
     def test_mixed_rank_case_omits_structure(self, x01):
         report = compute_report(x01)
