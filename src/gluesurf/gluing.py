@@ -375,12 +375,14 @@ class DCurveModel:
 @per_gluing
 def quotient_curve(g: ValidatedGluing) -> DCurveModel:
     pairs = range(len(g.tau_pairs))
-    # tau-pairs are joined when one cusp has points on both
+    # tau-pairs are joined when one cusp has points on both; joining each to
+    # the first of them, a star rather than a clique, gives the same components
     joined: list[set[int]] = [set() for _ in pairs]
     for c in cusps(g):
-        members = {g.pair_index[g.component_of(p)] for p in c.points}
-        for k in members:
-            joined[k] |= members
+        first, *rest = {g.pair_index[g.component_of(p)] for p in c.points}
+        for k in rest:
+            joined[first].add(k)
+            joined[k].add(first)
     components = _components(pairs, joined.__getitem__)
     component_of_pair = {k: n for n, comp in enumerate(components) for k in comp}
 

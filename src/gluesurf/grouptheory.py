@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd, prod
@@ -74,14 +74,24 @@ def exponent_sums(w: Word, num_generators: int) -> list[int]:
     return sums
 
 
-def _columns_matrix(rows: int, columns: Sequence[Sequence[int]]) -> IntegerMatrix:
-    """The matrix with ``rows`` rows whose column j is ``columns[j]``."""
-    return IntegerMatrix(rows, len(columns), tuple(itertools.chain.from_iterable(zip(*columns))))
+def _exponent_column(w: Word) -> dict[int, int]:
+    """The exponent sums of w, by generator index, for the generators in w."""
+    sums: dict[int, int] = {}
+    for x in w:
+        g = abs(x) - 1
+        sums[g] = sums.get(g, 0) + (1 if x > 0 else -1)
+    return sums
 
 
 def exponent_sum_matrix(words: Sequence[Word], num_generators: int) -> IntegerMatrix:
-    """Generators x words matrix whose column j is word j's exponent sums."""
-    return _columns_matrix(num_generators, [exponent_sums(w, num_generators) for w in words])
+    """Generators x words matrix whose column j is word j's exponent sums,
+    built from its nonzero entries alone."""
+    nonzero: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for j, w in enumerate(words):
+        for x in w:
+            row = nonzero[abs(x) - 1]
+            row[j] = row.get(j, 0) + (1 if x > 0 else -1)
+    return IntegerMatrix.sparse(num_generators, len(words), nonzero)
 
 
 def free_reduce(w: Word) -> Word:
@@ -123,10 +133,12 @@ class GroupPresentation:
         """The cokernel of the exponent-sum columns; a repeated or zero
         column spans nothing new, so only the distinct nonzero ones are
         reduced, and 10^5 relators ``a`` make a 1 x 1 Smith form."""
-        k = len(self.generators)
-        columns = dict.fromkeys(tuple(exponent_sums(w, k)) for w in self.relators)
-        columns.pop((0,) * k, None)
-        return cokernel_invariants(_columns_matrix(k, list(columns)))
+        distinct: dict[frozenset, Word] = {}
+        for w in self.relators:
+            if column := frozenset((g, e) for g, e in _exponent_column(w).items() if e):
+                distinct.setdefault(column, w)
+        return cokernel_invariants(exponent_sum_matrix(list(distinct.values()),
+                                                       len(self.generators)))
 
 
 def word_to_str(w: Word, generators: tuple[str, ...]) -> str:

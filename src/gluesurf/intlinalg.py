@@ -4,12 +4,15 @@ Everything runs on Python's arbitrary-precision integers.  Intermediate
 entries of a Smith reduction can outgrow any fixed-width type even for
 small matrices, so no floating point or fixed-width shortcuts anywhere.
 The level maps of the plane glued along 16 lines are about 110 x 105,
-about 8% nonzero, and almost every pivot is +-1.  So ``snf`` is one
-elimination loop on sparse rows: it takes unit pivots in Markowitz order
-(Markowitz 1957; Havas, Holt and Rees, *Recognizing badly presented
-Z-modules*, 1993) and, when none is left, makes one in place by a 2 x 2
-unimodular step on two rows or columns, a Euclidean chain done at once
-(Cohen, *A Course in Computational Algebraic Number Theory*, 2.4).  The
+about 8% nonzero, and almost every pivot is +-1.  So ``IntegerMatrix``
+keeps only its nonzero entries, row by row, and ``snf`` is one
+elimination loop on those rows: it takes unit pivots of low Markowitz
+cost from the sparsest columns (Markowitz 1957; Zlatev, *On some pivotal
+strategies in Gaussian elimination by sparse technique*, 1980; Havas,
+Holt and Rees, *Recognizing badly presented Z-modules*, 1993) and, when
+none is left, makes one in place by a 2 x 2 unimodular step on two rows
+or columns, a Euclidean chain done at once (Cohen, *A Course in
+Computational Algebraic Number Theory*, 2.4).  The
 divisors, and so the rank and the cokernel, come from that loop without
 the transforms U and V; they are built only when a caller reads them, by
 the same loop with their updates on.
@@ -21,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Sequence
+from typing import Mapping, Sequence
 
 
 def _int(value, where: str) -> int:
@@ -71,19 +74,35 @@ class AbelianGroup:
         return cls(_int(d["rank"], "rank"), tuple(_int(t, "torsion") for t in d.get("torsion", ())))
 
 
-@dataclass(frozen=True)
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError("dimensions must be non-negative")
+
+
 class IntegerMatrix:
-    """Immutable integer matrix, entries stored row-major."""
+    """Immutable integer matrix that keeps only its nonzero entries, by row.
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    ``IntegerMatrix(rows, cols, entries)`` and ``from_rows`` take dense
+    entries; ``sparse`` takes the nonzeros alone, so a row with no entry
+    costs nothing.  Equality and hashing are by value, whatever built the
+    matrix, and the dense row-major ``entries`` are built when read.
+    """
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
+    __slots__ = ("rows", "cols", "_rows")
+
+    def __init__(self, rows: int, cols: int, entries: Sequence[int]):
+        _check_shape(rows, cols)
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
+        self._init(rows, cols, {i: row for i in range(rows) if (row := {
+            j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols]) if x})})
+
+    def _init(self, rows: int, cols: int, nonzero: dict[int, dict[int, int]]) -> None:
+        for name, value in (("rows", rows), ("cols", cols), ("_rows", nonzero)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IntegerMatrix is immutable: cannot set {name!r}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -98,15 +117,57 @@ class IntegerMatrix:
             raise ValueError("rows have unequal lengths")
         return cls(len(rows), width, tuple(int(x) for r in rows for x in r))
 
+    @classmethod
+    def sparse(cls, rows: int, cols: int,
+               nonzero: Mapping[int, Mapping[int, int]]) -> "IntegerMatrix":
+        """The rows x cols matrix with ``nonzero[i][j]`` at (i, j) and 0
+        elsewhere; neither a row missing from ``nonzero`` nor a 0 is stored."""
+        _check_shape(rows, cols)
+        kept = {i: dict(row) for i, row in nonzero.items() if row}
+        for i in [i for i, row in kept.items() if not all(row.values())]:
+            if row := {j: x for j, x in kept[i].items() if x}:
+                kept[i] = row
+            else:
+                del kept[i]
+        used = set().union(*kept.values())
+        if kept and not (0 <= min(kept) and max(kept) < rows
+                         and 0 <= min(used) and max(used) < cols):
+            raise IndexError(f"an entry lies outside the {rows} x {cols} matrix")
+        m = cls.__new__(cls)
+        m._init(rows, cols, kept)
+        return m
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        c = self.cols
+        dense = [0] * (self.rows * c)
+        for i, row in self._rows.items():
+            for j, x in row.items():
+                dense[i * c + j] = x
+        return tuple(dense)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntegerMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self._rows) == (other.rows, other.cols, other._rows)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols,
+                     frozenset((i, frozenset(row.items())) for i, row in self._rows.items())))
+
+    def __repr__(self) -> str:
+        nonzero = {i: dict(sorted(row.items())) for i, row in sorted(self._rows.items())}
+        return f"IntegerMatrix.sparse({self.rows}, {self.cols}, {nonzero})"
+
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self.entries[i * self.cols + j]
+        return self._rows.get(i, {}).get(j, 0)
 
     def row_lists(self) -> list[list[int]]:
-        c = self.cols
-        return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
+        c, entries = self.cols, self.entries
+        return [list(entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.row_lists())
@@ -184,23 +245,16 @@ def _unimodular(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (x, (g - x * a) // b), (-(b // g), a // g)
 
 
-def _dense(n: int, vectors: list[dict[int, int]], columns: bool = False) -> IntegerMatrix:
-    """The n x n matrix whose rows, or with ``columns`` whose columns, are ``vectors``."""
-    entries = [0] * (n * n)
-    outer, inner = (1, n) if columns else (n, 1)
-    for r, vec in enumerate(vectors):
-        for k, x in vec.items():
-            entries[r * outer + k * inner] = x
-    return IntegerMatrix(n, n, tuple(entries))
-
-
 def snf(a: IntegerMatrix) -> SmithDecomposition:
-    """Smith normal form by one elimination loop on sparse rows.
+    """Smith normal form by one elimination loop on the rows ``a`` stores.
 
     Each step looks at what is left of the matrix:
 
-    1. While a +-1 entry is left, the pivot is the one of least Markowitz
-       cost (row nonzeros - 1) * (column nonzeros - 1).
+    1. While a +-1 entry is left, the pivot is one in the columns of fewest
+       nonzeros, k, that hold a unit (Zlatev 1980).  Its Markowitz cost is
+       (row nonzeros - 1) * (k - 1): a unit whose row has at most 2 entries
+       is taken as soon as it is seen, and else the one whose row is
+       shortest, ties going to the least (row, column).
     2. Otherwise the pivot is an entry e of least absolute value.  If its
        row or column holds an entry b that e does not divide, the smallest
        such, preferring one coprime to e, is paired with it: a 2 x 2
@@ -212,9 +266,10 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
        operations, by exact division, and its row and column are dropped:
        the column operations that would clear the row change only V.
 
-    The rows and columns sit in buckets by nonzero count, so a unit pivot
-    is found without rescanning the matrix, and a step moves only those
-    whose count it changes.  At the end each pair of pivots (a, b) that
+    The columns sit in buckets by nonzero count, so the search reads only
+    the sparsest of them, and a step moves only those whose count it
+    changes.  A row with no entry is never read, so it only adds free rank
+    to the cokernel.  At the end each pair of pivots (a, b) that
     breaks the divisibility chain becomes (gcd, lcm).  The divisors are
     found without U and V; reading ``u``, ``s`` or ``v`` of the result runs
     the loop once more with them, U kept as sparse rows and V as sparse
@@ -227,63 +282,53 @@ def _smith(a: IntegerMatrix, transforms: bool):
     """The divisors of ``a`` by the loop ``snf`` describes, and with
     ``transforms`` also (U, S, V); without, the second item is None."""
     nr, nc = a.rows, a.cols
-    # row i: {column: nonzero entry}; column j: the rows nonzero in it
-    rows = [{j: x for j, x in enumerate(a.entries[i * nc:(i + 1) * nc]) if x} for i in range(nr)]
+    # row i: {column: nonzero entry}, for the rows ``a`` stores and not yet
+    # eliminated; column j: the rows nonzero in it
+    rows = {i: dict(row) for i, row in a._rows.items()}
     cols: list[set[int]] = [set() for _ in range(nc)]
-    for i, row in enumerate(rows):
+    for i, row in rows.items():
         for j in row:
             cols[j].add(i)
     # rows of U and columns of V
     u = [{i: 1} for i in range(nr)] if transforms else None
     v = [{j: 1} for j in range(nc)] if transforms else None
 
-    # Markowitz's search: once the rows and columns with at most k nonzeros
-    # are searched, every entry left costs at least k * k, so it stops there.
-    row_at: defaultdict[int, set[int]] = defaultdict(set)
-    col_at: defaultdict[int, set[int]] = defaultdict(set)
+    # col_at[k]: the columns with k nonzeros
+    col_at: list[set[int]] = [set() for _ in range(len(rows) + 1)]
 
-    def buckets(row_ids, col_ids, op):
-        # op is set.add or set.remove on the buckets of these rows and columns
-        for i in row_ids:
-            op(row_at[len(rows[i])], i)
+    def buckets(col_ids, op):
+        # op is set.add or set.remove on the buckets of these columns
         for j in col_ids:
             op(col_at[len(cols[j])], j)
 
-    buckets(range(nr), range(nc), set.add)
+    buckets(range(nc), set.add)
 
     def unit_pivot():
-        best = None
-        for k in range(1, max(nr, nc) + 1):
-            # an entry not yet seen costs at least (k - 1)^2 in the row pass and
-            # k (k - 1) in the column pass; one of equal cost would not replace
-            # the best, so returning there keeps the pivot of the whole scan
-            for i in row_at.get(k, ()):
-                for j, x in rows[i].items():
-                    if x == 1 or x == -1:
-                        cost = (k - 1) * (len(cols[j]) - 1)
-                        if best is None or cost < best[0]:
-                            best = (cost, i, j)
-                            if cost <= (k - 1) * (k - 1):
-                                return best
-            if best is not None and best[0] <= k * (k - 1):
-                break
-            for j in col_at.get(k, ()):
+        # A unit in a column of k entries costs (row entries - 1) * (k - 1).
+        # Only the sparsest columns holding a unit are searched (Zlatev 1980):
+        # a unit whose row has at most 2 entries costs at most k - 1 and is
+        # taken at once, else the one with the shortest row, least (i, j).
+        for k in range(1, len(col_at)):
+            best, least = None, nc + 1
+            for j in col_at[k]:
                 for i in cols[j]:
-                    x = rows[i][j]
-                    if x == 1 or x == -1:
-                        cost = (len(rows[i]) - 1) * (k - 1)
-                        if best is None or cost < best[0]:
-                            best = (cost, i, j)
-                            if cost <= k * (k - 1):
-                                return best
-            if best is not None and best[0] <= k * k:
-                break
-        return best
+                    row = rows[i]
+                    size = len(row)
+                    if size <= least:
+                        x = row[j]
+                        if x == 1 or x == -1:
+                            if size <= 2:
+                                return i, j
+                            if size < least or (i, j) < best:
+                                least, best = size, (i, j)
+            if best is not None:
+                return best
+        return None
 
     def row_pair(i, k, m):
         # rows i and k become the combinations m[0] and m[1] of the two, in A and in U
         touched = rows[i].keys() | rows[k].keys()
-        buckets((i, k), touched, set.remove)
+        buckets(touched, set.remove)
         new = [_combine(c, (rows[i], rows[k])) for c in m]
         for j in touched:
             for r, row in zip((i, k), new):
@@ -291,12 +336,12 @@ def _smith(a: IntegerMatrix, transforms: bool):
         rows[i], rows[k] = new
         if transforms:
             u[i], u[k] = [_combine(c, (u[i], u[k])) for c in m]
-        buckets((i, k), touched, set.add)
+        buckets(touched, set.add)
 
     def col_pair(j, k, m):
         # columns j and k become the combinations m[0] and m[1] of the two, in A and in V
         touched = cols[j] | cols[k]
-        buckets(touched, (j, k), set.remove)
+        buckets((j, k), set.remove)
         for i in touched:
             row = rows[i]
             pair = row.pop(j, 0), row.pop(k, 0)
@@ -309,14 +354,13 @@ def _smith(a: IntegerMatrix, transforms: bool):
                     cols[col].discard(i)
         if transforms:
             v[j], v[k] = [_combine(c, (v[j], v[k])) for c in m]
-        buckets(touched, (j, k), set.add)
+        buckets((j, k), set.add)
 
     pivots = []  # (|e|, p, q) in elimination order
     while True:
-        best = unit_pivot()
-        if best is None:
-            left = [(abs(x), i, j)
-                    for ids in row_at.values() for i in ids for j, x in rows[i].items()]
+        unit = unit_pivot()
+        if unit is None:
+            left = [(abs(x), i, j) for i, row in rows.items() for j, x in row.items()]
             if not left:
                 break
             _, p, q = min(left)
@@ -333,29 +377,32 @@ def _smith(a: IntegerMatrix, transforms: bool):
                     row_pair(p, k, _unimodular(e, rows[k][q]))
                 continue
         else:
-            _, p, q = best
-        row_p, touched = rows[p], cols[q]
-        # out of their buckets until the step has changed their counts
-        buckets(touched, row_p, set.remove)
-        e = row_p.pop(q)
-        touched.remove(p)
+            p, q = unit
+        row_p, touched = rows.pop(p), cols[q]
         for j in row_p:
-            cols[j].remove(p)
+            # out of its bucket until the step has changed its count
+            col = cols[j]
+            col_at[len(col)].remove(j)
+            col.remove(p)
+        e = row_p.pop(q)
+        items = list(row_p.items())
         for i in touched:
             # row i -= f * row p, which clears entry (i, q); e divides it
             row_i = rows[i]
             f = row_i.pop(q) // e
-            for j, x in row_p.items():
-                y = row_i.get(j, 0) - f * x
-                if y:
-                    row_i[j] = y
+            for j, x in items:
+                y = row_i.get(j)
+                if y is None:
+                    row_i[j] = -f * x
                     cols[j].add(i)
-                else:
+                elif y == f * x:
                     del row_i[j]
                     cols[j].remove(i)
+                else:
+                    row_i[j] = y - f * x
             if transforms:
                 _sub(u[i], f, u[p])
-        buckets(touched, row_p, set.add)
+        buckets(row_p, set.add)
         if transforms:
             # column j -= (x / e) * column q clears (p, j) and changes only V
             for j, x in row_p.items():
@@ -363,7 +410,7 @@ def _smith(a: IntegerMatrix, transforms: bool):
             if e < 0:
                 u[p] = {k: -x for k, x in u[p].items()}
         pivots.append((abs(e), p, q))
-        rows[p] = cols[q] = None
+        cols[q] = None
 
     # Units first.  Then (a, b) -> (g, ab/g) with g = xa + yb = gcd(a, b), by
     # [[x, y], [-b/g, a/g]] diag(a, b) [[1, -yb/g], [1, xa/g]] = diag(g, ab/g).
@@ -384,13 +431,16 @@ def _smith(a: IntegerMatrix, transforms: bool):
     divisors = tuple(d for d, _, _ in pivots)
     if not transforms:
         return divisors, None
-    u_rows = [u[p] for _, p, _ in pivots] + [u[i] for i in range(nr) if rows[i] is not None]
+    done = {p for _, p, _ in pivots}
+    u_rows = [u[p] for _, p, _ in pivots] + [u[i] for i in range(nr) if i not in done]
     v_cols = [v[q] for _, _, q in pivots] + [v[j] for j in range(nc) if cols[j] is not None]
-    s = [0] * (nr * nc)
-    for t, d in enumerate(divisors):
-        s[t * nc + t] = d
-    return divisors, (_dense(nr, u_rows), IntegerMatrix(nr, nc, tuple(s)),
-                      _dense(nc, v_cols, columns=True))
+    v_rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for t, col in enumerate(v_cols):
+        for k, x in col.items():
+            v_rows[k][t] = x
+    return divisors, (IntegerMatrix.sparse(nr, nr, dict(enumerate(u_rows))),
+                      IntegerMatrix.sparse(nr, nc, {t: {t: d} for t, d in enumerate(divisors)}),
+                      IntegerMatrix.sparse(nc, nc, v_rows))
 
 
 def cokernel_invariants(a: IntegerMatrix) -> AbelianGroup:

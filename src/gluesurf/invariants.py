@@ -45,14 +45,14 @@ def cusp_matrix(g: ValidatedGluing) -> IntegerMatrix:
     rows = []
     for cusp in cusps(g):
         # f is zero off a point's own pair, so each point adds to one entry
-        row = [0] * len(g.tau_pairs)
+        row: dict[int, int] = {}
         for r, s in zip(cusp.r_cycle, cusp.s_cycle):
             for point, sign in ((r, 1), (s, -1)):
                 comp = g.component_of(point)
                 k = g.pair_index[comp]
-                row[k] += sign if comp == g.tau_pairs[k][0] else -sign
+                row[k] = row.get(k, 0) + (sign if comp == g.tau_pairs[k][0] else -sign)
         rows.append(row)
-    return IntegerMatrix.from_rows(rows, cols=len(g.tau_pairs))
+    return IntegerMatrix.sparse(len(rows), len(g.tau_pairs), dict(enumerate(rows)))
 
 
 def irregularity(g: ValidatedGluing) -> tuple[int, int]:

@@ -10,11 +10,10 @@ spanning trees and three integer matrices.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from math import isqrt
 
 from .errors import (
-    BudgetExceededError,
     DbarDisconnectedError,
     GenusNotZeroError,
     NotSimplyConnectedError,
@@ -27,10 +26,6 @@ from .intlinalg import AbelianGroup, IntegerMatrix, snf
 
 EdgeKey = tuple[object, int]  # (owning component, segment position)
 Step = tuple[int, int]  # (edge index, direction): +1 runs u -> v, -1 runs v -> u
-
-# Bound on rows^2 of the sphere-level map, so at most 4096 rows: mv_matrices
-# builds the map as dense rows, one cell per curve in each.
-MAX_SPHERE_MAP_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -236,37 +231,32 @@ def mv_matrices(g: ValidatedGluing) -> MayerVietorisMatrices:
     curves = g.curves
     normals = g.normals
 
-    h2_rows = len(pairs) + sum(n.h2_rank for n in normals)
-    # a component with no curves adds h2_rank zero rows: the row count is the
-    # one size here that the file's length does not bound
-    if h2_rows * h2_rows > MAX_SPHERE_MAP_CELLS:
-        raise BudgetExceededError(
-            f"the sphere-level map is {h2_rows} x {len(curves)}: its rows, built dense, "
-            f"are over the bound of {isqrt(MAX_SPHERE_MAP_CELLS)} rows")
     block_start = {}
     offset = len(pairs)
     for n in normals:
         block_start[n.id] = offset
         offset += n.h2_rank
-    entries = [[0] * len(curves) for _ in range(h2_rows)]
+    # a component with no curves adds h2_rank rows with no entry, which
+    # cost nothing: the sparse map stores none of them
+    nonzero = defaultdict(dict)
     for j, c in enumerate(curves):
-        entries[g.pair_index[c.id]][j] = 1
+        nonzero[g.pair_index[c.id]][j] = 1
         for r, coeff in enumerate(c.h2_class):
-            entries[block_start[c.ambient] + r][j] = coeff
-    h2_map = IntegerMatrix.from_rows(entries, cols=len(curves))
+            nonzero[block_start[c.ambient] + r][j] = coeff
+    h2_map = IntegerMatrix.sparse(offset, len(curves), nonzero)
 
     count, words = _generator_images(g)
     h1_map = exponent_sum_matrix(words, count)
 
     model = quotient_curve(g)
     d_count = model.component_count
-    rows = [[0] * len(g.dbar_components) for _ in range(d_count + len(normals))]
     normal_row = {n.id: d_count + i for i, n in enumerate(normals)}
+    nonzero = defaultdict(dict)
     for j, group in enumerate(g.dbar_components):
         first = group[0]
-        rows[model.pair_component[g.pair_index[first]]][j] = 1
-        rows[normal_row[g.curve(first).ambient]][j] = 1
-    h0_map = IntegerMatrix.from_rows(rows, cols=len(g.dbar_components))
+        nonzero[model.pair_component[g.pair_index[first]]][j] = 1
+        nonzero[normal_row[g.curve(first).ambient]][j] = 1
+    h0_map = IntegerMatrix.sparse(d_count + len(normals), len(g.dbar_components), nonzero)
 
     return MayerVietorisMatrices(h2_map=h2_map, h1_map=h1_map, h0_map=h0_map)
 

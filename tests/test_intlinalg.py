@@ -520,3 +520,45 @@ def test_snf_invariant_under_permutation(m, rng):
     shuffled = IntegerMatrix.from_rows([[row[j] for j in cols] for row in rows],
                                        cols=m.cols)
     assert snf(shuffled).divisors == snf(m).divisors
+
+
+def as_sparse(m: IntegerMatrix) -> IntegerMatrix:
+    """``m`` built again from its cells by the sparse constructor, zeros included."""
+    return IntegerMatrix.sparse(m.rows, m.cols,
+                                {i: dict(enumerate(row)) for i, row in enumerate(m.row_lists())})
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices | unitless_matrices | sparse_matrices)
+def test_sparse_and_dense_builds_are_one_value(m):
+    sparse = as_sparse(m)
+    assert sparse == m and hash(sparse) == hash(m)
+    assert sparse.entries == m.entries and sparse.row_lists() == m.row_lists()
+    assert IntegerMatrix(m.rows, m.cols, m.entries) == m
+    assert all(sparse[i, j] == m[i, j] for i in range(m.rows) for j in range(m.cols))
+    assert snf(sparse).divisors == snf(m).divisors
+
+
+class TestIntegerMatrix:
+    def test_sparse_drops_zeros_and_empty_rows(self):
+        m = IntegerMatrix.sparse(3, 2, {0: {1: 0}, 2: {0: 4, 1: 0}, 1: {}})
+        assert m == IntegerMatrix.from_rows([[0, 0], [0, 0], [4, 0]])
+        assert m != IntegerMatrix.from_rows([[0, 0], [0, 0], [0, 4]])
+        assert m != IntegerMatrix.sparse(4, 2, {2: {0: 4}})
+
+    @pytest.mark.parametrize("nonzero", [{3: {0: 1}}, {-1: {0: 1}}, {0: {2: 1}}, {0: {-1: 1}}])
+    def test_sparse_rejects_an_entry_outside_the_shape(self, nonzero):
+        with pytest.raises(IndexError):
+            IntegerMatrix.sparse(3, 2, nonzero)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            M1.rows = 5
+
+    def test_zero_rows_add_only_free_rank(self):
+        # 10^9 rows, two of them with entries: only those are stored or reduced
+        m = IntegerMatrix.sparse(10 ** 9, 3, {7: {0: 2, 1: 4}, 10 ** 9 - 1: {1: 1, 2: 1}})
+        assert snf(m).divisors == (1, 2)
+        assert snf(m).cokernel == AbelianGroup(10 ** 9 - 2, (2,))
+        padded = IntegerMatrix.from_rows(M1.row_lists() + [[0] * M1.cols] * 5)
+        assert snf(padded).cokernel == AbelianGroup(cokernel_invariants(M1).free_rank + 5)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+import tracemalloc
 
 import pytest
 
@@ -231,6 +232,23 @@ class TestHomology:
             monkeypatch.setattr(module, "snf", lambda a: seen.append(a) or snf(a))
         homology_of_X(vg)
         assert seen == [mv.h2_map, mv.h1_map, mv.h0_map]
+
+    def test_long_node_cycle_reads_no_dense_level_map(self, monkeypatch):
+        # the sphere-level map is 2001 x 4000 with two entries per column;
+        # built as dense rows with the quotient curve's pair clique, the
+        # homology reached a 252 MB traced peak
+        vg = validate_gluing(curve_cycle(4000))
+        dense_reads = []  # row_lists and str read entries too
+        monkeypatch.setattr(IntegerMatrix, "entries", property(dense_reads.append))
+        tracemalloc.start()
+        try:
+            h = homology_of_X(vg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not dense_reads
+        assert peak < 30 * 10 ** 6
+        assert (h.h1, h.h3) == (AbelianGroup(1999, (2,)), AbelianGroup(2000))
 
     def test_nontrivial_h1_rejected(self, x01):
         data = x01.data
