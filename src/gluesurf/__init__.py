@@ -33,6 +33,7 @@ from .grouptheory import (
     free_reduce,
     hom_count,
     tietze_simplify,
+    word_from_str,
 )
 from .intlinalg import (
     AbelianGroup,

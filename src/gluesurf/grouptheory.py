@@ -67,13 +67,6 @@ def inverse(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
 
 
-def exponent_sums(w: Word, num_generators: int) -> list[int]:
-    sums = [0] * num_generators
-    for x in w:
-        sums[abs(x) - 1] += 1 if x > 0 else -1
-    return sums
-
-
 def _exponent_column(w: Word) -> dict[int, int]:
     """The exponent sums of w, by generator index, for the generators in w."""
     sums: dict[int, int] = {}
@@ -91,7 +84,7 @@ def exponent_sum_matrix(words: Sequence[Word], num_generators: int) -> IntegerMa
         for x in w:
             row = nonzero[abs(x) - 1]
             row[j] = row.get(j, 0) + (1 if x > 0 else -1)
-    return IntegerMatrix.sparse(num_generators, len(words), nonzero)
+    return IntegerMatrix(num_generators, len(words), nonzero)
 
 
 def free_reduce(w: Word) -> Word:
@@ -118,6 +111,9 @@ class GroupPresentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self):
+        # tuples, so a caller's list cannot change under the cached abelianization
+        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "relators", tuple(map(tuple, self.relators)))
         n = len(self.generators)
         for w in self.relators:
             for x in w:

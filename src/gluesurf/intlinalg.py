@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -74,31 +75,38 @@ class AbelianGroup:
         return cls(_int(d["rank"], "rank"), tuple(_int(t, "torsion") for t in d.get("torsion", ())))
 
 
-def _check_shape(rows: int, cols: int) -> None:
-    if rows < 0 or cols < 0:
-        raise ValueError("dimensions must be non-negative")
-
-
 class IntegerMatrix:
     """Immutable integer matrix that keeps only its nonzero entries, by row.
 
-    ``IntegerMatrix(rows, cols, entries)`` and ``from_rows`` take dense
-    entries; ``sparse`` takes the nonzeros alone, so a row with no entry
-    costs nothing.  Equality and hashing are by value, whatever built the
-    matrix, and the dense row-major ``entries`` are built when read.
+    ``IntegerMatrix(rows, cols, nonzero)`` is the rows x cols matrix with
+    ``nonzero[i][j]`` at (i, j) and 0 elsewhere; neither a row missing from
+    ``nonzero`` nor a 0 is stored, so a row with no entry costs nothing.
+    A shape or entry that is not an ``int`` is rejected, not coerced.
+    ``from_rows`` takes dense rows.  Equality and hashing are by value, and
+    the dense row-major ``entries`` are built when read.
     """
 
     __slots__ = ("rows", "cols", "_rows")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[int]):
-        _check_shape(rows, cols)
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match dimensions")
-        self._init(rows, cols, {i: row for i in range(rows) if (row := {
-            j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols]) if x})})
-
-    def _init(self, rows: int, cols: int, nonzero: dict[int, dict[int, int]]) -> None:
-        for name, value in (("rows", rows), ("cols", cols), ("_rows", nonzero)):
+    def __init__(self, rows: int, cols: int, nonzero: Mapping[int, Mapping[int, int]]):
+        if _int(rows, "rows") < 0 or _int(cols, "cols") < 0:
+            raise ValueError("dimensions must be non-negative")
+        kept = {i: dict(row) for i, row in nonzero.items() if row}
+        # one pass in C over the entry types; _int names a bad entry
+        if {*map(type, chain.from_iterable(map(dict.values, kept.values())))} - {int}:
+            for row in kept.values():
+                for x in row.values():
+                    _int(x, "an entry")
+        for i in [i for i, row in kept.items() if not all(row.values())]:
+            if row := {j: x for j, x in kept[i].items() if x}:
+                kept[i] = row
+            else:
+                del kept[i]
+        used = set().union(*kept.values())
+        if kept and not (0 <= min(kept) and max(kept) < rows
+                         and 0 <= min(used) and max(used) < cols):
+            raise IndexError(f"an entry lies outside the {rows} x {cols} matrix")
+        for name, value in (("rows", rows), ("cols", cols), ("_rows", kept)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -115,27 +123,7 @@ class IntegerMatrix:
             width = 0
         if any(len(r) != width for r in rows):
             raise ValueError("rows have unequal lengths")
-        return cls(len(rows), width, tuple(int(x) for r in rows for x in r))
-
-    @classmethod
-    def sparse(cls, rows: int, cols: int,
-               nonzero: Mapping[int, Mapping[int, int]]) -> "IntegerMatrix":
-        """The rows x cols matrix with ``nonzero[i][j]`` at (i, j) and 0
-        elsewhere; neither a row missing from ``nonzero`` nor a 0 is stored."""
-        _check_shape(rows, cols)
-        kept = {i: dict(row) for i, row in nonzero.items() if row}
-        for i in [i for i, row in kept.items() if not all(row.values())]:
-            if row := {j: x for j, x in kept[i].items() if x}:
-                kept[i] = row
-            else:
-                del kept[i]
-        used = set().union(*kept.values())
-        if kept and not (0 <= min(kept) and max(kept) < rows
-                         and 0 <= min(used) and max(used) < cols):
-            raise IndexError(f"an entry lies outside the {rows} x {cols} matrix")
-        m = cls.__new__(cls)
-        m._init(rows, cols, kept)
-        return m
+        return cls(len(rows), width, {i: dict(enumerate(r)) for i, r in enumerate(rows)})
 
     @property
     def entries(self) -> tuple[int, ...]:
@@ -157,7 +145,7 @@ class IntegerMatrix:
 
     def __repr__(self) -> str:
         nonzero = {i: dict(sorted(row.items())) for i, row in sorted(self._rows.items())}
-        return f"IntegerMatrix.sparse({self.rows}, {self.cols}, {nonzero})"
+        return f"IntegerMatrix({self.rows}, {self.cols}, {nonzero})"
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -168,9 +156,6 @@ class IntegerMatrix:
     def row_lists(self) -> list[list[int]]:
         c, entries = self.cols, self.entries
         return [list(entries[i * c:(i + 1) * c]) for i in range(self.rows)]
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.row_lists())
 
 
 @dataclass(frozen=True)
@@ -212,24 +197,19 @@ class SmithDecomposition:
         return AbelianGroup(self.matrix.rows - self.rank, tuple(d for d in self.divisors if d > 1))
 
 
-def _sub(dst: dict[int, int], f: int, src: dict[int, int]) -> None:
-    """dst -= f * src for sparse vectors, in place; zero entries are dropped."""
-    for k, x in src.items():
-        y = dst.get(k, 0) - f * x
-        if y:
-            dst[k] = y
-        else:
-            del dst[k]
-
-
 def _combine(coeffs: Sequence[int], vectors: Sequence[dict[int, int]]) -> dict[int, int]:
     """The sparse vector sum of coeffs[k] * vectors[k]; zero entries are dropped."""
     out: dict[int, int] = {}
     for c, vec in zip(coeffs, vectors):
-        if c:
+        if c == 1 and not out:
+            out = dict(vec)  # a copy in C: U and V rows grow long
+        elif c:
             for k, x in vec.items():
-                out[k] = out.get(k, 0) + c * x
-    return {k: x for k, x in out.items() if x}
+                if y := out.get(k, 0) + c * x:
+                    out[k] = y
+                else:
+                    del out[k]
+    return out
 
 
 def _unimodular(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -401,12 +381,12 @@ def _smith(a: IntegerMatrix, transforms: bool):
                 else:
                     row_i[j] = y - f * x
             if transforms:
-                _sub(u[i], f, u[p])
+                u[i] = _combine((1, -f), (u[i], u[p]))
         buckets(row_p, set.add)
         if transforms:
             # column j -= (x / e) * column q clears (p, j) and changes only V
             for j, x in row_p.items():
-                _sub(v[j], x // e, v[q])
+                v[j] = _combine((1, -(x // e)), (v[j], v[q]))
             if e < 0:
                 u[p] = {k: -x for k, x in u[p].items()}
         pivots.append((abs(e), p, q))
@@ -438,9 +418,9 @@ def _smith(a: IntegerMatrix, transforms: bool):
     for t, col in enumerate(v_cols):
         for k, x in col.items():
             v_rows[k][t] = x
-    return divisors, (IntegerMatrix.sparse(nr, nr, dict(enumerate(u_rows))),
-                      IntegerMatrix.sparse(nr, nc, {t: {t: d} for t, d in enumerate(divisors)}),
-                      IntegerMatrix.sparse(nc, nc, v_rows))
+    return divisors, (IntegerMatrix(nr, nr, dict(enumerate(u_rows))),
+                      IntegerMatrix(nr, nc, {t: {t: d} for t, d in enumerate(divisors)}),
+                      IntegerMatrix(nc, nc, v_rows))
 
 
 def cokernel_invariants(a: IntegerMatrix) -> AbelianGroup:

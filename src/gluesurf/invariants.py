@@ -52,7 +52,7 @@ def cusp_matrix(g: ValidatedGluing) -> IntegerMatrix:
                 k = g.pair_index[comp]
                 row[k] = row.get(k, 0) + (sign if comp == g.tau_pairs[k][0] else -sign)
         rows.append(row)
-    return IntegerMatrix.sparse(len(rows), len(g.tau_pairs), dict(enumerate(rows)))
+    return IntegerMatrix(len(rows), len(g.tau_pairs), dict(enumerate(rows)))
 
 
 def irregularity(g: ValidatedGluing) -> tuple[int, int]:

@@ -5,7 +5,7 @@ through the points wedged with a 2-sphere; gluing the paths along the
 node pairing gives a graph model of the normalized conductor, and taking
 the quotient by the involution gives one for the conductor itself.  The
 fundamental group and the homology of the glued surface then come from
-spanning trees and three integer matrices.
+spanning trees and two integer matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import (
     SurfaceNotConnectedError,
     UnsupportedNormalHomologyError,
 )
-from .gluing import ValidatedGluing, cusps, node_id, per_gluing, quotient_curve
+from .gluing import ValidatedGluing, cusps, node_id, per_gluing
 from .grouptheory import GroupPresentation, Word, exponent_sum_matrix, free_reduce
 from .intlinalg import AbelianGroup, IntegerMatrix, snf
 
@@ -210,18 +210,16 @@ def pi1_presentation(g: ValidatedGluing) -> GroupPresentation:
 
 @dataclass(frozen=True)
 class MayerVietorisMatrices:
-    """The three level maps out of the normalized conductor.
+    """The sphere- and loop-level maps out of the normalized conductor.
 
     h2_map: sphere classes of the normalized conductor into quotient
     spheres plus the normal components' H2 (rows: quotient pairs, then
     each normal component's H2 basis; columns: curve components).
     h1_map: generator loops upstairs into the quotient graph's loop basis.
-    h0_map: connected components into quotient-curve and surface components.
     """
 
     h2_map: IntegerMatrix
     h1_map: IntegerMatrix
-    h0_map: IntegerMatrix
 
 
 @per_gluing
@@ -243,22 +241,12 @@ def mv_matrices(g: ValidatedGluing) -> MayerVietorisMatrices:
         nonzero[g.pair_index[c.id]][j] = 1
         for r, coeff in enumerate(c.h2_class):
             nonzero[block_start[c.ambient] + r][j] = coeff
-    h2_map = IntegerMatrix.sparse(offset, len(curves), nonzero)
+    h2_map = IntegerMatrix(offset, len(curves), nonzero)
 
     count, words = _generator_images(g)
     h1_map = exponent_sum_matrix(words, count)
 
-    model = quotient_curve(g)
-    d_count = model.component_count
-    normal_row = {n.id: d_count + i for i, n in enumerate(normals)}
-    nonzero = defaultdict(dict)
-    for j, group in enumerate(g.dbar_components):
-        first = group[0]
-        nonzero[model.pair_component[g.pair_index[first]]][j] = 1
-        nonzero[normal_row[g.curve(first).ambient]][j] = 1
-    h0_map = IntegerMatrix.sparse(d_count + len(normals), len(g.dbar_components), nonzero)
-
-    return MayerVietorisMatrices(h2_map=h2_map, h1_map=h1_map, h0_map=h0_map)
+    return MayerVietorisMatrices(h2_map=h2_map, h1_map=h1_map)
 
 
 @dataclass(frozen=True)
@@ -278,7 +266,9 @@ def homology_of_X(g: ValidatedGluing) -> HomologyOfX:
 
     The top group is one copy of Z per normal component; H3 is the kernel
     of the sphere-level map; H2 and H1 are cokernel-plus-kernel splices of
-    adjacent levels (the kernels are free, so the extensions split).
+    adjacent levels (the kernels are free, so the extensions split).  D̄
+    is connected, so H0(D̄) = Z injects and H1 is the cokernel of the
+    loop-level map.
     """
     for n in g.normals:
         if not n.h1.is_trivial or not n.h3.is_trivial or n.h4_rank != 1:
@@ -287,11 +277,11 @@ def homology_of_X(g: ValidatedGluing) -> HomologyOfX:
             )
     mv = mv_matrices(g)
     # one SNF per level map gives both its rank and its cokernel
-    dec_n, dec_m, dec_p = snf(mv.h2_map), snf(mv.h1_map), snf(mv.h0_map)
-    coker_n, coker_m = dec_n.cokernel, dec_m.cokernel
+    dec_n, dec_m = snf(mv.h2_map), snf(mv.h1_map)
+    coker_n = dec_n.cokernel
     return HomologyOfX(
         h0=AbelianGroup(g.x_component_count),
-        h1=AbelianGroup(coker_m.free_rank + (mv.h0_map.cols - dec_p.rank), coker_m.torsion),
+        h1=dec_m.cokernel,
         h2=AbelianGroup(coker_n.free_rank + (mv.h1_map.cols - dec_m.rank), coker_n.torsion),
         h3=AbelianGroup(mv.h2_map.cols - dec_n.rank),
         h4=AbelianGroup(len(g.normals)),

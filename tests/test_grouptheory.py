@@ -29,7 +29,6 @@ from gluesurf.grouptheory import (
     cyclic_reduce,
     default_catalog,
     exponent_sum_matrix,
-    exponent_sums,
     fingerprint,
     free_reduce,
     hom_count,
@@ -48,6 +47,13 @@ if str(BENCH) not in sys.path:
     sys.path.append(str(BENCH))
 
 import nlines  # noqa: E402
+
+
+def exponent_sums(w, num_generators: int) -> list[int]:
+    sums = [0] * num_generators
+    for x in w:
+        sums[abs(x) - 1] += 1 if x > 0 else -1
+    return sums
 
 
 def pres(generators: str, *relators: str) -> GroupPresentation:
@@ -124,8 +130,8 @@ class TestWordProperties:
             assert [m[i, j] for i in range(m.rows)] == exponent_sums(w, len(GENERATORS))
 
     def test_exponent_sum_matrix_without_words_or_generators(self):
-        assert exponent_sum_matrix([], 3) == IntegerMatrix(3, 0, ())
-        assert exponent_sum_matrix([(), ()], 0) == IntegerMatrix(0, 2, ())
+        assert exponent_sum_matrix([], 3) == IntegerMatrix(3, 0, {})
+        assert exponent_sum_matrix([(), ()], 0) == IntegerMatrix(0, 2, {})
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(reduced_words, max_size=4))
@@ -157,6 +163,17 @@ class TestAbelianization:
 
     def test_free_group(self):
         assert abelianization(pres("a b")) == AbelianGroup(2)
+
+    def test_a_list_relator_is_copied(self):
+        # the caller's list must not change p under its cached abelianization
+        r = [1, 1]
+        p = GroupPresentation(["a"], (r,))
+        assert abelianization(p) == AbelianGroup(0, (2,))
+        r.append(1)
+        assert str(p) == "< a | a^2 >"
+        assert p == pres("a", "a^2") and hash(p) == hash(pres("a", "a^2"))
+        assert hom_count(p, catalog_group("C3")) == (1, 0)
+        assert abelianization(p) == AbelianGroup(0, (2,))
 
 
 class TestTietze:

@@ -85,8 +85,8 @@ def matmul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
         for k, x in enumerate(r):
             if x:
                 acc = [s + x * y for s, y in zip(acc, b_rows[k])]
-        out.extend(acc)
-    return IntegerMatrix(a.rows, b.cols, tuple(out))
+        out.append(acc)
+    return IntegerMatrix.from_rows(out, cols=b.cols)
 
 
 def dense_snf(a: IntegerMatrix) -> SimpleNamespace:
@@ -193,19 +193,16 @@ def dense_snf(a: IntegerMatrix) -> SimpleNamespace:
 
 
 def identity(n: int) -> IntegerMatrix:
-    return IntegerMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+    return IntegerMatrix(n, n, {i: {i: 1} for i in range(n)})
 
 
 def zeros(rows: int, cols: int) -> IntegerMatrix:
-    return IntegerMatrix(rows, cols, (0,) * (rows * cols))
+    return IntegerMatrix(rows, cols, {})
 
 
 def diagonal(rows: int, cols: int, divisors: tuple[int, ...]) -> IntegerMatrix:
     """The rows x cols matrix with ``divisors`` leading its diagonal and zeros elsewhere."""
-    entries = [0] * (rows * cols)
-    for t, d in enumerate(divisors):
-        entries[t * cols + t] = d
-    return IntegerMatrix(rows, cols, tuple(entries))
+    return IntegerMatrix(rows, cols, {t: {t: d} for t, d in enumerate(divisors)})
 
 
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
@@ -214,9 +211,7 @@ def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     dec = snf(a)
     r = dec.rank
     v = dec.v.row_lists()
-    width = a.cols - r
-    entries = tuple(v[i][r + j] for i in range(a.cols) for j in range(width))
-    return IntegerMatrix(a.cols, width, entries)
+    return IntegerMatrix.from_rows([row[r:] for row in v], cols=a.cols - r)
 
 
 def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
@@ -459,10 +454,10 @@ def test_snf_properties(m):
 
 
 def generated_matrices(n: int, seed: int) -> dict[str, IntegerMatrix]:
-    """The three level maps and the cusp matrix of the plane glued along n random lines."""
+    """The two level maps and the cusp matrix of the plane glued along n random lines."""
     g = validate_gluing(gluing_from_dict(nlines.random_n_lines(n, seed)))
     mv = mv_matrices(g)
-    return {"h2": mv.h2_map, "h1": mv.h1_map, "h0": mv.h0_map, "cusp": cusp_matrix(g)}
+    return {"h2": mv.h2_map, "h1": mv.h1_map, "cusp": cusp_matrix(g)}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -523,9 +518,9 @@ def test_snf_invariant_under_permutation(m, rng):
 
 
 def as_sparse(m: IntegerMatrix) -> IntegerMatrix:
-    """``m`` built again from its cells by the sparse constructor, zeros included."""
-    return IntegerMatrix.sparse(m.rows, m.cols,
-                                {i: dict(enumerate(row)) for i, row in enumerate(m.row_lists())})
+    """``m`` built again from its cells by the constructor, zeros included."""
+    return IntegerMatrix(m.rows, m.cols,
+                         {i: dict(enumerate(row)) for i, row in enumerate(m.row_lists())})
 
 
 @settings(max_examples=60, deadline=None)
@@ -534,22 +529,44 @@ def test_sparse_and_dense_builds_are_one_value(m):
     sparse = as_sparse(m)
     assert sparse == m and hash(sparse) == hash(m)
     assert sparse.entries == m.entries and sparse.row_lists() == m.row_lists()
-    assert IntegerMatrix(m.rows, m.cols, m.entries) == m
+    assert IntegerMatrix.from_rows(m.row_lists(), cols=m.cols) == m
     assert all(sparse[i, j] == m[i, j] for i in range(m.rows) for j in range(m.cols))
     assert snf(sparse).divisors == snf(m).divisors
 
 
 class TestIntegerMatrix:
     def test_sparse_drops_zeros_and_empty_rows(self):
-        m = IntegerMatrix.sparse(3, 2, {0: {1: 0}, 2: {0: 4, 1: 0}, 1: {}})
+        m = IntegerMatrix(3, 2, {0: {1: 0}, 2: {0: 4, 1: 0}, 1: {}})
         assert m == IntegerMatrix.from_rows([[0, 0], [0, 0], [4, 0]])
         assert m != IntegerMatrix.from_rows([[0, 0], [0, 0], [0, 4]])
-        assert m != IntegerMatrix.sparse(4, 2, {2: {0: 4}})
+        assert m != IntegerMatrix(4, 2, {2: {0: 4}})
+        assert repr(m) == "IntegerMatrix(3, 2, {2: {0: 4}})"
 
     @pytest.mark.parametrize("nonzero", [{3: {0: 1}}, {-1: {0: 1}}, {0: {2: 1}}, {0: {-1: 1}}])
     def test_sparse_rejects_an_entry_outside_the_shape(self, nonzero):
         with pytest.raises(IndexError):
-            IntegerMatrix.sparse(3, 2, nonzero)
+            IntegerMatrix(3, 2, nonzero)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.7, 1.5, 0.0, "1"])
+    @pytest.mark.parametrize("build", [
+        lambda x: IntegerMatrix(2, 2, {0: {0: 1}, 1: {1: x}}),
+        lambda x: IntegerMatrix.from_rows([[1, 0], [0, x]]),
+    ], ids=["constructor", "from_rows"])
+    def test_rejects_an_entry_that_is_not_an_int(self, build, bad):
+        with pytest.raises(TypeError):
+            snf(build(bad))
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: IntegerMatrix(2.0, 2, {}), TypeError),
+        (lambda: IntegerMatrix(2, True, {}), TypeError),
+        (lambda: IntegerMatrix(-1, 2, {}), ValueError),
+        (lambda: IntegerMatrix(2, -1, {}), ValueError),
+        (lambda: IntegerMatrix.from_rows([], cols=2.0), TypeError),
+        (lambda: IntegerMatrix.from_rows([], cols=-1), ValueError),
+    ])
+    def test_rejects_a_bad_shape(self, build, error):
+        with pytest.raises(error):
+            build()
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -557,7 +574,7 @@ class TestIntegerMatrix:
 
     def test_zero_rows_add_only_free_rank(self):
         # 10^9 rows, two of them with entries: only those are stored or reduced
-        m = IntegerMatrix.sparse(10 ** 9, 3, {7: {0: 2, 1: 4}, 10 ** 9 - 1: {1: 1, 2: 1}})
+        m = IntegerMatrix(10 ** 9, 3, {7: {0: 2, 1: 4}, 10 ** 9 - 1: {1: 1, 2: 1}})
         assert snf(m).divisors == (1, 2)
         assert snf(m).cokernel == AbelianGroup(10 ** 9 - 2, (2,))
         padded = IntegerMatrix.from_rows(M1.row_lists() + [[0] * M1.cols] * 5)

@@ -192,11 +192,6 @@ class TestMayerVietorisMatrices:
         mv = mv_matrices(validate_gluing(graded))
         assert mv.h2_map == IntegerMatrix.from_rows([[1, 1], [3, 5]])
 
-    def test_component_level_map(self, x01):
-        h0 = mv_matrices(x01).h0_map
-        assert (h0.rows, h0.cols) == (2, 1)
-        assert h0.entries == (1, 1)
-
 
 class TestHomology:
     @pytest.mark.parametrize("label", ["X0.1", "X0.2"])
@@ -216,14 +211,6 @@ class TestHomology:
         assert h.h4 == AbelianGroup(len(x01.normals))
         assert h.h0 == AbelianGroup(x01.x_component_count)
 
-    def test_component_count_matches_h0_cokernel(self, x01):
-        # exactness: H0 of the surface is the cokernel of the component map
-        mv = mv_matrices(x01)
-        assert cokernel_invariants(mv.h0_map).free_rank + snf(mv.h0_map).rank \
-            == mv.h0_map.rows
-        assert homology_of_X(x01).h0.free_rank \
-            == mv.h0_map.rows - snf(mv.h0_map).rank
-
     def test_one_snf_per_level_map(self, monkeypatch):
         vg = table_gluing("X0.2")
         mv = mv_matrices(vg)
@@ -231,14 +218,14 @@ class TestHomology:
         for module in (topology, intlinalg):  # cokernel_invariants calls intlinalg.snf
             monkeypatch.setattr(module, "snf", lambda a: seen.append(a) or snf(a))
         homology_of_X(vg)
-        assert seen == [mv.h2_map, mv.h1_map, mv.h0_map]
+        assert seen == [mv.h2_map, mv.h1_map]
 
     def test_long_node_cycle_reads_no_dense_level_map(self, monkeypatch):
         # the sphere-level map is 2001 x 4000 with two entries per column;
         # built as dense rows with the quotient curve's pair clique, the
         # homology reached a 252 MB traced peak
         vg = validate_gluing(curve_cycle(4000))
-        dense_reads = []  # row_lists and str read entries too
+        dense_reads = []  # row_lists reads entries too
         monkeypatch.setattr(IntegerMatrix, "entries", property(dense_reads.append))
         tracemalloc.start()
         try:
