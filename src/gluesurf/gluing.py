@@ -11,9 +11,10 @@ structure, and the coherent Euler characteristics.
 from __future__ import annotations
 
 import functools
+from itertools import repeat
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import GluingFormatError, GluingValidationError
 from .grouptheory import closure
@@ -77,11 +78,6 @@ class GluingData:
 Node = tuple[str, str]
 
 
-def node_of(point: str, sigma: Mapping[str, str]) -> Node:
-    a, b = point, sigma[point]
-    return (a, b) if a < b else (b, a)
-
-
 def node_id(node: Node) -> str:
     return f"{node[0]}|{node[1]}"
 
@@ -129,13 +125,31 @@ def _components(items: Iterable, neighbours: Callable) -> tuple[tuple, ...]:
     return tuple(out)
 
 
+def per_gluing(fn):
+    """Cache ``fn``'s result on the ValidatedGluing among its arguments.
+
+    The key is the function name and the other arguments; the cache lives
+    and dies with the gluing.  Exceptions are not cached.
+    """
+    @functools.wraps(fn)
+    def cached(*args):
+        g = next(a for a in args if isinstance(a, ValidatedGluing))
+        key = (fn.__name__, *(a for a in args if a is not g))
+        if key not in g._memo:
+            g._memo[key] = fn(*args)
+        return g._memo[key]
+
+    return cached
+
+
 @dataclass(frozen=True)
 class ValidatedGluing:
     """Gluing data with all invariants checked, plus connectivity annotations.
 
     Structures derived from the gluing are computed once per instance: the
     sorted components, the tau-pairs and ``pair_index`` are cached
-    attributes, and the ``per_gluing`` functions cache theirs in ``_memo``.
+    attributes, and ``nodes`` and the ``per_gluing`` functions cache theirs
+    in ``_memo``.
     """
 
     data: GluingData
@@ -169,14 +183,10 @@ class ValidatedGluing:
     def points(self) -> tuple[str, ...]:
         return tuple(sorted(self.point_component))
 
-    def tau(self, p: str) -> str:
-        return self.data.tau_points[p]
-
-    def component_of(self, p: str) -> str:
-        return self.point_component[p]
-
+    @per_gluing
     def nodes(self) -> tuple[Node, ...]:
-        return tuple(sorted({node_of(p, self.data.sigma) for p in self.point_component}))
+        """The nodes (a, b), a < b, sorted: sigma pairs the points without a fixed point."""
+        return tuple(sorted([(a, b) for a, b in self.data.sigma.items() if a < b]))
 
     @functools.cached_property
     def tau_pairs(self) -> tuple[tuple[str, str], ...]:
@@ -191,32 +201,19 @@ class ValidatedGluing:
             {cid: k for k, pair in enumerate(self.tau_pairs) for cid in pair})
 
 
-def per_gluing(fn):
-    """Cache ``fn``'s result on the ValidatedGluing among its arguments.
-
-    The key is the function name and the other arguments; the cache lives
-    and dies with the gluing.  Exceptions are not cached.
-    """
-    @functools.wraps(fn)
-    def cached(*args):
-        g = next(a for a in args if isinstance(a, ValidatedGluing))
-        key = (fn.__name__, *(a for a in args if a is not g))
-        if key not in g._memo:
-            g._memo[key] = fn(*args)
-        return g._memo[key]
-
-    return cached
-
-
-def _check_involution(name: str, mapping: Mapping[str, str], domain: set[str], issues: list[str]):
-    for x, y in sorted(mapping.items()):
+def _check_involution(name: str, mapping: Mapping[str, str], domain: AbstractSet[str],
+                      issues: list[str]):
+    # a point outside domain is reported as dangling by the caller
+    for x, y in mapping.items():
+        if x not in domain:
+            continue
         if y not in domain:
             issues.append(f"DanglingPoint: {name} sends {x} to unknown point {y}")
         elif mapping.get(y) != x:
             issues.append(f"NonInvolutive: {name}({name}({x})) != {x}")
         if x == y:
             issues.append(f"FixedMarkedPoint: {name} fixes {x}")
-    for x in sorted(domain - set(mapping)):
+    for x in domain - mapping.keys():
         issues.append(f"UnpairedPoint: {x} has no {name}-partner")
 
 
@@ -266,17 +263,16 @@ def validate_gluing(data: GluingData) -> ValidatedGluing:
                 issues.append(f"DuplicatePoint: {p} belongs to {point_component[p]} and {c.id}")
             point_component[p] = c.id
 
-    all_points = set(point_component)
-    for p in sorted(set(data.sigma) - all_points):
+    # the issues are sorted at the end, so they are found in any order
+    all_points = point_component.keys()
+    for p in data.sigma.keys() - all_points:
         issues.append(f"DanglingPoint: sigma defined on unknown point {p}")
-    for p in sorted(set(data.tau_points) - all_points):
+    for p in data.tau_points.keys() - all_points:
         issues.append(f"DanglingPoint: tau defined on unknown point {p}")
-    _check_involution("sigma", {k: v for k, v in data.sigma.items() if k in all_points},
-                      all_points, issues)
-    _check_involution("tau", {k: v for k, v in data.tau_points.items() if k in all_points},
-                      all_points, issues)
+    _check_involution("sigma", data.sigma, all_points, issues)
+    _check_involution("tau", data.tau_points, all_points, issues)
 
-    for cid, partner in sorted(data.tau_components.items()):
+    for cid, partner in data.tau_components.items():
         if cid not in curves or partner not in curves:
             issues.append(f"DanglingPoint: involution names unknown component {cid} or {partner}")
             continue
@@ -289,21 +285,20 @@ def validate_gluing(data: GluingData) -> ValidatedGluing:
             issues.append(f"ComponentMismatch: {cid} and {partner} have different genus")
         if len(curves[cid].marked_points) != len(curves[partner].marked_points):
             issues.append(f"ComponentMismatch: {cid} and {partner} have different point counts")
-    for cid in sorted(set(curves) - set(data.tau_components)):
+    for cid in curves.keys() - data.tau_components.keys():
         issues.append(f"ComponentMismatch: component {cid} missing from the involution")
 
     if not issues:
-        for p in sorted(all_points):
+        for p, cid in point_component.items():
             img = data.tau_points[p]
-            expected = data.tau_components[point_component[p]]
+            expected = data.tau_components[cid]
             if point_component[img] != expected:
                 issues.append(
                     f"ComponentMismatch: tau({p}) = {img} lies on "
                     f"{point_component[img]}, expected {expected}"
                 )
-        for p in sorted(all_points):
             q = data.sigma[p]
-            if curves[point_component[p]].ambient != curves[point_component[q]].ambient:
+            if curves[cid].ambient != curves[point_component[q]].ambient:
                 issues.append(
                     f"ComponentMismatch: node {{{p},{q}}} joins curves on "
                     "different normal components"
@@ -378,8 +373,9 @@ def quotient_curve(g: ValidatedGluing) -> DCurveModel:
     # tau-pairs are joined when one cusp has points on both; joining each to
     # the first of them, a star rather than a clique, gives the same components
     joined: list[set[int]] = [set() for _ in pairs]
+    pair, component_of = g.pair_index, g.point_component
     for c in cusps(g):
-        first, *rest = {g.pair_index[g.component_of(p)] for p in c.points}
+        first, *rest = {pair[component_of[p]] for p in c.points}
         for k in rest:
             joined[first].add(k)
             joined[k].add(first)
@@ -450,12 +446,9 @@ def _symmetrize(pairs: Iterable[tuple[str, str]], what: str) -> dict[str, str]:
     for a, b in pairs:
         if not isinstance(a, str) or not isinstance(b, str):
             raise GluingFormatError(f"{what}: {a!r} and {b!r} must both be strings")
-        for x, y in ((a, b), (b, a)):
-            if x in out and out[x] != y:
-                raise GluingFormatError(
-                    f"{what}: {x} is paired with both {out[x]} and {y}"
-                )
-            out[x] = y
+        if out.setdefault(a, b) != b or out.setdefault(b, a) != a:
+            x, y = (a, b) if out[a] != b else (b, a)
+            raise GluingFormatError(f"{what}: {x} is paired with both {out[x]} and {y}")
     return out
 
 
@@ -522,9 +515,9 @@ def gluing_from_dict(doc: dict) -> GluingData:
                 id=_typed(c["id"], str, where + ".id"),
                 ambient=_typed(c["on"], str, where + ".on"),
                 genus=_int(c.get("genus", 0), "genus"),
-                marked_points=tuple(
-                    _typed(p, str, where + ".marked_points entry")
-                    for p in _typed(c["marked_points"], list, where + ".marked_points")),
+                marked_points=tuple(map(
+                    _typed, _typed(c["marked_points"], list, where + ".marked_points"),
+                    repeat(str), repeat(where + ".marked_points entry"))),
                 h2_class=tuple(
                     _int(x, "h2_class entry")
                     for x in _typed(c.get("h2_class", []), list, where + ".h2_class")),

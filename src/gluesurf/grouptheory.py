@@ -83,7 +83,9 @@ def exponent_sum_matrix(words: Sequence[Word], num_generators: int) -> IntegerMa
     for j, w in enumerate(words):
         for x in w:
             row = nonzero[abs(x) - 1]
-            row[j] = row.get(j, 0) + (1 if x > 0 else -1)
+            # a sum that cancels is dropped here, so the constructor copies no row twice
+            if y := row.pop(j, 0) + (1 if x > 0 else -1):
+                row[j] = y
     return IntegerMatrix(num_generators, len(words), nonzero)
 
 

@@ -81,7 +81,7 @@ class IntegerMatrix:
     ``IntegerMatrix(rows, cols, nonzero)`` is the rows x cols matrix with
     ``nonzero[i][j]`` at (i, j) and 0 elsewhere; neither a row missing from
     ``nonzero`` nor a 0 is stored, so a row with no entry costs nothing.
-    A shape or entry that is not an ``int`` is rejected, not coerced.
+    A shape, index or entry that is not an ``int`` is rejected, not coerced.
     ``from_rows`` takes dense rows.  Equality and hashing are by value, and
     the dense row-major ``entries`` are built when read.
     """
@@ -92,10 +92,13 @@ class IntegerMatrix:
         if _int(rows, "rows") < 0 or _int(cols, "cols") < 0:
             raise ValueError("dimensions must be non-negative")
         kept = {i: dict(row) for i, row in nonzero.items() if row}
-        # one pass in C over the entry types; _int names a bad entry
-        if {*map(type, chain.from_iterable(map(dict.values, kept.values())))} - {int}:
-            for row in kept.values():
-                for x in row.values():
+        # one pass in C over the index and entry types; _int names a bad one
+        if {*map(type, chain(nonzero, chain.from_iterable(kept.values()),
+                             chain.from_iterable(map(dict.values, kept.values()))))} - {int}:
+            for i, row in nonzero.items():
+                _int(i, "a row index")
+                for j, x in row.items():
+                    _int(j, "a column index")
                     _int(x, "an entry")
         for i in [i for i, row in kept.items() if not all(row.values())]:
             if row := {j: x for j, x in kept[i].items() if x}:

@@ -42,15 +42,19 @@ def cusp_matrix(g: ValidatedGluing) -> IntegerMatrix:
             raise NormalizationIrregularError(
                 f"normal component {n.id} has q = {n.q}; the algorithm needs q = 0"
             )
+    # f is zero off a point's own pair, so each point adds f's value on its
+    # component to one entry: entry[component] is (pair column, that value)
+    entry = {}
+    for k, (a, b) in enumerate(g.tau_pairs):
+        entry[a], entry[b] = (k, 1), (k, -1)
     rows = []
     for cusp in cusps(g):
-        # f is zero off a point's own pair, so each point adds to one entry
         row: dict[int, int] = {}
         for r, s in zip(cusp.r_cycle, cusp.s_cycle):
-            for point, sign in ((r, 1), (s, -1)):
-                comp = g.component_of(point)
-                k = g.pair_index[comp]
-                row[k] = row.get(k, 0) + (sign if comp == g.tau_pairs[k][0] else -sign)
+            k, f = entry[g.point_component[r]]
+            row[k] = row.get(k, 0) + f
+            k, f = entry[g.point_component[s]]
+            row[k] = row.get(k, 0) - f
         rows.append(row)
     return IntegerMatrix(len(rows), len(g.tau_pairs), dict(enumerate(rows)))
 

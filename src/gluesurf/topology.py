@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DbarDisconnectedError,
@@ -28,8 +29,7 @@ EdgeKey = tuple[object, int]  # (owning component, segment position)
 Step = tuple[int, int]  # (edge index, direction): +1 runs u -> v, -1 runs v -> u
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     u: int
     v: int
     key: EdgeKey
@@ -57,30 +57,12 @@ def _require_genus_zero(g: ValidatedGluing):
             raise GenusNotZeroError(f"component {c.id} has genus {c.genus}")
 
 
-def _model_orders(g: ValidatedGluing) -> dict[str, tuple[str, ...]]:
-    """Marked-point order per component: the lexicographically smaller member
-    of each involution pair keeps its stored order, the partner inherits the
-    transported order, so the involution is simplicial on the models."""
-    orders: dict[str, tuple[str, ...]] = {}
-    for a, b in g.tau_pairs:
-        pts = g.curve(a).marked_points
-        orders[a] = pts
-        orders[b] = tuple(g.tau(x) for x in pts)
-    return orders
-
-
-def _d_owner(g: ValidatedGluing, k: int) -> tuple[str, int]:
-    """Edge owner of the k-th tau-pair in the graph model of D: ("a+b", k)."""
-    a, b = g.tau_pairs[k]
-    return (f"{a}+{b}", k)
-
-
 def _spanning_forest(n: int, edges: tuple[GraphEdge, ...]):
     # edges come in key order, so each adjacency list is in key order too
     adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for idx, e in enumerate(edges):
-        adjacency[e.u].append((idx, 1, e.v))
-        adjacency[e.v].append((idx, -1, e.u))
+    for idx, (u, v, _key) in enumerate(edges):
+        adjacency[u].append((idx, 1, v))
+        adjacency[v].append((idx, -1, u))
     tree_step: list[Step | None] = [None] * n
     visited = [False] * n
     tree: set[int] = set()
@@ -101,36 +83,43 @@ def _spanning_forest(n: int, edges: tuple[GraphEdge, ...]):
 
 @per_gluing
 def homotopy_graph(side: str, g: ValidatedGluing) -> HomotopyGraph:
-    """Graph model of the normalized conductor (side="Dbar") or its quotient (side="D")."""
-    _require_genus_zero(g)
-    orders = _model_orders(g)
+    """Graph model of the normalized conductor (side="Dbar") or its quotient (side="D").
 
+    Each curve is a path through its marked points: the smaller curve of a
+    tau-pair in stored order, its partner through their tau-images, so tau
+    is simplicial on the models.  The k-th pair (a, b) owns ("a+b", k) in D.
+    """
+    _require_genus_zero(g)
     # Vertices and edge owners are keyed by their printed label, then by the
     # structure it names: two labels glued from ids can be equal, and the
     # label order is kept because the generator names follow this order.
     if side == "Dbar":
-        vertex_of_point = {p: (node_id(n), n) for n in g.nodes() for p in n}
-        rows = [(c.id, orders[c.id]) for c in g.curves]
+        vertices = sorted([(node_id(n), n) for n in g.nodes()])
+        points = [n for _label, n in vertices]
+        tau = g.data.tau_points.__getitem__
+        rows = []
+        for a, b in g.tau_pairs:
+            pts = g.curve(a).marked_points
+            rows += ((a, pts), (b, tuple(map(tau, pts))))
+        rows.sort()
     elif side == "D":
-        vertex_of_point = {p: (c.label, i) for i, c in enumerate(cusps(g)) for p in c.points}
-        rows = [(_d_owner(g, k), orders[a]) for k, (a, _b) in enumerate(g.tau_pairs)]
+        found = cusps(g)
+        vertices = sorted([(c.label, i) for i, c in enumerate(found)])
+        points = [found[i].points for _label, i in vertices]
+        rows = sorted([((f"{a}+{b}", k), g.curve(a).marked_points)
+                       for k, (a, b) in enumerate(g.tau_pairs)])
     else:
         raise ValueError(f"side must be 'Dbar' or 'D', got {side!r}")
 
-    vertices = tuple(sorted(set(vertex_of_point.values())))
-    vindex = {v: i for i, v in enumerate(vertices)}
+    vertex_of_point = {p: i for i, pts in enumerate(points) for p in pts}
+    # the rows are sorted by their distinct owners, so the edges come in key order
     edges = []
     for owner, pts in rows:
-        for i in range(len(pts) - 1):
-            edges.append(GraphEdge(
-                u=vindex[vertex_of_point[pts[i]]],
-                v=vindex[vertex_of_point[pts[i + 1]]],
-                key=(owner, i),
-            ))
-    edges.sort(key=lambda e: e.key)
+        at = [vertex_of_point[p] for p in pts]
+        edges += map(GraphEdge, at, at[1:], [(owner, i) for i in range(len(at) - 1)])
     edges = tuple(edges)
     tree_step, generators = _spanning_forest(len(vertices), edges)
-    return HomotopyGraph(vertices=vertices, edges=edges, tree_step=tree_step,
+    return HomotopyGraph(vertices=tuple(vertices), edges=edges, tree_step=tree_step,
                          generator_edges=generators)
 
 
@@ -146,17 +135,6 @@ def _check_pi1_preconditions(g: ValidatedGluing):
             )
 
 
-def root_path(graph: HomotopyGraph, vertex: int) -> list[Step]:
-    """Tree path from the BFS root of ``vertex``'s component to ``vertex``."""
-    path = []
-    while (step := graph.tree_step[vertex]) is not None:
-        path.append(step)
-        edge = graph.edges[step[0]]
-        vertex = edge.u if step[1] == 1 else edge.v
-    path.reverse()
-    return path
-
-
 @per_gluing
 def _generator_images(g: ValidatedGluing) -> tuple[int, tuple[Word, ...]]:
     """The quotient graph's generator count, and for each generator loop
@@ -169,25 +147,44 @@ def _generator_images(g: ValidatedGluing) -> tuple[int, tuple[Word, ...]]:
     gbar = homotopy_graph("Dbar", g)
     gd = homotopy_graph("D", g)
 
-    d_letter = {gd.edges[eidx].key: x for x, eidx in enumerate(gd.generator_edges, 1)}
-    # the letter, or 0, of the quotient edge under each upstairs edge: the
-    # same position on its tau-pair
-    letter = [d_letter.get((_d_owner(g, g.pair_index[owner]), pos), 0)
-              for owner, pos in (e.key for e in gbar.edges)]
+    # an upstairs edge lies over the quotient edge at the same position on
+    # its tau-pair; letter[i] is that edge's letter, or 0
+    d_letter = {}
+    for x, eidx in enumerate(gd.generator_edges, 1):
+        (_label, k), pos = gd.edges[eidx].key
+        d_letter[k, pos] = x
+    pair = g.pair_index
+    letter = [d_letter.get((pair[owner], pos), 0) for _u, _v, (owner, pos) in gbar.edges]
+    # each vertex's tree step as (the vertex it leaves, its letter toward the vertex)
+    up: list[tuple[int, int] | None] = [None] * len(gbar.vertices)
+    for vertex, step in enumerate(gbar.tree_step):
+        if step is not None:
+            u, v, _key = gbar.edges[step[0]]
+            up[vertex] = (u, letter[step[0]]) if step[1] == 1 else (v, -letter[step[0]])
+
+    def letters_to_root(vertex: int) -> list[int]:
+        # the letters of the tree path from the root to vertex, last first
+        out = []
+        while (step := up[vertex]) is not None:
+            vertex, x = step
+            if x:
+                out.append(x)
+        return out
 
     words = []
     for eidx in gbar.generator_edges:
-        edge = gbar.edges[eidx]
-        loop = (root_path(gbar, edge.u) + [(eidx, 1)]
-                + [(i, -d) for i, d in reversed(root_path(gbar, edge.v))])
-        words.append(free_reduce([d * letter[i] for i, d in loop if letter[i]]))
+        u, v, _key = gbar.edges[eidx]
+        loop = letters_to_root(u)
+        loop.reverse()
+        if letter[eidx]:
+            loop.append(letter[eidx])
+        loop += [-x for x in letters_to_root(v)]
+        words.append(free_reduce(loop))
     return len(gd.generator_edges), tuple(words)
 
 
 def _letter_names(count: int) -> tuple[str, ...]:
-    return tuple(
-        chr(ord("a") + i) if i < 26 else f"g{i}" for i in range(count)
-    )
+    return tuple(chr(ord("a") + i) if i < 26 else f"g{i}" for i in range(count))
 
 
 def pi1_presentation(g: ValidatedGluing) -> GroupPresentation:

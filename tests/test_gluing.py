@@ -10,6 +10,8 @@ from conftest import table_element, table_gluing, toy_pair, two_planes
 from gluesurf.errors import GluingFormatError, GluingValidationError
 from gluesurf.fourlines import all_gluings, build_four_lines
 from gluesurf.gluing import (
+    CurveComponent,
+    NormalComponent,
     cusps,
     euler_characteristics,
     gluing_from_dict,
@@ -53,7 +55,8 @@ class TestValidation:
         bad = dataclasses.replace(data, sigma=sigma)
         with pytest.raises(GluingValidationError) as err:
             validate_gluing(bad)
-        assert any(issue.startswith("FixedMarkedPoint") for issue in err.value.issues)
+        assert err.value.issues == ("FixedMarkedPoint: sigma fixes P12",
+                                    "FixedMarkedPoint: sigma fixes P21")
 
     def test_tau_across_wrong_component_rejected(self):
         data = build_four_lines(table_element("X0.1"))
@@ -66,7 +69,12 @@ class TestValidation:
         bad = dataclasses.replace(data, tau_points=tau)
         with pytest.raises(GluingValidationError) as err:
             validate_gluing(bad)
-        assert any(issue.startswith("ComponentMismatch") for issue in err.value.issues)
+        assert err.value.issues == (
+            "ComponentMismatch: tau(P12) = P31 lies on L3, expected L2",
+            "ComponentMismatch: tau(P23) = P41 lies on L4, expected L1",
+            "ComponentMismatch: tau(P31) = P12 lies on L1, expected L4",
+            "ComponentMismatch: tau(P41) = P23 lies on L2, expected L3",
+        )
 
     def test_non_involutive_tau_rejected(self):
         data = build_four_lines(table_element("X0.1"))
@@ -75,7 +83,8 @@ class TestValidation:
         bad = dataclasses.replace(data, tau_points=tau)
         with pytest.raises(GluingValidationError) as err:
             validate_gluing(bad)
-        assert any(issue.startswith("NonInvolutive") for issue in err.value.issues)
+        assert err.value.issues == ("NonInvolutive: tau(tau(P12)) != P12",
+                                    "NonInvolutive: tau(tau(P23)) != P23")
 
     def test_component_fixed_by_involution_rejected(self):
         data = toy_pair(2, 1)
@@ -85,7 +94,8 @@ class TestValidation:
         )
         with pytest.raises(GluingValidationError) as err:
             validate_gluing(bad)
-        assert any(issue.startswith("FixedComponent") for issue in err.value.issues)
+        assert err.value.issues == ("FixedComponent: involution fixes component C1",
+                                    "FixedComponent: involution fixes component C2")
 
     def test_dangling_point_rejected(self):
         data = build_four_lines(table_element("X0.1"))
@@ -94,7 +104,7 @@ class TestValidation:
         bad = dataclasses.replace(data, sigma=sigma)
         with pytest.raises(GluingValidationError) as err:
             validate_gluing(bad)
-        assert any(issue.startswith("DanglingPoint") for issue in err.value.issues)
+        assert err.value.issues == ("DanglingPoint: sigma defined on unknown point P99",)
 
     @pytest.mark.parametrize("h1", [AbelianGroup(2), AbelianGroup(0, (2,))])
     def test_simply_connected_with_nontrivial_h1_rejected(self, h1):
@@ -103,7 +113,9 @@ class TestValidation:
             dataclasses.replace(n, h1=h1) for n in data.normal_components))
         with pytest.raises(GluingValidationError) as err:
             validate_gluing(bad)
-        assert any(issue.startswith("InconsistentHomology") for issue in err.value.issues)
+        shown = "Z^2" if h1.free_rank else "Z/2"
+        assert err.value.issues == (
+            f"InconsistentHomology: plane is simply connected but h1 = {shown}",)
         # without the simply connected claim the same h1 is valid input
         validate_gluing(dataclasses.replace(bad, normal_components=tuple(
             dataclasses.replace(n, simply_connected=False) for n in bad.normal_components)))
@@ -115,7 +127,105 @@ class TestValidation:
         bad = dataclasses.replace(data, sigma=sigma)
         with pytest.raises(GluingValidationError) as err:
             validate_gluing(bad)
-        assert any(issue.startswith("UnpairedPoint") for issue in err.value.issues)
+        assert err.value.issues == ("UnpairedPoint: P12 has no sigma-partner",
+                                    "UnpairedPoint: P21 has no sigma-partner")
+
+    def test_several_faults_in_one_gluing_are_each_listed_once(self):
+        # a dangling sigma point, a non-involutive tau and an unpaired point
+        data = build_four_lines(table_element("X0.1"))
+        sigma, tau = dict(data.sigma), dict(data.tau_points)
+        sigma["P99"] = "P12"
+        del sigma["P13"], sigma["P31"]
+        tau["P14"] = "P41"
+        with pytest.raises(GluingValidationError) as err:
+            validate_gluing(dataclasses.replace(data, sigma=sigma, tau_points=tau))
+        assert err.value.issues == (
+            "DanglingPoint: sigma defined on unknown point P99",
+            "NonInvolutive: tau(tau(P14)) != P14",
+            "NonInvolutive: tau(tau(P24)) != P24",
+            "UnpairedPoint: P13 has no sigma-partner",
+            "UnpairedPoint: P31 has no sigma-partner",
+        )
+
+    def test_component_faults_are_each_listed_once(self):
+        # two normal components share an id, so the second one's ranks are
+        # the ones the curves are checked against
+        data = toy_pair(3, 1)
+        bad = dataclasses.replace(
+            data,
+            normal_components=data.normal_components + (NormalComponent(
+                id="base", chi_O=1, q=-1, h1=AbelianGroup(1), h2_rank=-2),),
+            curve_components=(
+                CurveComponent("C1", "base", -1, ("x0", "x1", "x1"), (1, 0)),
+                CurveComponent("C2", "nowhere", 0, ("y0", "y1", "y2"), (1,)),
+                CurveComponent("C3", "base", 0, (), (1,)),
+                CurveComponent("C4", "base", 0, ("x2",), (1,)),
+            ),
+            tau_components={"C1": "C2", "C2": "C1", "C3": "C5", "C4": "C4"},
+        )
+        with pytest.raises(GluingValidationError) as err:
+            validate_gluing(bad)
+        assert err.value.issues == (
+            "BadGenus: C1 has negative genus",
+            "BadRank: base has h2_rank = -2",
+            "BadRank: base has q = -1",
+            "ComponentMismatch: C1 and C2 have different genus",
+            "ComponentMismatch: C1 h2_class length 2 != ambient rank -2",
+            "ComponentMismatch: C2 and C1 have different genus",
+            "ComponentMismatch: C3 h2_class length 1 != ambient rank -2",
+            "ComponentMismatch: C4 h2_class length 1 != ambient rank -2",
+            "DanglingPoint: C2 lies on unknown component nowhere",
+            "DanglingPoint: involution names unknown component C3 or C5",
+            "DuplicateId: repeated normal component id",
+            "DuplicatePoint: C1 repeats a marked point",
+            "DuplicatePoint: x1 belongs to C1 and C1",
+            "EmptyComponent: C3 has no marked points",
+            "FixedComponent: involution fixes component C4",
+            "InconsistentHomology: base is simply connected but h1 = Z",
+        )
+
+    def test_repeated_curve_id_and_unknown_tau_points_are_each_listed_once(self):
+        data = toy_pair(2, 1)
+        bad = dataclasses.replace(
+            data,
+            curve_components=data.curve_components + (
+                CurveComponent("C2", "base", 0, ("z0",), (1,)),
+                CurveComponent("C3", "base", 0, ("w0",), (1,))),
+            sigma={**data.sigma, "z0": "w0", "w0": "z0"},
+            tau_points={**data.tau_points, "q0": "q1", "q1": "q0"},
+        )
+        with pytest.raises(GluingValidationError) as err:
+            validate_gluing(bad)
+        assert err.value.issues == (
+            "ComponentMismatch: C1 and C2 have different point counts",
+            "ComponentMismatch: C2 and C1 have different point counts",
+            "ComponentMismatch: component C3 missing from the involution",
+            "DanglingPoint: tau defined on unknown point q0",
+            "DanglingPoint: tau defined on unknown point q1",
+            "DuplicateId: repeated curve component id",
+            "UnpairedPoint: w0 has no tau-partner",
+            "UnpairedPoint: z0 has no tau-partner",
+        )
+
+    def test_faults_found_once_the_maps_are_sound_are_each_listed_once(self):
+        # sigma joins the two planes and tau crosses the component map, and
+        # each node is named from both of its points
+        data = two_planes()
+        bad = dataclasses.replace(
+            data, sigma={"x0": "u0", "u0": "x0", "y0": "v0", "v0": "y0"},
+            tau_points={"x0": "v0", "v0": "x0", "y0": "u0", "u0": "y0"})
+        with pytest.raises(GluingValidationError) as err:
+            validate_gluing(bad)
+        assert err.value.issues == (
+            "ComponentMismatch: node {u0,x0} joins curves on different normal components",
+            "ComponentMismatch: node {v0,y0} joins curves on different normal components",
+            "ComponentMismatch: node {x0,u0} joins curves on different normal components",
+            "ComponentMismatch: node {y0,v0} joins curves on different normal components",
+            "ComponentMismatch: tau(u0) = y0 lies on C2, expected C4",
+            "ComponentMismatch: tau(v0) = x0 lies on C1, expected C3",
+            "ComponentMismatch: tau(x0) = v0 lies on C4, expected C2",
+            "ComponentMismatch: tau(y0) = u0 lies on C3, expected C1",
+        )
 
 
 class TestCusps:
@@ -199,7 +309,7 @@ class TestQuotientCurve:
         for b in all_gluings():
             vg = validate_gluing(build_four_lines(b))
             for c in cusps(vg):
-                assert len({frozenset((p, vg.tau(p))) for p in c.points}) == c.mu
+                assert len({frozenset((p, vg.data.tau_points[p])) for p in c.points}) == c.mu
 
     def test_single_pair_single_node(self):
         vg = validate_gluing(toy_pair(1, 0))
@@ -265,5 +375,18 @@ class TestSerialization:
         first = next(iter(points))
         points[points[first]] = first[:-1] + "9"
         doc["involution"]["points"] = points
-        with pytest.raises(GluingFormatError):
+        with pytest.raises(GluingFormatError,
+                           match="^involution.points: P23 is paired with both P12 and P19$"):
+            gluing_from_dict(doc)
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([["P12", "P21"], ["P12", "P31"]], "P12 is paired with both P21 and P31"),
+        ([["P12", "P21"], ["P31", "P21"]], "P21 is paired with both P12 and P31"),
+        ([["P12", "P21"], ["P21", "P12"], ["P13", "P13"], ["P13", "P14"]],
+         "P13 is paired with both P13 and P14"),
+    ])
+    def test_a_point_paired_twice_is_named(self, x01, pairs, message):
+        doc = gluing_to_dict(x01.data)
+        doc["node_pairing"] = pairs
+        with pytest.raises(GluingFormatError, match=f"^node_pairing: {message}$"):
             gluing_from_dict(doc)

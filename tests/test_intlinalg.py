@@ -505,6 +505,24 @@ def test_snf_entries_stay_small_on_generated_gluings(seed):
         assert bits < 128, name
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_no_unit_stage_operands_stay_small_on_generated_gluings(monkeypatch, n, seed):
+    # Once no unit pivot is left, the working entries meet in the 2 x 2
+    # unimodular steps; on these H1 maps they reach 37 bits, and 123 at
+    # n = 48, seed 0.
+    bits = []
+    unimodular = intlinalg._unimodular
+
+    def recorded(a, b):
+        bits.append(max(abs(a), abs(b)).bit_length())
+        return unimodular(a, b)
+
+    monkeypatch.setattr(intlinalg, "_unimodular", recorded)
+    snf(mv_matrices(validate_gluing(gluing_from_dict(nlines.random_n_lines(n, seed)))).h1_map)
+    assert bits and max(bits) < 128
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_matrices | sparse_matrices, st.randoms(use_true_random=False))
 def test_snf_invariant_under_permutation(m, rng):
@@ -567,6 +585,13 @@ class TestIntegerMatrix:
     def test_rejects_a_bad_shape(self, build, error):
         with pytest.raises(error):
             build()
+
+    @pytest.mark.parametrize("nonzero", [
+        {0.5: {0: 1}}, {0.0: {True: 1}}, {0: {True: 1}}, {0: {1.0: 1}}])
+    def test_rejects_an_index_that_is_not_an_int(self, nonzero):
+        # 0 <= 0.5 < 2 held, and {0.0: {True: 1}} was read as {0: {1: 1}}
+        with pytest.raises(TypeError):
+            IntegerMatrix(2, 2, nonzero)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):

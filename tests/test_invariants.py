@@ -48,7 +48,7 @@ def alternating_sum_oracle(vg, cusp_points, plus, minus):
     sigma, tau = vg.data.sigma, vg.data.tau_points
 
     def value(point):
-        comp = vg.component_of(point)
+        comp = vg.point_component[point]
         return 1 if comp == plus else -1 if comp == minus else 0
 
     start = min(cusp_points)

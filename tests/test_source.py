@@ -30,5 +30,32 @@ def unused_definitions(source: Path) -> list[str]:
             if not named_on[name] - {(file, line)}]
 
 
+def unused_imports(source: Path) -> list[str]:
+    """Names imported into a module of ``source`` other than ``__init__.py``
+    that no other token of that module names.  Comments and strings do not
+    count."""
+    out = []
+    for path in sorted(source.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        named_on = defaultdict(set)  # name -> the line of each of its tokens
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                named_on[tok.string].add(tok.start[0])
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "annotations" and not named_on[name] - set(
+                            range(node.lineno, node.end_lineno + 1)):
+                        out.append(f"{path.name}:{node.lineno} {name}")
+    return out
+
+
 def test_every_definition_is_used_or_exported():
     assert unused_definitions(SOURCE) == []
+
+
+def test_every_import_is_used():
+    assert unused_imports(SOURCE) == []

@@ -3,20 +3,35 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from conftest import curve_cycle, table_gluing, toy_pair, two_planes
-from gluesurf.errors import (
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT / "bench") not in sys.path:
+    sys.path.append(str(ROOT / "bench"))
+
+import nlines  # noqa: E402
+import oracles  # noqa: E402
+from conftest import curve_cycle, table_gluing, toy_pair, two_planes  # noqa: E402
+from gluesurf.errors import (  # noqa: E402
     DbarDisconnectedError,
     GenusNotZeroError,
     NotSimplyConnectedError,
     UnsupportedNormalHomologyError,
 )
-from gluesurf.gluing import quotient_curve, validate_gluing
-from gluesurf.grouptheory import (
+from gluesurf.fourlines import all_gluings, build_four_lines  # noqa: E402
+from gluesurf.gluing import (  # noqa: E402
+    GluingData,
+    gluing_from_dict,
+    gluing_to_dict,
+    quotient_curve,
+    validate_gluing,
+)
+from gluesurf.grouptheory import (  # noqa: E402
     abelianization,
     catalog_group,
     fingerprint,
@@ -24,14 +39,13 @@ from gluesurf.grouptheory import (
     word_from_str,
     GroupPresentation,
 )
-from gluesurf import intlinalg, topology
-from gluesurf.intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants, snf
-from gluesurf.topology import (
+from gluesurf import intlinalg, topology  # noqa: E402
+from gluesurf.intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants, snf  # noqa: E402
+from gluesurf.topology import (  # noqa: E402
     homology_of_X,
     homotopy_graph,
     mv_matrices,
     pi1_presentation,
-    root_path,
 )
 
 REFERENCE_FIRST = GroupPresentation(
@@ -49,6 +63,17 @@ def _tree_count_holds(vg, side: str) -> bool:
                   else quotient_curve(vg).component_count)
     g = homotopy_graph(side, vg)
     return len(g.edges) - len(g.generator_edges) == len(g.vertices) - components
+
+
+def root_path(graph, vertex: int) -> list[tuple[int, int]]:
+    """The tree steps from the BFS root of ``vertex``'s component to ``vertex``."""
+    path = []
+    while (step := graph.tree_step[vertex]) is not None:
+        path.append(step)
+        edge = graph.edges[step[0]]
+        vertex = edge.u if step[1] == 1 else edge.v
+    path.reverse()
+    return path
 
 
 def _least_vertex_of_component(g) -> list[int]:
@@ -261,3 +286,61 @@ class TestHomology:
         vg = validate_gluing(reordered)
         assert homology_of_X(vg).as_tuple() == homology_of_X(x01).as_tuple()
         assert abelianization(pi1_presentation(vg)) == abelianization(pi1_presentation(x01))
+
+
+def node_matrix(data: GluingData) -> IntegerMatrix:
+    """The loop-level map of X read from the raw gluing, with no graph model.
+
+    One row per node of the normalized conductor, keyed by its smaller
+    point; one column per edge of the quotient graph: tau-pair (a, b),
+    a < b, at position i.  With a's points in stored order and b's as their
+    tau-images, the column is node(a_i) - node(a_i+1) - node(b_i) +
+    node(b_i+1).  It is the mapping cone of the graph of D-bar into the
+    graph of D with the D rows eliminated (Hatcher, Algebraic Topology,
+    2.2): its cokernel is H1(X) plus one free summand per degenerate cusp,
+    and its rank is that of the loop-level map.
+    """
+    sigma, tau = data.sigma, data.tau_points
+    row = {}
+    for p in sorted(sigma):
+        row.setdefault(min(p, sigma[p]), len(row))
+    curves = {c.id: c for c in data.curve_components}
+    columns = []
+    for a, b in sorted((a, b) for a, b in data.tau_components.items() if a < b):
+        pts = curves[a].marked_points
+        images = [tau[x] for x in pts]
+        for i in range(len(pts) - 1):
+            column = {}
+            for point, sign in ((pts[i], 1), (pts[i + 1], -1),
+                                (images[i], -1), (images[i + 1], 1)):
+                r = row[min(point, sigma[point])]
+                column[r] = column.get(r, 0) + sign
+            columns.append(column)
+    nonzero = {}
+    for j, column in enumerate(columns):
+        for r, x in column.items():
+            nonzero.setdefault(r, {})[j] = x
+    return IntegerMatrix(len(row), len(columns), nonzero)
+
+
+def oracle_gluings():
+    yield from (build_four_lines(b) for b in all_gluings())
+    yield from (toy_pair(3, 1), toy_pair(5, 2), curve_cycle(10), curve_cycle(300))
+    for n in range(4, 25, 2):
+        for seed in range(6):
+            yield gluing_from_dict(nlines.random_n_lines(n, seed))
+
+
+def test_h1_and_loop_kernel_match_the_node_matrix_oracle():
+    checked = 0
+    for data in oracle_gluings():
+        vg = validate_gluing(data)
+        oracle = snf(node_matrix(data))
+        coker = oracle.cokernel
+        h1 = AbelianGroup(coker.free_rank - oracles.cusp_count(gluing_to_dict(data)),
+                          coker.torsion)
+        h1_map = mv_matrices(vg).h1_map
+        assert homology_of_X(vg).h1 == h1
+        assert h1_map.cols - snf(h1_map).rank == oracle.matrix.cols - oracle.rank
+        checked += 1
+    assert checked == 36 + 4 + 11 * 6
