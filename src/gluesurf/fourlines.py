@@ -25,16 +25,20 @@ from .invariants import InvariantReport, compute_report
 
 LINES = ("L1", "L2", "L3", "L4")
 # A marked point as an integer pair: (its line, the line it meets there),
-# both 0-indexed; the k-th point of line i meets line _OTHERS[i][k].
+# both 0-indexed; the k-th point of line i meets line _OTHERS[i][k].  Its
+# index is 3 * i + k.
 Point = tuple[int, int]
 _OTHERS = tuple(tuple(j for j in range(4) if j != i) for i in range(4))
+_POINTS: tuple[Point, ...] = tuple((i, j) for i in range(4) for j in _OTHERS[i])
+_INDEX = {p: k for k, p in enumerate(_POINTS)}
 
 
 def _name(p: Point) -> str:
     return f"P{p[0] + 1}{p[1] + 1}"
 
 
-LINE_POINTS = {LINES[i]: tuple(_name((i, j)) for j in _OTHERS[i]) for i in range(4)}
+_NAMES = tuple(map(_name, _POINTS))
+LINE_POINTS = {line: _NAMES[3 * i:3 * i + 3] for i, line in enumerate(LINES)}
 
 _S3 = tuple(itertools.permutations(range(3)))
 
@@ -52,11 +56,18 @@ class LinePairBijections:
     """The two marked-point bijections, encoded as permutations of position.
 
     phi12 sends the i-th point of L1 to the phi12[i]-th point of L2, and
-    phi34 likewise from L3 to L4.
+    phi34 likewise from L3 to L4.  Each must be a tuple permuting (0, 1, 2).
     """
 
     phi12: tuple[int, int, int]
     phi34: tuple[int, int, int]
+
+    def __post_init__(self):
+        # a bool equals 0 or 1 and would pass the lookup alone
+        if (self.phi12 not in _S3 or self.phi34 not in _S3
+                or bool in map(type, self.phi12 + self.phi34)):
+            raise ValueError(f"phi12 = {self.phi12!r} and phi34 = {self.phi34!r} "
+                             "must both be tuples permuting (0, 1, 2)")
 
     def key(self) -> tuple[int, ...]:
         return self.phi12 + self.phi34
@@ -68,17 +79,19 @@ def all_gluings() -> tuple[LinePairBijections, ...]:
     )
 
 
-def _tau(b: LinePairBijections) -> dict[Point, Point]:
-    tau: dict[Point, Point] = {}
-    for src, phi in ((0, b.phi12), (2, b.phi34)):
+def _tau_indices(b: LinePairBijections) -> list[int]:
+    """The gluing involution on point indices: point k goes to point tau[k]."""
+    tau = [0] * len(_POINTS)
+    # L1 and L3 start at index 0 and 6; their partner lines 3 further on
+    for start, phi in ((0, b.phi12), (6, b.phi34)):
         for k, image in enumerate(phi):
-            p, q = (src, _OTHERS[src][k]), (src + 1, _OTHERS[src + 1][image])
+            p, q = start + k, start + 3 + image
             tau[p], tau[q] = q, p
     return tau
 
 
 def tau_point_map(b: LinePairBijections) -> dict[str, str]:
-    return {_name(p): _name(q) for p, q in _tau(b).items()}
+    return {_NAMES[p]: _NAMES[q] for p, q in enumerate(_tau_indices(b))}
 
 
 def build_four_lines(b: LinePairBijections) -> GluingData:
@@ -104,16 +117,32 @@ def build_four_lines(b: LinePairBijections) -> GluingData:
     )
 
 
+def _relabelling(g: Perm4) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """How the line relabelling g moves the points: the index of the
+    preimage of each L1 and L3 point, and for every point q the position
+    of g(q) on its line."""
+    image = [_INDEX[g[i], g[j]] for i, j in _POINTS]
+    # the inverse of the index permutation image
+    preimage = sorted(range(len(_POINTS)), key=image.__getitem__)
+    return tuple(preimage[q] for q in (0, 1, 2, 6, 7, 8)), tuple(k % 3 for k in image)
+
+
+_RELABELLINGS = {g: _relabelling(g) for g in D4_ELEMENTS}
+
+
+def _conjugate(relabelling: tuple[tuple[int, ...], tuple[int, ...]],
+               tau: list[int]) -> LinePairBijections:
+    # the conjugated involution sends an L1 or L3 point q to g(tau(g^-1(q)))
+    preimages, position = relabelling
+    phi = tuple(position[tau[p]] for p in preimages)
+    return LinePairBijections(phi12=phi[:3], phi34=phi[3:])
+
+
 def d4_action(g: Perm4, b: LinePairBijections) -> LinePairBijections:
     """Relabel the line indices by g and re-read the conjugated involution."""
     if tuple(g) not in D4_ELEMENTS:
         raise NotInD4Error(f"{g} does not preserve the line pairing")
-    moved = {(g[i], g[j]): (g[k], g[l]) for (i, j), (k, l) in _tau(b).items()}
-
-    def read(src: int) -> tuple[int, int, int]:
-        return tuple(_OTHERS[src + 1].index(moved[(src, j)][1]) for j in _OTHERS[src])
-
-    return LinePairBijections(phi12=read(0), phi34=read(2))
+    return _conjugate(_RELABELLINGS[tuple(g)], _tau_indices(b))
 
 
 def orbit_and_stabilizer(
@@ -121,9 +150,10 @@ def orbit_and_stabilizer(
     """The orbit of b in key order, and its stabilizer in the index group.
 
     The stabilizer equals the surface's automorphism group.  Both come
-    from one image of b per group element.
+    from one image of b per group element, all read off one involution.
     """
-    images = {g: d4_action(g, b) for g in D4_ELEMENTS}
+    tau = _tau_indices(b)
+    images = {g: _conjugate(relabelling, tau) for g, relabelling in _RELABELLINGS.items()}
     orbit = tuple(sorted(set(images.values()), key=LinePairBijections.key))
     return orbit, tuple(g for g, image in images.items() if image == b)
 

@@ -126,18 +126,20 @@ def _components(items: Iterable, neighbours: Callable) -> tuple[tuple, ...]:
 
 
 def per_gluing(fn):
-    """Cache ``fn``'s result on the ValidatedGluing among its arguments.
+    """Cache ``fn``'s result on the ValidatedGluing that is its last argument.
 
     The key is the function name and the other arguments; the cache lives
     and dies with the gluing.  Exceptions are not cached.
     """
     @functools.wraps(fn)
     def cached(*args):
-        g = next(a for a in args if isinstance(a, ValidatedGluing))
-        key = (fn.__name__, *(a for a in args if a is not g))
-        if key not in g._memo:
-            g._memo[key] = fn(*args)
-        return g._memo[key]
+        if not args or not isinstance(args[-1], ValidatedGluing):
+            raise TypeError(f"{fn.__name__} takes a ValidatedGluing as its last argument")
+        memo = args[-1]._memo
+        key = (fn.__name__, *args[:-1])
+        if key not in memo:
+            memo[key] = fn(*args)
+        return memo[key]
 
     return cached
 
@@ -400,14 +402,15 @@ def euler_characteristics(g: ValidatedGluing) -> EulerCharacteristics:
     """Coherent Euler characteristics of the conductor curves and the surface.
 
     chi(O) of a nodal curve is sum(1 - genus) over components minus the
-    number of nodes; on the quotient curve each gluing point with mu
-    branches counts mu - 1.  The surface value is the inclusion-exclusion
-    of the normalization against the two curves.
+    number of nodes.  The quotient curve's normalized components are the
+    tau-pairs, each with the genus of either member, and each gluing point
+    with mu branches counts mu - 1; its connected components are not
+    needed.  The surface value is the inclusion-exclusion of the
+    normalization against the two curves.
     """
     chi_dbar = sum(1 - c.genus for c in g.curves) - len(g.nodes())
-    model = quotient_curve(g)
-    chi_d = sum(1 - gen for gen in model.component_genus) - sum(
-        mu - 1 for mu in (c.mu for c in cusps(g))
+    chi_d = sum(1 - g.curve(a).genus for a, _b in g.tau_pairs) - sum(
+        c.mu - 1 for c in cusps(g)
     )
     chi_x = sum(n.chi_O for n in g.normals) - chi_dbar + chi_d
     return EulerCharacteristics(chi_dbar, chi_d, chi_x)

@@ -109,26 +109,30 @@ def compute_report(g: ValidatedGluing, *, catalog=None,
                    budget: int = DEFAULT_BUDGET) -> InvariantReport:
     """The full report; it carries a fingerprint against ``catalog`` when one is given.
 
-    With a catalog, the abelianization is read off the simplified
-    presentation, which keeps the group, so the report and the cyclic
-    counts share one Smith form.
+    Without a catalog, the abelianization of pi1 is H1: both are the
+    cokernel of the exponent sums of the same generator-image words, so
+    the Smith form that ``homology_of_X`` runs serves both.  With a
+    catalog, it is read off the simplified presentation, which keeps the
+    group, so the report and the cyclic counts share one Smith form.
     """
     chi = euler_characteristics(g).chi_x
     q, p_g = irregularity(g)
     presentation = pi1_presentation(g)
-    abelian_source, fp = presentation, None
+    simplified = fp = None
     if catalog is not None:
-        abelian_source = tietze_simplify(presentation)
-        fp = fingerprint(abelian_source, catalog=catalog, budget=budget)
+        simplified = tietze_simplify(presentation)
+        fp = fingerprint(simplified, catalog=catalog, budget=budget)
+    k2 = k_squared(g)
+    homology = homology_of_X(g)
     return InvariantReport(
         chi=chi,
         q=q,
         p_g=p_g,
-        k_squared=k_squared(g),
+        k_squared=k2,
         cusp_partition=cusps(g),
-        homology=homology_of_X(g),
+        homology=homology,
         pi1=presentation,
-        pi1_abelianization=abelianization(abelian_source),
+        pi1_abelianization=homology.h1 if catalog is None else abelianization(simplified),
         fingerprint=fp,
     )
 

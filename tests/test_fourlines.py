@@ -9,6 +9,7 @@ from gluesurf.errors import NotInD4Error
 from gluesurf.fourlines import (
     D4_ELEMENTS,
     TABLE,
+    LinePairBijections,
     all_gluings,
     build_four_lines,
     d4_action,
@@ -19,6 +20,29 @@ from gluesurf.fourlines import (
     tau_point_map,
 )
 from gluesurf.gluing import cusps, validate_gluing
+
+# the k-th point of line i meets line OTHERS[i][k]
+OTHERS = tuple(tuple(j for j in range(4) if j != i) for i in range(4))
+
+
+def tau_oracle(b):
+    """The involution as a dict on (line, line met) pairs."""
+    tau = {}
+    for src, phi in ((0, b.phi12), (2, b.phi34)):
+        for k, image in enumerate(phi):
+            p, q = (src, OTHERS[src][k]), (src + 1, OTHERS[src + 1][image])
+            tau[p], tau[q] = q, p
+    return tau
+
+
+def d4_action_oracle(g, b):
+    """Relabel every pair of the involution by g and read the bijections back."""
+    moved = {(g[i], g[j]): (g[k], g[l]) for (i, j), (k, l) in tau_oracle(b).items()}
+
+    def read(src):
+        return tuple(OTHERS[src + 1].index(moved[(src, j)][1]) for j in OTHERS[src])
+
+    return LinePairBijections(phi12=read(0), phi34=read(2))
 
 
 class TestBuild:
@@ -38,6 +62,22 @@ class TestBuild:
     def test_identity_like_row(self):
         vg = validate_gluing(build_four_lines(table_element("X2.1")))
         assert sorted(c.mu for c in cusps(vg)) == [1, 1, 4]
+
+    def test_point_map_matches_the_oracle(self):
+        for b in all_gluings():
+            assert tau_point_map(b) == {
+                f"P{i + 1}{j + 1}": f"P{k + 1}{l + 1}" for (i, j), (k, l) in tau_oracle(b).items()}
+
+    @pytest.mark.parametrize("phi12, phi34", [
+        ((0, 0, 0), (0, 1, 2)),
+        ((0, 1, 2), (2, 1, 3)),
+        ((0, 1), (0, 1, 2)),
+        ([0, 1, 2], (0, 1, 2)),
+        ((True, 0, 2), (0, 1, 2)),
+    ])
+    def test_bijections_must_permute_three_positions(self, phi12, phi34):
+        with pytest.raises(ValueError, match="permuting"):
+            LinePairBijections(phi12, phi34)
 
 
 class TestD4Action:
@@ -62,6 +102,20 @@ class TestD4Action:
     def test_not_in_group(self):
         with pytest.raises(NotInD4Error):
             d4_action((1, 2, 0, 3), table_element("X0.1"))
+
+    def test_matches_the_dict_oracle_everywhere(self):
+        pairs = [(g, b) for g in D4_ELEMENTS for b in all_gluings()]
+        assert len(pairs) == 8 * 36
+        for g, b in pairs:
+            assert d4_action(g, b) == d4_action_oracle(g, b)
+            assert d4_action(list(g), b) == d4_action_oracle(g, b)
+
+    def test_orbit_and_stabilizer_match_the_oracle(self):
+        for b in all_gluings():
+            images = {g: d4_action_oracle(g, b) for g in D4_ELEMENTS}
+            orbit, stab = orbit_and_stabilizer(b)
+            assert orbit == tuple(sorted(set(images.values()), key=LinePairBijections.key))
+            assert stab == tuple(g for g, image in images.items() if image == b)
 
 
 class TestStabilizers:

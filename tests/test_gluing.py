@@ -21,6 +21,7 @@ from gluesurf.gluing import (
     validate_gluing,
 )
 from gluesurf.intlinalg import AbelianGroup
+from gluesurf.topology import homotopy_graph
 
 
 def orbit_partition_oracle(sigma, tau, points):
@@ -341,6 +342,35 @@ class TestEulerCharacteristics:
         assert chi.chi_dbar == 2 - 1
         assert chi.chi_d == 1 - 0
         assert chi.chi_x == 1 - chi.chi_dbar + chi.chi_d
+
+    def test_chi_d_matches_the_quotient_curve(self):
+        # the quotient curve's components are the tau-pairs with their genus
+        gluings = [build_four_lines(b) for b in all_gluings()]
+        genus_one = toy_pair(2, 1)
+        genus_one = dataclasses.replace(genus_one, curve_components=tuple(
+            dataclasses.replace(c, genus=1) for c in genus_one.curve_components))
+        gluings += [toy_pair(1, 0), toy_pair(2, 1), genus_one]
+        for data in gluings:
+            vg = validate_gluing(data)
+            genus = quotient_curve(vg).component_genus
+            assert euler_characteristics(vg).chi_d == sum(1 - gen for gen in genus) - sum(
+                c.mu - 1 for c in cusps(vg))
+
+
+class TestPerGluing:
+    def test_a_missing_gluing_is_a_type_error(self):
+        with pytest.raises(TypeError, match="ValidatedGluing"):
+            cusps(None)
+        with pytest.raises(TypeError, match="ValidatedGluing"):
+            cusps()
+
+    def test_the_gluing_is_the_last_argument(self, x01):
+        with pytest.raises(TypeError, match="homotopy_graph"):
+            homotopy_graph(x01, "D")
+
+    def test_the_other_arguments_key_the_cache(self, x01):
+        assert homotopy_graph("D", x01) is homotopy_graph("D", x01)
+        assert homotopy_graph("D", x01) is not homotopy_graph("Dbar", x01)
 
 
 class TestImmutability:
