@@ -10,7 +10,7 @@ invariants.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LabelAmbiguousError, NotInD4Error
 from .gluing import (
@@ -21,6 +21,7 @@ from .gluing import (
     validate_gluing,
 )
 from .grouptheory import closure, compose
+from .intlinalg import Record
 from .invariants import InvariantReport, compute_report
 
 LINES = ("L1", "L2", "L3", "L4")
@@ -51,23 +52,21 @@ D4_ELEMENTS: tuple[Perm4, ...] = tuple(sorted(
 ))
 
 
-@dataclass(frozen=True)
-class LinePairBijections:
+class LinePairBijections(Record):
     """The two marked-point bijections, encoded as permutations of position.
 
     phi12 sends the i-th point of L1 to the phi12[i]-th point of L2, and
     phi34 likewise from L3 to L4.  Each must be a tuple permuting (0, 1, 2).
     """
 
-    phi12: tuple[int, int, int]
-    phi34: tuple[int, int, int]
+    __slots__ = ("phi12", "phi34")
 
-    def __post_init__(self):
+    def __init__(self, phi12: tuple[int, int, int], phi34: tuple[int, int, int]):
         # a bool equals 0 or 1 and would pass the lookup alone
-        if (self.phi12 not in _S3 or self.phi34 not in _S3
-                or bool in map(type, self.phi12 + self.phi34)):
-            raise ValueError(f"phi12 = {self.phi12!r} and phi34 = {self.phi34!r} "
+        if phi12 not in _S3 or phi34 not in _S3 or bool in map(type, phi12 + phi34):
+            raise ValueError(f"phi12 = {phi12!r} and phi34 = {phi34!r} "
                              "must both be tuples permuting (0, 1, 2)")
+        self._set(phi12, phi34)
 
     def key(self) -> tuple[int, ...]:
         return self.phi12 + self.phi34
@@ -94,25 +93,24 @@ def tau_point_map(b: LinePairBijections) -> dict[str, str]:
     return {_NAMES[p]: _NAMES[q] for p, q in enumerate(_tau_indices(b))}
 
 
+# the parts of the four-line gluing that do not depend on the involution
+_PLANE = (NormalComponent(id="plane", chi_O=1, k_plus_d_sq=1),)
+_LINE_CURVES = tuple(
+    CurveComponent(id=line, ambient="plane", genus=0, marked_points=LINE_POINTS[line],
+                   h2_class=(1,))
+    for line in LINES
+)
+_SIGMA = {_name((i, j)): _name((j, i)) for i, j in itertools.permutations(range(4), 2)}
+_TAU_LINES = {"L1": "L2", "L2": "L1", "L3": "L4", "L4": "L3"}
+
+
 def build_four_lines(b: LinePairBijections) -> GluingData:
     """Gluing data for the plane with its four lines and the given involution."""
-    plane = NormalComponent(id="plane", chi_O=1, k_plus_d_sq=1)
-    curves = tuple(
-        CurveComponent(
-            id=line,
-            ambient="plane",
-            genus=0,
-            marked_points=LINE_POINTS[line],
-            h2_class=(1,),
-        )
-        for line in LINES
-    )
-    sigma = {_name((i, j)): _name((j, i)) for i, j in itertools.permutations(range(4), 2)}
     return GluingData(
-        normal_components=(plane,),
-        curve_components=curves,
-        sigma=sigma,
-        tau_components={"L1": "L2", "L2": "L1", "L3": "L4", "L4": "L3"},
+        normal_components=_PLANE,
+        curve_components=_LINE_CURVES,
+        sigma=_SIGMA,
+        tau_components=_TAU_LINES,
         tau_points=tau_point_map(b),
     )
 
@@ -204,8 +202,7 @@ def pretty_node(node: str) -> str:
     return f"P({first[1]}{first[2]})"
 
 
-@dataclass(frozen=True)
-class _TableRow:
+class _TableRow(NamedTuple):
     label: str
     chi: int
     q: int
@@ -298,13 +295,12 @@ TABLE: tuple[_TableRow, ...] = (
 _TABLE_ORDER = {row.label: i for i, row in enumerate(TABLE)}
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    representative: LinePairBijections
-    orbit: tuple[LinePairBijections, ...]
-    stabilizer: tuple[Perm4, ...]
-    report: InvariantReport
-    table_label: str
+class OrbitRecord(Record):
+    __slots__ = ("representative", "orbit", "stabilizer", "report", "table_label")
+
+    def __init__(self, representative: LinePairBijections, orbit: tuple[LinePairBijections, ...],
+                 stabilizer: tuple[Perm4, ...], report: InvariantReport, table_label: str):
+        self._set(representative, orbit, stabilizer, report, table_label)
 
     @property
     def orbit_size(self) -> int:

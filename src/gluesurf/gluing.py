@@ -12,34 +12,29 @@ from __future__ import annotations
 
 import functools
 from itertools import repeat
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import GluingFormatError, GluingValidationError
 from .grouptheory import closure
-from .intlinalg import AbelianGroup, _int
+from .intlinalg import AbelianGroup, Record, _int
 
 TRIVIAL = AbelianGroup(0)
 
 
-@dataclass(frozen=True)
-class NormalComponent:
+class NormalComponent(Record):
     """One connected component of the normalization, by its invariants."""
 
-    id: str
-    chi_O: int
-    q: int = 0
-    simply_connected: bool = True
-    h1: AbelianGroup = TRIVIAL
-    h2_rank: int = 1
-    h3: AbelianGroup = TRIVIAL
-    h4_rank: int = 1
-    k_plus_d_sq: int | None = None
+    __slots__ = ("id", "chi_O", "q", "simply_connected", "h1", "h2_rank", "h3", "h4_rank",
+                 "k_plus_d_sq")
+
+    def __init__(self, id: str, chi_O: int, q: int = 0, simply_connected: bool = True,
+                 h1: AbelianGroup = TRIVIAL, h2_rank: int = 1, h3: AbelianGroup = TRIVIAL,
+                 h4_rank: int = 1, k_plus_d_sq: int | None = None):
+        self._set(id, chi_O, q, simply_connected, h1, h2_rank, h3, h4_rank, k_plus_d_sq)
 
 
-@dataclass(frozen=True)
-class CurveComponent:
+class CurveComponent(Record):
     """A marked curve on a normal component.
 
     ``marked_points`` are the node preimages, in the order used by the
@@ -47,15 +42,14 @@ class CurveComponent:
     ambient component's H2 basis.
     """
 
-    id: str
-    ambient: str
-    genus: int
-    marked_points: tuple[str, ...]
-    h2_class: tuple[int, ...]
+    __slots__ = ("id", "ambient", "genus", "marked_points", "h2_class")
+
+    def __init__(self, id: str, ambient: str, genus: int, marked_points: tuple[str, ...],
+                 h2_class: tuple[int, ...]):
+        self._set(id, ambient, genus, marked_points, h2_class)
 
 
-@dataclass(frozen=True, eq=True)
-class GluingData:
+class GluingData(Record):
     """Raw gluing triple: normalization, marked curves, sigma and tau.
 
     All three maps are stored fully symmetrized (every pair appears in
@@ -64,15 +58,14 @@ class GluingData:
     involutions compatible with the component data.
     """
 
-    normal_components: tuple[NormalComponent, ...]
-    curve_components: tuple[CurveComponent, ...]
-    sigma: Mapping[str, str]
-    tau_components: Mapping[str, str]
-    tau_points: Mapping[str, str]
+    __slots__ = ("normal_components", "curve_components", "sigma", "tau_components",
+                 "tau_points")
 
-    def __post_init__(self):
-        for name in ("sigma", "tau_components", "tau_points"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+    def __init__(self, normal_components: tuple[NormalComponent, ...],
+                 curve_components: tuple[CurveComponent, ...], sigma: Mapping[str, str],
+                 tau_components: Mapping[str, str], tau_points: Mapping[str, str]):
+        self._set(normal_components, curve_components,
+                  *(MappingProxyType(dict(m)) for m in (sigma, tau_components, tau_points)))
 
 
 Node = tuple[str, str]
@@ -82,16 +75,17 @@ def node_id(node: Node) -> str:
     return f"{node[0]}|{node[1]}"
 
 
-@dataclass(frozen=True)
-class DegenerateCusp:
+class DegenerateCusp(Record):
     """One orbit of marked points under the group generated by sigma and tau.
 
     The r-cycle is the orbit of tau∘sigma through the lexicographically
     smallest point; s_i = sigma(r_i), and tau(s_i) = r_{i+1 mod mu}.
     """
 
-    r_cycle: tuple[str, ...]
-    s_cycle: tuple[str, ...]
+    __slots__ = ("r_cycle", "s_cycle", "__dict__")
+
+    def __init__(self, r_cycle: tuple[str, ...], s_cycle: tuple[str, ...]):
+        self._set(r_cycle, s_cycle)
 
     @property
     def mu(self) -> int:
@@ -144,8 +138,7 @@ def per_gluing(fn):
     return cached
 
 
-@dataclass(frozen=True)
-class ValidatedGluing:
+class ValidatedGluing(Record):
     """Gluing data with all invariants checked, plus connectivity annotations.
 
     Structures derived from the gluing are computed once per instance: the
@@ -154,14 +147,13 @@ class ValidatedGluing:
     in ``_memo``.
     """
 
-    data: GluingData
-    dbar_components: tuple[tuple[str, ...], ...]
-    x_component_count: int
-    point_component: Mapping[str, str] = field(repr=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("data", "dbar_components", "x_component_count", "point_component", "_memo",
+                 "__dict__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "point_component", MappingProxyType(dict(self.point_component)))
+    def __init__(self, data: GluingData, dbar_components: tuple[tuple[str, ...], ...],
+                 x_component_count: int, point_component: Mapping[str, str]):
+        self._set(data, dbar_components, x_component_count,
+                  MappingProxyType(dict(point_component)), {})
 
     @property
     def dbar_connected(self) -> bool:
@@ -355,8 +347,7 @@ def cusps(g: ValidatedGluing) -> tuple[DegenerateCusp, ...]:
     return tuple(sorted(out, key=lambda c: min(c.nodes)))
 
 
-@dataclass(frozen=True)
-class DCurveModel:
+class DCurveModel(Record):
     """Shape of the quotient curve: its normalized components and gluing points.
 
     Its normalized components are the gluing's ``tau_pairs``;
@@ -364,9 +355,11 @@ class DCurveModel:
     component in the glued curve, numbered in order of first appearance.
     """
 
-    component_genus: tuple[int, ...]
-    pair_component: tuple[int, ...]
-    component_count: int
+    __slots__ = ("component_genus", "pair_component", "component_count")
+
+    def __init__(self, component_genus: tuple[int, ...], pair_component: tuple[int, ...],
+                 component_count: int):
+        self._set(component_genus, pair_component, component_count)
 
 
 @per_gluing

@@ -40,13 +40,12 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
-from .intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants
+from .intlinalg import AbelianGroup, IntegerMatrix, Record, cokernel_invariants
 
 Word = tuple[int, ...]  # letter +(g+1) is generator g, -(g+1) its inverse
 
@@ -107,20 +106,18 @@ def cyclic_reduce(w: Word) -> Word:
     return w[i:j]
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+class GroupPresentation(Record):
+    __slots__ = ("generators", "relators", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]):
         # tuples, so a caller's list cannot change under the cached abelianization
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "relators", tuple(map(tuple, self.relators)))
-        n = len(self.generators)
-        for w in self.relators:
+        generators, relators = tuple(generators), tuple(map(tuple, relators))
+        n = len(generators)
+        for w in relators:
             for x in w:
                 if not 0 < abs(x) <= n:
                     raise ValueError(f"letter {x} out of range")
+        self._set(generators, relators)
 
     def __str__(self) -> str:
         rels = ", ".join(word_to_str(w, self.generators) or "1" for w in self.relators)
@@ -407,7 +404,7 @@ Permutation = tuple[int, ...]
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """p after q: (p∘q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def closure(start: Iterable, successors: Callable) -> set:
@@ -429,40 +426,48 @@ def closure(start: Iterable, successors: Callable) -> set:
     return seen
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """Finite permutation group given by its full, sorted element list.
 
     The Cayley table ``_mult`` (indices into ``elements``) is built once,
-    at construction; a product missing from ``elements`` is rejected there.
+    at construction, one row per element.  A breadth-first walk from the
+    identity takes as a new generator each element it has not reached;
+    only a generator's row is composed from permutations, and the row of
+    g∘a is row(a) read through g's row.  A product missing from
+    ``elements`` is rejected there: a set closed under left multiplication
+    by generators that reach every element is closed.
     """
 
-    name: str
-    degree: int
-    elements: tuple[Permutation, ...]
-    identity_index: int = field(init=False, repr=False, compare=False)
-    _mult: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _inv: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "degree", "elements", "identity_index", "_mult", "_inv", "__dict__")
 
-    def __post_init__(self):
-        index = {p: i for i, p in enumerate(self.elements)}
-        if len(index) != len(self.elements):
+    def __init__(self, name: str, degree: int, elements: tuple[Permutation, ...]):
+        index = {p: i for i, p in enumerate(elements)}
+        if len(index) != len(elements):
             raise ValueError("duplicate elements")
-        ident = tuple(range(self.degree))
+        ident = tuple(range(degree))
         if ident not in index:
             raise ValueError("identity missing")
-        for a in self.elements:
+        for a in elements:
             if tuple(sorted(a)) != ident:
-                raise ValueError(f"{a} is not a permutation of degree {self.degree}")
-        try:
-            mult = tuple(tuple([index[compose(a, b)] for b in self.elements])
-                         for a in self.elements)
-        except KeyError:
-            raise ValueError("not closed under composition") from None
+                raise ValueError(f"{a} is not a permutation of degree {degree}")
         e = index[ident]
-        object.__setattr__(self, "identity_index", e)
-        object.__setattr__(self, "_mult", mult)
-        object.__setattr__(self, "_inv", tuple(row.index(e) for row in mult))
+        mult: list = [None] * len(elements)
+        mult[e] = tuple(range(len(elements)))
+        reached, gens = [e], []
+        for x, p in enumerate(elements):
+            if mult[x] is None:
+                try:
+                    mult[x] = tuple([index[compose(p, q)] for q in elements])
+                except KeyError:
+                    raise ValueError("not closed under composition") from None
+                gens.append(mult[x])
+                reached.append(x)
+                for a in reached:  # grows while it is walked
+                    for left in gens:
+                        if mult[b := left[a]] is None:
+                            mult[b] = tuple(map(left.__getitem__, mult[a]))
+                            reached.append(b)
+        self._set(name, degree, elements, e, tuple(mult), tuple(row.index(e) for row in mult))
 
     @property
     def order(self) -> int:
@@ -777,11 +782,13 @@ def hom_count(p: GroupPresentation, group: FiniteGroup,
     return total, surjective
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(Record):
     """Per-group (total, surjective) homomorphism counts; an isomorphism invariant."""
 
-    counts: tuple[tuple[str, int, int], ...]
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[tuple[str, int, int], ...]):
+        self._set(counts)
 
     def as_dict(self) -> dict:
         return {name: [total, surj] for name, total, surj in self.counts}

@@ -21,11 +21,13 @@ the same loop with their updates on.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import gcd
+from operator import attrgetter
 from typing import Mapping, Sequence
+
+_store = object.__setattr__  # sets a slot past Record.__setattr__
 
 
 def _int(value, where: str) -> int:
@@ -35,24 +37,72 @@ def _int(value, where: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class Record:
+    """Base of the immutable value types.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` stores them with ``_set``; a slot whose name starts with
+    ``_`` is private, and ``"__dict__"`` comes last where a
+    ``cached_property`` needs it.  Equality, hashing and the repr are by
+    the public fields; assignment and deletion raise ``AttributeError``,
+    and copy and pickle work.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # the public fields' values, read in C: sets of records hash and compare them
+        cls._values = property(attrgetter(*cls._fields))
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _store(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore an instance through here, not by assignment
+        for part in state:
+            for name, value in (part or {}).items():
+                _store(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class AbelianGroup(Record):
     """Finitely generated abelian group in invariant-factor form.
 
     ``torsion`` is the chain d1 | d2 | ... of invariant factors, each >= 2.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        if any(d < 2 for d in self.torsion):
+        if any(d < 2 for d in torsion):
             raise ValueError("torsion coefficients must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise ValueError(f"torsion {self.torsion} violates the divisibility chain")
+                raise ValueError(f"torsion {torsion} violates the divisibility chain")
+        self._set(free_rank, torsion)
 
     @property
     def is_trivial(self) -> bool:
@@ -75,7 +125,7 @@ class AbelianGroup:
         return cls(_int(d["rank"], "rank"), tuple(_int(t, "torsion") for t in d.get("torsion", ())))
 
 
-class IntegerMatrix:
+class IntegerMatrix(Record):
     """Immutable integer matrix that keeps only its nonzero entries, by row.
 
     ``IntegerMatrix(rows, cols, nonzero)`` is the rows x cols matrix with
@@ -109,11 +159,7 @@ class IntegerMatrix:
         if kept and not (0 <= min(kept) and max(kept) < rows
                          and 0 <= min(used) and max(used) < cols):
             raise IndexError(f"an entry lies outside the {rows} x {cols} matrix")
-        for name, value in (("rows", rows), ("cols", cols), ("_rows", kept)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"IntegerMatrix is immutable: cannot set {name!r}")
+        self._set(rows, cols, kept)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -161,8 +207,7 @@ class IntegerMatrix:
         return [list(entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U @ A @ V == S with U, V unimodular and S diagonal, for A = ``matrix``.
 
     ``divisors`` are the nonzero diagonal entries of S, positive and
@@ -171,8 +216,10 @@ class SmithDecomposition:
     with the transform updates on, and then kept.
     """
 
-    matrix: IntegerMatrix
-    divisors: tuple[int, ...]
+    __slots__ = ("matrix", "divisors", "__dict__")
+
+    def __init__(self, matrix: IntegerMatrix, divisors: tuple[int, ...]):
+        self._set(matrix, divisors)
 
     @cached_property
     def _transforms(self) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:

@@ -8,8 +8,6 @@ function values over each cusp's point cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     GeometricGenusNonzeroError,
     MissingFieldError,
@@ -26,7 +24,7 @@ from .grouptheory import (
     fingerprint,
     tietze_simplify,
 )
-from .intlinalg import AbelianGroup, IntegerMatrix, snf
+from .intlinalg import AbelianGroup, IntegerMatrix, Record, snf
 from .topology import HomologyOfX, homology_of_X, pi1_presentation
 
 
@@ -86,23 +84,20 @@ def k_squared(g: ValidatedGluing) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     """Everything the CLI reports for one glued surface."""
 
-    chi: int
-    q: int
-    p_g: int
-    k_squared: int
-    cusp_partition: tuple[DegenerateCusp, ...]
-    homology: HomologyOfX
-    pi1: GroupPresentation
-    pi1_abelianization: AbelianGroup
-    fingerprint: Fingerprint | None = None
+    __slots__ = ("chi", "q", "p_g", "k_squared", "cusp_partition", "homology", "pi1",
+                 "pi1_abelianization", "fingerprint")
 
-    def __post_init__(self):
-        if self.p_g != self.chi - 1 + self.q:
+    def __init__(self, chi: int, q: int, p_g: int, k_squared: int,
+                 cusp_partition: tuple[DegenerateCusp, ...], homology: HomologyOfX,
+                 pi1: GroupPresentation, pi1_abelianization: AbelianGroup,
+                 fingerprint: Fingerprint | None = None):
+        if p_g != chi - 1 + q:
             raise ValueError("p_g, chi and q are inconsistent")
+        self._set(chi, q, p_g, k_squared, cusp_partition, homology, pi1, pi1_abelianization,
+                  fingerprint)
 
 
 def compute_report(g: ValidatedGluing, *, catalog=None,
@@ -137,18 +132,17 @@ def compute_report(g: ValidatedGluing, *, catalog=None,
     )
 
 
-@dataclass(frozen=True)
-class PicardSummary:
+class PicardSummary(Record):
     """Rank data of the Picard group when the geometric genus vanishes.
 
     ``structure`` spells out the connected component only in the clean
     case q = b1, where it is a torus of that dimension.
     """
 
-    pic0_dim: int
-    b1: int
-    ns_target: AbelianGroup
-    structure: str | None
+    __slots__ = ("pic0_dim", "b1", "ns_target", "structure")
+
+    def __init__(self, pic0_dim: int, b1: int, ns_target: AbelianGroup, structure: str | None):
+        self._set(pic0_dim, b1, ns_target, structure)
 
 
 def picard_summary(report: InvariantReport) -> PicardSummary:

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .gluing import ValidatedGluing, cusps, node_id, per_gluing
 from .grouptheory import GroupPresentation, Word, exponent_sum_matrix, free_reduce
-from .intlinalg import AbelianGroup, IntegerMatrix, snf
+from .intlinalg import AbelianGroup, IntegerMatrix, Record, snf
 
 EdgeKey = tuple[object, int]  # (owning component, segment position)
 Step = tuple[int, int]  # (edge index, direction): +1 runs u -> v, -1 runs v -> u
@@ -35,8 +35,7 @@ class GraphEdge(NamedTuple):
     key: EdgeKey
 
 
-@dataclass(frozen=True)
-class HomotopyGraph:
+class HomotopyGraph(Record):
     """1-skeleton, spanning forest, and generator edges.
 
     ``tree_step[v]`` is the tree edge into v, as a step running toward v,
@@ -45,10 +44,11 @@ class HomotopyGraph:
     key order; they index the fundamental-group basis.
     """
 
-    vertices: tuple[tuple, ...]
-    edges: tuple[GraphEdge, ...]
-    tree_step: tuple[Step | None, ...]
-    generator_edges: tuple[int, ...]
+    __slots__ = ("vertices", "edges", "tree_step", "generator_edges")
+
+    def __init__(self, vertices: tuple[tuple, ...], edges: tuple[GraphEdge, ...],
+                 tree_step: tuple[Step | None, ...], generator_edges: tuple[int, ...]):
+        self._set(vertices, edges, tree_step, generator_edges)
 
 
 def _require_genus_zero(g: ValidatedGluing):
@@ -205,8 +205,7 @@ def pi1_presentation(g: ValidatedGluing) -> GroupPresentation:
     return GroupPresentation(names, relators)
 
 
-@dataclass(frozen=True)
-class MayerVietorisMatrices:
+class MayerVietorisMatrices(Record):
     """The sphere- and loop-level maps out of the normalized conductor.
 
     h2_map: sphere classes of the normalized conductor into quotient
@@ -215,8 +214,10 @@ class MayerVietorisMatrices:
     h1_map: generator loops upstairs into the quotient graph's loop basis.
     """
 
-    h2_map: IntegerMatrix
-    h1_map: IntegerMatrix
+    __slots__ = ("h2_map", "h1_map")
+
+    def __init__(self, h2_map: IntegerMatrix, h1_map: IntegerMatrix):
+        self._set(h2_map, h1_map)
 
 
 @per_gluing

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from gluesurf.fourlines import TABLE, LinePairBijections, build_four_lines
@@ -14,6 +16,14 @@ from gluesurf.gluing import (
 )
 
 _ROWS = {row.label: row for row in TABLE}
+
+
+def replace(value, **changes):
+    """A copy of ``value`` with the given constructor arguments changed, as
+    ``dataclasses.replace`` makes one: every other argument is read from
+    the attribute of its name, and the copy is built again, so its checks run."""
+    kept = {name: getattr(value, name) for name in inspect.signature(type(value)).parameters}
+    return type(value)(**{**kept, **changes})
 
 
 def letter(g: int, s: int) -> int:

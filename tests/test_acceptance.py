@@ -6,12 +6,11 @@ per criterion.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
 
-from conftest import letter, table_gluing
+from conftest import letter, replace, table_gluing
 from gluesurf.fourlines import (
     D4_ELEMENTS,
     TABLE,
@@ -190,14 +189,14 @@ def _scramble(data):
     }
     cmap = {c.id: "crv_" + c.id[::-1].lower() for c in data.curve_components}
     nmap = {n.id: "srf_" + n.id[::-1] for n in data.normal_components}
-    return dataclasses.replace(
+    return replace(
         data,
         normal_components=tuple(
-            dataclasses.replace(n, id=nmap[n.id])
+            replace(n, id=nmap[n.id])
             for n in reversed(data.normal_components)
         ),
         curve_components=tuple(
-            dataclasses.replace(
+            replace(
                 c,
                 id=cmap[c.id],
                 ambient=nmap[c.ambient],

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import dataclasses
 
 import pytest
 
-from conftest import table_element, table_gluing, toy_pair, two_planes
+from conftest import replace, table_element, table_gluing, toy_pair, two_planes
 from gluesurf.errors import GluingFormatError, GluingValidationError
 from gluesurf.fourlines import all_gluings, build_four_lines
 from gluesurf.gluing import (
@@ -53,7 +52,7 @@ class TestValidation:
         sigma = dict(data.sigma)
         sigma["P12"] = "P12"
         sigma["P21"] = "P21"
-        bad = dataclasses.replace(data, sigma=sigma)
+        bad = replace(data, sigma=sigma)
         with pytest.raises(GluingValidationError) as err:
             validate_gluing(bad)
         assert err.value.issues == ("FixedMarkedPoint: sigma fixes P12",
@@ -67,7 +66,7 @@ class TestValidation:
         c, d = "P31", tau["P31"]
         tau[a], tau[c] = c, a
         tau[b], tau[d] = d, b
-        bad = dataclasses.replace(data, tau_points=tau)
+        bad = replace(data, tau_points=tau)
         with pytest.raises(GluingValidationError) as err:
             validate_gluing(bad)
         assert err.value.issues == (
@@ -81,7 +80,7 @@ class TestValidation:
         data = build_four_lines(table_element("X0.1"))
         tau = dict(data.tau_points)
         tau["P12"] = "P21"  # P21 still points back at its old partner
-        bad = dataclasses.replace(data, tau_points=tau)
+        bad = replace(data, tau_points=tau)
         with pytest.raises(GluingValidationError) as err:
             validate_gluing(bad)
         assert err.value.issues == ("NonInvolutive: tau(tau(P12)) != P12",
@@ -89,7 +88,7 @@ class TestValidation:
 
     def test_component_fixed_by_involution_rejected(self):
         data = toy_pair(2, 1)
-        bad = dataclasses.replace(
+        bad = replace(
             data,
             tau_components={"C1": "C1", "C2": "C2"},
         )
@@ -102,7 +101,7 @@ class TestValidation:
         data = build_four_lines(table_element("X0.1"))
         sigma = dict(data.sigma)
         sigma["P99"] = "P12"
-        bad = dataclasses.replace(data, sigma=sigma)
+        bad = replace(data, sigma=sigma)
         with pytest.raises(GluingValidationError) as err:
             validate_gluing(bad)
         assert err.value.issues == ("DanglingPoint: sigma defined on unknown point P99",)
@@ -110,22 +109,22 @@ class TestValidation:
     @pytest.mark.parametrize("h1", [AbelianGroup(2), AbelianGroup(0, (2,))])
     def test_simply_connected_with_nontrivial_h1_rejected(self, h1):
         data = build_four_lines(table_element("X0.1"))
-        bad = dataclasses.replace(data, normal_components=tuple(
-            dataclasses.replace(n, h1=h1) for n in data.normal_components))
+        bad = replace(data, normal_components=tuple(
+            replace(n, h1=h1) for n in data.normal_components))
         with pytest.raises(GluingValidationError) as err:
             validate_gluing(bad)
         shown = "Z^2" if h1.free_rank else "Z/2"
         assert err.value.issues == (
             f"InconsistentHomology: plane is simply connected but h1 = {shown}",)
         # without the simply connected claim the same h1 is valid input
-        validate_gluing(dataclasses.replace(bad, normal_components=tuple(
-            dataclasses.replace(n, simply_connected=False) for n in bad.normal_components)))
+        validate_gluing(replace(bad, normal_components=tuple(
+            replace(n, simply_connected=False) for n in bad.normal_components)))
 
     def test_marked_point_without_node_partner_rejected(self):
         data = build_four_lines(table_element("X0.1"))
         sigma = dict(data.sigma)
         del sigma["P12"], sigma["P21"]
-        bad = dataclasses.replace(data, sigma=sigma)
+        bad = replace(data, sigma=sigma)
         with pytest.raises(GluingValidationError) as err:
             validate_gluing(bad)
         assert err.value.issues == ("UnpairedPoint: P12 has no sigma-partner",
@@ -139,7 +138,7 @@ class TestValidation:
         del sigma["P13"], sigma["P31"]
         tau["P14"] = "P41"
         with pytest.raises(GluingValidationError) as err:
-            validate_gluing(dataclasses.replace(data, sigma=sigma, tau_points=tau))
+            validate_gluing(replace(data, sigma=sigma, tau_points=tau))
         assert err.value.issues == (
             "DanglingPoint: sigma defined on unknown point P99",
             "NonInvolutive: tau(tau(P14)) != P14",
@@ -152,7 +151,7 @@ class TestValidation:
         # two normal components share an id, so the second one's ranks are
         # the ones the curves are checked against
         data = toy_pair(3, 1)
-        bad = dataclasses.replace(
+        bad = replace(
             data,
             normal_components=data.normal_components + (NormalComponent(
                 id="base", chi_O=1, q=-1, h1=AbelianGroup(1), h2_rank=-2),),
@@ -187,7 +186,7 @@ class TestValidation:
 
     def test_repeated_curve_id_and_unknown_tau_points_are_each_listed_once(self):
         data = toy_pair(2, 1)
-        bad = dataclasses.replace(
+        bad = replace(
             data,
             curve_components=data.curve_components + (
                 CurveComponent("C2", "base", 0, ("z0",), (1,)),
@@ -212,7 +211,7 @@ class TestValidation:
         # sigma joins the two planes and tau crosses the component map, and
         # each node is named from both of its points
         data = two_planes()
-        bad = dataclasses.replace(
+        bad = replace(
             data, sigma={"x0": "u0", "u0": "x0", "y0": "v0", "v0": "y0"},
             tau_points={"x0": "v0", "v0": "x0", "y0": "u0", "u0": "y0"})
         with pytest.raises(GluingValidationError) as err:
@@ -282,7 +281,7 @@ class TestCusps:
 
     def test_independent_of_input_ordering(self, x01):
         data = x01.data
-        reordered = dataclasses.replace(
+        reordered = replace(
             data,
             curve_components=tuple(reversed(data.curve_components)),
             normal_components=tuple(data.normal_components),
@@ -347,8 +346,8 @@ class TestEulerCharacteristics:
         # the quotient curve's components are the tau-pairs with their genus
         gluings = [build_four_lines(b) for b in all_gluings()]
         genus_one = toy_pair(2, 1)
-        genus_one = dataclasses.replace(genus_one, curve_components=tuple(
-            dataclasses.replace(c, genus=1) for c in genus_one.curve_components))
+        genus_one = replace(genus_one, curve_components=tuple(
+            replace(c, genus=1) for c in genus_one.curve_components))
         gluings += [toy_pair(1, 0), toy_pair(2, 1), genus_one]
         for data in gluings:
             vg = validate_gluing(data)
@@ -382,7 +381,7 @@ class TestImmutability:
     def test_maps_are_copies_of_the_input(self):
         data = toy_pair(2, 1)
         sigma = dict(data.sigma)
-        copied = dataclasses.replace(data, sigma=sigma)
+        copied = replace(data, sigma=sigma)
         sigma["x0"] = "x1"
         assert copied.sigma == data.sigma and copied.sigma["x0"] == "y0"
 

@@ -908,12 +908,26 @@ class TestCatalog:
     def test_elements_match_independent_construction(self, name):
         assert catalog_group(name).elements == catalog_oracle(name)
 
+    @pytest.mark.parametrize("group", [catalog_group(name) for name in CATALOG_NAMES] + HAND_BUILT,
+                             ids=lambda group: group.name)
+    def test_cayley_table_is_the_naive_one(self, group):
+        # (a∘b)(i) = a(b(i)), every product looked up in full
+        index = {p: i for i, p in enumerate(group.elements)}
+        naive = tuple(tuple(index[tuple(a[b[i]] for i in range(group.degree))]
+                            for b in group.elements) for a in group.elements)
+        assert group._mult == naive
+        assert all(naive[a][group._inv[a]] == group.identity_index for a in range(group.order))
+
     @pytest.mark.parametrize("elements, message", [
         (((0, 1), (0, 1), (1, 0)), "duplicate"),
         (((1, 0),), "identity"),
         (((0, 1), (0, 0)), "not a permutation"),
         (((0, 1, 2), (1, 0, 2), (0, 2, 1)), "not closed"),
-    ], ids=["duplicate", "no-identity", "non-permutation", "not-closed"])
+        # (0 1 2)∘(0 1 2) is missing; the walk takes (1 2) as its generator,
+        # never the 3-cycle, so the product it lacks is between non-generators
+        (((0, 1, 2), (0, 2, 1), (1, 2, 0)), "not closed"),
+    ], ids=["duplicate", "no-identity", "non-permutation", "not-closed",
+            "not-closed-off-the-generators"])
     def test_finite_group_rejects_bad_elements(self, elements, message):
         with pytest.raises(ValueError, match=message):
             FiniteGroup("bad", len(elements[0]), elements)

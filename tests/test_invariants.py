@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -15,7 +14,7 @@ if str(ROOT / "bench") not in sys.path:
     sys.path.append(str(ROOT / "bench"))
 
 import nlines  # noqa: E402
-from conftest import table_gluing, toy_pair, two_planes  # noqa: E402
+from conftest import replace, table_gluing, toy_pair, two_planes  # noqa: E402
 from gluesurf import intlinalg, invariants, topology  # noqa: E402
 from gluesurf.errors import (  # noqa: E402
     GeometricGenusNonzeroError,
@@ -91,10 +90,10 @@ class TestCuspMatrix:
 
     def test_irregular_normalization_rejected(self, x01):
         data = x01.data
-        bad = dataclasses.replace(
+        bad = replace(
             data,
             normal_components=tuple(
-                dataclasses.replace(n, q=1) for n in data.normal_components
+                replace(n, q=1) for n in data.normal_components
             ),
         )
         with pytest.raises(NormalizationIrregularError):
@@ -133,10 +132,10 @@ class TestIrregularity:
 
     def test_inconsistent_descriptor_rejected(self, x01):
         # a wildly wrong chi pushes p_g negative, which no surface attains
-        lying = dataclasses.replace(
+        lying = replace(
             x01.data,
             normal_components=(
-                dataclasses.replace(x01.data.normal_components[0], chi_O=-5),
+                replace(x01.data.normal_components[0], chi_O=-5),
             ),
         )
         with pytest.raises(NegativeResultError):
@@ -149,10 +148,10 @@ class TestKSquared:
 
     def test_missing_descriptor(self):
         data = toy_pair(1, 0)
-        bad = dataclasses.replace(
+        bad = replace(
             data,
             normal_components=(
-                dataclasses.replace(data.normal_components[0], k_plus_d_sq=None),
+                replace(data.normal_components[0], k_plus_d_sq=None),
             ),
         )
         with pytest.raises(MissingFieldError):
@@ -282,9 +281,9 @@ class TestReportAndPicard:
 
     def test_mixed_rank_case_omits_structure(self, x01):
         report = compute_report(x01)
-        hacked = dataclasses.replace(
+        hacked = replace(
             report,
-            homology=dataclasses.replace(report.homology, h1=AbelianGroup(2)),
+            homology=replace(report.homology, h1=AbelianGroup(2)),
         )
         summary = picard_summary(hacked)
         assert summary.structure is None

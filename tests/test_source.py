@@ -59,3 +59,25 @@ def test_every_definition_is_used_or_exported():
 
 def test_every_import_is_used():
     assert unused_imports(SOURCE) == []
+
+
+def dataclasses_in(source: Path) -> list[str]:
+    """The classes of ``source/*.py`` with a ``dataclass`` decorator, called or not."""
+    out = []
+    for path in sorted(source.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for decorator in node.decorator_list:
+                    if isinstance(decorator, ast.Call):
+                        decorator = decorator.func
+                    if getattr(decorator, "id", getattr(decorator, "attr", None)) == "dataclass":
+                        out.append(f"{path.name} {node.name}")
+    return out
+
+
+def test_only_homology_of_x_is_a_dataclass():
+    # the value types are plain classes over intlinalg.Record, which spares
+    # each fresh process the dataclass machinery; HomologyOfX stays one
+    # because bench/tests/test_bench.py::test_wrong_h1_counts_as_an_error
+    # calls dataclasses.replace on it
+    assert dataclasses_in(SOURCE) == ["topology.py HomologyOfX"]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import time
 import tracemalloc
@@ -16,7 +15,7 @@ if str(ROOT / "bench") not in sys.path:
 
 import nlines  # noqa: E402
 import oracles  # noqa: E402
-from conftest import curve_cycle, table_gluing, toy_pair, two_planes  # noqa: E402
+from conftest import curve_cycle, replace, table_gluing, toy_pair, two_planes  # noqa: E402
 from gluesurf.errors import (  # noqa: E402
     DbarDisconnectedError,
     GenusNotZeroError,
@@ -142,10 +141,10 @@ class TestHomotopyGraph:
 
     def test_genus_rejected(self):
         data = toy_pair(2, 1)
-        curved = dataclasses.replace(
+        curved = replace(
             data,
             curve_components=tuple(
-                dataclasses.replace(c, genus=1) for c in data.curve_components
+                replace(c, genus=1) for c in data.curve_components
             ),
         )
         with pytest.raises(GenusNotZeroError):
@@ -173,10 +172,10 @@ class TestPi1:
 
     def test_not_simply_connected_rejected(self, x01):
         data = x01.data
-        bad = dataclasses.replace(
+        bad = replace(
             data,
             normal_components=tuple(
-                dataclasses.replace(n, simply_connected=False)
+                replace(n, simply_connected=False)
                 for n in data.normal_components
             ),
         )
@@ -207,11 +206,11 @@ class TestMayerVietorisMatrices:
 
     def test_single_pair_sphere_map_carries_classes(self):
         data = toy_pair(1, 0)
-        graded = dataclasses.replace(
+        graded = replace(
             data,
             curve_components=(
-                dataclasses.replace(data.curve_components[0], h2_class=(3,)),
-                dataclasses.replace(data.curve_components[1], h2_class=(5,)),
+                replace(data.curve_components[0], h2_class=(3,)),
+                replace(data.curve_components[1], h2_class=(5,)),
             ),
         )
         mv = mv_matrices(validate_gluing(graded))
@@ -264,10 +263,10 @@ class TestHomology:
 
     def test_nontrivial_h1_rejected(self, x01):
         data = x01.data
-        bad = dataclasses.replace(
+        bad = replace(
             data,
             normal_components=tuple(
-                dataclasses.replace(n, simply_connected=False, h1=AbelianGroup(0, (2,)))
+                replace(n, simply_connected=False, h1=AbelianGroup(0, (2,)))
                 for n in data.normal_components
             ),
         )
@@ -276,10 +275,10 @@ class TestHomology:
 
     def test_invariant_under_point_reordering(self, x01):
         data = x01.data
-        reordered = dataclasses.replace(
+        reordered = replace(
             data,
             curve_components=tuple(
-                dataclasses.replace(c, marked_points=tuple(reversed(c.marked_points)))
+                replace(c, marked_points=tuple(reversed(c.marked_points)))
                 for c in data.curve_components
             ),
         )

@@ -1,0 +1,69 @@
+"""Value semantics of the immutable result and data types."""
+
+from __future__ import annotations
+
+import copy
+import inspect
+import pickle
+from types import MappingProxyType
+
+import pytest
+
+from conftest import table_gluing
+from gluesurf.fourlines import enumerate_orbits
+from gluesurf.gluing import cusps, quotient_curve
+from gluesurf.grouptheory import catalog_group
+from gluesurf.intlinalg import IntegerMatrix, Record, snf
+from gluesurf.invariants import compute_report, cusp_matrix, picard_summary
+from gluesurf.topology import homotopy_graph, mv_matrices
+
+
+def samples() -> list:
+    """One instance of each value type, taken from a run on X0.1."""
+    vg = table_gluing("X0.1")
+    report = compute_report(vg, catalog=(catalog_group("C2"), catalog_group("S3")))
+    record = enumerate_orbits()[0]
+    return [
+        report.homology.h1, snf(cusp_matrix(vg)),
+        vg.data.normal_components[0], vg.data.curve_components[0], vg.data, cusps(vg)[0], vg,
+        quotient_curve(vg),
+        report.pi1, catalog_group("S3"), report.fingerprint,
+        homotopy_graph("D", vg), mv_matrices(vg),
+        report, picard_summary(report),
+        record.representative, record,
+    ]
+
+
+SAMPLES = samples()
+
+
+def test_every_value_type_has_a_sample():
+    # IntegerMatrix keeps its entries under another name than its
+    # constructor's; tests/test_intlinalg.py checks its value semantics
+    assert {type(v) for v in SAMPLES} == set(Record.__subclasses__()) - {IntegerMatrix}
+
+
+@pytest.mark.parametrize("value", SAMPLES, ids=lambda v: type(v).__name__)
+def test_value_semantics(value):
+    cls = type(value)
+    names = list(inspect.signature(cls).parameters)
+    args = [getattr(value, name) for name in names]
+    positional, keyword = cls(*args), cls(**dict(zip(names, args)))
+    assert positional == keyword == value
+    assert not positional != value
+    assert copy.copy(value) == value
+    if any(isinstance(x, MappingProxyType) for x in args):
+        # read-only mapping views can be neither hashed nor pickled, so
+        # neither can their holder
+        with pytest.raises(TypeError):
+            hash(positional)
+    else:
+        assert hash(positional) == hash(keyword) == hash(value)
+        assert pickle.loads(pickle.dumps(value)) == value
+    with pytest.raises(AttributeError):
+        setattr(value, names[0], None)
+    with pytest.raises(AttributeError):
+        value.unknown = 1
+    with pytest.raises(AttributeError):
+        delattr(value, names[0])
+    assert getattr(value, names[0]) is args[0]
