@@ -20,9 +20,6 @@ class UnsupportedError(GluesurfError):
 class BudgetExceededError(GluesurfError):
     """A brute-force enumeration would exceed the configured budget."""
 
-    def __init__(self, message="search budget exceeded; simplify the presentation first"):
-        super().__init__(message)
-
 
 # -- gluing data ------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from .gluing import (
     node_id,
     validate_gluing,
 )
-from .grouptheory import closure, compose
+from .grouptheory import FiniteGroup
 from .intlinalg import Record
 from .invariants import InvariantReport, compute_report
 
@@ -176,20 +176,10 @@ def perm_to_cycles(g: Perm4) -> str:
 
 
 def generating_set(elements: tuple[Perm4, ...]) -> tuple[Perm4, ...]:
-    """Greedy generating set; high-order elements first so cyclic groups get one generator."""
-    identity = (0, 1, 2, 3)
-
-    def order(g: Perm4) -> int:
-        return len(closure((identity,), lambda h: (compose(g, h),)))
-
-    have = {identity}
-    gens: list[Perm4] = []
-    for g in sorted(elements, key=lambda g: (-order(g), g)):
-        if g in have:
-            continue
-        gens.append(g)
-        have = closure(have, lambda h: (compose(k, h) for k in gens))
-    return tuple(gens)
+    """The generators ``FiniteGroup`` takes for the group ``elements`` form:
+    by falling order, so a cyclic group gets one; none for the trivial group."""
+    group = FiniteGroup("stabilizer", 4, tuple(sorted(elements)))
+    return tuple(group.elements[x] for x in group.generators)
 
 
 def _node(i: int, j: int) -> str:

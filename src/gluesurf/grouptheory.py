@@ -481,6 +481,20 @@ class FiniteGroup(Record):
                      for a in range(self.order))
 
     @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Element indices by falling element order, least index first, each
+        one taken when those before it do not span it (the rows the
+        constructor composes may be others)."""
+        orders, mult = self._orders, self._mult
+        gens: list[int] = []
+        spanned = {self.identity_index}
+        for x in sorted(range(self.order), key=lambda x: (-orders[x], x)):
+            if x not in spanned:
+                gens.append(x)
+                spanned = closure(spanned, lambda h: map(mult[h].__getitem__, gens))
+        return tuple(gens)
+
+    @cached_property
     def is_cyclic(self) -> bool:
         """Whether the powers of one element run through the whole group."""
         return self.order in self._orders
@@ -535,25 +549,17 @@ def _automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
     """Every automorphism of ``group``, as the tuple of images of the element
     indices, found from the Cayley table alone.
 
-    Generators g_1 .. g_r are taken by falling element order, ties going
-    to the order with the fewest elements, each one not yet spanned.  An
-    automorphism is fixed by the images h_i of the g_i, which keep their
-    orders; up to an inner automorphism, h_1 is the least index of its
-    conjugacy class.  Each such candidate is extended by one breadth-first
-    walk of the Cayley graph, x g_i -> phi(x) h_i, and kept when every edge
-    agrees and the images are distinct.  The kept maps, composed with every
-    inner automorphism, are all of Aut(G); a candidate whose images one of
-    these already has is not extended again.
+    Its generators g_1 .. g_r are ``group.generators``, by falling element
+    order.  An automorphism is fixed by the images h_i of the g_i, which
+    keep their orders; up to an inner automorphism, h_1 is the least index
+    of its conjugacy class.  Each such candidate is extended by one
+    breadth-first walk of the Cayley graph, x g_i -> phi(x) h_i, and kept
+    when every edge agrees and the images are distinct.  The kept maps,
+    composed with every inner automorphism, are all of Aut(G); a candidate
+    whose images one of these already has is not extended again.
     """
     n, mult, inv, e = group.order, group._mult, group._inv, group.identity_index
-    orders = group._orders
-    with_order = Counter(orders)
-    gens: list[int] = []
-    spanned = {e}
-    for x in sorted(range(n), key=lambda x: (-orders[x], with_order[orders[x]], x)):
-        if x not in spanned:
-            gens.append(x)
-            spanned = closure(spanned, lambda h: map(mult[h].__getitem__, gens))
+    orders, gens = group._orders, group.generators
 
     def extend(images: tuple[int, ...]) -> tuple[int, ...] | None:
         phi = [-1] * n

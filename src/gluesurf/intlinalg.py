@@ -95,6 +95,7 @@ class AbelianGroup(Record):
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        free_rank, torsion = _int(free_rank, "rank"), tuple(_int(d, "torsion") for d in torsion)
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
         if any(d < 2 for d in torsion):
@@ -122,7 +123,7 @@ class AbelianGroup(Record):
 
     @classmethod
     def from_dict(cls, d: dict) -> "AbelianGroup":
-        return cls(_int(d["rank"], "rank"), tuple(_int(t, "torsion") for t in d.get("torsion", ())))
+        return cls(d["rank"], d.get("torsion", ()))
 
 
 class IntegerMatrix(Record):

@@ -20,7 +20,6 @@ from .grouptheory import (
     DEFAULT_BUDGET,
     Fingerprint,
     GroupPresentation,
-    abelianization,
     fingerprint,
     tietze_simplify,
 )
@@ -104,19 +103,16 @@ def compute_report(g: ValidatedGluing, *, catalog=None,
                    budget: int = DEFAULT_BUDGET) -> InvariantReport:
     """The full report; it carries a fingerprint against ``catalog`` when one is given.
 
-    Without a catalog, the abelianization of pi1 is H1: both are the
-    cokernel of the exponent sums of the same generator-image words, so
-    the Smith form that ``homology_of_X`` runs serves both.  With a
-    catalog, it is read off the simplified presentation, which keeps the
-    group, so the report and the cyclic counts share one Smith form.
+    The abelianization of pi1 is H1: both are the cokernel of the
+    exponent sums of the same generator-image words, so the Smith form
+    that ``homology_of_X`` runs serves both.
     """
     chi = euler_characteristics(g).chi_x
     q, p_g = irregularity(g)
     presentation = pi1_presentation(g)
-    simplified = fp = None
+    fp = None
     if catalog is not None:
-        simplified = tietze_simplify(presentation)
-        fp = fingerprint(simplified, catalog=catalog, budget=budget)
+        fp = fingerprint(tietze_simplify(presentation), catalog=catalog, budget=budget)
     k2 = k_squared(g)
     homology = homology_of_X(g)
     return InvariantReport(
@@ -127,7 +123,7 @@ def compute_report(g: ValidatedGluing, *, catalog=None,
         cusp_partition=cusps(g),
         homology=homology,
         pi1=presentation,
-        pi1_abelianization=homology.h1 if catalog is None else abelianization(simplified),
+        pi1_abelianization=homology.h1,
         fingerprint=fp,
     )
 

@@ -21,11 +21,14 @@ from conftest import table_element, toy_pair
 from gluesurf import intlinalg
 from gluesurf.cli import main, report_to_dict
 from gluesurf.fourlines import build_four_lines, enumerate_orbits
-from gluesurf.gluing import gluing_to_dict
-from gluesurf.grouptheory import catalog_group
+from gluesurf.gluing import gluing_to_dict, validate_gluing
+from gluesurf.grouptheory import catalog_group, fingerprint, tietze_simplify
+from gluesurf.topology import pi1_presentation
 
 # stdout of ``classify-four-lines --format json``, kept by the benchmark
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "classify-four-lines.json"
+# stdout of ``classify-four-lines``, the text table
+GOLDEN_TEXT = Path(__file__).resolve().parent / "data" / "classify-four-lines.txt"
 
 
 def invoke(cli, args):
@@ -59,6 +62,13 @@ def smith_forms(monkeypatch):
     monkeypatch.setattr(intlinalg, "snf",
                         lambda a, snf=intlinalg.snf: matrices.append(a) or snf(a))
     return matrices
+
+
+def x02_fingerprint(catalog=None):
+    """X0.2's fingerprint as the library computes it, against ``catalog``
+    or the default catalog."""
+    vg = validate_gluing(build_four_lines(table_element("X0.2")))
+    return fingerprint(tietze_simplify(pi1_presentation(vg)), catalog=catalog)
 
 
 @pytest.fixture
@@ -113,6 +123,11 @@ class TestClassify:
         first = runner.invoke(main, ["classify-four-lines", "--format", "json"]).output
         second = runner.invoke(main, ["classify-four-lines", "--format", "json"]).output
         assert first == second
+
+    def test_text_matches_golden_file(self, runner):
+        result = runner.invoke(main, ["classify-four-lines"])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == GOLDEN_TEXT.read_bytes()
 
     def test_json_matches_golden_file(self, runner):
         result = runner.invoke(main, ["classify-four-lines", "--format", "json"])
@@ -204,6 +219,11 @@ class TestInvariants:
         doc = json.loads(result.output)
         assert doc["pi1"]["fingerprint"]["A4"][1] >= 1
 
+    def test_fingerprint_text_line(self, runner, x02_file):
+        result = runner.invoke(main, ["invariants", x02_file, "--fingerprint"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-1] == f"fingerprint = {x02_fingerprint()}"
+
 
 class TestDistinguish:
     def test_the_two_irregular_surfaces(self, runner, x01_file, x02_file):
@@ -287,7 +307,7 @@ class TestHomcountAndPi1:
         assert json.loads(result.output) == {"C2": [1, 0]}
         assert [(a.rows, a.cols) for a in smith_forms] == [(1, 1)]
 
-    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize("budget", ["0", "-1", "abc", "1.5"])
     def test_budget_below_one_exits_2(self, runner, tmp_path, budget):
         path = tmp_path / "pres.json"
         path.write_text(json.dumps({"generators": ["a"], "relators": []}))
@@ -310,6 +330,13 @@ class TestHomcountAndPi1:
         assert result.exit_code == 0
         assert "abelianized = Z\n" in result.output
         assert len(smith_forms) == 1
+
+    def test_pi1_fingerprint_json(self, runner, x02_file):
+        result = runner.invoke(main, ["pi1", x02_file, "--fingerprint", "--catalog", "C2,A4",
+                                      "--format", "json"])
+        assert result.exit_code == 0
+        expected = x02_fingerprint((catalog_group("C2"), catalog_group("A4")))
+        assert json.loads(result.output)["fingerprint"] == expected.as_dict()
 
     def test_homology_command(self, runner, x01_file):
         result = runner.invoke(main, ["homology", x01_file])
@@ -357,7 +384,9 @@ class TestHomcountAndPi1:
     (("normalization",), 5),
     (("curve_components",), None),
     (("involution", "components"), [1]),
-], ids=["node_pairing", "normalization", "curve_components", "involution.components"])
+    (("involution", "points"), [1]),
+], ids=["node_pairing", "normalization", "curve_components", "involution.components",
+        "involution.points"])
 def test_malformed_shape_exits_2(runner, tmp_path, x01_file, where, value):
     doc = json.loads(open(x01_file).read())
     target = doc

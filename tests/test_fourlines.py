@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import table_element
-from gluesurf.errors import NotInD4Error
+from gluesurf import fourlines
+from gluesurf.errors import LabelAmbiguousError, NotInD4Error
 from gluesurf.fourlines import (
     D4_ELEMENTS,
     TABLE,
@@ -196,6 +197,15 @@ class TestEnumeration:
         by_label = {r.table_label: r for r in records}
         for a, b in (("X1.2", "X1.3"), ("X1.1", "X1.3"), ("X1.1", "X1.2")):
             assert not set(by_label[a].orbit) & set(by_label[b].orbit)
+
+    def test_row_disagreeing_with_the_computed_key_raises(self, monkeypatch):
+        # X0.2's stabilizer is trivial; a row stating order 2 is wrong
+        rows = [row._replace(stabilizer_order=2) if row.label == "X0.2" else row
+                for row in TABLE]
+        monkeypatch.setattr(fourlines, "TABLE", tuple(rows))
+        with pytest.raises(LabelAmbiguousError,
+                           match=r"\|stab\|=1\) disagrees with table row X0.2"):
+            enumerate_orbits()
 
     def test_chi_equals_cusp_count_minus_one(self):
         for b in all_gluings():

@@ -100,6 +100,11 @@ class TestWords:
         with pytest.raises(PresentationFormatError):
             word_from_str("z", ("a",))
 
+    @pytest.mark.parametrize("letter", [0, 3, -3])
+    def test_presentation_letter_out_of_range(self, letter):
+        with pytest.raises(ValueError, match=f"letter {letter} out of range"):
+            GroupPresentation(("a", "b"), ((1, letter),))
+
 
 GENERATORS = ("a", "b", "c", "d")
 reduced_words = st.lists(

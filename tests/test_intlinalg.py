@@ -399,6 +399,19 @@ class TestAbelianGroup:
         assert str(AbelianGroup(1)) == "Z"
         assert str(AbelianGroup(2, (3,))) == "Z^2 + Z/3"
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+    def test_non_integer_rank_or_torsion_rejected(self, value):
+        with pytest.raises(TypeError, match="rank must be an integer"):
+            AbelianGroup(value)
+        with pytest.raises(TypeError, match="torsion must be an integer"):
+            AbelianGroup(0, (value,))
+
+    def test_list_torsion_is_stored_as_a_tuple(self):
+        group = AbelianGroup(0, [2, 4])
+        assert group.torsion == (2, 4)
+        assert group == AbelianGroup(0, (2, 4))
+        assert hash(group) == hash(AbelianGroup(0, (2, 4)))
+
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(

@@ -246,8 +246,8 @@ class TestReportAndPicard:
         assert runs == {key: 2 for key in once}
 
     def test_report_abelianization_matches_the_raw_pi1(self):
-        # without a catalog it is the report's H1, with one it is read off
-        # the simplified presentation; both are the raw pi1's abelianization
+        # with or without a catalog it is the report's H1, which is the raw
+        # pi1's abelianization
         gluings = [build_four_lines(b) for b in all_gluings()]
         assert len(gluings) == 36
         gluings += [gluing_from_dict(nlines.random_n_lines(n, seed))
@@ -259,11 +259,10 @@ class TestReportAndPicard:
                 assert report.pi1_abelianization == abelianization(pi1_presentation(vg))
 
     def test_fingerprint_shares_the_abelianization_smith_form(self, monkeypatch):
-        # X0.2: the cusp matrix and the two level maps; without a catalog
-        # the loop-level map's Smith form gives pi1's abelianization too.
-        # With a catalog the abelianization is the 2 x 1 one of the
-        # simplified presentation, read by the report and the cyclic
-        # counts alike, and the 4 x 3 one of the raw presentation is not
+        # X0.2: the cusp matrix and the two level maps; the loop-level
+        # map's Smith form gives pi1's abelianization too.  With a catalog
+        # the cyclic counts add the 2 x 1 one of the simplified
+        # presentation, and the 4 x 3 one of the raw presentation is not
         # reduced
         shapes = []
 

@@ -105,6 +105,10 @@ class TestHomotopyGraph:
         assert _tree_count_holds(x01, "D")
         assert len(g.generator_edges) == 4
 
+    def test_unknown_side_rejected(self, x01):
+        with pytest.raises(ValueError, match="side must be 'Dbar' or 'D', got 'd'"):
+            homotopy_graph("d", x01)
+
     def test_b1_identity_everywhere(self, x01, x31):
         for vg in (x01, x31, validate_gluing(toy_pair(3, 1)), validate_gluing(two_planes())):
             for side in ("Dbar", "D"):
