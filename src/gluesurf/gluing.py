@@ -11,19 +11,32 @@ structure, and the coherent Euler characteristics.
 from __future__ import annotations
 
 import functools
-from itertools import repeat
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import GluingFormatError, GluingValidationError
 from .grouptheory import closure
-from .intlinalg import AbelianGroup, Record, _int
+from .intlinalg import AbelianGroup, Record, _int, _typed
 
 TRIVIAL = AbelianGroup(0)
 
 
+def _tuple_of(items, kind: type, name: str) -> tuple:
+    """``items``, a list or tuple whose entries are each a ``kind``, as a tuple."""
+    items = tuple(_typed(items, (list, tuple), name))
+    if {*map(type, items)} - {kind}:  # one pass in C; the loop names a bad entry
+        for x in items:
+            _typed(x, kind, f"{name} entry")
+    return items
+
+
 class NormalComponent(Record):
-    """One connected component of the normalization, by its invariants."""
+    """One connected component of the normalization, by its invariants.
+
+    The constructor checks each field's type, and a wrong one raises
+    TypeError: chi_O and the ranks are ints, a bool excluded, and ``h1``
+    and ``h3`` are abelian groups.
+    """
 
     __slots__ = ("id", "chi_O", "q", "simply_connected", "h1", "h2_rank", "h3", "h4_rank",
                  "k_plus_d_sq")
@@ -31,7 +44,11 @@ class NormalComponent(Record):
     def __init__(self, id: str, chi_O: int, q: int = 0, simply_connected: bool = True,
                  h1: AbelianGroup = TRIVIAL, h2_rank: int = 1, h3: AbelianGroup = TRIVIAL,
                  h4_rank: int = 1, k_plus_d_sq: int | None = None):
-        self._set(id, chi_O, q, simply_connected, h1, h2_rank, h3, h4_rank, k_plus_d_sq)
+        self._set(_typed(id, str, "id"), _int(chi_O, "chi_O"), _int(q, "q"),
+                  _typed(simply_connected, bool, "simply_connected"),
+                  _typed(h1, AbelianGroup, "h1"), _int(h2_rank, "h2_rank"),
+                  _typed(h3, AbelianGroup, "h3"), _int(h4_rank, "h4_rank"),
+                  None if k_plus_d_sq is None else _int(k_plus_d_sq, "k_plus_d_sq"))
 
 
 class CurveComponent(Record):
@@ -39,23 +56,30 @@ class CurveComponent(Record):
 
     ``marked_points`` are the node preimages, in the order used by the
     homotopy models downstream.  ``h2_class`` is the curve's class in the
-    ambient component's H2 basis.
+    ambient component's H2 basis.  Both are given as lists or tuples and
+    kept as tuples.  ``marked_points`` has no default: it follows
+    ``genus``, which has one, so its place holds None, and None is rejected.
     """
 
     __slots__ = ("id", "ambient", "genus", "marked_points", "h2_class")
 
-    def __init__(self, id: str, ambient: str, genus: int, marked_points: tuple[str, ...],
-                 h2_class: tuple[int, ...]):
-        self._set(id, ambient, genus, marked_points, h2_class)
+    def __init__(self, id: str, ambient: str, genus: int = 0,
+                 marked_points: tuple[str, ...] = None, h2_class: tuple[int, ...] = ()):
+        self._set(_typed(id, str, "id"), _typed(ambient, str, "ambient"), _int(genus, "genus"),
+                  _tuple_of(marked_points, str, "marked_points"),
+                  tuple(_int(x, "h2_class entry")
+                        for x in _typed(h2_class, (list, tuple), "h2_class")))
 
 
 class GluingData(Record):
     """Raw gluing triple: normalization, marked curves, sigma and tau.
 
-    All three maps are stored fully symmetrized (every pair appears in
-    both directions) as read-only copies of the mappings passed in;
-    ``validate_gluing`` checks that they really are fixed-point-free
-    involutions compatible with the component data.
+    The components are kept as tuples.  All three maps are stored fully
+    symmetrized (every pair appears in both directions) as read-only
+    copies of the mappings passed in; ``validate_gluing`` checks that they
+    really are fixed-point-free involutions compatible with the component
+    data.  The value hashes by the maps' items, and copy and pickle build
+    it again from plain dicts.
     """
 
     __slots__ = ("normal_components", "curve_components", "sigma", "tau_components",
@@ -64,8 +88,18 @@ class GluingData(Record):
     def __init__(self, normal_components: tuple[NormalComponent, ...],
                  curve_components: tuple[CurveComponent, ...], sigma: Mapping[str, str],
                  tau_components: Mapping[str, str], tau_points: Mapping[str, str]):
-        self._set(normal_components, curve_components,
+        self._set(_tuple_of(normal_components, NormalComponent, "normal_components"),
+                  _tuple_of(curve_components, CurveComponent, "curve_components"),
                   *(MappingProxyType(dict(m)) for m in (sigma, tau_components, tau_points)))
+
+    def __hash__(self) -> int:
+        # a read-only view does not hash, but the items it shows do
+        normals, curves, *maps = self._values
+        return hash((normals, curves, *(frozenset(m.items()) for m in maps)))
+
+    def __reduce__(self):
+        normals, curves, *maps = self._values
+        return GluingData, (normals, curves, *map(dict, maps))
 
 
 Node = tuple[str, str]
@@ -411,16 +445,15 @@ def euler_characteristics(g: ValidatedGluing) -> EulerCharacteristics:
 
 # -- JSON wire format ---------------------------------------------------------
 
-# every key the wire format knows, per object
+# every key the wire format knows, per object; a component's keys are its
+# fields, with one rename
 _GROUP_KEYS = ("rank", "torsion")
 _TOP_KEYS = ("normalization", "curve_components", "node_pairing", "involution")
-_NORMAL_KEYS = ("id", "chi_O", "q", "simply_connected", "h1", "h2_rank", "h3",
-                "h4_rank", "k_plus_d_sq")
-_CURVE_KEYS = ("id", "on", "genus", "marked_points", "h2_class")
 _INVOLUTION_KEYS = ("components", "points")
+_WIRE_KEY = {"ambient": "on"}
 
 
-def _known_keys(obj: dict, keys: tuple[str, ...], where: str) -> dict:
+def _known_keys(obj: dict, keys: Iterable[str], where: str) -> dict:
     unknown = [k for k in obj if k not in keys]
     if unknown:
         raise GluingFormatError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
@@ -455,20 +488,26 @@ def _pair_list(value, message: str) -> list:
     return value
 
 
-def _typed(value, kind: type, where: str):
-    if not isinstance(value, kind):
-        raise GluingFormatError(f"{where} must be a {kind.__name__}")
-    return value
-
-
-def _entries(doc: dict, key: str, keys: tuple[str, ...]) -> list[tuple[str, dict]]:
-    """The objects listed under ``key``, each with its place for messages."""
+def _components_from_json(doc: dict, key: str, cls: type) -> list:
+    """The ``cls`` values listed under ``key``.  Each object's keys name
+    fields of ``cls``, and its constructor gives the defaults and checks
+    the types; a group field arrives as a ``{rank, torsion}`` object."""
     if not isinstance(doc[key], list):
         raise GluingFormatError(f"{key} must be a list of objects")
+    field_of = {_WIRE_KEY.get(f, f): f for f in cls._fields}
     out = []
-    for i, entry in enumerate(doc[key]):
+    for i, obj in enumerate(doc[key]):
         where = f"{key}[{i}]"
-        out.append((where, _known_keys(_typed(entry, dict, where), keys, where)))
+        if not isinstance(obj, dict):
+            raise GluingFormatError(f"{where} must be a dict")
+        args = {field_of[k]: v for k, v in _known_keys(obj, field_of, where).items()}
+        for name in ("h1", "h3"):
+            if name in args:
+                args[name] = _group_from_json(args[name], f"{where}.{name}")
+        try:
+            out.append(cls(**args))
+        except (TypeError, ValueError) as exc:
+            raise GluingFormatError(f"{where}: {exc!r}") from exc
     return out
 
 
@@ -485,41 +524,8 @@ def gluing_from_dict(doc: dict) -> GluingData:
         if key not in doc:
             raise GluingFormatError(f"missing key {key!r}")
 
-    normals = []
-    for where, n in _entries(doc, "normalization", _NORMAL_KEYS):
-        try:
-            normals.append(NormalComponent(
-                id=_typed(n["id"], str, where + ".id"),
-                chi_O=_int(n["chi_O"], "chi_O"),
-                q=_int(n.get("q", 0), "q"),
-                simply_connected=_typed(n.get("simply_connected", True), bool,
-                                        where + ".simply_connected"),
-                h1=_group_from_json(n.get("h1", {"rank": 0}), where + ".h1"),
-                h2_rank=_int(n.get("h2_rank", 1), "h2_rank"),
-                h3=_group_from_json(n.get("h3", {"rank": 0}), where + ".h3"),
-                h4_rank=_int(n.get("h4_rank", 1), "h4_rank"),
-                k_plus_d_sq=(None if n.get("k_plus_d_sq") is None
-                             else _int(n["k_plus_d_sq"], "k_plus_d_sq")),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GluingFormatError(f"{where}: {exc!r}") from exc
-
-    curves = []
-    for where, c in _entries(doc, "curve_components", _CURVE_KEYS):
-        try:
-            curves.append(CurveComponent(
-                id=_typed(c["id"], str, where + ".id"),
-                ambient=_typed(c["on"], str, where + ".on"),
-                genus=_int(c.get("genus", 0), "genus"),
-                marked_points=tuple(map(
-                    _typed, _typed(c["marked_points"], list, where + ".marked_points"),
-                    repeat(str), repeat(where + ".marked_points entry"))),
-                h2_class=tuple(
-                    _int(x, "h2_class entry")
-                    for x in _typed(c.get("h2_class", []), list, where + ".h2_class")),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GluingFormatError(f"{where}: {exc!r}") from exc
+    normals = _components_from_json(doc, "normalization", NormalComponent)
+    curves = _components_from_json(doc, "curve_components", CurveComponent)
 
     pairing = _pair_list(doc["node_pairing"], "node_pairing must be a list of point pairs")
     sigma = _symmetrize(pairing, "node_pairing")
@@ -535,12 +541,22 @@ def gluing_from_dict(doc: dict) -> GluingData:
     tau_points = _symmetrize(inv["points"].items(), "involution.points")
 
     return GluingData(
-        normal_components=tuple(normals),
-        curve_components=tuple(curves),
+        normal_components=normals,
+        curve_components=curves,
         sigma=sigma,
         tau_components=tau_components,
         tau_points=tau_points,
     )
+
+
+def _component_to_json(value: NormalComponent | CurveComponent) -> dict:
+    """The wire object of a component: its fields in order, groups and tuples as JSON."""
+    out = {}
+    for name in value._fields:
+        x = getattr(value, name)
+        out[_WIRE_KEY.get(name, name)] = (
+            x.as_dict() if isinstance(x, AbelianGroup) else list(x) if isinstance(x, tuple) else x)
+    return out
 
 
 def gluing_to_dict(data: GluingData) -> dict:
@@ -548,31 +564,12 @@ def gluing_to_dict(data: GluingData) -> dict:
     def once(mapping: Mapping[str, str]) -> list[list[str]]:
         return sorted([a, b] for a, b in mapping.items() if a < b)
 
+    def by_id(components: tuple) -> list[dict]:
+        return [_component_to_json(c) for c in sorted(components, key=lambda c: c.id)]
+
     return {
-        "normalization": [
-            {
-                "id": n.id,
-                "chi_O": n.chi_O,
-                "q": n.q,
-                "simply_connected": n.simply_connected,
-                "h1": n.h1.as_dict(),
-                "h2_rank": n.h2_rank,
-                "h3": n.h3.as_dict(),
-                "h4_rank": n.h4_rank,
-                "k_plus_d_sq": n.k_plus_d_sq,
-            }
-            for n in sorted(data.normal_components, key=lambda n: n.id)
-        ],
-        "curve_components": [
-            {
-                "id": c.id,
-                "on": c.ambient,
-                "genus": c.genus,
-                "marked_points": list(c.marked_points),
-                "h2_class": list(c.h2_class),
-            }
-            for c in sorted(data.curve_components, key=lambda c: c.id)
-        ],
+        "normalization": by_id(data.normal_components),
+        "curve_components": by_id(data.curve_components),
         "node_pairing": once(data.sigma),
         "involution": {
             "components": once(data.tau_components),

@@ -45,7 +45,7 @@ from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
-from .intlinalg import AbelianGroup, IntegerMatrix, Record, cokernel_invariants
+from .intlinalg import AbelianGroup, IntegerMatrix, Record, _typed, cokernel_invariants
 
 Word = tuple[int, ...]  # letter +(g+1) is generator g, -(g+1) its inverse
 
@@ -429,11 +429,12 @@ def closure(start: Iterable, successors: Callable) -> set:
 class FiniteGroup(Record):
     """Finite permutation group given by its full, sorted element list.
 
-    The Cayley table ``_mult`` (indices into ``elements``) is built once,
-    at construction, one row per element.  A breadth-first walk from the
-    identity takes as a new generator each element it has not reached;
-    only a generator's row is composed from permutations, and the row of
-    g∘a is row(a) read through g's row.  A product missing from
+    The list and each element are given as lists or tuples and kept as
+    tuples.  The Cayley table ``_mult`` (indices into ``elements``) is
+    built once, at construction, one row per element.  A breadth-first
+    walk from the identity takes as a new generator each element it has
+    not reached; only a generator's row is composed from permutations, and
+    the row of g∘a is row(a) read through g's row.  A product missing from
     ``elements`` is rejected there: a set closed under left multiplication
     by generators that reach every element is closed.
     """
@@ -441,6 +442,8 @@ class FiniteGroup(Record):
     __slots__ = ("name", "degree", "elements", "identity_index", "_mult", "_inv", "__dict__")
 
     def __init__(self, name: str, degree: int, elements: tuple[Permutation, ...]):
+        elements = tuple(tuple(_typed(p, (list, tuple), "elements entry"))
+                         for p in _typed(elements, (list, tuple), "elements"))
         index = {p: i for i, p in enumerate(elements)}
         if len(index) != len(elements):
             raise ValueError("duplicate elements")

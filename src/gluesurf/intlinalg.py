@@ -37,6 +37,15 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _typed(value, kind: type | tuple[type, ...], where: str):
+    """``value`` if it is a ``kind``; anything else raises TypeError naming ``where``."""
+    if not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        article = "an" if names[0] in "AEIOUaeiou" else "a"
+        raise TypeError(f"{where} must be {article} {names}, not {type(value).__name__}")
+    return value
+
+
 class Record:
     """Base of the immutable value types.
 
@@ -89,13 +98,15 @@ class Record:
 class AbelianGroup(Record):
     """Finitely generated abelian group in invariant-factor form.
 
-    ``torsion`` is the chain d1 | d2 | ... of invariant factors, each >= 2.
+    ``torsion`` is the chain d1 | d2 | ... of invariant factors, each >= 2,
+    given as a list or tuple and kept as a tuple.
     """
 
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
-        free_rank, torsion = _int(free_rank, "rank"), tuple(_int(d, "torsion") for d in torsion)
+        free_rank = _int(free_rank, "rank")
+        torsion = tuple(_int(d, "torsion") for d in _typed(torsion, (list, tuple), "torsion"))
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
         if any(d < 2 for d in torsion):
@@ -133,8 +144,8 @@ class IntegerMatrix(Record):
     ``nonzero[i][j]`` at (i, j) and 0 elsewhere; neither a row missing from
     ``nonzero`` nor a 0 is stored, so a row with no entry costs nothing.
     A shape, index or entry that is not an ``int`` is rejected, not coerced.
-    ``from_rows`` takes dense rows.  Equality and hashing are by value, and
-    the dense row-major ``entries`` are built when read.
+    Equality and hashing are by value, and the dense row-major ``entries``
+    are built when read.
     """
 
     __slots__ = ("rows", "cols", "_rows")
@@ -161,19 +172,6 @@ class IntegerMatrix(Record):
                          and 0 <= min(used) and max(used) < cols):
             raise IndexError(f"an entry lies outside the {rows} x {cols} matrix")
         self._set(rows, cols, kept)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
-        rows = [list(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-        elif cols is not None:
-            width = cols
-        else:
-            width = 0
-        if any(len(r) != width for r in rows):
-            raise ValueError("rows have unequal lengths")
-        return cls(len(rows), width, {i: dict(enumerate(r)) for i, r in enumerate(rows)})
 
     @property
     def entries(self) -> tuple[int, ...]:
@@ -202,10 +200,6 @@ class IntegerMatrix(Record):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
         return self._rows.get(i, {}).get(j, 0)
-
-    def row_lists(self) -> list[list[int]]:
-        c, entries = self.cols, self.entries
-        return [list(entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
 
 class SmithDecomposition(Record):

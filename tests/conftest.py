@@ -14,6 +14,7 @@ from gluesurf.gluing import (
     ValidatedGluing,
     validate_gluing,
 )
+from gluesurf.intlinalg import IntegerMatrix
 
 _ROWS = {row.label: row for row in TABLE}
 
@@ -24,6 +25,21 @@ def replace(value, **changes):
     the attribute of its name, and the copy is built again, so its checks run."""
     kept = {name: getattr(value, name) for name in inspect.signature(type(value)).parameters}
     return type(value)(**{**kept, **changes})
+
+
+def from_rows(rows, cols: int | None = None) -> IntegerMatrix:
+    """The matrix with the given dense rows; ``cols`` gives the width of a matrix with none."""
+    rows = [list(r) for r in rows]
+    width = len(rows[0]) if rows else 0 if cols is None else cols
+    if any(len(r) != width for r in rows):
+        raise ValueError("rows have unequal lengths")
+    return IntegerMatrix(len(rows), width, {i: dict(enumerate(r)) for i, r in enumerate(rows)})
+
+
+def row_lists(m: IntegerMatrix) -> list[list[int]]:
+    """The dense rows of ``m``, as lists."""
+    c, entries = m.cols, m.entries
+    return [list(entries[i * c:(i + 1) * c]) for i in range(m.rows)]
 
 
 def letter(g: int, s: int) -> int:

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import letter, replace, table_gluing
+from conftest import from_rows, letter, replace, row_lists, table_gluing
 from gluesurf.fourlines import (
     D4_ELEMENTS,
     TABLE,
@@ -28,7 +28,7 @@ from gluesurf.grouptheory import (
     tietze_simplify,
     word_from_str,
 )
-from gluesurf.intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants, snf
+from gluesurf.intlinalg import AbelianGroup, cokernel_invariants, snf
 from gluesurf.invariants import cusp_matrix, irregularity
 from gluesurf.topology import homology_of_X, mv_matrices, pi1_presentation
 
@@ -232,10 +232,10 @@ def test_criterion_08d_cusp_matrix_kernel_invariance(records):
         m = cusp_matrix(vg)
         base = m.cols - snf(m).rank
         for _ in range(4):
-            rows = m.row_lists()
+            rows = row_lists(m)
             row_signs = [rng.choice((1, -1)) for _ in range(m.rows)]
             col_signs = [rng.choice((1, -1)) for _ in range(m.cols)]
-            flipped = IntegerMatrix.from_rows(
+            flipped = from_rows(
                 [
                     [row_signs[i] * col_signs[j] * rows[i][j] for j in range(m.cols)]
                     for i in range(m.rows)

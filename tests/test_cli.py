@@ -552,6 +552,36 @@ def test_non_integer_value_exits_2(runner, tmp_path, x01_file, section, key, sha
     assert result.output.startswith("error: ") and named in result.output
 
 
+@pytest.mark.parametrize("torsion", [{}, 5, "2"], ids=["object", "int", "str"])
+def test_torsion_that_is_not_a_list_exits_2(runner, tmp_path, x01_file, torsion):
+    # an object was once read as no torsion at all, and 5 failed on iterating it
+    doc = json.loads(open(x01_file).read())
+    doc["normalization"][0]["h1"] = {"rank": 0, "torsion": torsion}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["invariants", str(path)])
+    assert result.exit_code == 2
+    assert result.output == ("error: normalization[0].h1: torsion must be a list or tuple, "
+                             f"not {type(torsion).__name__}\n")
+
+
+@pytest.mark.parametrize("section, key, named", [
+    ("normalization", "id", "'id'"),
+    ("normalization", "chi_O", "'chi_O'"),
+    ("curve_components", "id", "'id'"),
+    ("curve_components", "on", "'ambient'"),  # the field that the key fills
+    ("curve_components", "marked_points", "marked_points must be a list or tuple"),
+])
+def test_missing_required_key_exits_2(runner, tmp_path, x01_file, section, key, named):
+    doc = json.loads(open(x01_file).read())
+    del doc[section][0][key]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["invariants", str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith(f"error: {section}[0]: TypeError(") and named in result.output
+
+
 def test_import_builds_no_catalog_group():
     # the catalog is generator data; each group is built on first use only
     # and the CLI parses its arguments with the standard library alone

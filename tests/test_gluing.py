@@ -386,6 +386,35 @@ class TestImmutability:
         assert copied.sigma == data.sigma and copied.sigma["x0"] == "y0"
 
 
+NORMAL = {"id": "p", "chi_O": 1}
+CURVE = {"id": "L", "ambient": "p", "marked_points": ("a",)}
+
+
+@pytest.mark.parametrize("cls, field, value, message", [
+    *[(NormalComponent, field, value, f"{field} must be an integer, not {type(value).__name__}")
+      for field in ("chi_O", "q", "h2_rank", "h4_rank", "k_plus_d_sq")
+      for value in (1.5, True, "1")],
+    *[(CurveComponent, "genus", value, f"genus must be an integer, not {type(value).__name__}")
+      for value in (1.5, True, "1")],
+    *[(CurveComponent, "h2_class", [value],
+       f"h2_class entry must be an integer, not {type(value).__name__}")
+      for value in (1.5, True, "1")],
+    (NormalComponent, "id", 5, "id must be a str, not int"),
+    (CurveComponent, "id", ["L"], "id must be a str, not list"),
+    (CurveComponent, "ambient", 5, "ambient must be a str, not int"),
+    (CurveComponent, "marked_points", ["a", 5], "marked_points entry must be a str, not int"),
+    (CurveComponent, "marked_points", "ab", "marked_points must be a list or tuple, not str"),
+    (NormalComponent, "simply_connected", 1, "simply_connected must be a bool, not int"),
+    (NormalComponent, "simply_connected", "true", "simply_connected must be a bool, not str"),
+    (NormalComponent, "h1", {"rank": 0}, "h1 must be an AbelianGroup, not dict"),
+    (NormalComponent, "h3", 0, "h3 must be an AbelianGroup, not int"),
+])
+def test_a_field_of_the_wrong_type_is_named(cls, field, value, message):
+    with pytest.raises(TypeError) as info:
+        cls(**{**(NORMAL if cls is NormalComponent else CURVE), field: value})
+    assert str(info.value) == message
+
+
 class TestSerialization:
     def test_round_trip_preserves_validation(self, x01):
         doc = gluing_to_dict(x01.data)
@@ -393,6 +422,21 @@ class TestSerialization:
         assert reparsed == x01
         assert cusps(reparsed) == cusps(x01)
         assert gluing_to_dict(reparsed.data) == doc
+
+    def test_required_keys_alone_give_the_constructor_defaults(self):
+        doc = {"normalization": [{"id": "p", "chi_O": 1}],
+               "curve_components": [{"id": "L", "on": "p", "marked_points": ["a"]}],
+               "node_pairing": [], "involution": {"components": [], "points": {}}}
+        data = gluing_from_dict(doc)
+        assert data.normal_components == (NormalComponent("p", 1),)
+        assert data.curve_components == (CurveComponent("L", "p", marked_points=("a",)),)
+        normal, = gluing_to_dict(data)["normalization"]
+        trivial = {"rank": 0, "torsion": []}
+        assert normal == {"id": "p", "chi_O": 1, "q": 0, "simply_connected": True,
+                          "h1": trivial, "h2_rank": 1, "h3": trivial, "h4_rank": 1,
+                          "k_plus_d_sq": None}
+        assert gluing_to_dict(data)["curve_components"] == [
+            {"id": "L", "on": "p", "genus": 0, "marked_points": ["a"], "h2_class": []}]
 
     def test_missing_key_rejected(self):
         with pytest.raises(GluingFormatError):

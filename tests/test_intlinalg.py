@@ -25,6 +25,7 @@ if str(ROOT / "bench") not in sys.path:
     sys.path.append(str(ROOT / "bench"))
 
 import nlines  # noqa: E402
+from conftest import from_rows, row_lists  # noqa: E402
 
 from gluesurf import intlinalg  # noqa: E402
 from gluesurf.gluing import gluing_from_dict, validate_gluing  # noqa: E402
@@ -44,9 +45,9 @@ from gluesurf.invariants import cusp_matrix, irregularity  # noqa: E402
 from gluesurf.topology import homology_of_X, mv_matrices, pi1_presentation  # noqa: E402
 
 # matrices appearing in the homology computation of the two irregular surfaces
-M1 = IntegerMatrix.from_rows([[2, 0, 1], [0, -1, 1], [1, 0, 0], [0, 1, -2]])
-M2 = IntegerMatrix.from_rows([[-1, 2, 0], [0, 1, -1], [0, 1, 0], [2, 0, 1]])
-N = IntegerMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
+M1 = from_rows([[2, 0, 1], [0, -1, 1], [1, 0, 0], [0, 1, -2]])
+M2 = from_rows([[-1, 2, 0], [0, 1, -1], [0, 1, 0], [2, 0, 1]])
+N = from_rows([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
 
 
 def determinant(a: IntegerMatrix) -> int:
@@ -56,7 +57,7 @@ def determinant(a: IntegerMatrix) -> int:
     n = a.rows
     if n == 0:
         return 1
-    m = a.row_lists()
+    m = row_lists(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -78,15 +79,15 @@ def matmul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
     """Matrix product, for checking U @ A @ V == S; zero entries of ``a`` are skipped."""
     if a.cols != b.rows:
         raise ValueError("dimension mismatch in matrix product")
-    b_rows = b.row_lists()
+    b_rows = row_lists(b)
     out = []
-    for r in a.row_lists():
+    for r in row_lists(a):
         acc = [0] * b.cols
         for k, x in enumerate(r):
             if x:
                 acc = [s + x * y for s, y in zip(acc, b_rows[k])]
         out.append(acc)
-    return IntegerMatrix.from_rows(out, cols=b.cols)
+    return from_rows(out, cols=b.cols)
 
 
 def dense_snf(a: IntegerMatrix) -> SimpleNamespace:
@@ -97,9 +98,9 @@ def dense_snf(a: IntegerMatrix) -> SimpleNamespace:
     submatrix, which guarantees the divisibility chain.
     """
     nr, nc = a.rows, a.cols
-    s = a.row_lists()
-    u = identity(nr).row_lists()
-    v = identity(nc).row_lists()
+    s = row_lists(a)
+    u = row_lists(identity(nr))
+    v = row_lists(identity(nc))
 
     def swap_rows(i, j):
         if i != j:
@@ -184,9 +185,9 @@ def dense_snf(a: IntegerMatrix) -> SimpleNamespace:
 
     divisors = tuple(s[i][i] for i in range(limit) if s[i][i] != 0)
     return SimpleNamespace(
-        u=IntegerMatrix.from_rows(u, cols=nr),
-        s=IntegerMatrix.from_rows(s, cols=nc),
-        v=IntegerMatrix.from_rows(v, cols=nc),
+        u=from_rows(u, cols=nr),
+        s=from_rows(s, cols=nc),
+        v=from_rows(v, cols=nc),
         divisors=divisors,
         rank=len(divisors),
     )
@@ -210,8 +211,8 @@ def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     columns of the SNF's V, past the rank."""
     dec = snf(a)
     r = dec.rank
-    v = dec.v.row_lists()
-    return IntegerMatrix.from_rows([row[r:] for row in v], cols=a.cols - r)
+    v = row_lists(dec.v)
+    return from_rows([row[r:] for row in v], cols=a.cols - r)
 
 
 def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
@@ -221,7 +222,7 @@ def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
     if not factors:
         return AbelianGroup(free)
     n = len(factors)
-    diag = IntegerMatrix.from_rows(
+    diag = from_rows(
         [[factors[i] if i == j else 0 for j in range(n)] for i in range(n)]
     )
     return AbelianGroup(free, tuple(d for d in snf(diag).divisors if d > 1))
@@ -229,10 +230,10 @@ def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
 
 def minors_gcd_divisors(m: IntegerMatrix) -> tuple[int, ...]:
     """Invariant factors via gcds of k x k minors (independent oracle)."""
-    rows = m.row_lists()
+    rows = row_lists(m)
 
     def minor(ris, cis) -> int:
-        sub = IntegerMatrix.from_rows(
+        sub = from_rows(
             [[rows[i][j] for j in cis] for i in ris], cols=len(cis)
         )
         return determinant(sub)
@@ -253,7 +254,7 @@ def minors_gcd_divisors(m: IntegerMatrix) -> tuple[int, ...]:
 
 def rational_rank(m: IntegerMatrix) -> int:
     """Rank by fraction-exact Gaussian elimination (independent oracle)."""
-    a = [[Fraction(x) for x in row] for row in m.row_lists()]
+    a = [[Fraction(x) for x in row] for row in row_lists(m)]
     rank = 0
     for col in range(m.cols):
         piv = next((i for i in range(rank, m.rows) if a[i][col]), None)
@@ -271,7 +272,7 @@ def rational_rank(m: IntegerMatrix) -> int:
 def in_column_span_over_q(basis: IntegerMatrix, vec: list[int]) -> list[Fraction] | None:
     """Solve basis @ c = vec over the rationals; None if inconsistent."""
     rows = [[Fraction(x) for x in row] + [Fraction(v)]
-            for row, v in zip(basis.row_lists(), vec)]
+            for row, v in zip(row_lists(basis), vec)]
     ncols = basis.cols
     pivots = []
     r = 0
@@ -336,7 +337,7 @@ class TestSmithNormalForm:
     ], ids=["unit-then-block", "row-chain", "column-chain", "non-coprime-pair",
             "divisibility-fix", "unit-after-non-unit"])
     def test_block_left_without_unit_entries(self, rows, divisors):
-        m = IntegerMatrix.from_rows(rows)
+        m = from_rows(rows)
         dec = snf(m)
         assert dec.divisors == minors_gcd_divisors(m) == divisors
         assert dec.s == diagonal(m.rows, m.cols, divisors)
@@ -378,7 +379,7 @@ class TestCokernel:
         assert cokernel_invariants(M2) == AbelianGroup(1)
 
     def test_single_even_entry(self):
-        assert cokernel_invariants(IntegerMatrix.from_rows([[2]])) == AbelianGroup(0, (2,))
+        assert cokernel_invariants(from_rows([[2]])) == AbelianGroup(0, (2,))
 
     def test_sphere_level_cokernel(self):
         assert cokernel_invariants(N) == AbelianGroup(N.rows - rational_rank(N))
@@ -420,7 +421,7 @@ small_matrices = st.integers(1, 4).flatmap(
             min_size=r, max_size=r,
         )
     )
-).map(IntegerMatrix.from_rows)
+).map(from_rows)
 
 
 # No entry is a unit, so ``snf`` starts without a unit pivot and must pair
@@ -430,7 +431,7 @@ unitless_matrices = st.integers(0, 4).flatmap(
         lambda c: st.lists(
             st.lists(st.sampled_from((0, 2, -2, 3, -3, 4, -4, 6, -6)), min_size=c, max_size=c),
             min_size=r, max_size=r,
-        ).map(lambda rows: IntegerMatrix.from_rows(rows, cols=c))
+        ).map(lambda rows: from_rows(rows, cols=c))
     )
 ) | st.builds(zeros, st.integers(0, 4), st.integers(0, 4))
 
@@ -444,7 +445,7 @@ sparse_matrices = st.integers(0, 7).flatmap(
             st.lists(st.sampled_from((0, 0, 0, 0, 1, -1, 2, -2, 3, -4, 6)),
                      min_size=c, max_size=c),
             min_size=r, max_size=r,
-        ).map(lambda rows: IntegerMatrix.from_rows(rows, cols=c))
+        ).map(lambda rows: from_rows(rows, cols=c))
     )
 )
 
@@ -539,11 +540,11 @@ def test_no_unit_stage_operands_stay_small_on_generated_gluings(monkeypatch, n, 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices | sparse_matrices, st.randoms(use_true_random=False))
 def test_snf_invariant_under_permutation(m, rng):
-    rows = m.row_lists()
+    rows = row_lists(m)
     rng.shuffle(rows)
     cols = list(range(m.cols))
     rng.shuffle(cols)
-    shuffled = IntegerMatrix.from_rows([[row[j] for j in cols] for row in rows],
+    shuffled = from_rows([[row[j] for j in cols] for row in rows],
                                        cols=m.cols)
     assert snf(shuffled).divisors == snf(m).divisors
 
@@ -551,7 +552,7 @@ def test_snf_invariant_under_permutation(m, rng):
 def as_sparse(m: IntegerMatrix) -> IntegerMatrix:
     """``m`` built again from its cells by the constructor, zeros included."""
     return IntegerMatrix(m.rows, m.cols,
-                         {i: dict(enumerate(row)) for i, row in enumerate(m.row_lists())})
+                         {i: dict(enumerate(row)) for i, row in enumerate(row_lists(m))})
 
 
 @settings(max_examples=60, deadline=None)
@@ -559,8 +560,8 @@ def as_sparse(m: IntegerMatrix) -> IntegerMatrix:
 def test_sparse_and_dense_builds_are_one_value(m):
     sparse = as_sparse(m)
     assert sparse == m and hash(sparse) == hash(m)
-    assert sparse.entries == m.entries and sparse.row_lists() == m.row_lists()
-    assert IntegerMatrix.from_rows(m.row_lists(), cols=m.cols) == m
+    assert sparse.entries == m.entries and row_lists(sparse) == row_lists(m)
+    assert from_rows(row_lists(m), cols=m.cols) == m
     assert all(sparse[i, j] == m[i, j] for i in range(m.rows) for j in range(m.cols))
     assert snf(sparse).divisors == snf(m).divisors
 
@@ -568,8 +569,8 @@ def test_sparse_and_dense_builds_are_one_value(m):
 class TestIntegerMatrix:
     def test_sparse_drops_zeros_and_empty_rows(self):
         m = IntegerMatrix(3, 2, {0: {1: 0}, 2: {0: 4, 1: 0}, 1: {}})
-        assert m == IntegerMatrix.from_rows([[0, 0], [0, 0], [4, 0]])
-        assert m != IntegerMatrix.from_rows([[0, 0], [0, 0], [0, 4]])
+        assert m == from_rows([[0, 0], [0, 0], [4, 0]])
+        assert m != from_rows([[0, 0], [0, 0], [0, 4]])
         assert m != IntegerMatrix(4, 2, {2: {0: 4}})
         assert repr(m) == "IntegerMatrix(3, 2, {2: {0: 4}})"
 
@@ -581,7 +582,7 @@ class TestIntegerMatrix:
     @pytest.mark.parametrize("bad", [True, False, 1.7, 1.5, 0.0, "1"])
     @pytest.mark.parametrize("build", [
         lambda x: IntegerMatrix(2, 2, {0: {0: 1}, 1: {1: x}}),
-        lambda x: IntegerMatrix.from_rows([[1, 0], [0, x]]),
+        lambda x: from_rows([[1, 0], [0, x]]),
     ], ids=["constructor", "from_rows"])
     def test_rejects_an_entry_that_is_not_an_int(self, build, bad):
         with pytest.raises(TypeError):
@@ -592,8 +593,8 @@ class TestIntegerMatrix:
         (lambda: IntegerMatrix(2, True, {}), TypeError),
         (lambda: IntegerMatrix(-1, 2, {}), ValueError),
         (lambda: IntegerMatrix(2, -1, {}), ValueError),
-        (lambda: IntegerMatrix.from_rows([], cols=2.0), TypeError),
-        (lambda: IntegerMatrix.from_rows([], cols=-1), ValueError),
+        (lambda: from_rows([], cols=2.0), TypeError),
+        (lambda: from_rows([], cols=-1), ValueError),
     ])
     def test_rejects_a_bad_shape(self, build, error):
         with pytest.raises(error):
@@ -615,5 +616,5 @@ class TestIntegerMatrix:
         m = IntegerMatrix(10 ** 9, 3, {7: {0: 2, 1: 4}, 10 ** 9 - 1: {1: 1, 2: 1}})
         assert snf(m).divisors == (1, 2)
         assert snf(m).cokernel == AbelianGroup(10 ** 9 - 2, (2,))
-        padded = IntegerMatrix.from_rows(M1.row_lists() + [[0] * M1.cols] * 5)
+        padded = from_rows(row_lists(M1) + [[0] * M1.cols] * 5)
         assert snf(padded).cokernel == AbelianGroup(cokernel_invariants(M1).free_rank + 5)

@@ -14,7 +14,14 @@ if str(ROOT / "bench") not in sys.path:
     sys.path.append(str(ROOT / "bench"))
 
 import nlines  # noqa: E402
-from conftest import replace, table_gluing, toy_pair, two_planes  # noqa: E402
+from conftest import (  # noqa: E402
+    from_rows,
+    replace,
+    row_lists,
+    table_gluing,
+    toy_pair,
+    two_planes,
+)
 from gluesurf import intlinalg, invariants, topology  # noqa: E402
 from gluesurf.errors import (  # noqa: E402
     GeometricGenusNonzeroError,
@@ -33,7 +40,7 @@ from gluesurf.gluing import (  # noqa: E402
     validate_gluing,
 )
 from gluesurf.grouptheory import abelianization, catalog_group, default_catalog  # noqa: E402
-from gluesurf.intlinalg import AbelianGroup, IntegerMatrix, snf  # noqa: E402
+from gluesurf.intlinalg import AbelianGroup, snf  # noqa: E402
 from gluesurf.invariants import (  # noqa: E402
     compute_report,
     cusp_matrix,
@@ -85,7 +92,7 @@ class TestCuspMatrix:
         for i, cusp in enumerate(cusps(x31)):
             for j, (plus, minus) in enumerate(basis):
                 assert m[i, j] == alternating_sum_oracle(x31, cusp.points, plus, minus)
-        assert m.row_lists() == [[2, 0], [2, -2], [2, 2], [0, 2]]
+        assert row_lists(m) == [[2, 0], [2, -2], [2, 2], [0, 2]]
         assert snf(m).rank == 2
 
     def test_irregular_normalization_rejected(self, x01):
@@ -102,11 +109,11 @@ class TestCuspMatrix:
     def test_kernel_dimension_invariant_under_sign_flips(self, x31):
         m = cusp_matrix(x31)
         base_kernel = m.cols - snf(m).rank
-        rows = m.row_lists()
-        flipped_row = IntegerMatrix.from_rows(
+        rows = row_lists(m)
+        flipped_row = from_rows(
             [[-x for x in rows[0]]] + rows[1:], cols=m.cols
         )
-        flipped_col = IntegerMatrix.from_rows(
+        flipped_col = from_rows(
             [[-r[0]] + r[1:] for r in rows], cols=m.cols
         )
         for variant in (flipped_row, flipped_col):

@@ -14,22 +14,46 @@ import gluesurf
 SOURCE = Path(gluesurf.__file__).resolve().parent
 
 
+def name_sites(source: Path, exports_count: bool = True) -> defaultdict:
+    """Each name of a token in ``source/*.py``, mapped to the set of (file,
+    line) where it stands; ``__init__.py`` is read only if ``exports_count``.
+    Comments and strings hold no name token."""
+    named_on = defaultdict(set)
+    for path in sorted(source.glob("*.py")):
+        if exports_count or path.name != "__init__.py":
+            for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+                if tok.type == tokenize.NAME:
+                    named_on[tok.string].add((path.name, tok.start[0]))
+    return named_on
+
+
 def unused_definitions(source: Path, exports_count: bool = True) -> list[str]:
     """Top-level functions and classes of ``source/*.py`` that no other line
     of code there names; an import into ``__init__.py`` exports a name, so
-    it names it too unless ``exports_count`` is false.  Comments and
-    strings do not count."""
-    named_on = defaultdict(set)  # name -> the (file, line) of each of its tokens
-    definitions = []
-    for path in sorted(source.glob("*.py")):
-        text = path.read_text()
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            if tok.type == tokenize.NAME and (exports_count or path.name != "__init__.py"):
-                named_on[tok.string].add((path.name, tok.start[0]))
-        definitions += [(node.name, path.name, node.lineno) for node in ast.parse(text).body
-                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    it names it too unless ``exports_count`` is false."""
+    named_on = name_sites(source, exports_count)
+    definitions = [(node.name, path.name, node.lineno)
+                   for path in sorted(source.glob("*.py"))
+                   for node in ast.parse(path.read_text()).body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     return [f"{file}:{line} {name}" for name, file, line in definitions
             if not named_on[name] - {(file, line)}]
+
+
+def unread_members(source: Path) -> list[str]:
+    """Methods and properties, dunders aside, of the top-level classes of
+    ``source/*.py`` whose name no other line of code there holds."""
+    named_on = name_sites(source)
+    out = []
+    for path in sorted(source.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not member.name.startswith("__")
+                            and not named_on[member.name] - {(path.name, member.lineno)}):
+                        out.append(f"{path.name} {node.name}.{member.name}")
+    return out
 
 
 def unused_imports(source: Path) -> list[str]:
@@ -74,6 +98,17 @@ def test_only_the_listed_definitions_go_unread():
     unread = [re.sub(r":\d+", "", entry)  # without the line number
               for entry in unused_definitions(SOURCE, exports_count=False)]
     assert sorted(unread) == sorted(UNREAD)
+
+
+# the methods and properties that no module of the package reads, and why each stays
+UNREAD_MEMBERS = {
+    "intlinalg.py IntegerMatrix.entries": "bench/tracer._max_bits reads it",
+}
+
+
+def test_only_the_listed_members_go_unread():
+    # a method or property that only the tests call fails here
+    assert sorted(unread_members(SOURCE)) == sorted(UNREAD_MEMBERS)
 
 
 def test_every_import_is_used():

@@ -15,7 +15,14 @@ if str(ROOT / "bench") not in sys.path:
 
 import nlines  # noqa: E402
 import oracles  # noqa: E402
-from conftest import curve_cycle, replace, table_gluing, toy_pair, two_planes  # noqa: E402
+from conftest import (  # noqa: E402
+    curve_cycle,
+    from_rows,
+    replace,
+    table_gluing,
+    toy_pair,
+    two_planes,
+)
 from gluesurf.errors import (  # noqa: E402
     DbarDisconnectedError,
     GenusNotZeroError,
@@ -196,7 +203,7 @@ class TestPi1:
 
 class TestMayerVietorisMatrices:
     def test_sphere_level_map_matches_line_classes(self, x01, x02):
-        expected = IntegerMatrix.from_rows(
+        expected = from_rows(
             [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]]
         )
         assert mv_matrices(x01).h2_map == expected
@@ -218,7 +225,7 @@ class TestMayerVietorisMatrices:
             ),
         )
         mv = mv_matrices(validate_gluing(graded))
-        assert mv.h2_map == IntegerMatrix.from_rows([[1, 1], [3, 5]])
+        assert mv.h2_map == from_rows([[1, 1], [3, 5]])
 
 
 class TestHomology:

@@ -11,8 +11,8 @@ import pytest
 
 from conftest import table_gluing
 from gluesurf.fourlines import enumerate_orbits
-from gluesurf.gluing import cusps, quotient_curve
-from gluesurf.grouptheory import catalog_group
+from gluesurf.gluing import CurveComponent, GluingData, NormalComponent, cusps, quotient_curve
+from gluesurf.grouptheory import FiniteGroup, catalog_group
 from gluesurf.intlinalg import IntegerMatrix, Record, snf
 from gluesurf.invariants import compute_report, cusp_matrix, picard_summary
 from gluesurf.topology import homotopy_graph, mv_matrices
@@ -52,9 +52,10 @@ def test_value_semantics(value):
     assert positional == keyword == value
     assert not positional != value
     assert copy.copy(value) == value
-    if any(isinstance(x, MappingProxyType) for x in args):
+    if any(isinstance(x, MappingProxyType) for x in args) and cls.__hash__ is Record.__hash__:
         # read-only mapping views can be neither hashed nor pickled, so
-        # neither can their holder
+        # neither can a holder that does not hash and rebuild them itself,
+        # as GluingData does
         with pytest.raises(TypeError):
             hash(positional)
     else:
@@ -67,3 +68,16 @@ def test_value_semantics(value):
     with pytest.raises(AttributeError):
         delattr(value, names[0])
     assert getattr(value, names[0]) is args[0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda seq: CurveComponent("L", "p", 0, seq(["a", "b"]), seq([1, 0])),
+    lambda seq: GluingData(seq([NormalComponent("p", 1)]),
+                           seq([CurveComponent("L", "p", 0, ("a",), ())]), {}, {}, {}),
+    lambda seq: FiniteGroup("C2", 2, seq([seq([0, 1]), seq([1, 0])])),
+], ids=["CurveComponent", "GluingData", "FiniteGroup"])
+def test_built_from_lists_equals_its_tuple_twin(build):
+    # the lists are kept as tuples, so a caller's list cannot change the value
+    from_lists, from_tuples = build(list), build(tuple)
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert all(type(getattr(from_lists, name)) is not list for name in type(from_lists)._fields)
