@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 input error, 3 search budget exceeded,
-4 valid-but-unsupported configuration.  JSON output has sorted keys so
-identical inputs give byte-identical documents.
+Each command returns its JSON document and its text lines, and ``main``
+prints the one that ``--format`` asks for.  Exit codes: 0 success, 2
+input error, 3 search budget exceeded, 4 valid-but-unsupported
+configuration.  JSON output has sorted keys so identical inputs give
+byte-identical documents.
 """
 
 from __future__ import annotations
@@ -53,11 +55,15 @@ def _load_gluing(path: str):
     return validate_gluing(gluing_from_dict(_load_json(path)))
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+def _group_names(text: str) -> list[str]:
+    """``--catalog``'s comma-separated names, blanks dropped."""
+    return [n.strip() for n in text.split(",") if n.strip()]
 
 
-def _named_groups(names: list[str]):
+def _groups(names: list[str] | None):
+    """The catalog groups ``names`` lists, or the whole catalog for None."""
+    if names is None:
+        return default_catalog()
     if not names:
         raise InputError("the list of groups is empty")
     if len(set(names)) != len(names):
@@ -65,19 +71,13 @@ def _named_groups(names: list[str]):
     return tuple(catalog_group(n) for n in names)
 
 
-def _catalog_from_option(names: str | None):
-    if names is None:
-        return default_catalog()
-    return _named_groups([n.strip() for n in names.split(",") if n.strip()])
-
-
-def _fingerprint_catalog(with_fingerprint: bool, names: str | None):
+def _fingerprint_catalog(with_fingerprint: bool, names: list[str] | None):
     """The groups to fingerprint against, or None without ``--fingerprint``."""
     if not with_fingerprint:
         if names is not None:
             raise InputError("--catalog needs --fingerprint")
         return None
-    return _catalog_from_option(names)
+    return _groups(names)
 
 
 def report_to_dict(report: InvariantReport) -> dict:
@@ -96,7 +96,7 @@ def report_to_dict(report: InvariantReport) -> dict:
     }
 
 
-def _render_report_text(report: InvariantReport) -> str:
+def _report_lines(report: InvariantReport) -> list[str]:
     lines = [
         f"chi(O_X) = {report.chi}",
         f"q        = {report.q}",
@@ -113,20 +113,17 @@ def _render_report_text(report: InvariantReport) -> str:
     ]
     if report.fingerprint is not None:
         lines.append(f"fingerprint = {report.fingerprint}")
-    return "\n".join(lines)
+    return lines
 
 
-def cmd_classify_four_lines(fmt):
-    """Classify all gluings of the plane along four general lines."""
-    records = enumerate_orbits()
-    if fmt == "json":
-        _emit_json([_orbit_record_to_dict(r) for r in records])
-        return
+def _table_lines(records):
+    """The classification table, one line per orbit under a header.  A
+    generator, so the stabilizers' generators are found only when read."""
     header = ("surface", "orbit", "chi", "q", "degenerate cusps", "|Aut|", "Aut")
     table = [header]
     for r in records:
         partition = " ".join(
-            "{" + ",".join(pretty_node(node_id(n)) for n in c.nodes) + "}"
+            "{" + ",".join(pretty_node(n) for n in c.nodes) + "}"
             for c in r.report.cusp_partition
         )
         gens = generating_set(r.stabilizer)
@@ -141,119 +138,90 @@ def cmd_classify_four_lines(fmt):
         ))
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     for row in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        yield "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
 
 
 def _orbit_record_to_dict(r) -> dict:
     return {
         "label": r.table_label,
         "orbit_size": r.orbit_size,
-        "representative": {
-            "phi12": list(r.representative.phi12),
-            "phi34": list(r.representative.phi34),
-        },
+        "representative": {"phi12": list(r.representative.phi12),
+                           "phi34": list(r.representative.phi34)},
         "stabilizer": [perm_to_cycles(g) for g in r.stabilizer],
         "stabilizer_order": len(r.stabilizer),
         "report": report_to_dict(r.report),
     }
 
 
-def cmd_invariants(path, fmt, with_fingerprint, catalog, budget):
+def cmd_classify_four_lines():
+    """Classify all gluings of the plane along four general lines."""
+    records = enumerate_orbits()
+    return [_orbit_record_to_dict(r) for r in records], _table_lines(records)
+
+
+def cmd_invariants(path, with_fingerprint, catalog, budget):
     """Full invariant report for a gluing-data JSON file."""
     groups = _fingerprint_catalog(with_fingerprint, catalog)
-    vg = _load_gluing(path)
-    report = compute_report(vg, catalog=groups, budget=budget)
-    if fmt == "json":
-        _emit_json(report_to_dict(report))
-    else:
-        print(_render_report_text(report))
+    report = compute_report(_load_gluing(path), catalog=groups, budget=budget)
+    return report_to_dict(report), _report_lines(report)
 
 
-def cmd_pi1(path, fmt, with_fingerprint, catalog, budget):
+def cmd_pi1(path, with_fingerprint, catalog, budget):
     """Fundamental-group presentation of the glued surface."""
     groups = _fingerprint_catalog(with_fingerprint, catalog)
-    vg = _load_gluing(path)
-    raw = pi1_presentation(vg)
+    raw = pi1_presentation(_load_gluing(path))
     simplified = tietze_simplify(raw)
     ab = abelianization(simplified)  # Tietze moves keep the group
-    fp = None
+    doc = {
+        "presentation": presentation_to_dict(raw),
+        "simplified": presentation_to_dict(simplified),
+        "abelianization": ab.as_dict(),
+    }
+    lines = [f"pi1        = {raw}", f"simplified = {simplified}", f"abelianized = {ab}"]
     if groups is not None:
         fp = fingerprint(simplified, catalog=groups, budget=budget)
-    if fmt == "json":
-        payload = {
-            "presentation": presentation_to_dict(raw),
-            "simplified": presentation_to_dict(simplified),
-            "abelianization": ab.as_dict(),
-        }
-        if fp is not None:
-            payload["fingerprint"] = fp.as_dict()
-        _emit_json(payload)
-        return
-    print(f"pi1        = {raw}")
-    print(f"simplified = {simplified}")
-    print(f"abelianized = {ab}")
-    if fp is not None:
-        print(f"fingerprint = {fp}")
+        doc["fingerprint"] = fp.as_dict()
+        lines.append(f"fingerprint = {fp}")
+    return doc, lines
 
 
-def cmd_homology(path, fmt):
+def cmd_homology(path):
     """Integral homology groups of the glued surface."""
-    vg = _load_gluing(path)
-    groups = homology_of_X(vg)
-    if fmt == "json":
-        _emit_json({"homology": [h.as_dict() for h in groups.as_tuple()]})
-        return
-    for i, h in enumerate(groups.as_tuple()):
-        print(f"H{i} = {h}")
+    groups = homology_of_X(_load_gluing(path)).as_tuple()
+    return ({"homology": [h.as_dict() for h in groups]},
+            [f"H{i} = {h}" for i, h in enumerate(groups)])
 
 
-def cmd_distinguish(path1, path2, fmt, catalog, budget):
+def cmd_distinguish(path1, path2, catalog, budget):
     """Compare fundamental groups of two gluings by finite-quotient counts.
 
     Differing counts prove the groups non-isomorphic; equal counts prove
     nothing, so the verdict is never 'isomorphic'.
     """
-    groups = _catalog_from_option(catalog)
-    fps = []
-    for path in (path1, path2):
-        vg = _load_gluing(path)
-        fps.append(fingerprint(tietze_simplify(pi1_presentation(vg)),
-                               catalog=groups, budget=budget))
-    left, right = fps
-    witness = None
-    for (name, lt, ls), (_, rt, rs) in zip(left.counts, right.counts):
-        if (lt, ls) != (rt, rs):
-            witness = (name, (lt, ls), (rt, rs))
-            break
-    if fmt == "json":
-        payload = {
-            "verdict": "DISTINGUISHED" if witness else "INCONCLUSIVE",
-            "witness": witness[0] if witness else None,
-            "fingerprints": [left.as_dict(), right.as_dict()],
-        }
-        _emit_json(payload)
-        return
-    if witness:
-        name, (lt, ls), (rt, rs) = witness
-        print(
-            f"DISTINGUISHED at {name}: homomorphisms {lt} vs {rt}, "
-            f"surjections {ls} vs {rs}"
-        )
-    else:
-        print("INCONCLUSIVE: fingerprints agree over the whole catalog")
+    groups = _groups(catalog)
+    left, right = (fingerprint(tietze_simplify(pi1_presentation(_load_gluing(path))),
+                               catalog=groups, budget=budget) for path in (path1, path2))
+    witness = next(((name, lt, ls, rt, rs)
+                    for (name, lt, ls), (_, rt, rs) in zip(left.counts, right.counts)
+                    if (lt, ls) != (rt, rs)), None)
+    doc = {
+        "verdict": "DISTINGUISHED" if witness else "INCONCLUSIVE",
+        "witness": witness[0] if witness else None,
+        "fingerprints": [left.as_dict(), right.as_dict()],
+    }
+    if witness is None:
+        return doc, ["INCONCLUSIVE: fingerprints agree over the whole catalog"]
+    name, lt, ls, rt, rs = witness
+    return doc, [f"DISTINGUISHED at {name}: homomorphisms {lt} vs {rt}, "
+                 f"surjections {ls} vs {rs}"]
 
 
-def cmd_homcount(path, group_names, fmt, budget):
+def cmd_homcount(path, group_names, budget):
     """Count homomorphisms from a presentation JSON file into finite groups."""
     presentation = presentation_from_dict(_load_json(path))
-    groups = default_catalog() if group_names is None else _named_groups(group_names)
-    results = {g.name: hom_count(presentation, g, budget) for g in groups}
-    if fmt == "json":
-        _emit_json({name: list(counts) for name, counts in results.items()})
-        return
-    for g in groups:
-        total, surj = results[g.name]
-        print(f"{g.name}: total {total}, surjective {surj}")
+    counts = [(g.name, *hom_count(presentation, g, budget)) for g in _groups(group_names)]
+    return ({name: [total, surj] for name, total, surj in counts},
+            [f"{name}: total {total}, surjective {surj}" for name, total, surj in counts])
 
 
 def _positive_int(text: str) -> int:
@@ -278,8 +246,9 @@ def _parser() -> argparse.ArgumentParser:
                   help="Output format.")
     with_fingerprint = _option("--fingerprint", dest="with_fingerprint", action="store_true",
                                help="Also compute the finite-quotient fingerprint.")
-    catalog = _option("--catalog", help="Comma-separated finite groups to fingerprint "
-                                        "against (default: built-in list).")
+    catalog = _option("--catalog", type=_group_names,
+                      help="Comma-separated finite groups to fingerprint "
+                           "against (default: built-in list).")
     budget = _option("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                      help="Maximum number of image tuples per homomorphism search "
                           "(default: %(default)s).")
@@ -307,8 +276,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> None:
     """Invariants of non-normal surfaces described by combinatorial gluing data."""
     args = vars(_parser().parse_args(argv))
+    fmt = args.pop("fmt")
     try:
-        args.pop("run")(**args)
+        doc, lines = args.pop("run")(**args)
+        print(json.dumps(doc, sort_keys=True, indent=2) if fmt == "json" else "\n".join(lines))
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

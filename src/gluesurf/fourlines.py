@@ -16,6 +16,7 @@ from .errors import LabelAmbiguousError, NotInD4Error
 from .gluing import (
     CurveComponent,
     GluingData,
+    Node,
     NormalComponent,
     node_id,
     validate_gluing,
@@ -186,10 +187,9 @@ def _node(i: int, j: int) -> str:
     return node_id((f"P{i}{j}", f"P{j}{i}"))
 
 
-def pretty_node(node: str) -> str:
-    """P12|P21 -> P(12)."""
-    first = node.split("|", 1)[0]
-    return f"P({first[1]}{first[2]})"
+def pretty_node(node: Node) -> str:
+    """("P12", "P21") -> P(12)."""
+    return f"P({node[0][1:]})"
 
 
 class _TableRow(NamedTuple):

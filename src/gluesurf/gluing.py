@@ -11,6 +11,7 @@ structure, and the coherent Euler characteristics.
 from __future__ import annotations
 
 import functools
+import re
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple
 
@@ -74,12 +75,13 @@ class CurveComponent(Record):
 class GluingData(Record):
     """Raw gluing triple: normalization, marked curves, sigma and tau.
 
-    The components are kept as tuples.  All three maps are stored fully
-    symmetrized (every pair appears in both directions) as read-only
-    copies of the mappings passed in; ``validate_gluing`` checks that they
-    really are fixed-point-free involutions compatible with the component
-    data.  The value hashes by the maps' items, and copy and pickle build
-    it again from plain dicts.
+    The components are kept as tuples, and the three maps as read-only
+    copies of the mappings passed in, pair for pair: ``gluing_from_dict``
+    enters each pair in both directions, and ``validate_gluing`` reports a
+    pair given one way only, as it does any map that is not a
+    fixed-point-free involution compatible with the component data.  The
+    value hashes by the maps' items, and copy and pickle build it again
+    from plain dicts.
     """
 
     __slots__ = ("normal_components", "curve_components", "sigma", "tau_components",
@@ -188,6 +190,12 @@ class ValidatedGluing(Record):
                  x_component_count: int, point_component: Mapping[str, str]):
         self._set(data, dbar_components, x_component_count,
                   MappingProxyType(dict(point_component)), {})
+
+    def __hash__(self) -> int:
+        return hash(self.data)  # the data determine every other field
+
+    def __reduce__(self):
+        return validate_gluing, (self.data,)
 
     @property
     def dbar_connected(self) -> bool:
@@ -507,7 +515,10 @@ def _components_from_json(doc: dict, key: str, cls: type) -> list:
         try:
             out.append(cls(**args))
         except (TypeError, ValueError) as exc:
-            raise GluingFormatError(f"{where}: {exc!r}") from exc
+            message = repr(exc)
+            for name, key in _WIRE_KEY.items():  # name the key the file has, not the field
+                message = re.sub(rf"\b{name}\b", key, message)
+            raise GluingFormatError(f"{where}: {message}") from exc
     return out
 
 

@@ -45,7 +45,7 @@ from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
-from .intlinalg import AbelianGroup, IntegerMatrix, Record, _typed, cokernel_invariants
+from .intlinalg import AbelianGroup, IntegerMatrix, Record, _int, _typed, cokernel_invariants
 
 Word = tuple[int, ...]  # letter +(g+1) is generator g, -(g+1) its inverse
 
@@ -430,13 +430,14 @@ class FiniteGroup(Record):
     """Finite permutation group given by its full, sorted element list.
 
     The list and each element are given as lists or tuples and kept as
-    tuples.  The Cayley table ``_mult`` (indices into ``elements``) is
-    built once, at construction, one row per element.  A breadth-first
-    walk from the identity takes as a new generator each element it has
-    not reached; only a generator's row is composed from permutations, and
-    the row of g∘a is row(a) read through g's row.  A product missing from
-    ``elements`` is rejected there: a set closed under left multiplication
-    by generators that reach every element is closed.
+    tuples; ``degree`` and every entry are ints, a bool excluded, or
+    TypeError is raised.  The Cayley table ``_mult`` (indices into
+    ``elements``) is built once, at construction, one row per element.  A
+    breadth-first walk from the identity takes as a new generator each
+    element it has not reached; only a generator's row is composed from
+    permutations, and the row of g∘a is row(a) read through g's row.  A
+    product missing from ``elements`` is rejected there: a set closed under
+    left multiplication by generators that reach every element is closed.
     """
 
     __slots__ = ("name", "degree", "elements", "identity_index", "_mult", "_inv", "__dict__")
@@ -444,10 +445,14 @@ class FiniteGroup(Record):
     def __init__(self, name: str, degree: int, elements: tuple[Permutation, ...]):
         elements = tuple(tuple(_typed(p, (list, tuple), "elements entry"))
                          for p in _typed(elements, (list, tuple), "elements"))
+        if {*map(type, itertools.chain.from_iterable(elements))} - {int}:  # one pass in C
+            for p in elements:
+                for x in p:
+                    _int(x, f"entry {x!r} of the permutation {p}")
         index = {p: i for i, p in enumerate(elements)}
         if len(index) != len(elements):
             raise ValueError("duplicate elements")
-        ident = tuple(range(degree))
+        ident = tuple(range(_int(degree, "degree")))
         if ident not in index:
             raise ValueError("identity missing")
         for a in elements:

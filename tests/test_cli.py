@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import table_element, toy_pair
-from gluesurf import intlinalg
+from gluesurf import cli, intlinalg
 from gluesurf.cli import main, report_to_dict
 from gluesurf.fourlines import build_four_lines, enumerate_orbits
 from gluesurf.gluing import gluing_to_dict, validate_gluing
@@ -29,6 +29,11 @@ from gluesurf.topology import pi1_presentation
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "classify-four-lines.json"
 # stdout of ``classify-four-lines``, the text table
 GOLDEN_TEXT = Path(__file__).resolve().parent / "data" / "classify-four-lines.txt"
+# stdout and exit code of the other commands, keyed by their arguments, with
+# the X0.1 and X0.2 gluing files and PRESENTATION's file named as below
+RECORDED_RUNS = json.loads(
+    (Path(__file__).resolve().parent / "data" / "cli_runs.json").read_text())
+PRESENTATION = {"generators": ["a", "b"], "relators": ["a^2", "b^3", "a b a b"]}
 
 
 def invoke(cli, args):
@@ -133,6 +138,26 @@ class TestClassify:
         result = runner.invoke(main, ["classify-four-lines", "--format", "json"])
         assert result.exit_code == 0
         assert result.stdout_bytes == GOLDEN.read_bytes()
+
+    def test_only_the_text_table_builds_generators(self, runner, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "generating_set",
+                            lambda s, build=cli.generating_set: calls.append(s) or build(s))
+        assert runner.invoke(main, ["classify-four-lines", "--format", "json"]).exit_code == 0
+        assert calls == []
+        assert runner.invoke(main, ["classify-four-lines"]).exit_code == 0
+        assert len(calls) == 11
+
+
+@pytest.mark.parametrize("args", sorted(RECORDED_RUNS))
+def test_output_matches_recorded_run(runner, tmp_path, x01_file, x02_file, args):
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps(PRESENTATION))
+    files = {"X0.1": x01_file, "X0.2": x02_file, "pres.json": str(pres)}
+    result = runner.invoke(main, [files.get(a, a) for a in args.split()])
+    expected = RECORDED_RUNS[args]
+    assert result.exit_code == expected["exit_code"]
+    assert result.stdout_bytes == expected["stdout"].encode()
 
 
 class TestInvariants:
@@ -514,7 +539,9 @@ def test_homcount_fuzz_exits_0_2_or_3(runner, tmp_path, doc):
     ("curve_components", "h2_class", "1"),
     ("normalization", "simply_connected", "false"),
     ("normalization", "simply_connected", 0),
-], ids=["marked_points-str", "h2_class-str", "simply_connected-str", "simply_connected-int"])
+    ("curve_components", "on", 5),
+], ids=["marked_points-str", "h2_class-str", "simply_connected-str", "simply_connected-int",
+        "on-int"])
 def test_wrong_value_type_exits_2(runner, tmp_path, x01_file, section, key, value):
     doc = json.loads(open(x01_file).read())
     for entry in doc[section]:
@@ -523,7 +550,8 @@ def test_wrong_value_type_exits_2(runner, tmp_path, x01_file, section, key, valu
     path.write_text(json.dumps(doc))
     result = runner.invoke(main, ["invariants", str(path)])
     assert result.exit_code == 2
-    assert result.output.startswith("error: ") and key in result.output
+    assert result.output.startswith("error: ") and f"{key} must be" in result.output
+    assert "ambient" not in result.output
 
 
 @pytest.mark.parametrize("value", [1.7, True, "1"], ids=["float", "bool", "str"])
@@ -569,7 +597,7 @@ def test_torsion_that_is_not_a_list_exits_2(runner, tmp_path, x01_file, torsion)
     ("normalization", "id", "'id'"),
     ("normalization", "chi_O", "'chi_O'"),
     ("curve_components", "id", "'id'"),
-    ("curve_components", "on", "'ambient'"),  # the field that the key fills
+    ("curve_components", "on", "'on'"),  # the key, not the field "ambient" that it fills
     ("curve_components", "marked_points", "marked_points must be a list or tuple"),
 ])
 def test_missing_required_key_exits_2(runner, tmp_path, x01_file, section, key, named):
@@ -580,6 +608,7 @@ def test_missing_required_key_exits_2(runner, tmp_path, x01_file, section, key, 
     result = runner.invoke(main, ["invariants", str(path)])
     assert result.exit_code == 2
     assert result.output.startswith(f"error: {section}[0]: TypeError(") and named in result.output
+    assert "ambient" not in result.output
 
 
 def test_import_builds_no_catalog_group():

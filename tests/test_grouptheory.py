@@ -937,6 +937,17 @@ class TestCatalog:
         with pytest.raises(ValueError, match=message):
             FiniteGroup("bad", len(elements[0]), elements)
 
+    @pytest.mark.parametrize("degree, elements, message", [
+        # True == 1 and hashes alike, so this group once equalled C2
+        (2, ((0, 1), (True, 0)), r"entry True of the permutation \(True, 0\) .* not bool"),
+        (2, ((0, 1), (1.0, 0)), r"entry 1\.0 of the permutation \(1\.0, 0\) .* not float"),
+        (2.0, ((0, 1), (1, 0)), "degree must be an integer, not float"),
+        (True, ((0,),), "degree must be an integer, not bool"),
+    ], ids=["bool-entry", "float-entry", "float-degree", "bool-degree"])
+    def test_finite_group_rejects_non_int_entries_and_degree(self, degree, elements, message):
+        with pytest.raises(TypeError, match=message):
+            FiniteGroup("bad", degree, elements)
+
 
 def _parity(p) -> int:
     return sum(p[i] > p[j] for i, j in itertools.combinations(range(len(p)), 2)) % 2

@@ -135,3 +135,19 @@ def test_only_homology_of_x_is_a_dataclass():
     # because bench/tests/test_bench.py::test_wrong_h1_counts_as_an_error
     # calls dataclasses.replace on it
     assert dataclasses_in(SOURCE) == ["topology.py HomologyOfX"]
+
+
+def stdout_prints(source: Path) -> list[str]:
+    """Each ``print`` call of ``source/*.py`` without a ``file=`` argument,
+    named by its file and the top-level definition that holds it."""
+    return [f"{path.name} {getattr(top, 'name', top.lineno)}"
+            for path in sorted(source.glob("*.py"))
+            for top in ast.parse(path.read_text()).body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+            and not any(keyword.arg == "file" for keyword in node.keywords)]
+
+
+def test_only_cli_main_prints_to_stdout():
+    # each command returns its document and its lines, and main prints one of them
+    assert stdout_prints(SOURCE) == ["cli.py main"]
