@@ -1,72 +1,55 @@
-"""Invariants of non-normal surfaces described by combinatorial gluing data."""
+"""Invariants of non-normal surfaces described by combinatorial gluing data.
 
-from .errors import (
-    BudgetExceededError,
-    GluesurfError,
-    GluingValidationError,
-    InputError,
-    UnsupportedError,
-)
-from .gluing import (
-    CurveComponent,
-    DegenerateCusp,
-    GluingData,
-    NormalComponent,
-    ValidatedGluing,
-    cusps,
-    euler_characteristics,
-    gluing_from_dict,
-    gluing_to_dict,
-    quotient_curve,
-    validate_gluing,
-)
-from .grouptheory import (
-    FiniteGroup,
-    Fingerprint,
-    GroupPresentation,
-    Word,
-    abelianization,
-    catalog_group,
-    cyclic_reduce,
-    default_catalog,
-    fingerprint,
-    free_reduce,
-    hom_count,
-    tietze_simplify,
-    word_from_str,
-)
-from .intlinalg import (
-    AbelianGroup,
-    IntegerMatrix,
-    SmithDecomposition,
-    cokernel_invariants,
-    snf,
-)
-from .invariants import (
-    InvariantReport,
-    PicardSummary,
-    compute_report,
-    cusp_matrix,
-    irregularity,
-    k_squared,
-    picard_summary,
-)
-from .topology import (
-    HomologyOfX,
-    HomotopyGraph,
-    homology_of_X,
-    homotopy_graph,
-    mv_matrices,
-    pi1_presentation,
-)
-from .fourlines import (
-    LinePairBijections,
-    OrbitRecord,
-    all_gluings,
-    build_four_lines,
-    d4_action,
-    enumerate_orbits,
-    orbit_and_stabilizer,
-)
+Importing the package runs none of its submodules.  Each one except
+``cli`` (``python -m gluesurf.cli`` warns if it is already in
+``sys.modules``) is registered there as a lazy module and runs, with
+the modules it imports, when one of its names is first read; so an error
+inside a submodule surfaces at that first use, not at ``import gluesurf``.
+A public name is looked up in its home module on every read and never
+cached here, so ``gluesurf.snf`` is whatever ``gluesurf.intlinalg`` binds.
+"""
+
+import importlib.util
+import sys
+
+# each public name, by the submodule that defines it
+_EXPORTS = {
+    "errors": ("BudgetExceededError", "GluesurfError", "GluingValidationError", "InputError",
+               "UnsupportedError"),
+    "gluing": ("CurveComponent", "DegenerateCusp", "GluingData", "NormalComponent",
+               "ValidatedGluing", "cusps", "euler_characteristics", "gluing_from_dict",
+               "gluing_to_dict", "quotient_curve", "validate_gluing"),
+    "grouptheory": ("FiniteGroup", "Fingerprint", "GroupPresentation", "Word", "abelianization",
+                    "catalog_group", "cyclic_reduce", "default_catalog", "fingerprint",
+                    "free_reduce", "hom_count", "tietze_simplify", "word_from_str"),
+    "intlinalg": ("AbelianGroup", "IntegerMatrix", "SmithDecomposition", "cokernel_invariants",
+                  "snf"),
+    "invariants": ("InvariantReport", "PicardSummary", "compute_report", "cusp_matrix",
+                   "irregularity", "k_squared", "picard_summary"),
+    "topology": ("HomologyOfX", "HomotopyGraph", "homology_of_X", "homotopy_graph",
+                 "mv_matrices", "pi1_presentation"),
+    "fourlines": ("LinePairBijections", "OrbitRecord", "all_gluings", "build_four_lines",
+                  "d4_action", "enumerate_orbits", "orbit_and_stabilizer"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+for _module in _EXPORTS:
+    _spec = importlib.util.find_spec(f"{__name__}.{_module}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules[_spec.name] = globals()[_module] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_module])
+del _module, _spec
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(globals()[_HOME[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return __all__
+
 
 __version__ = "0.1.0"

@@ -14,22 +14,8 @@ import json
 import os
 import sys
 
+from . import fourlines, gluing, grouptheory, invariants, topology
 from .errors import BudgetExceededError, InputError, UnsupportedError
-from .fourlines import enumerate_orbits, generating_set, perm_to_cycles, pretty_node
-from .gluing import gluing_from_dict, node_id, validate_gluing
-from .grouptheory import (
-    DEFAULT_BUDGET,
-    abelianization,
-    catalog_group,
-    default_catalog,
-    fingerprint,
-    hom_count,
-    presentation_from_dict,
-    presentation_to_dict,
-    tietze_simplify,
-)
-from .invariants import InvariantReport, compute_report
-from .topology import homology_of_X, pi1_presentation
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -52,7 +38,7 @@ def _load_json(path: str):
 
 
 def _load_gluing(path: str):
-    return validate_gluing(gluing_from_dict(_load_json(path)))
+    return gluing.validate_gluing(gluing.gluing_from_dict(_load_json(path)))
 
 
 def _group_names(text: str) -> list[str]:
@@ -63,12 +49,12 @@ def _group_names(text: str) -> list[str]:
 def _groups(names: list[str] | None):
     """The catalog groups ``names`` lists, or the whole catalog for None."""
     if names is None:
-        return default_catalog()
+        return grouptheory.default_catalog()
     if not names:
         raise InputError("the list of groups is empty")
     if len(set(names)) != len(names):
         raise InputError(f"a group is named twice in {','.join(names)}")
-    return tuple(catalog_group(n) for n in names)
+    return tuple(grouptheory.catalog_group(n) for n in names)
 
 
 def _fingerprint_catalog(with_fingerprint: bool, names: list[str] | None):
@@ -80,8 +66,8 @@ def _fingerprint_catalog(with_fingerprint: bool, names: list[str] | None):
     return _groups(names)
 
 
-def report_to_dict(report: InvariantReport) -> dict:
-    pi1 = {**presentation_to_dict(report.pi1),
+def report_to_dict(report: invariants.InvariantReport) -> dict:
+    pi1 = {**grouptheory.presentation_to_dict(report.pi1),
            "abelianization": report.pi1_abelianization.as_dict()}
     if report.fingerprint is not None:
         pi1["fingerprint"] = report.fingerprint.as_dict()
@@ -90,20 +76,21 @@ def report_to_dict(report: InvariantReport) -> dict:
         "q": report.q,
         "pg": report.p_g,
         "k2": report.k_squared,
-        "cusps": [[node_id(n) for n in c.nodes] for c in report.cusp_partition],
+        "cusps": [[gluing.node_id(n) for n in c.nodes] for c in report.cusp_partition],
         "homology": [h.as_dict() for h in report.homology.as_tuple()],
         "pi1": pi1,
     }
 
 
-def _report_lines(report: InvariantReport) -> list[str]:
+def _report_lines(report: invariants.InvariantReport) -> list[str]:
     lines = [
         f"chi(O_X) = {report.chi}",
         f"q        = {report.q}",
         f"p_g      = {report.p_g}",
         f"K^2      = {report.k_squared}",
         "cusps    = " + "  ".join(
-            "{" + ",".join(node_id(n) for n in c.nodes) + "}" for c in report.cusp_partition
+            "{" + ",".join(gluing.node_id(n) for n in c.nodes) + "}"
+            for c in report.cusp_partition
         ),
         "homology = " + ", ".join(
             f"H{i}={h}" for i, h in enumerate(report.homology.as_tuple())
@@ -123,10 +110,10 @@ def _table_lines(records):
     table = [header]
     for r in records:
         partition = " ".join(
-            "{" + ",".join(pretty_node(n) for n in c.nodes) + "}"
+            "{" + ",".join(fourlines.pretty_node(n) for n in c.nodes) + "}"
             for c in r.report.cusp_partition
         )
-        gens = generating_set(r.stabilizer)
+        gens = fourlines.generating_set(r.stabilizer)
         table.append((
             r.table_label,
             str(r.orbit_size),
@@ -134,7 +121,7 @@ def _table_lines(records):
             str(r.report.q),
             partition,
             str(len(r.stabilizer)),
-            ", ".join(perm_to_cycles(g) for g in gens) if gens else "trivial",
+            ", ".join(fourlines.perm_to_cycles(g) for g in gens) if gens else "trivial",
         ))
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     for row in table:
@@ -147,7 +134,7 @@ def _orbit_record_to_dict(r) -> dict:
         "orbit_size": r.orbit_size,
         "representative": {"phi12": list(r.representative.phi12),
                            "phi34": list(r.representative.phi34)},
-        "stabilizer": [perm_to_cycles(g) for g in r.stabilizer],
+        "stabilizer": [fourlines.perm_to_cycles(g) for g in r.stabilizer],
         "stabilizer_order": len(r.stabilizer),
         "report": report_to_dict(r.report),
     }
@@ -155,31 +142,31 @@ def _orbit_record_to_dict(r) -> dict:
 
 def cmd_classify_four_lines():
     """Classify all gluings of the plane along four general lines."""
-    records = enumerate_orbits()
+    records = fourlines.enumerate_orbits()
     return [_orbit_record_to_dict(r) for r in records], _table_lines(records)
 
 
 def cmd_invariants(path, with_fingerprint, catalog, budget):
     """Full invariant report for a gluing-data JSON file."""
     groups = _fingerprint_catalog(with_fingerprint, catalog)
-    report = compute_report(_load_gluing(path), catalog=groups, budget=budget)
+    report = invariants.compute_report(_load_gluing(path), catalog=groups, budget=budget)
     return report_to_dict(report), _report_lines(report)
 
 
 def cmd_pi1(path, with_fingerprint, catalog, budget):
     """Fundamental-group presentation of the glued surface."""
     groups = _fingerprint_catalog(with_fingerprint, catalog)
-    raw = pi1_presentation(_load_gluing(path))
-    simplified = tietze_simplify(raw)
-    ab = abelianization(simplified)  # Tietze moves keep the group
+    raw = topology.pi1_presentation(_load_gluing(path))
+    simplified = grouptheory.tietze_simplify(raw)
+    ab = grouptheory.abelianization(simplified)  # Tietze moves keep the group
     doc = {
-        "presentation": presentation_to_dict(raw),
-        "simplified": presentation_to_dict(simplified),
+        "presentation": grouptheory.presentation_to_dict(raw),
+        "simplified": grouptheory.presentation_to_dict(simplified),
         "abelianization": ab.as_dict(),
     }
     lines = [f"pi1        = {raw}", f"simplified = {simplified}", f"abelianized = {ab}"]
     if groups is not None:
-        fp = fingerprint(simplified, catalog=groups, budget=budget)
+        fp = grouptheory.fingerprint(simplified, catalog=groups, budget=budget)
         doc["fingerprint"] = fp.as_dict()
         lines.append(f"fingerprint = {fp}")
     return doc, lines
@@ -187,7 +174,7 @@ def cmd_pi1(path, with_fingerprint, catalog, budget):
 
 def cmd_homology(path):
     """Integral homology groups of the glued surface."""
-    groups = homology_of_X(_load_gluing(path)).as_tuple()
+    groups = topology.homology_of_X(_load_gluing(path)).as_tuple()
     return ({"homology": [h.as_dict() for h in groups]},
             [f"H{i} = {h}" for i, h in enumerate(groups)])
 
@@ -199,8 +186,9 @@ def cmd_distinguish(path1, path2, catalog, budget):
     nothing, so the verdict is never 'isomorphic'.
     """
     groups = _groups(catalog)
-    left, right = (fingerprint(tietze_simplify(pi1_presentation(_load_gluing(path))),
-                               catalog=groups, budget=budget) for path in (path1, path2))
+    left, right = (grouptheory.fingerprint(
+        grouptheory.tietze_simplify(topology.pi1_presentation(_load_gluing(path))),
+        catalog=groups, budget=budget) for path in (path1, path2))
     witness = next(((name, lt, ls, rt, rs)
                     for (name, lt, ls), (_, rt, rs) in zip(left.counts, right.counts)
                     if (lt, ls) != (rt, rs)), None)
@@ -218,8 +206,9 @@ def cmd_distinguish(path1, path2, catalog, budget):
 
 def cmd_homcount(path, group_names, budget):
     """Count homomorphisms from a presentation JSON file into finite groups."""
-    presentation = presentation_from_dict(_load_json(path))
-    counts = [(g.name, *hom_count(presentation, g, budget)) for g in _groups(group_names)]
+    presentation = grouptheory.presentation_from_dict(_load_json(path))
+    counts = [(g.name, *grouptheory.hom_count(presentation, g, budget))
+              for g in _groups(group_names)]
     return ({name: [total, surj] for name, total, surj in counts},
             [f"{name}: total {total}, surjective {surj}" for name, total, surj in counts])
 
@@ -249,7 +238,7 @@ def _parser() -> argparse.ArgumentParser:
     catalog = _option("--catalog", type=_group_names,
                       help="Comma-separated finite groups to fingerprint "
                            "against (default: built-in list).")
-    budget = _option("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+    budget = _option("--budget", type=_positive_int, default=grouptheory.DEFAULT_BUDGET,
                      help="Maximum number of image tuples per homomorphism search "
                           "(default: %(default)s).")
     group = _option("--group", dest="group_names", action="append", metavar="GROUP",

@@ -324,10 +324,11 @@ def enumerate_orbits() -> tuple[OrbitRecord, ...]:
     The representative of each orbit is its lexicographic minimum; the
     invariant pipeline runs on the representative.
     """
-    remaining = set(all_gluings())
+    gluings = all_gluings()
+    remaining = set(gluings)
     records = []
     # gluings come in key order, so each orbit is met first at its minimum
-    for rep in all_gluings():
+    for rep in gluings:
         if rep not in remaining:
             continue
         orbit, stab = orbit_and_stabilizer(rep)

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import table_element, toy_pair
-from gluesurf import cli, intlinalg
+from gluesurf import fourlines, intlinalg
 from gluesurf.cli import main, report_to_dict
 from gluesurf.fourlines import build_four_lines, enumerate_orbits
 from gluesurf.gluing import gluing_to_dict, validate_gluing
@@ -141,8 +141,8 @@ class TestClassify:
 
     def test_only_the_text_table_builds_generators(self, runner, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "generating_set",
-                            lambda s, build=cli.generating_set: calls.append(s) or build(s))
+        monkeypatch.setattr(fourlines, "generating_set",
+                            lambda s, build=fourlines.generating_set: calls.append(s) or build(s))
         assert runner.invoke(main, ["classify-four-lines", "--format", "json"]).exit_code == 0
         assert calls == []
         assert runner.invoke(main, ["classify-four-lines"]).exit_code == 0

@@ -15,6 +15,7 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -26,9 +27,12 @@ import nlines  # noqa: E402
 import oracles  # noqa: E402
 
 from gluesurf.cli import main, report_to_dict  # noqa: E402
-from gluesurf.gluing import cusps, gluing_from_dict, gluing_to_dict, validate_gluing  # noqa: E402
+from gluesurf.fourlines import all_gluings, build_four_lines  # noqa: E402
+from gluesurf.gluing import (  # noqa: E402
+    cusps, euler_characteristics, gluing_from_dict, gluing_to_dict, validate_gluing)
 from gluesurf.grouptheory import catalog_group, fingerprint, tietze_simplify  # noqa: E402
-from gluesurf.invariants import compute_report  # noqa: E402
+from gluesurf.invariants import compute_report, irregularity  # noqa: E402
+from gluesurf.topology import homology_of_X  # noqa: E402
 from test_cli import invoke  # noqa: E402
 
 SMALL_CATALOG = ("C2", "C3", "S3")
@@ -83,6 +87,40 @@ def test_relabelling_keeps_the_invariants(n, seed, relabel_seed):
     assert _shape(moved) == _shape(doc)
     if n <= 6:
         assert _fingerprint(moved) == _fingerprint(doc)
+
+
+# random_n_lines(n, s) for even n up to 32 and four seeds, and the 36 gluings
+# of the plane along four lines
+BETTI_CASES = [*((n, s) for n in range(4, 33, 2) for s in range(4)), *all_gluings()]
+
+
+@pytest.mark.parametrize("case", BETTI_CASES, ids=lambda c: (
+    "n{}-s{}".format(*c) if isinstance(c, tuple) else f"four-{c.phi12}-{c.phi34}"))
+def test_irregularity_is_the_first_betti_number(case):
+    """q = b1(X) = rank H1(X; Z), and so p_g = chi - 1 + rank H1(X; Z).
+
+    Hypotheses, which every gluing the cusp matrix accepts meets: each
+    normal component is simply connected with q = 0, every curve of the
+    normalized conductor D-bar is rational, X is connected, and the
+    conductor D is seminormal, as the conductor of an slc surface is.
+
+    Sketch.  X is the pushout of X-bar <- D-bar -> D.  Map the
+    Mayer-Vietoris sequence of the constant sheaf C on that square to the
+    cohomology sequence of 0 -> O_X -> pi_*O_X-bar + O_D -> pi_*O_D-bar -> 0,
+    the standard sequence of a seminormal pushout, by C -> O.  On every H^0
+    term the map is an isomorphism (constants on compact components).  On
+    H^1: H^1(X-bar, C) = 0 = H^1(O_X-bar) by the hypotheses on the normal
+    components, H^1(D-bar, C) = 0 = H^1(O_D-bar) as D-bar is a union of
+    lines, and for D, a curve with rational components and seminormal
+    singularities, H^1(D, C) -> H^1(O_D) is an isomorphism, both being b1 of
+    its dual graph.  The five lemma then gives H^1(X, C) = H^1(O_X), so
+    q = b1(X), and chi = 1 - q + p_g gives p_g.
+    """
+    data = (gluing_from_dict(nlines.random_n_lines(*case)) if isinstance(case, tuple)
+            else build_four_lines(case))
+    vg = validate_gluing(data)
+    b1 = homology_of_X(vg).h1.free_rank
+    assert irregularity(vg) == (b1, euler_characteristics(vg).chi_x - 1 + b1)
 
 
 def _ids(doc: dict) -> list[str]:

@@ -14,28 +14,45 @@ import gluesurf
 SOURCE = Path(gluesurf.__file__).resolve().parent
 
 
+# module-level functions that the interpreter calls by name (PEP 562)
+HOOKS = {"__getattr__", "__dir__"}
+
+
+def exported_names(init: Path) -> dict[str, int]:
+    """Each name of the package's export table ``_EXPORTS`` in ``init``,
+    mapped to the line where it stands."""
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_EXPORTS":
+            return {c.value: c.lineno for names in node.value.values for c in names.elts}
+    raise AssertionError(f"{init} has no _EXPORTS table")
+
+
 def name_sites(source: Path, exports_count: bool = True) -> defaultdict:
     """Each name of a token in ``source/*.py``, mapped to the set of (file,
-    line) where it stands; ``__init__.py`` is read only if ``exports_count``.
-    Comments and strings hold no name token."""
+    line) where it stands; ``__init__.py`` and its export table are read
+    only if ``exports_count``.  Comments and other strings hold no name."""
     named_on = defaultdict(set)
     for path in sorted(source.glob("*.py")):
         if exports_count or path.name != "__init__.py":
             for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
                 if tok.type == tokenize.NAME:
                     named_on[tok.string].add((path.name, tok.start[0]))
+    if exports_count:
+        for name, line in exported_names(source / "__init__.py").items():
+            named_on[name].add(("__init__.py", line))
     return named_on
 
 
 def unused_definitions(source: Path, exports_count: bool = True) -> list[str]:
-    """Top-level functions and classes of ``source/*.py`` that no other line
-    of code there names; an import into ``__init__.py`` exports a name, so
-    it names it too unless ``exports_count`` is false."""
+    """Top-level functions and classes of ``source/*.py``, interpreter hooks
+    aside, that no other line of code there names; the export table of
+    ``__init__.py`` names what it lists unless ``exports_count`` is false."""
     named_on = name_sites(source, exports_count)
     definitions = [(node.name, path.name, node.lineno)
                    for path in sorted(source.glob("*.py"))
                    for node in ast.parse(path.read_text()).body
-                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   and node.name not in HOOKS]
     return [f"{file}:{line} {name}" for name, file, line in definitions
             if not named_on[name] - {(file, line)}]
 
