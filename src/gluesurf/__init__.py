@@ -9,6 +9,7 @@ A public name is looked up in its home module on every read and never
 cached here, so ``gluesurf.snf`` is whatever ``gluesurf.intlinalg`` binds.
 """
 
+import importlib.machinery
 import importlib.util
 import sys
 
@@ -34,9 +35,25 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)
 
+
+class _Loader(importlib.machinery.SourceFileLoader):
+    """Runs a registered submodule on its first read; a run that raises leaves
+    it as it was, lazy, so the next read runs it and raises again, as an import would."""
+
+    def exec_module(self, module):
+        before = dict(vars(module))
+        try:
+            super().exec_module(module)
+        except BaseException:
+            vars(module).clear()
+            vars(module).update(before)
+            importlib.util.LazyLoader(self).exec_module(module)
+            raise
+
+
 for _module in _EXPORTS:
     _spec = importlib.util.find_spec(f"{__name__}.{_module}")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _spec.loader = importlib.util.LazyLoader(_Loader(_spec.name, _spec.origin))
     sys.modules[_spec.name] = globals()[_module] = importlib.util.module_from_spec(_spec)
     _spec.loader.exec_module(globals()[_module])
 del _module, _spec

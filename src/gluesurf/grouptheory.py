@@ -18,21 +18,21 @@ the sum over t | n of mu(n/t) H(t).  The invariant factors are the exact
 ones of ``abelianization``, kept on the presentation, so a fingerprint
 reduces its relators once.
 
-Two facts cut the enumeration into other groups.  Aut(G) acts on the
-homomorphisms by applying one automorphism to every image at once; this
-maps homomorphisms to homomorphisms and keeps the image subgroup's order,
-so surjections to surjections (P. Hall, 1936, counts surjections up to
-automorphisms; Holt, Eick and O'Brien, ch. 9, list epimorphisms so).  A
-tuple's count therefore stands for its whole orbit, and only one image
-pair (a, b) per orbit of Aut(G) on pairs is tried: a runs over the
-representatives of the Aut(G)-orbits on G and b over the orbits of a's
-stabilizer, weighted by |orbit(a)| * |Stab(a)-orbit of b|.  Aut(G) is
-found from the Cayley table alone; it holds the conjugations, Inn(G), and
-in A5 it has 44 pair orbits where conjugation has 77.  Images past the
-second are enumerated in full, the generator with the fewest letters
-last: for each tuple of the other images, every relator is multiplied
-out once into constants between that generator's letters, and its image,
-innermost, is then tried at two table lookups per letter of it.
+Two facts cut the enumeration into other groups.  Aut(G), found from the
+Cayley table alone, acts on the homomorphisms by applying one automorphism
+to every image at once, which keeps the image subgroup's order (P. Hall,
+1936; Holt, Eick and O'Brien, ch. 9).  A tuple's count therefore stands
+for its orbit: one image pair (a, b) per orbit of Aut(G) on pairs is
+tried, a over the Aut(G)-orbits on G and b over those of a's stabilizer,
+weighted by the orbit sizes (44 pairs in A5, where conjugation has 77).
+From three generators on, the one with the fewest letters runs innermost
+over the orbits of the automorphisms fixing a and b, weighted likewise
+(1,862 images in A5, not 44 * 60); only the identity fixes a pair that
+generates G, and every count under such a pair is onto.  Images between
+are enumerated in full: for each tuple of them, every relator is
+multiplied out once into constants between the innermost generator's
+letters, and each of its images is then tried at two table lookups per
+letter of it.
 """
 
 from __future__ import annotations
@@ -55,9 +55,7 @@ MAX_CLOSURE_CACHE = 2 ** 16
 # a parsed word is expanded letter by letter, so ``a^N`` would cost N
 # letters; the bound holds for one word and for a whole presentation
 MAX_WORD_LETTERS = 10 ** 5
-# letter steps one hom_count may walk: per tuple of outer images, every
-# relator letter once, then two per letter of the innermost generator for
-# each of its images
+# relator letters one hom_count may walk, as _check_budget counts them
 MAX_LETTER_STEPS = 10 ** 8
 _EXPONENT = re.compile(r"[+-]?[0-9]+")
 
@@ -134,6 +132,11 @@ class GroupPresentation(Record):
                 distinct.setdefault(column, w)
         return cokernel_invariants(exponent_sum_matrix(list(distinct.values()),
                                                        len(self.generators)))
+
+    @cached_property
+    def _rarest_last(self) -> tuple[list[Word], list[list[tuple[Word, bool]]]]:
+        """``_split_at_rarest`` of the non-empty relators, for counts of rank 3 or more."""
+        return _split_at_rarest(len(self.generators), [w for w in self.relators if w])
 
 
 def word_to_str(w: Word, generators: tuple[str, ...]) -> str:
@@ -526,6 +529,10 @@ class FiniteGroup(Record):
         return size
 
     @cached_property
+    def _aut(self) -> list[tuple[int, ...]]:
+        return _automorphisms(self)
+
+    @cached_property
     def _orbit_table(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
         """Per orbit of Aut(G) on G: (representative a, orbit size, Stab(a)-orbits on G).
 
@@ -533,24 +540,35 @@ class FiniteGroup(Record):
         b, orbit size) pairs.  Representatives are the smallest indices of
         their orbit.
         """
-        automorphisms = _automorphisms(self)
-        table = []
-        seen: set[int] = set()
-        for a in range(self.order):
-            if a in seen:
-                continue
-            orbit = {s[a] for s in automorphisms}
-            seen |= orbit
-            stabilizer = [s for s in automorphisms if s[a] == a]
-            orbits = []
-            covered: set[int] = set()
-            for b in range(self.order):
-                if b not in covered:
-                    images = {s[b] for s in stabilizer}
-                    covered |= images
-                    orbits.append((b, len(images)))
-            table.append((a, len(orbit), tuple(orbits)))
-        return tuple(table)
+        automorphisms = self._aut
+        return tuple((a, size, _orbits(self.order, [s for s in automorphisms if s[a] == a]))
+                     for a, size in _orbits(self.order, automorphisms))
+
+    @cached_property
+    def _pair_heads(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        """One ((a, b), orbit size) per orbit of Aut(G) on image pairs."""
+        return tuple(((a, b), size * orbit)
+                     for a, size, orbits in self._orbit_table for b, orbit in orbits)
+
+    @cached_property
+    def _third_level(self) -> dict[tuple[int, int], tuple[bool, tuple[tuple[int, int], ...]]]:
+        """Per head (a, b) of ``_pair_heads``: whether a and b generate G, and the
+        ``_orbits`` of the automorphisms fixing both (the identity alone, if they do)."""
+        n, singles = self.order, tuple((c, 1) for c in range(self.order))
+        return {(a, b): (True, singles) if self.subgroup_size((a, b)) == n else
+                (False, _orbits(n, [s for s in self._aut if s[a] == a and s[b] == b]))
+                for (a, b), _ in self._pair_heads}
+
+
+def _orbits(n: int, maps: list[tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
+    """(least member, size) per orbit on 0 .. n-1 of the group of ``maps``, all its elements."""
+    orbits: dict[int, int] = {}
+    covered: set[int] = set()
+    for b in range(n):
+        if b not in covered:
+            covered |= (orbit := {s[b] for s in maps})
+            orbits[b] = len(orbit)
+    return tuple(orbits.items())
 
 
 def _automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
@@ -637,14 +655,13 @@ def default_catalog() -> tuple[FiniteGroup, ...]:
     return tuple(catalog_group(name) for name in CATALOG_NAMES)
 
 
-def _orbit_heads(group: FiniteGroup, k: int) -> list[tuple[tuple[int, ...], int]]:
+def _orbit_heads(group: FiniteGroup, k: int) -> Sequence[tuple[tuple[int, ...], int]]:
     """One (first images, orbit size) pair per Aut(G)-orbit of the first min(k, 2) images."""
     if k == 0:
         return [((), 1)]
-    table = group._orbit_table
     if k == 1:
-        return [((a,), size) for a, size, _ in table]
-    return [((a, b), size * orbit) for a, size, orbits in table for b, orbit in orbits]
+        return [((a,), size) for a, size, _ in group._orbit_table]
+    return group._pair_heads
 
 
 def _cyclic_counts(p: GroupPresentation, n: int) -> tuple[int, int]:
@@ -695,9 +712,11 @@ def _split_at_rarest(k: int, relators: Sequence[Word]
 
 
 def _last_images(group: FiniteGroup, outer: tuple[int, ...], vals: dict[int, int],
-                 around: list[list[tuple[Word, bool]]]) -> tuple[int, int]:
-    """(homomorphisms, surjections) among the extensions of the outer images
-    by one last image z; ``vals`` holds the image of each outer letter."""
+                 around: list[list[tuple[Word, bool]]], images: Sequence[tuple[int, int]],
+                 onto: bool) -> tuple[int, int]:
+    """Weighted (homomorphisms, surjections) among the extensions of the outer
+    images by a last image z, for each (z, weight) of ``images``; ``vals``
+    holds the image of each outer letter, and ``onto`` whether the head generates."""
     mult, inv, e, n = group._mult, group._inv, group.identity_index, group.order
     # step (B, s) becomes (row of B, s > 0), which takes cur to B z^s cur
     relators = []
@@ -710,8 +729,7 @@ def _last_images(group: FiniteGroup, outer: tuple[int, ...], vals: dict[int, int
             steps.append((mult[cur], positive))
         relators.append(steps)
     homs = surjective = 0
-    onto = None  # whether the outer images alone generate the group
-    for z in range(n):
+    for z, weight in images:
         zrow, zinv = mult[z], mult[inv[z]]
         for steps in relators:
             cur = e
@@ -720,12 +738,32 @@ def _last_images(group: FiniteGroup, outer: tuple[int, ...], vals: dict[int, int
             if cur != e:
                 break
         else:
-            homs += 1
-            if onto is None:
-                onto = group.subgroup_size(outer) == n
+            homs += weight
             if onto or group.subgroup_size(outer + (z,)) == n:
-                surjective += 1
+                surjective += weight
     return homs, surjective
+
+
+def _check_budget(p: GroupPresentation, group: FiniteGroup, budget: int) -> None:
+    """Raise BudgetExceededError if a count of p into ``group`` stands for
+    more than ``budget`` image tuples, |G|^k for p's rank k, or if one into
+    a group that is not cyclic walks more than ``MAX_LETTER_STEPS`` letters."""
+    k, n = len(p.generators), group.order
+    if n ** k > budget:
+        raise BudgetExceededError(f"{n}^{k} image tuples exceed the budget of {budget}; "
+                                  "apply tietze_simplify first")
+    if k and group.is_cyclic:
+        return
+    inner = k > 2  # whether the rarest generator runs innermost
+    around = p._rarest_last[1] if inner else []
+    # per tuple of outer images, the third level's orbits not counted: every
+    # relator letter once, then two per innermost letter for each of n images
+    outer = len(_orbit_heads(group, k)) * n ** (k - min(k, 2) - inner)
+    steps = sum(map(len, p.relators)) + 2 * n * sum(map(len, around))
+    if outer * steps > MAX_LETTER_STEPS:
+        raise BudgetExceededError(
+            f"hom_count: {outer} image tuples walking {steps} relator letters each exceed "
+            f"the bound of {MAX_LETTER_STEPS} letter steps")
 
 
 def hom_count(p: GroupPresentation, group: FiniteGroup,
@@ -739,42 +777,28 @@ def hom_count(p: GroupPresentation, group: FiniteGroup,
     orbit of Aut(G) acting on both at once, weighted by the orbit's size.  With
     three or more generators, the one with the fewest letters runs
     innermost, against relators multiplied out once per tuple of the other
-    images.  ``budget`` bounds the |G|^k tuples this count stands for, k
-    being p's rank, and ``MAX_LETTER_STEPS`` the relator letters the
-    enumeration walks.
+    images, and over the orbits of the automorphisms fixing the first pair,
+    weighted likewise; under a pair that generates G all of them are onto.
+    ``budget`` bounds the |G|^k tuples this count stands for, k being p's
+    rank, and ``MAX_LETTER_STEPS`` the relator letters the enumeration walks.
     """
-    k = len(p.generators)
-    n = group.order
-    if n ** k > budget:
-        raise BudgetExceededError(
-            f"{n}^{k} image tuples exceed the budget of {budget}; "
-            "apply tietze_simplify first"
-        )
+    _check_budget(p, group, budget)
+    k, n = len(p.generators), group.order
     if k and group.is_cyclic:
         return _cyclic_counts(p, n)
-    relators = [w for w in p.relators if w]  # an empty relator always holds
-    heads = _orbit_heads(group, k)
-    inner = k > 2  # whether the last generator runs innermost
-    settled, around = _split_at_rarest(k, relators) if inner else (relators, [])
-    # per outer tuple: every relator letter once, then two lookups per
-    # letter of the last generator for each of its n images
-    outer = len(heads) * n ** (k - len(heads[0][0]) - inner)
-    steps = sum(map(len, relators)) + 2 * n * sum(map(len, around))
-    if outer * steps > MAX_LETTER_STEPS:
-        raise BudgetExceededError(
-            f"hom_count: {outer} image tuples walking {steps} relator letters each exceed "
-            f"the bound of {MAX_LETTER_STEPS} letter steps")
-    mult = group._mult
-    inv = group._inv
-    e = group.identity_index
-    total = 0
-    surjective = 0
+    inner = k > 2  # whether the rarest generator runs innermost
+    # an empty relator always holds
+    settled, around = p._rarest_last if inner else ([w for w in p.relators if w], [])
+    mult, inv, e = group._mult, group._inv, group.identity_index
+    total = surjective = 0
     # the image of each letter ±1..±k; a dict, since a negative tuple
     # subscript misses the interpreter's fast path in the inner loop
     vals: dict[int, int] = {}
-    for head, weight in heads:
+    for head, weight in _orbit_heads(group, k):
         for x, g in enumerate(head, 1):
             vals[x], vals[-x] = g, inv[g]
+        if inner:
+            onto, last = group._third_level[head]
         for rest in itertools.product(range(n), repeat=k - len(head) - inner):
             for x, g in enumerate(rest, len(head) + 1):
                 vals[x], vals[-x] = g, inv[g]
@@ -785,12 +809,8 @@ def hom_count(p: GroupPresentation, group: FiniteGroup,
                 if cur != e:
                     break
             else:
-                if not inner:
-                    total += weight
-                    if group.subgroup_size(head + rest) == n:
-                        surjective += weight
-                    continue
-                homs, surj = _last_images(group, head + rest, vals, around)
+                homs, surj = (_last_images(group, head + rest, vals, around, last, onto) if inner
+                              else (1, group.subgroup_size(head + rest) == n))
                 total += weight * homs
                 surjective += weight * surj
     return total, surjective
@@ -814,7 +834,10 @@ class Fingerprint(Record):
 def fingerprint(p: GroupPresentation,
                 catalog: tuple[FiniteGroup, ...] | None = None,
                 budget: int = DEFAULT_BUDGET) -> Fingerprint:
+    """``hom_count`` into each group of ``catalog`` (the default catalog if
+    None), once every group's two bounds are checked, in catalog order: the
+    first to fail raises before any group is counted."""
     groups = default_catalog() if catalog is None else tuple(catalog)
-    return Fingerprint(tuple(
-        (g.name, *hom_count(p, g, budget)) for g in groups
-    ))
+    for g in groups:
+        _check_budget(p, g, budget)
+    return Fingerprint(tuple((g.name, *hom_count(p, g, budget)) for g in groups))

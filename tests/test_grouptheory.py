@@ -648,13 +648,33 @@ class TestHomCount:
         assert fingerprint(GroupPresentation((), ())).counts[0] == ("C2", 1, 0)
         assert searched == []
         assert [g.name for g in default_catalog()
-                if {"_orbit_table", "_orders"} & set(vars(g))] == []
+                if {"_orbit_table", "_orders", "_third_level"} & set(vars(g))] == []
         assert [g.name for g in default_catalog() if "is_cyclic" in vars(g)] == []
 
     def test_budget(self):
         p = GroupPresentation(("a", "b", "c", "d"), ())
         with pytest.raises(BudgetExceededError):
             hom_count(p, catalog_group("A5"), budget=10 ** 6)
+
+    def test_a_budget_exit_counts_no_group(self, monkeypatch):
+        # S3 ... D6 pass 60^3 at rank 4 and S4 does not: no group is counted before it raises
+        def count(*args):
+            raise AssertionError("a group was counted")
+
+        monkeypatch.setattr(grouptheory, "_last_images", count)
+        monkeypatch.setattr(FiniteGroup, "subgroup_size", count)
+        p = pres("a b c d", "a b c d a^-1 b^-1 c^-1 d^-1")
+        message = "24^4 image tuples exceed the budget of 216000; apply tietze_simplify first"
+        with pytest.raises(BudgetExceededError) as raised:
+            fingerprint(p, budget=60 ** 3)
+        assert str(raised.value) == message
+
+    def test_the_first_group_to_fail_gives_the_message(self, monkeypatch):
+        # S3 fails the letter steps before S4 fails its 24^4 tuples
+        monkeypatch.setattr(grouptheory, "MAX_LETTER_STEPS", 10)
+        p = pres("a b c d", "a b c d a^-1 b^-1 c^-1 d^-1")
+        with pytest.raises(BudgetExceededError, match="letter steps"):
+            fingerprint(p, budget=60 ** 3)
 
     def test_letter_bound(self, monkeypatch):
         # D4 walks each of its image-pair orbits on 60 letters; C6 walks nothing
@@ -806,6 +826,43 @@ class TestAutomorphismOrbits:
             assert sum(weight for _, weight in heads) == group.order ** min(k, 2)
         # a table walks no more heads than the conjugation orbits
         assert len(group._orbit_table) <= len(conjugation_orbit_table(group))
+
+    @pytest.mark.parametrize("group", non_cyclic_groups(), ids=lambda g: g.name)
+    def test_third_level_orbits_partition_the_group(self, group):
+        # per head: orbits closed under the automorphisms fixing it, disjoint,
+        # covering G; only the identity fixes a head that generates G
+        automorphisms = grouptheory._automorphisms(group)
+        for (a, b), _ in grouptheory._orbit_heads(group, 2):
+            onto, orbits = group._third_level[a, b]
+            fixers = [s for s in automorphisms if s[a] == a and s[b] == b]
+            assert onto == (generated_order(group, (a, b)) == group.order)
+            assert not onto or fixers == [tuple(range(group.order))]
+            assert sum(size for _, size in orbits) == group.order
+            covered: set[int] = set()
+            for c, size in orbits:
+                orbit = {s[c] for s in fixers}
+                assert len(orbit) == size and {s[x] for s in fixers for x in orbit} == orbit
+                assert c == min(orbit) and not orbit & covered
+                covered |= orbit
+            assert covered == set(range(group.order))
+
+    @pytest.mark.parametrize("group", [catalog_group(name) for name in ("S3", "D4", "Q8", "A4")]
+                             + HAND_BUILT, ids=lambda g: g.name)
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_third_level_counts_match_full_enumeration(self, group, rank):
+        rng = random.Random(f"third:{group.name}:{rank}")
+        for relators in (1, 2) if rank == 4 else (0, 1, 2, 3):
+            p = random_presentation(rng, rank, relators)
+            assert hom_count(p, group) == brute_force_hom_count(p, group.elements), str(p)
+
+    def test_counts_of_rank_two_or_less_build_no_third_level(self):
+        # distinguish and fourlines count only at rank 2 or less
+        groups = tuple(FiniteGroup(g.name, g.degree, g.elements) for g in non_cyclic_groups())
+        for rank in range(3):
+            fingerprint(random_presentation(random.Random(rank), rank, 1), groups)
+        assert [g.name for g in groups if "_third_level" in vars(g)] == []
+        fingerprint(random_presentation(random.Random(3), 3, 1), groups)
+        assert [g.name for g in groups if "_third_level" not in vars(g)] == []
 
     @pytest.mark.parametrize("name", ["S3", "S4"])
     def test_every_automorphism_is_inner(self, name):

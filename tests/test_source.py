@@ -9,6 +9,8 @@ import tokenize
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 import gluesurf
 
 SOURCE = Path(gluesurf.__file__).resolve().parent
@@ -29,14 +31,14 @@ def exported_names(init: Path) -> dict[str, int]:
 
 def name_sites(source: Path, exports_count: bool = True) -> defaultdict:
     """Each name of a token in ``source/*.py``, mapped to the set of (file,
-    line) where it stands; ``__init__.py`` and its export table are read
-    only if ``exports_count``.  Comments and other strings hold no name."""
+    line) where it stands; the export table of ``__init__.py``, whose
+    entries are strings, is read only if ``exports_count``.  Comments and
+    other strings hold no name."""
     named_on = defaultdict(set)
     for path in sorted(source.glob("*.py")):
-        if exports_count or path.name != "__init__.py":
-            for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
-                if tok.type == tokenize.NAME:
-                    named_on[tok.string].add((path.name, tok.start[0]))
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if tok.type == tokenize.NAME:
+                named_on[tok.string].add((path.name, tok.start[0]))
     if exports_count:
         for name, line in exported_names(source / "__init__.py").items():
             named_on[name].add(("__init__.py", line))
@@ -168,3 +170,14 @@ def stdout_prints(source: Path) -> list[str]:
 def test_only_cli_main_prints_to_stdout():
     # each command returns its document and its lines, and main prints one of them
     assert stdout_prints(SOURCE) == ["cli.py main"]
+
+
+def occurrences(source: Path, text: str) -> int:
+    """How often ``text`` stands in ``source/*.py``, code, strings and comments alike."""
+    return sum(path.read_text().count(text) for path in source.glob("*.py"))
+
+
+@pytest.mark.parametrize("message", ["image tuples exceed the budget", "letter steps"])
+def test_each_budget_message_is_written_once(message):
+    # one helper checks both of hom_count's bounds, for hom_count and fingerprint alike
+    assert occurrences(SOURCE, message) == 1

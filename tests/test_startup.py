@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,30 @@ def test_import_runs_no_submodule():
 
 def test_one_name_runs_its_module_and_its_imports():
     assert fresh("from gluesurf import fingerprint")[1] == ["errors", "grouptheory", "intlinalg"]
+
+
+@pytest.mark.parametrize("read", ["gluesurf.homology_of_X",
+                                  "from gluesurf.topology import pi1_presentation"],
+                         ids=["name", "import"])
+def test_a_failed_first_load_raises_again(tmp_path, read):
+    # a copy of the package whose topology module raises at its end: each
+    # read runs it again and raises, and leaves it registered but not run
+    shutil.copytree(ROOT / "src" / "gluesurf", tmp_path / "gluesurf",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "gluesurf" / "topology.py", "a") as fh:
+        fh.write("\nraise RuntimeError('topology failed')\n")
+    code = ("import gluesurf\n"
+            "for _ in range(2):\n"
+            "    try:\n"
+            f"        {read}\n"
+            "    except RuntimeError as err:\n"
+            "        print(err)\n")
+    done = subprocess.run([sys.executable, "-c", code + RAN], capture_output=True, text=True,
+                          env=dict(ENV, PYTHONPATH=str(tmp_path)), cwd=tmp_path, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    *lines, ran = done.stdout.splitlines()
+    assert lines == ["topology failed"] * 2
+    assert "topology" not in ast.literal_eval(ran)
 
 
 @pytest.mark.parametrize("command", ["pi1", "homology"])
