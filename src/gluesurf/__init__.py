@@ -9,9 +9,9 @@ A public name is looked up in its home module on every read and never
 cached here, so ``gluesurf.snf`` is whatever ``gluesurf.intlinalg`` binds.
 """
 
-import importlib.machinery
 import importlib.util
 import sys
+import types
 
 # each public name, by the submodule that defines it
 _EXPORTS = {
@@ -36,24 +36,31 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)
 
 
-class _Loader(importlib.machinery.SourceFileLoader):
-    """Runs a registered submodule on its first read; a run that raises leaves
-    it as it was, lazy, so the next read runs it and raises again, as an import would."""
+class _Loader:
+    """Runs a registered submodule with the loader it was found with, on its first
+    read; a run that raises leaves it lazy, so the next read runs it and raises again."""
+
+    def __init__(self, loader):
+        self._loader = loader
+
+    def __getattr__(self, name):
+        return getattr(self._loader, name)
 
     def exec_module(self, module):
-        before = dict(vars(module))
+        namespace, before = vars(module), dict(vars(module))  # 3.13: vars() reads __spec__
         try:
-            super().exec_module(module)
+            self._loader.exec_module(module)
         except BaseException:
-            vars(module).clear()
-            vars(module).update(before)
+            namespace.clear()
+            namespace.update(before)
+            module.__class__ = types.ModuleType  # the class LazyLoader records as run
             importlib.util.LazyLoader(self).exec_module(module)
             raise
 
 
 for _module in _EXPORTS:
     _spec = importlib.util.find_spec(f"{__name__}.{_module}")
-    _spec.loader = importlib.util.LazyLoader(_Loader(_spec.name, _spec.origin))
+    _spec.loader = importlib.util.LazyLoader(_Loader(_spec.loader))
     sys.modules[_spec.name] = globals()[_module] = importlib.util.module_from_spec(_spec)
     _spec.loader.exec_module(globals()[_module])
 del _module, _spec

@@ -534,30 +534,19 @@ class FiniteGroup(Record):
 
     @cached_property
     def _orbit_table(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
-        """Per orbit of Aut(G) on G: (representative a, orbit size, Stab(a)-orbits on G).
-
-        The orbits of a's stabilizer in Aut(G) are given as (representative
-        b, orbit size) pairs.  Representatives are the smallest indices of
-        their orbit.
-        """
+        """Per orbit of Aut(G) on G: (least member a, its size, ``_orbits`` of its stabilizer)."""
         automorphisms = self._aut
         return tuple((a, size, _orbits(self.order, [s for s in automorphisms if s[a] == a]))
                      for a, size in _orbits(self.order, automorphisms))
 
     @cached_property
-    def _pair_heads(self) -> tuple[tuple[tuple[int, int], int], ...]:
-        """One ((a, b), orbit size) per orbit of Aut(G) on image pairs."""
-        return tuple(((a, b), size * orbit)
-                     for a, size, orbits in self._orbit_table for b, orbit in orbits)
-
-    @cached_property
     def _third_level(self) -> dict[tuple[int, int], tuple[bool, tuple[tuple[int, int], ...]]]:
-        """Per head (a, b) of ``_pair_heads``: whether a and b generate G, and the
+        """Per head (a, b) of ``_orbit_heads(G, 2)``: whether a and b generate G, and the
         ``_orbits`` of the automorphisms fixing both (the identity alone, if they do)."""
         n, singles = self.order, tuple((c, 1) for c in range(self.order))
         return {(a, b): (True, singles) if self.subgroup_size((a, b)) == n else
                 (False, _orbits(n, [s for s in self._aut if s[a] == a and s[b] == b]))
-                for (a, b), _ in self._pair_heads}
+                for (a, b), _ in _orbit_heads(self, 2)}
 
 
 def _orbits(n: int, maps: list[tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
@@ -655,13 +644,14 @@ def default_catalog() -> tuple[FiniteGroup, ...]:
     return tuple(catalog_group(name) for name in CATALOG_NAMES)
 
 
-def _orbit_heads(group: FiniteGroup, k: int) -> Sequence[tuple[tuple[int, ...], int]]:
+def _orbit_heads(group: FiniteGroup, k: int) -> list[tuple[tuple[int, ...], int]]:
     """One (first images, orbit size) pair per Aut(G)-orbit of the first min(k, 2) images."""
     if k == 0:
         return [((), 1)]
+    table = group._orbit_table
     if k == 1:
-        return [((a,), size) for a, size, _ in group._orbit_table]
-    return group._pair_heads
+        return [((a,), size) for a, size, _ in table]
+    return [((a, b), size * orbit) for a, size, orbits in table for b, orbit in orbits]
 
 
 def _cyclic_counts(p: GroupPresentation, n: int) -> tuple[int, int]:
@@ -713,10 +703,10 @@ def _split_at_rarest(k: int, relators: Sequence[Word]
 
 def _last_images(group: FiniteGroup, outer: tuple[int, ...], vals: dict[int, int],
                  around: list[list[tuple[Word, bool]]], images: Sequence[tuple[int, int]],
-                 onto: bool) -> tuple[int, int]:
-    """Weighted (homomorphisms, surjections) among the extensions of the outer
-    images by a last image z, for each (z, weight) of ``images``; ``vals``
-    holds the image of each outer letter, and ``onto`` whether the head generates."""
+                 onto: bool | None) -> tuple[int, int]:
+    """Weighted (homomorphisms, surjections) among the extensions of the outer images by
+    a last image z, for each (z, weight) of ``images``; ``vals`` holds the image of each
+    outer letter; ``onto`` tells whether the outer images generate G, None if not yet known."""
     mult, inv, e, n = group._mult, group._inv, group.identity_index, group.order
     # step (B, s) becomes (row of B, s > 0), which takes cur to B z^s cur
     relators = []
@@ -739,15 +729,16 @@ def _last_images(group: FiniteGroup, outer: tuple[int, ...], vals: dict[int, int
                 break
         else:
             homs += weight
+            if onto is None:
+                onto = group.subgroup_size(outer) == n
             if onto or group.subgroup_size(outer + (z,)) == n:
                 surjective += weight
     return homs, surjective
 
 
 def _check_budget(p: GroupPresentation, group: FiniteGroup, budget: int) -> None:
-    """Raise BudgetExceededError if a count of p into ``group`` stands for
-    more than ``budget`` image tuples, |G|^k for p's rank k, or if one into
-    a group that is not cyclic walks more than ``MAX_LETTER_STEPS`` letters."""
+    """Raise BudgetExceededError if counting p into ``group`` stands for more than ``budget``
+    image tuples, |G|^k at rank k, or walks more than ``MAX_LETTER_STEPS`` relator letters."""
     k, n = len(p.generators), group.order
     if n ** k > budget:
         raise BudgetExceededError(f"{n}^{k} image tuples exceed the budget of {budget}; "
@@ -756,8 +747,8 @@ def _check_budget(p: GroupPresentation, group: FiniteGroup, budget: int) -> None
         return
     inner = k > 2  # whether the rarest generator runs innermost
     around = p._rarest_last[1] if inner else []
-    # per tuple of outer images, the third level's orbits not counted: every
-    # relator letter once, then two per innermost letter for each of n images
+    # per tuple of outer images, the third level's orbits not counted: every relator
+    # letter once, then two per letter of the innermost generator for each of n images
     outer = len(_orbit_heads(group, k)) * n ** (k - min(k, 2) - inner)
     steps = sum(map(len, p.relators)) + 2 * n * sum(map(len, around))
     if outer * steps > MAX_LETTER_STEPS:
@@ -766,8 +757,8 @@ def _check_budget(p: GroupPresentation, group: FiniteGroup, budget: int) -> None
             f"the bound of {MAX_LETTER_STEPS} letter steps")
 
 
-def hom_count(p: GroupPresentation, group: FiniteGroup,
-              budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
+def hom_count(p: GroupPresentation, group: FiniteGroup, budget: int = DEFAULT_BUDGET, *,
+              _checked: bool = False) -> tuple[int, int]:
     """(total, surjective) homomorphism counts into ``group``.
 
     A cyclic group is counted in closed form from the exact invariant
@@ -780,9 +771,11 @@ def hom_count(p: GroupPresentation, group: FiniteGroup,
     images, and over the orbits of the automorphisms fixing the first pair,
     weighted likewise; under a pair that generates G all of them are onto.
     ``budget`` bounds the |G|^k tuples this count stands for, k being p's
-    rank, and ``MAX_LETTER_STEPS`` the relator letters the enumeration walks.
+    rank, and ``MAX_LETTER_STEPS`` the relator letters the enumeration walks;
+    ``fingerprint`` has checked both when it passes ``_checked``.
     """
-    _check_budget(p, group, budget)
+    if not _checked:
+        _check_budget(p, group, budget)
     k, n = len(p.generators), group.order
     if k and group.is_cyclic:
         return _cyclic_counts(p, n)
@@ -809,7 +802,8 @@ def hom_count(p: GroupPresentation, group: FiniteGroup,
                 if cur != e:
                     break
             else:
-                homs, surj = (_last_images(group, head + rest, vals, around, last, onto) if inner
+                homs, surj = (_last_images(group, head + rest, vals, around, last,
+                                           onto or (None if rest else False)) if inner
                               else (1, group.subgroup_size(head + rest) == n))
                 total += weight * homs
                 surjective += weight * surj
@@ -834,10 +828,9 @@ class Fingerprint(Record):
 def fingerprint(p: GroupPresentation,
                 catalog: tuple[FiniteGroup, ...] | None = None,
                 budget: int = DEFAULT_BUDGET) -> Fingerprint:
-    """``hom_count`` into each group of ``catalog`` (the default catalog if
-    None), once every group's two bounds are checked, in catalog order: the
-    first to fail raises before any group is counted."""
+    """``hom_count`` into each group of ``catalog`` (None: the default catalog), once every
+    group's bounds are checked in catalog order, so the first to fail raises before any count."""
     groups = default_catalog() if catalog is None else tuple(catalog)
     for g in groups:
         _check_budget(p, g, budget)
-    return Fingerprint(tuple((g.name, *hom_count(p, g, budget)) for g in groups))
+    return Fingerprint(tuple((g.name, *hom_count(p, g, budget, _checked=True)) for g in groups))

@@ -669,6 +669,31 @@ class TestHomCount:
             fingerprint(p, budget=60 ** 3)
         assert str(raised.value) == message
 
+    def test_a_fingerprint_checks_each_group_once_and_counts_it_through_hom_count(
+            self, monkeypatch):
+        # the benchmark's tracer times the counts at the module's hom_count
+        checked, counted = [], []
+        check, count = grouptheory._check_budget, grouptheory.hom_count
+        monkeypatch.setattr(grouptheory, "_check_budget",
+                            lambda p, g, budget: checked.append(g.name) or check(p, g, budget))
+        monkeypatch.setattr(grouptheory, "hom_count",
+                            lambda p, g, *args, **kw: counted.append(g.name) or count(p, g, *args,
+                                                                                       **kw))
+        fingerprint(pres("a b c", "a b c a^-1 b^-1 c^-1"))
+        assert checked == counted == list(CATALOG_NAMES)
+
+    def test_an_outer_tuple_that_generates_computes_no_closure_per_last_image(
+            self, monkeypatch):
+        # at rank 4, with a head (a, b) that does not generate S3 but (a, b, c) that does
+        sizes = []
+        size = FiniteGroup.subgroup_size
+        monkeypatch.setattr(FiniteGroup, "subgroup_size",
+                            lambda g, images: sizes.append(images) or size(g, images))
+        group = catalog_group("S3")
+        assert hom_count(pres("a b c d"), group) == brute_force_hom_count(pres("a b c d"),
+                                                                          catalog_oracle("S3"))
+        assert [t for t in sizes if len(t) == 4 and size(group, t[:3]) == 6] == []
+
     def test_the_first_group_to_fail_gives_the_message(self, monkeypatch):
         # S3 fails the letter steps before S4 fails its 24^4 tuples
         monkeypatch.setattr(grouptheory, "MAX_LETTER_STEPS", 10)
