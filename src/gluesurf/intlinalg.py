@@ -3,19 +3,20 @@
 Everything runs on Python's arbitrary-precision integers.  Intermediate
 entries of a Smith reduction can outgrow any fixed-width type even for
 small matrices, so no floating point or fixed-width shortcuts anywhere.
-The level maps of the plane glued along 16 lines are about 110 x 105,
-about 8% nonzero, and almost every pivot is +-1.  So ``IntegerMatrix``
-keeps only its nonzero entries, row by row, and ``snf`` is one
-elimination loop on those rows: it takes unit pivots of low Markowitz
-cost from the sparsest columns (Markowitz 1957; Zlatev, *On some pivotal
-strategies in Gaussian elimination by sparse technique*, 1980; Havas,
-Holt and Rees, *Recognizing badly presented Z-modules*, 1993) and, when
-none is left, makes one in place by a 2 x 2 unimodular step on two rows
-or columns, a Euclidean chain done at once (Cohen, *A Course in
-Computational Algebraic Number Theory*, 2.4).  The
-divisors, and so the rank and the cokernel, come from that loop without
-the transforms U and V; they are built only when a caller reads them, by
-the same loop with their updates on.
+The node matrix of the plane glued along 16 lines is 120 x 112, with
+at most four +-1 entries per column, and almost every pivot is +-1.  So
+``IntegerMatrix`` keeps only its nonzero entries, row by row, and ``snf``
+is one elimination loop on those rows: it takes each unit pivot of low
+Markowitz cost from one column, the first of the sparsest that holds a
+unit (Markowitz 1957; Zlatev, *On some pivotal strategies in Gaussian
+elimination by sparse technique*, 1980; Havas, Holt and Rees,
+*Recognizing badly presented Z-modules*, 1993) and, when none is left,
+makes one in place by a 2 x 2 unimodular step on two rows or columns, a
+Euclidean chain done at once (Cohen, *A Course in Computational
+Algebraic Number Theory*, 2.4).  The divisors, and so the rank and the
+cokernel, come from that loop without the transforms U and V; they are
+built only when a caller reads them, by the same loop with their updates
+on.
 """
 
 from __future__ import annotations
@@ -275,11 +276,11 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
 
     Each step looks at what is left of the matrix:
 
-    1. While a +-1 entry is left, the pivot is one in the columns of fewest
-       nonzeros, k, that hold a unit (Zlatev 1980).  Its Markowitz cost is
-       (row nonzeros - 1) * (k - 1): a unit whose row has at most 2 entries
-       is taken as soon as it is seen, and else the one whose row is
-       shortest, ties going to the least (row, column).
+    1. While a +-1 entry is left, the pivot is one in a single column: the
+       first of the columns of fewest nonzeros, k, that holds a unit
+       (Zlatev 1980).  Its Markowitz cost is (row nonzeros - 1) * (k - 1):
+       a unit of cost 0 is taken as soon as it is seen, and else the first
+       one whose row is shortest.
     2. Otherwise the pivot is an entry e of least absolute value.  If its
        row or column holds an entry b that e does not divide, the smallest
        such, preferring one coprime to e, is paired with it: a 2 x 2
@@ -330,24 +331,22 @@ def _smith(a: IntegerMatrix, transforms: bool):
 
     def unit_pivot():
         # A unit in a column of k entries costs (row entries - 1) * (k - 1).
-        # Only the sparsest columns holding a unit are searched (Zlatev 1980):
-        # a unit whose row has at most 2 entries costs at most k - 1 and is
-        # taken at once, else the one with the shortest row, least (i, j).
+        # Only one column is searched (Zlatev 1980): the first of the
+        # sparsest columns that holds a unit; in it, a unit of cost 0 is
+        # taken at once, else the first one with the shortest row.
         for k in range(1, len(col_at)):
-            best, least = None, nc + 1
             for j in col_at[k]:
+                best, least = None, nc + 1
                 for i in cols[j]:
-                    row = rows[i]
-                    size = len(row)
-                    if size <= least:
-                        x = row[j]
-                        if x == 1 or x == -1:
-                            if size <= 2:
-                                return i, j
-                            if size < least or (i, j) < best:
-                                least, best = size, (i, j)
-            if best is not None:
-                return best
+                    x = rows[i][j]
+                    if x == 1 or x == -1:
+                        size = len(rows[i])
+                        if size == 1 or k == 1:
+                            return i, j
+                        if size < least:
+                            least, best = size, i
+                if best is not None:
+                    return best, j
         return None
 
     def row_pair(i, k, m):

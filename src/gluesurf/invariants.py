@@ -103,9 +103,9 @@ def compute_report(g: ValidatedGluing, *, catalog=None,
                    budget: int = DEFAULT_BUDGET) -> InvariantReport:
     """The full report; it carries a fingerprint against ``catalog`` when one is given.
 
-    The abelianization of pi1 is H1: both are the cokernel of the
-    exponent sums of the same generator-image words, so the Smith form
-    that ``homology_of_X`` runs serves both.
+    The abelianization of pi1 is H1, so the node matrix's Smith form
+    that ``homology_of_X`` runs serves both; the presentation's
+    exponent-sum matrix is not reduced.
     """
     chi = euler_characteristics(g).chi_x
     q, p_g = irregularity(g)

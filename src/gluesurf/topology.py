@@ -4,8 +4,9 @@ Each genus-0 curve component with k marked points is modelled by a path
 through the points wedged with a 2-sphere; gluing the paths along the
 node pairing gives a graph model of the normalized conductor, and taking
 the quotient by the involution gives one for the conductor itself.  The
-fundamental group and the homology of the glued surface then come from
-spanning trees and two integer matrices.
+fundamental group comes from their spanning trees.  The homology of the
+glued surface comes from two integer matrices read off the gluing with
+no graph model: the sphere-level map and the node matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     UnsupportedNormalHomologyError,
 )
 from .gluing import ValidatedGluing, cusps, node_id, per_gluing
-from .grouptheory import GroupPresentation, Word, exponent_sum_matrix, free_reduce
+from .grouptheory import GroupPresentation, Word, free_reduce
 from .intlinalg import AbelianGroup, IntegerMatrix, Record, snf
 
 EdgeKey = tuple[object, int]  # (owning component, segment position)
@@ -206,18 +207,23 @@ def pi1_presentation(g: ValidatedGluing) -> GroupPresentation:
 
 
 class MayerVietorisMatrices(Record):
-    """The sphere- and loop-level maps out of the normalized conductor.
+    """The sphere-level map and the node matrix of the glued surface.
 
     h2_map: sphere classes of the normalized conductor into quotient
     spheres plus the normal components' H2 (rows: quotient pairs, then
     each normal component's H2 basis; columns: curve components).
-    h1_map: generator loops upstairs into the quotient graph's loop basis.
+    node_map: the mapping cone of the graph of D-bar into the graph of D
+    with the D rows eliminated (Hatcher, *Algebraic Topology*, 2.2).  One
+    row per node, one column per quotient edge: tau-pair (a, b) at
+    position i gives node(a_i) - node(a_i+1) - node(tau a_i) +
+    node(tau a_i+1).  Its cokernel is H1 plus one Z per degenerate cusp,
+    and its kernel has the rank of the loop-level map's.
     """
 
-    __slots__ = ("h2_map", "h1_map")
+    __slots__ = ("h2_map", "node_map")
 
-    def __init__(self, h2_map: IntegerMatrix, h1_map: IntegerMatrix):
-        self._set(h2_map, h1_map)
+    def __init__(self, h2_map: IntegerMatrix, node_map: IntegerMatrix):
+        self._set(h2_map, node_map)
 
 
 @per_gluing
@@ -241,10 +247,23 @@ def mv_matrices(g: ValidatedGluing) -> MayerVietorisMatrices:
             nonzero[block_start[c.ambient] + r][j] = coeff
     h2_map = IntegerMatrix(offset, len(curves), nonzero)
 
-    count, words = _generator_images(g)
-    h1_map = exponent_sum_matrix(words, count)
+    # the node matrix: column j is the j-th edge of the quotient graph
+    nodes = g.nodes()
+    row_of = {p: r for r, node in enumerate(nodes) for p in node}
+    tau = g.data.tau_points
+    cells = [{} for _ in nodes]
+    j = 0
+    for a, _b in pairs:
+        pts = g.curve(a).marked_points
+        up, down = [row_of[p] for p in pts], [row_of[tau[p]] for p in pts]
+        for i in range(len(pts) - 1):
+            for r, x in ((up[i], 1), (up[i + 1], -1), (down[i], -1), (down[i + 1], 1)):
+                row = cells[r]
+                row[j] = row.get(j, 0) + x
+            j += 1
+    node_map = IntegerMatrix(len(nodes), j, dict(enumerate(cells)))
 
-    return MayerVietorisMatrices(h2_map=h2_map, h1_map=h1_map)
+    return MayerVietorisMatrices(h2_map=h2_map, node_map=node_map)
 
 
 @dataclass(frozen=True)
@@ -260,13 +279,15 @@ class HomologyOfX:
 
 
 def homology_of_X(g: ValidatedGluing) -> HomologyOfX:
-    """Integral homology of the glued surface from the level maps.
+    """Integral homology of the glued surface from the sphere-level map
+    and the node matrix.
 
     The top group is one copy of Z per normal component; H3 is the kernel
     of the sphere-level map; H2 and H1 are cokernel-plus-kernel splices of
     adjacent levels (the kernels are free, so the extensions split).  D̄
     is connected, so H0(D̄) = Z injects and H1 is the cokernel of the
-    loop-level map.
+    loop-level map: the node matrix's cokernel less one Z per degenerate
+    cusp.  The two maps' kernels have one rank.
     """
     for n in g.normals:
         if not n.h1.is_trivial or not n.h3.is_trivial or n.h4_rank != 1:
@@ -274,13 +295,13 @@ def homology_of_X(g: ValidatedGluing) -> HomologyOfX:
                 f"normal component {n.id} must have trivial H1 and H3 and H4 = Z"
             )
     mv = mv_matrices(g)
-    # one SNF per level map gives both its rank and its cokernel
-    dec_n, dec_m = snf(mv.h2_map), snf(mv.h1_map)
-    coker_n = dec_n.cokernel
+    # one SNF per matrix gives both its rank and its cokernel
+    dec_n, dec_m = snf(mv.h2_map), snf(mv.node_map)
+    coker_n, coker_m = dec_n.cokernel, dec_m.cokernel
     return HomologyOfX(
         h0=AbelianGroup(g.x_component_count),
-        h1=dec_m.cokernel,
-        h2=AbelianGroup(coker_n.free_rank + (mv.h1_map.cols - dec_m.rank), coker_n.torsion),
+        h1=AbelianGroup(coker_m.free_rank - len(cusps(g)), coker_m.torsion),
+        h2=AbelianGroup(coker_n.free_rank + (mv.node_map.cols - dec_m.rank), coker_n.torsion),
         h3=AbelianGroup(mv.h2_map.cols - dec_n.rank),
         h4=AbelianGroup(len(g.normals)),
     )

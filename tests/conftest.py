@@ -14,7 +14,9 @@ from gluesurf.gluing import (
     ValidatedGluing,
     validate_gluing,
 )
+from gluesurf.grouptheory import exponent_sum_matrix
 from gluesurf.intlinalg import IntegerMatrix
+from gluesurf.topology import _generator_images
 
 _ROWS = {row.label: row for row in TABLE}
 
@@ -40,6 +42,14 @@ def row_lists(m: IntegerMatrix) -> list[list[int]]:
     """The dense rows of ``m``, as lists."""
     c, entries = m.cols, m.entries
     return [list(entries[i * c:(i + 1) * c]) for i in range(m.rows)]
+
+
+def tree_word_map(g: ValidatedGluing) -> IntegerMatrix:
+    """The loop-level map of ``g``: each generator loop of the normalized
+    conductor's graph, as the exponent sums of its tree-path word in the
+    quotient graph's generators (rows: those generators)."""
+    count, words = _generator_images(g)
+    return exponent_sum_matrix(words, count)
 
 
 def letter(g: int, s: int) -> int:

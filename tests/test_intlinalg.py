@@ -25,7 +25,7 @@ if str(ROOT / "bench") not in sys.path:
     sys.path.append(str(ROOT / "bench"))
 
 import nlines  # noqa: E402
-from conftest import from_rows, row_lists  # noqa: E402
+from conftest import from_rows, row_lists, tree_word_map  # noqa: E402
 
 from gluesurf import intlinalg  # noqa: E402
 from gluesurf.gluing import gluing_from_dict, validate_gluing  # noqa: E402
@@ -468,10 +468,12 @@ def test_snf_properties(m):
 
 
 def generated_matrices(n: int, seed: int) -> dict[str, IntegerMatrix]:
-    """The two level maps and the cusp matrix of the plane glued along n random lines."""
+    """The two level maps, the cusp matrix and the node matrix of the plane
+    glued along n random lines; "h1" is the tree-word loop-level map."""
     g = validate_gluing(gluing_from_dict(nlines.random_n_lines(n, seed)))
     mv = mv_matrices(g)
-    return {"h2": mv.h2_map, "h1": mv.h1_map, "cusp": cusp_matrix(g)}
+    return {"h2": mv.h2_map, "h1": tree_word_map(g), "cusp": cusp_matrix(g),
+            "node": mv.node_map}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -509,9 +511,10 @@ def test_callers_read_no_transform_and_one_pass_builds_them(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_snf_entries_stay_small_on_generated_gluings(seed):
-    # Entries of U, S and V stay far below 128 bits at n = 32 (the largest is
-    # 81).  Pairing the pivot with the smallest entry it does not divide,
-    # rather than with a coprime one first, takes them to 195 bits at seed 2.
+    # Entries of U, S and V stay below 128 bits at n = 32 (the largest is
+    # 102, on the tree-word map at seed 2; 48 on the node map).  Pairing the
+    # pivot with the smallest entry it does not divide, rather than with a
+    # coprime one first, took them to 195 bits at seed 2.
     for name, m in generated_matrices(32, seed).items():
         dec = snf(m)
         bits = max((abs(x).bit_length() for t in (dec.u, dec.s, dec.v) for x in t.entries),
@@ -523,8 +526,8 @@ def test_snf_entries_stay_small_on_generated_gluings(seed):
 @pytest.mark.parametrize("n", [16, 24, 32])
 def test_no_unit_stage_operands_stay_small_on_generated_gluings(monkeypatch, n, seed):
     # Once no unit pivot is left, the working entries meet in the 2 x 2
-    # unimodular steps; on these H1 maps they reach 37 bits, and 123 at
-    # n = 48, seed 0.
+    # unimodular steps; on these tree-word maps they reach 77 bits, and 75
+    # at n = 48.  The node map takes none at n = 24, seed 1.
     bits = []
     unimodular = intlinalg._unimodular
 
@@ -533,8 +536,29 @@ def test_no_unit_stage_operands_stay_small_on_generated_gluings(monkeypatch, n, 
         return unimodular(a, b)
 
     monkeypatch.setattr(intlinalg, "_unimodular", recorded)
-    snf(mv_matrices(validate_gluing(gluing_from_dict(nlines.random_n_lines(n, seed)))).h1_map)
+    snf(tree_word_map(validate_gluing(gluing_from_dict(nlines.random_n_lines(n, seed)))))
     assert bits and max(bits) < 128
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_node_map_entries_stay_small_at_scale(monkeypatch, seed):
+    # The node maps of 48 lines are 1128 x 1104.  Each takes 14 to 18
+    # unimodular steps, whose operands reach 62 bits, and the entries of
+    # U, S and V reach 89 bits; on the tree-word map they reached 76.
+    bits = []
+    unimodular = intlinalg._unimodular
+
+    def recorded(a, b):
+        bits.append(max(abs(a), abs(b)).bit_length())
+        return unimodular(a, b)
+
+    monkeypatch.setattr(intlinalg, "_unimodular", recorded)
+    g = validate_gluing(gluing_from_dict(nlines.random_n_lines(48, seed)))
+    dec = snf(mv_matrices(g).node_map)
+    assert dec.divisors  # the pass without U and V makes the unimodular steps
+    assert bits and max(bits) < 128
+    entries = max(abs(x).bit_length() for t in (dec.u, dec.s, dec.v) for x in t.entries)
+    assert entries < 128
 
 
 @settings(max_examples=60, deadline=None)

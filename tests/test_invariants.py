@@ -48,7 +48,34 @@ from gluesurf.invariants import (  # noqa: E402
     k_squared,
     picard_summary,
 )
-from gluesurf.topology import pi1_presentation  # noqa: E402
+from gluesurf.topology import homology_of_X, pi1_presentation  # noqa: E402
+
+
+def counting_stubs(monkeypatch, cached: tuple[tuple[str, str], ...]) -> collections.Counter:
+    """The runs of each cached (module, function), keyed by the function's
+    name and its string arguments.
+
+    Each function is decorated again around a counting body, at every
+    module that bound it, so calls that hit the cache are not counted.
+    """
+    runs = collections.Counter()
+
+    def counting(body):
+        @functools.wraps(body)
+        def counted(*args):
+            runs[(body.__name__, *(a for a in args if isinstance(a, str)))] += 1
+            return body(*args)
+        return counted
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "gluesurf"]
+    for home, name in cached:
+        original = getattr(sys.modules[f"gluesurf.{home}"], name)
+        stub = per_gluing(counting(original.__wrapped__))
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, stub)
+    return runs
 
 
 def alternating_sum_oracle(vg, cusp_points, plus, minus):
@@ -216,27 +243,10 @@ class TestReportAndPicard:
             picard_summary(compute_report(x31))
 
     def test_each_derived_structure_is_built_once_per_gluing(self, monkeypatch):
-        # re-decorate each cached function around a counting body, at every
-        # module that bound it, so calls that hit the cache are not counted
-        runs = collections.Counter()
-
-        def counting(body):
-            @functools.wraps(body)
-            def counted(*args):
-                runs[(body.__name__, *(a for a in args if isinstance(a, str)))] += 1
-                return body(*args)
-            return counted
-
-        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "gluesurf"]
-        for home, name in (("gluing", "cusps"), ("gluing", "quotient_curve"),
-                           ("gluing", "euler_characteristics"), ("topology", "homotopy_graph"),
-                           ("topology", "_generator_images"), ("topology", "mv_matrices")):
-            cached = getattr(sys.modules[f"gluesurf.{home}"], name)
-            stub = per_gluing(counting(cached.__wrapped__))
-            for module in modules:
-                for attr, value in list(vars(module).items()):
-                    if value is cached:
-                        monkeypatch.setattr(module, attr, stub)
+        runs = counting_stubs(monkeypatch, (
+            ("gluing", "cusps"), ("gluing", "quotient_curve"),
+            ("gluing", "euler_characteristics"), ("topology", "homotopy_graph"),
+            ("topology", "_generator_images"), ("topology", "mv_matrices")))
 
         # the Euler numbers sum over the tau-pairs, so no stage builds the
         # quotient curve
@@ -252,6 +262,18 @@ class TestReportAndPicard:
         compute_report(table_gluing("X0.2"))
         assert runs == {key: 2 for key in once}
 
+    def test_homology_builds_no_graph_model(self, monkeypatch):
+        # the homology reads the node matrix; only pi1 walks the graph models
+        runs = counting_stubs(monkeypatch, (
+            ("topology", "homotopy_graph"), ("topology", "_generator_images"),
+            ("topology", "mv_matrices")))
+        vg = table_gluing("X0.2")
+        homology_of_X(vg)
+        assert runs == {("mv_matrices",): 1}
+        pi1_presentation(vg)
+        assert runs == {("mv_matrices",): 1, ("homotopy_graph", "D"): 1,
+                        ("homotopy_graph", "Dbar"): 1, ("_generator_images",): 1}
+
     def test_report_abelianization_matches_the_raw_pi1(self):
         # with or without a catalog it is the report's H1, which is the raw
         # pi1's abelianization
@@ -266,11 +288,11 @@ class TestReportAndPicard:
                 assert report.pi1_abelianization == abelianization(pi1_presentation(vg))
 
     def test_fingerprint_shares_the_abelianization_smith_form(self, monkeypatch):
-        # X0.2: the cusp matrix and the two level maps; the loop-level
-        # map's Smith form gives pi1's abelianization too.  With a catalog
-        # the cyclic counts add the 2 x 1 one of the simplified
-        # presentation, and the 4 x 3 one of the raw presentation is not
-        # reduced
+        # X0.2: the cusp matrix, the sphere-level map and the 6 x 4 node
+        # matrix; the node matrix's Smith form gives H1, which is pi1's
+        # abelianization too.  With a catalog the cyclic counts add the
+        # 2 x 1 one of the simplified presentation, and the 4 x 3 one of
+        # the raw presentation is not reduced
         shapes = []
 
         def counted(a, snf=snf):
@@ -280,10 +302,10 @@ class TestReportAndPicard:
         for module in (intlinalg, invariants, topology):
             monkeypatch.setattr(module, "snf", counted)
         compute_report(table_gluing("X0.2"))
-        assert sorted(shapes) == [(1, 2), (3, 4), (4, 3)]
+        assert sorted(shapes) == [(1, 2), (3, 4), (6, 4)]
         shapes.clear()
         compute_report(table_gluing("X0.2"), catalog=default_catalog())
-        assert sorted(shapes) == [(1, 2), (2, 1), (3, 4), (4, 3)]
+        assert sorted(shapes) == [(1, 2), (2, 1), (3, 4), (6, 4)]
 
     def test_mixed_rank_case_omits_structure(self, x01):
         report = compute_report(x01)

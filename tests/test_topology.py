@@ -21,6 +21,7 @@ from conftest import (  # noqa: E402
     replace,
     table_gluing,
     toy_pair,
+    tree_word_map,
     two_planes,
 )
 from gluesurf.errors import (  # noqa: E402
@@ -32,6 +33,7 @@ from gluesurf.errors import (  # noqa: E402
 from gluesurf.fourlines import all_gluings, build_four_lines  # noqa: E402
 from gluesurf.gluing import (  # noqa: E402
     GluingData,
+    cusps,
     gluing_from_dict,
     gluing_to_dict,
     quotient_curve,
@@ -167,8 +169,7 @@ class TestPi1:
         p = pi1_presentation(x01)
         assert len(p.generators) == 4
         assert len(p.relators) == 3
-        mv = mv_matrices(x01)
-        assert snf(mv.h1_map).divisors == (1, 1, 1)
+        assert snf(tree_word_map(x01)).divisors == (1, 1, 1)
         assert fingerprint(tietze_simplify(p)) == fingerprint(REFERENCE_FIRST)
 
     def test_second_irregular_surface(self, x02):
@@ -210,10 +211,18 @@ class TestMayerVietorisMatrices:
         assert mv_matrices(x02).h2_map == expected
 
     def test_loop_level_map(self, x01):
-        m = mv_matrices(x01).h1_map
+        m = tree_word_map(x01)
         assert (m.rows, m.cols) == (4, 3)
         assert snf(m).divisors == (1, 1, 1)
         assert cokernel_invariants(m) == AbelianGroup(1)
+
+    def test_node_map(self, x01):
+        # one row per node, one column per quotient edge; the cokernel is
+        # H1 = Z plus one Z for X0.1's single degenerate cusp
+        m = mv_matrices(x01).node_map
+        assert (m.rows, m.cols) == (len(x01.nodes()), 4) == (6, 4)
+        assert snf(m).divisors == (1, 1, 1, 1)
+        assert cokernel_invariants(m) == AbelianGroup(1 + len(cusps(x01))) == AbelianGroup(2)
 
     def test_single_pair_sphere_map_carries_classes(self):
         data = toy_pair(1, 0)
@@ -253,7 +262,7 @@ class TestHomology:
         for module in (topology, intlinalg):  # cokernel_invariants calls intlinalg.snf
             monkeypatch.setattr(module, "snf", lambda a: seen.append(a) or snf(a))
         homology_of_X(vg)
-        assert seen == [mv.h2_map, mv.h1_map]
+        assert seen == [mv.h2_map, mv.node_map]
 
     def test_long_node_cycle_reads_no_dense_level_map(self, monkeypatch):
         # the sphere-level map is 2001 x 4000 with two entries per column;
@@ -342,6 +351,9 @@ def oracle_gluings():
 
 
 def test_h1_and_loop_kernel_match_the_node_matrix_oracle():
+    # the oracle is built from the raw gluing; the homology's node map is
+    # built from the validated one, and the tree-word map is the route it
+    # replaced: all three give H1 and the loop-kernel rank
     checked = 0
     for data in oracle_gluings():
         vg = validate_gluing(data)
@@ -349,8 +361,9 @@ def test_h1_and_loop_kernel_match_the_node_matrix_oracle():
         coker = oracle.cokernel
         h1 = AbelianGroup(coker.free_rank - oracles.cusp_count(gluing_to_dict(data)),
                           coker.torsion)
-        h1_map = mv_matrices(vg).h1_map
-        assert homology_of_X(vg).h1 == h1
-        assert h1_map.cols - snf(h1_map).rank == oracle.matrix.cols - oracle.rank
+        node_map, loops = mv_matrices(vg).node_map, tree_word_map(vg)
+        assert node_map == oracle.matrix
+        assert homology_of_X(vg).h1 == h1 == snf(loops).cokernel
+        assert loops.cols - snf(loops).rank == oracle.matrix.cols - oracle.rank
         checked += 1
     assert checked == 36 + 4 + 11 * 6
