@@ -544,7 +544,9 @@ def test_no_unit_stage_operands_stay_small_on_generated_gluings(monkeypatch, n, 
 def test_node_map_entries_stay_small_at_scale(monkeypatch, seed):
     # The node maps of 48 lines are 1128 x 1104.  Each takes 14 to 18
     # unimodular steps, whose operands reach 62 bits, and the entries of
-    # U, S and V reach 89 bits; on the tree-word map they reached 76.
+    # U, S and V reach 89 bits.  The tree-word maps' entries reach 117
+    # bits, and reached 162 at seed 0 when the unit search read every
+    # sparsest column.
     bits = []
     unimodular = intlinalg._unimodular
 
@@ -555,7 +557,6 @@ def test_node_map_entries_stay_small_at_scale(monkeypatch, seed):
     monkeypatch.setattr(intlinalg, "_unimodular", recorded)
     g = validate_gluing(gluing_from_dict(nlines.random_n_lines(48, seed)))
     dec = snf(mv_matrices(g).node_map)
-    assert dec.divisors  # the pass without U and V makes the unimodular steps
     assert bits and max(bits) < 128
     entries = max(abs(x).bit_length() for t in (dec.u, dec.s, dec.v) for x in t.entries)
     assert entries < 128
