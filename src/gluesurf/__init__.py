@@ -2,9 +2,10 @@
 
 Importing the package runs none of its submodules.  Each one except
 ``cli`` (``python -m gluesurf.cli`` warns if it is already in
-``sys.modules``) is registered there as a lazy module and runs, with
-the modules it imports, when one of its names is first read; so an error
-inside a submodule surfaces at that first use, not at ``import gluesurf``.
+``sys.modules``) and ``base`` (no public name) is registered there as a
+lazy module and runs, with the modules it imports, when one of its names
+is first read; so an error inside a submodule surfaces at that first use,
+not at ``import gluesurf``.
 A public name is looked up in its home module on every read and never
 cached here, so ``gluesurf.snf`` is whatever ``gluesurf.intlinalg`` binds.
 """

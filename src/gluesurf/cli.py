@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import fourlines, gluing, grouptheory, invariants, topology
-from .errors import BudgetExceededError, InputError, UnsupportedError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, InputError, UnsupportedError
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -238,7 +238,7 @@ def _parser() -> argparse.ArgumentParser:
     catalog = _option("--catalog", type=_group_names,
                       help="Comma-separated finite groups to fingerprint "
                            "against (default: built-in list).")
-    budget = _option("--budget", type=_positive_int, default=grouptheory.DEFAULT_BUDGET,
+    budget = _option("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                      help="Maximum number of image tuples per homomorphism search "
                           "(default: %(default)s).")
     group = _option("--group", dest="group_names", action="append", metavar="GROUP",

@@ -21,6 +21,10 @@ class BudgetExceededError(GluesurfError):
     """A brute-force enumeration would exceed the configured budget."""
 
 
+# the image tuples a homomorphism count may stand for unless the caller gives a budget
+DEFAULT_BUDGET = 10 ** 8
+
+
 # -- gluing data ------------------------------------------------------------
 
 class GluingFormatError(InputError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
+from .base import Record
 from .errors import LabelAmbiguousError, NotInD4Error
 from .gluing import (
     CurveComponent,
@@ -22,7 +23,6 @@ from .gluing import (
     validate_gluing,
 )
 from .grouptheory import FiniteGroup
-from .intlinalg import Record
 from .invariants import InvariantReport, compute_report
 
 LINES = ("L1", "L2", "L3", "L4")

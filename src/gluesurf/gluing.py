@@ -15,9 +15,9 @@ import re
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple
 
+from .base import Record, _int, _typed, closure
 from .errors import GluingFormatError, GluingValidationError
-from .grouptheory import closure
-from .intlinalg import AbelianGroup, Record, _int, _typed
+from .intlinalg import AbelianGroup
 
 TRIVIAL = AbelianGroup(0)
 

@@ -33,6 +33,11 @@ are enumerated in full: for each tuple of them, every relator is
 multiplied out once into constants between the innermost generator's
 letters, and each of its images is then tried at two table lookups per
 letter of it.
+
+The subgroup closure is ``base.closure``, the routine the gluing's orbits
+use too.  ``intlinalg`` is read, qualified, only to abelianize, as a count
+into a cyclic group does; building the catalog runs no linear algebra, and
+neither does the rank-0 fingerprint a fresh process can start with.
 """
 
 from __future__ import annotations
@@ -42,14 +47,14 @@ import re
 from collections import Counter, defaultdict
 from functools import cached_property, lru_cache
 from math import gcd, prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
-from .intlinalg import AbelianGroup, IntegerMatrix, Record, _int, _typed, cokernel_invariants
+from . import intlinalg  # read at call time, to abelianize
+from .base import Record, _int, _typed, closure
+from .errors import DEFAULT_BUDGET, BudgetExceededError, PresentationFormatError, UnknownGroupError
 
 Word = tuple[int, ...]  # letter +(g+1) is generator g, -(g+1) its inverse
 
-DEFAULT_BUDGET = 10 ** 8
 # entries a group's subgroup-order cache keeps before it is cleared
 MAX_CLOSURE_CACHE = 2 ** 16
 # a parsed word is expanded letter by letter, so ``a^N`` would cost N
@@ -73,7 +78,7 @@ def _exponent_column(w: Word) -> dict[int, int]:
     return sums
 
 
-def exponent_sum_matrix(words: Sequence[Word], num_generators: int) -> IntegerMatrix:
+def exponent_sum_matrix(words: Sequence[Word], num_generators: int) -> intlinalg.IntegerMatrix:
     """Generators x words matrix whose column j is word j's exponent sums,
     built from its nonzero entries alone."""
     nonzero: defaultdict[int, dict[int, int]] = defaultdict(dict)
@@ -83,7 +88,7 @@ def exponent_sum_matrix(words: Sequence[Word], num_generators: int) -> IntegerMa
             # a sum that cancels is dropped here, so the constructor copies no row twice
             if y := row.pop(j, 0) + (1 if x > 0 else -1):
                 row[j] = y
-    return IntegerMatrix(num_generators, len(words), nonzero)
+    return intlinalg.IntegerMatrix(num_generators, len(words), nonzero)
 
 
 def free_reduce(w: Word) -> Word:
@@ -122,7 +127,7 @@ class GroupPresentation(Record):
         return f"< {', '.join(self.generators)} | {rels} >"
 
     @cached_property
-    def _abelianization(self) -> AbelianGroup:
+    def _abelianization(self) -> intlinalg.AbelianGroup:
         """The cokernel of the exponent-sum columns; a repeated or zero
         column spans nothing new, so only the distinct nonzero ones are
         reduced, and 10^5 relators ``a`` make a 1 x 1 Smith form."""
@@ -130,8 +135,8 @@ class GroupPresentation(Record):
         for w in self.relators:
             if column := frozenset((g, e) for g, e in _exponent_column(w).items() if e):
                 distinct.setdefault(column, w)
-        return cokernel_invariants(exponent_sum_matrix(list(distinct.values()),
-                                                       len(self.generators)))
+        return intlinalg.cokernel_invariants(exponent_sum_matrix(list(distinct.values()),
+                                                                 len(self.generators)))
 
     @cached_property
     def _rarest_last(self) -> tuple[list[Word], list[list[tuple[Word, bool]]]]:
@@ -186,6 +191,8 @@ def presentation_from_dict(doc: dict) -> GroupPresentation:
     non-empty and has no whitespace and no ``^``."""
     if not isinstance(doc, dict) or "generators" not in doc or "relators" not in doc:
         raise PresentationFormatError("expected object with 'generators' and 'relators'")
+    if unknown := [k for k in doc if k not in ("generators", "relators")]:
+        raise PresentationFormatError(f"unknown key {', '.join(map(repr, unknown))}")
     for key in ("generators", "relators"):
         if not isinstance(doc[key], list) or not all(isinstance(x, str) for x in doc[key]):
             raise PresentationFormatError(f"{key} must be a list of strings")
@@ -206,7 +213,7 @@ def presentation_to_dict(p: GroupPresentation) -> dict:
     }
 
 
-def abelianization(p: GroupPresentation) -> AbelianGroup:
+def abelianization(p: GroupPresentation) -> intlinalg.AbelianGroup:
     """Cokernel of the exponent-sum matrix (generators x relators); p keeps it."""
     return p._abelianization
 
@@ -408,25 +415,6 @@ Permutation = tuple[int, ...]
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """p after q: (p∘q)(i) = p(q(i))."""
     return tuple(map(p.__getitem__, q))
-
-
-def closure(start: Iterable, successors: Callable) -> set:
-    """Everything reachable from ``start`` by repeated ``successors`` steps.
-
-    With the identity as start and multiplication by the generators as
-    the step, this is the generated subgroup.
-    """
-    seen = set(start)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for x in successors(h):
-                if x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    return seen
 
 
 class FiniteGroup(Record):
@@ -741,8 +729,8 @@ def _check_budget(p: GroupPresentation, group: FiniteGroup, budget: int) -> None
     image tuples, |G|^k at rank k, or walks more than ``MAX_LETTER_STEPS`` relator letters."""
     k, n = len(p.generators), group.order
     if n ** k > budget:
-        raise BudgetExceededError(f"{n}^{k} image tuples exceed the budget of {budget}; "
-                                  "apply tietze_simplify first")
+        raise BudgetExceededError(f"{group.name}: {n}^{k} image tuples exceed the budget of "
+                                  f"{budget}; apply tietze_simplify first")
     if k and group.is_cyclic:
         return
     inner = k > 2  # whether the rarest generator runs innermost
@@ -753,8 +741,8 @@ def _check_budget(p: GroupPresentation, group: FiniteGroup, budget: int) -> None
     steps = sum(map(len, p.relators)) + 2 * n * sum(map(len, around))
     if outer * steps > MAX_LETTER_STEPS:
         raise BudgetExceededError(
-            f"hom_count: {outer} image tuples walking {steps} relator letters each exceed "
-            f"the bound of {MAX_LETTER_STEPS} letter steps")
+            f"{group.name}: hom_count: {outer} image tuples walking {steps} relator letters "
+            f"each exceed the bound of {MAX_LETTER_STEPS} letter steps")
 
 
 def hom_count(p: GroupPresentation, group: FiniteGroup, budget: int = DEFAULT_BUDGET, *,

@@ -8,7 +8,9 @@ function values over each cusp's point cycle.
 
 from __future__ import annotations
 
+from .base import Record
 from .errors import (
+    DEFAULT_BUDGET,
     GeometricGenusNonzeroError,
     MissingFieldError,
     NegativeResultError,
@@ -17,13 +19,12 @@ from .errors import (
 )
 from .gluing import DegenerateCusp, ValidatedGluing, cusps, euler_characteristics
 from .grouptheory import (
-    DEFAULT_BUDGET,
     Fingerprint,
     GroupPresentation,
     fingerprint,
     tietze_simplify,
 )
-from .intlinalg import AbelianGroup, IntegerMatrix, Record, snf
+from .intlinalg import AbelianGroup, IntegerMatrix, snf
 from .topology import HomologyOfX, homology_of_X, pi1_presentation
 
 

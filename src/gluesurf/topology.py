@@ -15,6 +15,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import grouptheory  # read at call time, by pi1 alone: homology runs no group theory
+from .base import Record
 from .errors import (
     DbarDisconnectedError,
     GenusNotZeroError,
@@ -23,8 +25,7 @@ from .errors import (
     UnsupportedNormalHomologyError,
 )
 from .gluing import ValidatedGluing, cusps, node_id, per_gluing
-from .grouptheory import GroupPresentation, Word, free_reduce
-from .intlinalg import AbelianGroup, IntegerMatrix, Record, snf
+from .intlinalg import AbelianGroup, IntegerMatrix, snf
 
 EdgeKey = tuple[object, int]  # (owning component, segment position)
 Step = tuple[int, int]  # (edge index, direction): +1 runs u -> v, -1 runs v -> u
@@ -137,7 +138,7 @@ def _check_pi1_preconditions(g: ValidatedGluing):
 
 
 @per_gluing
-def _generator_images(g: ValidatedGluing) -> tuple[int, tuple[Word, ...]]:
+def _generator_images(g: ValidatedGluing) -> tuple[int, tuple[grouptheory.Word, ...]]:
     """The quotient graph's generator count, and for each generator loop
     upstairs its word in those generators.
 
@@ -180,7 +181,7 @@ def _generator_images(g: ValidatedGluing) -> tuple[int, tuple[Word, ...]]:
         if letter[eidx]:
             loop.append(letter[eidx])
         loop += [-x for x in letters_to_root(v)]
-        words.append(free_reduce(loop))
+        words.append(grouptheory.free_reduce(loop))
     return len(gd.generator_edges), tuple(words)
 
 
@@ -188,7 +189,7 @@ def _letter_names(count: int) -> tuple[str, ...]:
     return tuple(chr(ord("a") + i) if i < 26 else f"g{i}" for i in range(count))
 
 
-def pi1_presentation(g: ValidatedGluing) -> GroupPresentation:
+def pi1_presentation(g: ValidatedGluing) -> grouptheory.GroupPresentation:
     """Presentation of the fundamental group of the glued surface.
 
     Requires X and the normalized conductor connected and every normal
@@ -203,7 +204,7 @@ def pi1_presentation(g: ValidatedGluing) -> GroupPresentation:
     count, words = _generator_images(g)
     names = _letter_names(count)
     relators = tuple(w for w in words if w)
-    return GroupPresentation(names, relators)
+    return grouptheory.GroupPresentation(names, relators)
 
 
 class MayerVietorisMatrices(Record):

@@ -462,9 +462,11 @@ def test_catalog_without_fingerprint_exits_2(runner, x02_file, command, catalog)
     ({"generators": ["a b"], "relators": []}, "generator name"),
     ({"generators": ["a\n"], "relators": []}, "generator name"),
     ({"generators": ["a^b"], "relators": []}, "generator name"),
+    ({"generators": ["a"], "relators": [], "extra": 1}, "unknown key 'extra'"),
 ], ids=["generators-int", "relators-int", "generator-not-string", "relator-not-string",
         "relator-too-long", "presentation-too-long", "empty-exponent", "underscore-exponent",
-        "non-ascii-exponent", "empty-name", "space-in-name", "newline-in-name", "caret-in-name"])
+        "non-ascii-exponent", "empty-name", "space-in-name", "newline-in-name", "caret-in-name",
+        "unknown-key"])
 def test_malformed_presentation_exits_2(runner, tmp_path, doc, key):
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(doc))

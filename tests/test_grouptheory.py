@@ -664,7 +664,7 @@ class TestHomCount:
         monkeypatch.setattr(grouptheory, "_last_images", count)
         monkeypatch.setattr(FiniteGroup, "subgroup_size", count)
         p = pres("a b c d", "a b c d a^-1 b^-1 c^-1 d^-1")
-        message = "24^4 image tuples exceed the budget of 216000; apply tietze_simplify first"
+        message = "S4: 24^4 image tuples exceed the budget of 216000; apply tietze_simplify first"
         with pytest.raises(BudgetExceededError) as raised:
             fingerprint(p, budget=60 ** 3)
         assert str(raised.value) == message
@@ -922,7 +922,7 @@ class TestFingerprint:
         # every cyclic count of a fingerprint, and a second fingerprint, reads
         # the abelianization kept on the presentation: one column per relator here
         matrices = []
-        monkeypatch.setattr(grouptheory, "cokernel_invariants",
+        monkeypatch.setattr(intlinalg, "cokernel_invariants",
                             lambda a: matrices.append(a) or cokernel_invariants(a))
         presentations = [tietze_simplify(pres("a b c d", *relators))
                          for relators in (RELATORS_FIRST, RELATORS_SECOND)]

@@ -149,7 +149,7 @@ def dataclasses_in(source: Path) -> list[str]:
 
 
 def test_only_homology_of_x_is_a_dataclass():
-    # the value types are plain classes over intlinalg.Record, which spares
+    # the value types are plain classes over base.Record, which spares
     # each fresh process the dataclass machinery; HomologyOfX stays one
     # because bench/tests/test_bench.py::test_wrong_h1_counts_as_an_error
     # calls dataclasses.replace on it

@@ -49,7 +49,8 @@ def test_import_runs_no_submodule():
 
 
 def test_one_name_runs_its_module_and_its_imports():
-    assert fresh("from gluesurf import fingerprint")[1] == ["errors", "grouptheory", "intlinalg"]
+    # a rank-0 fingerprint reduces no matrix, so the linear algebra is not run
+    assert fresh("from gluesurf import fingerprint")[1] == ["base", "errors", "grouptheory"]
 
 
 @pytest.mark.parametrize("read", ["gluesurf.homology_of_X",
@@ -76,16 +77,36 @@ def test_a_failed_first_load_raises_again(tmp_path, read):
     assert "topology" not in ast.literal_eval(ran)
 
 
+# run as ``python -m gluesurf.cli`` runs it: runpy would warn on stderr
+# if the package had put gluesurf.cli in sys.modules; argparse exits 0
+# after printing --help
+RUN_CLI = ("import runpy\n"
+           "try:\n"
+           "    runpy.run_module('gluesurf.cli', run_name='__main__', alter_sys=True)\n"
+           "except SystemExit as done:\n"
+           "    assert done.code == 0\n")
+
+
+# the submodules each command runs; homology reads no presentation, so it
+# runs no group theory
+RUNS = {"pi1": ["base", "errors", "gluing", "grouptheory", "intlinalg", "topology"],
+        "homology": ["base", "errors", "gluing", "intlinalg", "topology"]}
+
+
 @pytest.mark.parametrize("command", ["pi1", "homology"])
 def test_cli_runs_only_what_the_command_needs(tmp_path, command):
     x01 = write_gluing(tmp_path, "x01.json", build_four_lines(table_element("X0.1")))
-    # run as ``python -m gluesurf.cli`` runs it: runpy would warn on stderr
-    # if the package had put gluesurf.cli in sys.modules
-    code = "import runpy\nrunpy.run_module('gluesurf.cli', run_name='__main__', alter_sys=True)"
-    out, ran = fresh(code, command, x01, "--format", "json")
+    out, ran = fresh(RUN_CLI, command, x01, "--format", "json")
     assert out + "\n" == RECORDED_RUNS[f"{command} X0.1 --format json"]["stdout"]
-    assert "fourlines" not in ran and "invariants" not in ran
-    assert "topology" in ran
+    assert ran == RUNS[command]
+
+
+def test_help_runs_only_errors():
+    # building the parser reads --budget's default from errors, beside
+    # BudgetExceededError
+    out, ran = fresh(RUN_CLI, "--help")
+    assert out.startswith("usage: gluesurf ")
+    assert ran == ["errors"]
 
 
 @pytest.mark.parametrize("workload", ["homology", "pi1"])
