@@ -17,7 +17,7 @@ from .errors import (
     NormalizationIrregularError,
     SurfaceNotConnectedError,
 )
-from .gluing import DegenerateCusp, ValidatedGluing, cusps, euler_characteristics
+from .gluing import DegenerateCusp, ValidatedGluing, cusp_pair_sums, cusps, euler_characteristics
 from .grouptheory import (
     Fingerprint,
     GroupPresentation,
@@ -33,27 +33,18 @@ def cusp_matrix(g: ValidatedGluing) -> IntegerMatrix:
 
     The anti-invariant function of a pair is +1 on its lexicographically
     smaller component and -1 on the partner (validation rejects fixed
-    components).  Entry = sum over the cusp's cycle of f(r_i) - f(s_i).
+    components).  Entry = sum over the cusp's cycle of f(r_i) - f(s_i),
+    which is -2 times the sum of f(s_i) (see ``topology``).
     """
     for n in g.normals:
         if n.q != 0:
             raise NormalizationIrregularError(
                 f"normal component {n.id} has q = {n.q}; the algorithm needs q = 0"
             )
-    # f is zero off a point's own pair, so each point adds f's value on its
-    # component to one entry: entry[component] is (pair column, that value)
-    entry = {}
-    for k, (a, b) in enumerate(g.tau_pairs):
-        entry[a], entry[b] = (k, 1), (k, -1)
-    rows = []
-    for cusp in cusps(g):
-        row: dict[int, int] = {}
-        for r, s in zip(cusp.r_cycle, cusp.s_cycle):
-            k, f = entry[g.point_component[r]]
-            row[k] = row.get(k, 0) + f
-            k, f = entry[g.point_component[s]]
-            row[k] = row.get(k, 0) - f
-        rows.append(row)
+    rows = [{} for _ in cusps(g)]
+    for k, sums in enumerate(cusp_pair_sums(g)):
+        for c, x in sums.items():
+            rows[c][k] = -2 * x
     return IntegerMatrix(len(rows), len(g.tau_pairs), dict(enumerate(rows)))
 
 
@@ -104,9 +95,9 @@ def compute_report(g: ValidatedGluing, *, catalog=None,
                    budget: int = DEFAULT_BUDGET) -> InvariantReport:
     """The full report; it carries a fingerprint against ``catalog`` when one is given.
 
-    The abelianization of pi1 is H1, so the node matrix's Smith form
-    that ``homology_of_X`` runs serves both; the presentation's
-    exponent-sum matrix is not reduced.
+    The abelianization of pi1 is H1, so the Smith form of the tau-pairs x
+    cusps relation matrix that ``homology_of_X`` runs serves both; the
+    presentation's exponent-sum matrix is not reduced.
     """
     chi = euler_characteristics(g).chi_x
     q, p_g = irregularity(g)

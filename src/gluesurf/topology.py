@@ -6,7 +6,26 @@ node pairing gives a graph model of the normalized conductor, and taking
 the quotient by the involution gives one for the conductor itself.  The
 fundamental group comes from their spanning trees.  The homology of the
 glued surface comes from two integer matrices read off the gluing with
-no graph model: the sphere-level map and the node matrix.
+no graph model: the sphere-level map and R, the tau-pairs x cusps
+relation matrix.
+
+R is the node matrix N reduced (N: the mapping cone of the graph of
+D-bar into that of D, D rows eliminated, one row per node; Hatcher,
+*Algebraic Topology*, 2.2).  With a_0 ... a_k the points of pair P's
+smaller curve and d_i = node(a_i) - node(tau a_i), column (P, i) of N is
+d_i - d_i+1; one generator t_P = d_0 per pair gives coker N = <nodes,
+t_P | node(a_i) - node(tau a_i) = t_P>.  A node has two points and each
+point lies on one relation, so read as edges the relations give every
+node degree 2: their components are the <sigma, tau>-orbits, the
+degenerate cusps, each one cycle.  +-1 eliminations along a spanning
+tree of each (Havas, Holt and Rees, *Recognizing badly presented
+Z-modules*, 1993) leave one free generator and one relation per cusp,
+the sum of f(s_i) t_P(s_i) around it, f being +1 on a pair's smaller
+curve and -1 on its partner.  So coker N = Z^#cusps + coker R, column c
+of R holding cusp c's sums: H1(X) = coker R, and N's kernel rank is
+#cusps - rank R.  R is -1/2 times the transpose of the cusp matrix: its
+entry, the sum of f(r_i) - f(s_i), is -2 times the sum of f(s_i), as
+r_i+1 = tau(s_i) lies on the partner curve.
 """
 
 from __future__ import annotations
@@ -24,7 +43,7 @@ from .errors import (
     SurfaceNotConnectedError,
     UnsupportedNormalHomologyError,
 )
-from .gluing import ValidatedGluing, cusps, node_id, per_gluing
+from .gluing import ValidatedGluing, cusp_pair_sums, cusps, node_id, per_gluing
 from .intlinalg import AbelianGroup, IntegerMatrix, snf
 
 EdgeKey = tuple[object, int]  # (owning component, segment position)
@@ -208,23 +227,18 @@ def pi1_presentation(g: ValidatedGluing) -> grouptheory.GroupPresentation:
 
 
 class MayerVietorisMatrices(Record):
-    """The sphere-level map and the node matrix of the glued surface.
+    """The sphere-level map and the cusp relation matrix of the glued surface.
 
     h2_map: sphere classes of the normalized conductor into quotient
     spheres plus the normal components' H2 (rows: quotient pairs, then
     each normal component's H2 basis; columns: curve components).
-    node_map: the mapping cone of the graph of D-bar into the graph of D
-    with the D rows eliminated (Hatcher, *Algebraic Topology*, 2.2).  One
-    row per node, one column per quotient edge: tau-pair (a, b) at
-    position i gives node(a_i) - node(a_i+1) - node(tau a_i) +
-    node(tau a_i+1).  Its cokernel is H1 plus one Z per degenerate cusp,
-    and its kernel has the rank of the loop-level map's.
+    cusp_map: R of the module docstring (rows: tau-pairs; columns: cusps).
     """
 
-    __slots__ = ("h2_map", "node_map")
+    __slots__ = ("h2_map", "cusp_map")
 
-    def __init__(self, h2_map: IntegerMatrix, node_map: IntegerMatrix):
-        self._set(h2_map, node_map)
+    def __init__(self, h2_map: IntegerMatrix, cusp_map: IntegerMatrix):
+        self._set(h2_map, cusp_map)
 
 
 @per_gluing
@@ -248,23 +262,8 @@ def mv_matrices(g: ValidatedGluing) -> MayerVietorisMatrices:
             nonzero[block_start[c.ambient] + r][j] = coeff
     h2_map = IntegerMatrix(offset, len(curves), nonzero)
 
-    # the node matrix: column j is the j-th edge of the quotient graph
-    nodes = g.nodes()
-    row_of = {p: r for r, node in enumerate(nodes) for p in node}
-    tau = g.data.tau_points
-    cells = [{} for _ in nodes]
-    j = 0
-    for a, _b in pairs:
-        pts = g.curve(a).marked_points
-        up, down = [row_of[p] for p in pts], [row_of[tau[p]] for p in pts]
-        for i in range(len(pts) - 1):
-            for r, x in ((up[i], 1), (up[i + 1], -1), (down[i], -1), (down[i + 1], 1)):
-                row = cells[r]
-                row[j] = row.get(j, 0) + x
-            j += 1
-    node_map = IntegerMatrix(len(nodes), j, dict(enumerate(cells)))
-
-    return MayerVietorisMatrices(h2_map=h2_map, node_map=node_map)
+    cusp_map = IntegerMatrix(len(pairs), len(cusps(g)), dict(enumerate(cusp_pair_sums(g))))
+    return MayerVietorisMatrices(h2_map=h2_map, cusp_map=cusp_map)
 
 
 @dataclass(frozen=True)
@@ -281,14 +280,13 @@ class HomologyOfX:
 
 def homology_of_X(g: ValidatedGluing) -> HomologyOfX:
     """Integral homology of the glued surface from the sphere-level map
-    and the node matrix.
+    and the cusp relation matrix R.
 
     The top group is one copy of Z per normal component; H3 is the kernel
     of the sphere-level map; H2 and H1 are cokernel-plus-kernel splices of
     adjacent levels (the kernels are free, so the extensions split).  D̄
     is connected, so H0(D̄) = Z injects and H1 is the cokernel of the
-    loop-level map: the node matrix's cokernel less one Z per degenerate
-    cusp.  The two maps' kernels have one rank.
+    loop-level map: coker R, with kernel rank #cusps - rank R.
     """
     for n in g.normals:
         if not n.h1.is_trivial or not n.h3.is_trivial or n.h4_rank != 1:
@@ -297,12 +295,12 @@ def homology_of_X(g: ValidatedGluing) -> HomologyOfX:
             )
     mv = mv_matrices(g)
     # one SNF per matrix gives both its rank and its cokernel
-    dec_n, dec_m = snf(mv.h2_map), snf(mv.node_map)
-    coker_n, coker_m = dec_n.cokernel, dec_m.cokernel
+    dec_n, dec_r = snf(mv.h2_map), snf(mv.cusp_map)
+    coker_n = dec_n.cokernel
     return HomologyOfX(
         h0=AbelianGroup(g.x_component_count),
-        h1=AbelianGroup(coker_m.free_rank - len(cusps(g)), coker_m.torsion),
-        h2=AbelianGroup(coker_n.free_rank + (mv.node_map.cols - dec_m.rank), coker_n.torsion),
+        h1=dec_r.cokernel,
+        h2=AbelianGroup(coker_n.free_rank + (mv.cusp_map.cols - dec_r.rank), coker_n.torsion),
         h3=AbelianGroup(mv.h2_map.cols - dec_n.rank),
         h4=AbelianGroup(len(g.normals)),
     )

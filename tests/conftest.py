@@ -52,6 +52,41 @@ def tree_word_map(g: ValidatedGluing) -> IntegerMatrix:
     return exponent_sum_matrix(words, count)
 
 
+def node_matrix(data: GluingData) -> IntegerMatrix:
+    """The loop-level map of X read from the raw gluing, with no graph model.
+
+    One row per node of the normalized conductor, keyed by its smaller
+    point; one column per edge of the quotient graph: tau-pair (a, b),
+    a < b, at position i.  With a's points in stored order and b's as their
+    tau-images, the column is node(a_i) - node(a_i+1) - node(b_i) +
+    node(b_i+1).  It is the mapping cone of the graph of D-bar into the
+    graph of D with the D rows eliminated (Hatcher, Algebraic Topology,
+    2.2): its cokernel is H1(X) plus one free summand per degenerate cusp,
+    and its rank is that of the loop-level map.
+    """
+    sigma, tau = data.sigma, data.tau_points
+    row = {}
+    for p in sorted(sigma):
+        row.setdefault(min(p, sigma[p]), len(row))
+    curves = {c.id: c for c in data.curve_components}
+    columns = []
+    for a, b in sorted((a, b) for a, b in data.tau_components.items() if a < b):
+        pts = curves[a].marked_points
+        images = [tau[x] for x in pts]
+        for i in range(len(pts) - 1):
+            column = {}
+            for point, sign in ((pts[i], 1), (pts[i + 1], -1),
+                                (images[i], -1), (images[i + 1], 1)):
+                r = row[min(point, sigma[point])]
+                column[r] = column.get(r, 0) + sign
+            columns.append(column)
+    nonzero = {}
+    for j, column in enumerate(columns):
+        for r, x in column.items():
+            nonzero.setdefault(r, {})[j] = x
+    return IntegerMatrix(len(row), len(columns), nonzero)
+
+
 def letter(g: int, s: int) -> int:
     """The word letter for generator index g raised to s = ±1."""
     return s * (g + 1)

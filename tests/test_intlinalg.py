@@ -25,7 +25,7 @@ if str(ROOT / "bench") not in sys.path:
     sys.path.append(str(ROOT / "bench"))
 
 import nlines  # noqa: E402
-from conftest import from_rows, row_lists, tree_word_map  # noqa: E402
+from conftest import from_rows, node_matrix, row_lists, tree_word_map  # noqa: E402
 
 from gluesurf import intlinalg  # noqa: E402
 from gluesurf.gluing import gluing_from_dict, validate_gluing  # noqa: E402
@@ -468,12 +468,13 @@ def test_snf_properties(m):
 
 
 def generated_matrices(n: int, seed: int) -> dict[str, IntegerMatrix]:
-    """The two level maps, the cusp matrix and the node matrix of the plane
-    glued along n random lines; "h1" is the tree-word loop-level map."""
+    """The sphere-level map, the tau-pairs x cusps matrix, the cusp matrix and
+    the node matrix of the plane glued along n random lines, and "h1", the
+    tree-word loop-level map."""
     g = validate_gluing(gluing_from_dict(nlines.random_n_lines(n, seed)))
     mv = mv_matrices(g)
     return {"h2": mv.h2_map, "h1": tree_word_map(g), "cusp": cusp_matrix(g),
-            "node": mv.node_map}
+            "relations": mv.cusp_map, "node": node_matrix(g.data)}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -556,7 +557,7 @@ def test_node_map_entries_stay_small_at_scale(monkeypatch, seed):
 
     monkeypatch.setattr(intlinalg, "_unimodular", recorded)
     g = validate_gluing(gluing_from_dict(nlines.random_n_lines(48, seed)))
-    dec = snf(mv_matrices(g).node_map)
+    dec = snf(node_matrix(g.data))
     assert bits and max(bits) < 128
     entries = max(abs(x).bit_length() for t in (dec.u, dec.s, dec.v) for x in t.entries)
     assert entries < 128

@@ -246,11 +246,12 @@ class TestReportAndPicard:
         runs = counting_stubs(monkeypatch, (
             ("gluing", "cusps"), ("gluing", "quotient_curve"),
             ("gluing", "euler_characteristics"), ("topology", "homotopy_graph"),
-            ("topology", "_generator_images"), ("topology", "mv_matrices")))
+            ("topology", "_generator_images"), ("topology", "mv_matrices"),
+            ("gluing", "cusp_pair_sums")))
 
         # the Euler numbers sum over the tau-pairs, so no stage builds the
-        # quotient curve
-        once = {("cusps",): 1, ("euler_characteristics",): 1,
+        # quotient curve; the cusp matrix and R share one walk of the cusps
+        once = {("cusps",): 1, ("euler_characteristics",): 1, ("cusp_pair_sums",): 1,
                 ("homotopy_graph", "D"): 1, ("homotopy_graph", "Dbar"): 1,
                 ("_generator_images",): 1, ("mv_matrices",): 1}
         vg = table_gluing("X0.2")
@@ -263,7 +264,7 @@ class TestReportAndPicard:
         assert runs == {key: 2 for key in once}
 
     def test_homology_builds_no_graph_model(self, monkeypatch):
-        # the homology reads the node matrix; only pi1 walks the graph models
+        # the homology reads the cusp sums; only pi1 walks the graph models
         runs = counting_stubs(monkeypatch, (
             ("topology", "homotopy_graph"), ("topology", "_generator_images"),
             ("topology", "mv_matrices")))
@@ -288,11 +289,11 @@ class TestReportAndPicard:
                 assert report.pi1_abelianization == abelianization(pi1_presentation(vg))
 
     def test_fingerprint_shares_the_abelianization_smith_form(self, monkeypatch):
-        # X0.2: the cusp matrix, the sphere-level map and the 6 x 4 node
-        # matrix; the node matrix's Smith form gives H1, which is pi1's
-        # abelianization too.  With a catalog the cyclic counts add the
-        # 2 x 1 one of the simplified presentation, and the 4 x 3 one of
-        # the raw presentation is not reduced
+        # X0.2: the 1 x 2 cusp matrix, the sphere-level map and the 2 x 1
+        # tau-pairs x cusps matrix R; R's Smith form gives H1, which is
+        # pi1's abelianization too.  With a catalog the cyclic counts add
+        # the 2 x 1 one of the simplified presentation, and the 4 x 3 one
+        # of the raw presentation is not reduced
         shapes = []
 
         def counted(a, snf=snf):
@@ -302,10 +303,10 @@ class TestReportAndPicard:
         for module in (intlinalg, invariants, topology):
             monkeypatch.setattr(module, "snf", counted)
         compute_report(table_gluing("X0.2"))
-        assert sorted(shapes) == [(1, 2), (3, 4), (6, 4)]
+        assert sorted(shapes) == [(1, 2), (2, 1), (3, 4)]
         shapes.clear()
         compute_report(table_gluing("X0.2"), catalog=default_catalog())
-        assert sorted(shapes) == [(1, 2), (2, 1), (3, 4), (6, 4)]
+        assert sorted(shapes) == [(1, 2), (2, 1), (2, 1), (3, 4)]
 
     def test_mixed_rank_case_omits_structure(self, x01):
         report = compute_report(x01)

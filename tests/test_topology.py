@@ -18,6 +18,7 @@ import oracles  # noqa: E402
 from conftest import (  # noqa: E402
     curve_cycle,
     from_rows,
+    node_matrix,
     replace,
     table_gluing,
     toy_pair,
@@ -32,7 +33,6 @@ from gluesurf.errors import (  # noqa: E402
 )
 from gluesurf.fourlines import all_gluings, build_four_lines  # noqa: E402
 from gluesurf.gluing import (  # noqa: E402
-    GluingData,
     cusps,
     gluing_from_dict,
     gluing_to_dict,
@@ -49,6 +49,7 @@ from gluesurf.grouptheory import (  # noqa: E402
 )
 from gluesurf import intlinalg, topology  # noqa: E402
 from gluesurf.intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants, snf  # noqa: E402
+from gluesurf.invariants import cusp_matrix  # noqa: E402
 from gluesurf.topology import (  # noqa: E402
     homology_of_X,
     homotopy_graph,
@@ -217,13 +218,18 @@ class TestMayerVietorisMatrices:
         assert cokernel_invariants(m) == AbelianGroup(1)
 
     def test_node_map(self, x01):
-        # one row per node, one column per quotient edge; the cokernel is
-        # H1 = Z plus one Z for X0.1's single degenerate cusp
-        m = mv_matrices(x01).node_map
+        # the node matrix has one row per node and one column per quotient
+        # edge; its cokernel is H1 = Z plus one Z for X0.1's single
+        # degenerate cusp.  It reduces to R, one row per tau-pair and one
+        # column per cusp, whose cokernel is H1
+        m = node_matrix(x01.data)
         assert (m.rows, m.cols) == (6, 4)
         assert len(cusps(x01)) == 1
         assert snf(m).divisors == (1, 1, 1, 1)
         assert cokernel_invariants(m) == AbelianGroup(2)
+        r = mv_matrices(x01).cusp_map
+        assert (r.rows, r.cols) == (2, 1)
+        assert cokernel_invariants(r) == AbelianGroup(1)
 
     def test_single_pair_sphere_map_carries_classes(self):
         data = toy_pair(1, 0)
@@ -263,7 +269,7 @@ class TestHomology:
         for module in (topology, intlinalg):  # cokernel_invariants calls intlinalg.snf
             monkeypatch.setattr(module, "snf", lambda a: seen.append(a) or snf(a))
         homology_of_X(vg)
-        assert seen == [mv.h2_map, mv.node_map]
+        assert seen == [mv.h2_map, mv.cusp_map]
 
     def test_long_node_cycle_reads_no_dense_level_map(self, monkeypatch):
         # the sphere-level map is 2001 x 4000 with two entries per column;
@@ -308,41 +314,6 @@ class TestHomology:
         assert abelianization(pi1_presentation(vg)) == abelianization(pi1_presentation(x01))
 
 
-def node_matrix(data: GluingData) -> IntegerMatrix:
-    """The loop-level map of X read from the raw gluing, with no graph model.
-
-    One row per node of the normalized conductor, keyed by its smaller
-    point; one column per edge of the quotient graph: tau-pair (a, b),
-    a < b, at position i.  With a's points in stored order and b's as their
-    tau-images, the column is node(a_i) - node(a_i+1) - node(b_i) +
-    node(b_i+1).  It is the mapping cone of the graph of D-bar into the
-    graph of D with the D rows eliminated (Hatcher, Algebraic Topology,
-    2.2): its cokernel is H1(X) plus one free summand per degenerate cusp,
-    and its rank is that of the loop-level map.
-    """
-    sigma, tau = data.sigma, data.tau_points
-    row = {}
-    for p in sorted(sigma):
-        row.setdefault(min(p, sigma[p]), len(row))
-    curves = {c.id: c for c in data.curve_components}
-    columns = []
-    for a, b in sorted((a, b) for a, b in data.tau_components.items() if a < b):
-        pts = curves[a].marked_points
-        images = [tau[x] for x in pts]
-        for i in range(len(pts) - 1):
-            column = {}
-            for point, sign in ((pts[i], 1), (pts[i + 1], -1),
-                                (images[i], -1), (images[i + 1], 1)):
-                r = row[min(point, sigma[point])]
-                column[r] = column.get(r, 0) + sign
-            columns.append(column)
-    nonzero = {}
-    for j, column in enumerate(columns):
-        for r, x in column.items():
-            nonzero.setdefault(r, {})[j] = x
-    return IntegerMatrix(len(row), len(columns), nonzero)
-
-
 def oracle_gluings():
     yield from (build_four_lines(b) for b in all_gluings())
     yield from (toy_pair(3, 1), toy_pair(5, 2), curve_cycle(10), curve_cycle(300))
@@ -352,19 +323,48 @@ def oracle_gluings():
 
 
 def test_h1_and_loop_kernel_match_the_node_matrix_oracle():
-    # the oracle is built from the raw gluing; the homology's node map is
-    # built from the validated one, and the tree-word map is the route it
-    # replaced: all three give H1 and the loop-kernel rank
+    # the oracle is built from the raw gluing; the homology reads the
+    # tau-pairs x cusps matrix R of the validated one, and the tree-word
+    # map is the graph-model route: all three give H1 and the loop-kernel rank
     checked = 0
     for data in oracle_gluings():
         vg = validate_gluing(data)
         oracle = snf(node_matrix(data))
         coker = oracle.cokernel
-        h1 = AbelianGroup(coker.free_rank - oracles.cusp_count(gluing_to_dict(data)),
-                          coker.torsion)
-        node_map, loops = mv_matrices(vg).node_map, tree_word_map(vg)
-        assert node_map == oracle.matrix
+        cusp_count = oracles.cusp_count(gluing_to_dict(data))
+        h1 = AbelianGroup(coker.free_rank - cusp_count, coker.torsion)
+        r, loops = mv_matrices(vg).cusp_map, tree_word_map(vg)
         assert homology_of_X(vg).h1 == h1 == snf(loops).cokernel
         assert loops.cols - snf(loops).rank == oracle.matrix.cols - oracle.rank
+        assert cusp_count - snf(r).rank == oracle.matrix.cols - oracle.rank
         checked += 1
     assert checked == 36 + 4 + 11 * 6
+
+
+def test_cusp_map_is_minus_half_the_transposed_cusp_matrix():
+    # the homology's R and the irregularity's cusp matrix C share one walk
+    # of the cusp cycles; C's entries are even and R = -C^T / 2
+    for data in oracle_gluings():
+        vg = validate_gluing(data)
+        c, r = cusp_matrix(vg), mv_matrices(vg).cusp_map
+        assert all(x % 2 == 0 for x in c.entries)
+        assert r == from_rows([[-c[j, i] // 2 for j in range(c.rows)] for i in range(c.cols)],
+                              cols=c.rows)
+
+
+@pytest.mark.parametrize("build, shapes", [
+    (lambda: gluing_from_dict(nlines.random_n_lines(96, 0)), [(49, 96), (48, 3)]),
+    (lambda: curve_cycle(4000), [(2001, 4000), (2000, 1)]),
+], ids=["lines96", "cycle4000"])
+def test_homology_at_scale_reduces_no_matrix_with_a_row_per_node(monkeypatch, build, shapes):
+    # a count that backs the clock: only the sphere-level map (a row per
+    # tau-pair and normal H2 class) and R (a row per tau-pair, a column per
+    # cusp) are reduced, never a matrix with a row per node
+    vg = validate_gluing(build())
+    seen = []
+    for module in (topology, intlinalg):  # cokernel_invariants calls intlinalg.snf
+        monkeypatch.setattr(module, "snf", lambda a: seen.append((a.rows, a.cols)) or snf(a))
+    homology_of_X(vg)
+    assert seen == shapes
+    assert shapes[1] == (len(vg.tau_pairs), len(cusps(vg)))
+    assert len(vg.nodes()) not in {rows for rows, _cols in seen}
