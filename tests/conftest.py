@@ -149,6 +149,26 @@ def two_planes() -> GluingData:
     )
 
 
+def joined_planes() -> GluingData:
+    """Two planes A and B, each with two one-point lines whose points form
+    one node; tau pairs A1 with B1 and A2 with B2.  X is connected and the
+    normalized conductor is not: one cusp of mu = 2 joins the two nodes."""
+    base_a = NormalComponent(id="A", chi_O=1, k_plus_d_sq=1)
+    base_b = NormalComponent(id="B", chi_O=1, k_plus_d_sq=1)
+    return GluingData(
+        normal_components=(base_a, base_b),
+        curve_components=(
+            CurveComponent("A1", "A", 0, ("a1",), (1,)),
+            CurveComponent("A2", "A", 0, ("a2",), (1,)),
+            CurveComponent("B1", "B", 0, ("b1",), (1,)),
+            CurveComponent("B2", "B", 0, ("b2",), (1,)),
+        ),
+        sigma={"a1": "a2", "a2": "a1", "b1": "b2", "b2": "b1"},
+        tau_components={"A1": "B1", "B1": "A1", "A2": "B2", "B2": "A2"},
+        tau_points={"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"},
+    )
+
+
 def curve_cycle(count: int) -> GluingData:
     """``count`` (even) curves with two marked points each, joined by nodes
     into one cycle; the involution swaps curves 2i and 2i + 1.  The
