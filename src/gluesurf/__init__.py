@@ -26,8 +26,8 @@ _EXPORTS = {
                     "free_reduce", "hom_count", "tietze_simplify", "word_from_str"),
     "intlinalg": ("AbelianGroup", "IntegerMatrix", "SmithDecomposition", "cokernel_invariants",
                   "snf"),
-    "invariants": ("InvariantReport", "PicardSummary", "compute_report", "cusp_matrix",
-                   "irregularity", "k_squared", "picard_summary"),
+    "invariants": ("InvariantReport", "PicardSummary", "compute_report", "irregularity",
+                   "k_squared", "picard_summary"),
     "topology": ("HomologyOfX", "HomotopyGraph", "homology_of_X", "homotopy_graph",
                  "mv_matrices", "pi1_presentation"),
     "fourlines": ("LinePairBijections", "OrbitRecord", "all_gluings", "build_four_lines",

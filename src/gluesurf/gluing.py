@@ -389,21 +389,6 @@ def cusps(g: ValidatedGluing) -> tuple[DegenerateCusp, ...]:
     return tuple(sorted(out, key=lambda c: min(c.nodes)))
 
 
-@per_gluing
-def cusp_pair_sums(g: ValidatedGluing) -> tuple[Mapping[int, int], ...]:
-    """Per tau-pair, by cusp index, the sum of f(s_i) over the cusp's
-    s-points: f is +1 on the pair's smaller curve and -1 on its partner."""
-    entry = {}
-    for k, (a, b) in enumerate(g.tau_pairs):
-        entry[a], entry[b] = (k, 1), (k, -1)
-    rows: list[dict[int, int]] = [{} for _ in g.tau_pairs]
-    for c, cusp in enumerate(cusps(g)):
-        for s in cusp.s_cycle:
-            k, f = entry[g.point_component[s]]
-            rows[k][c] = rows[k].get(c, 0) + f
-    return tuple(map(MappingProxyType, rows))
-
-
 class DCurveModel(Record):
     """Shape of the quotient curve: its normalized components and gluing points.
 

@@ -114,7 +114,13 @@ class GroupPresentation(Record):
 
     def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]):
         # tuples, so a caller's list cannot change under the cached abelianization
-        generators, relators = tuple(generators), tuple(map(tuple, relators))
+        generators = tuple(_typed(x, str, "generator")
+                           for x in _typed(generators, (list, tuple), "generators"))
+        relators = tuple(map(tuple, relators))
+        if {*map(type, itertools.chain.from_iterable(relators))} - {int}:  # one pass in C
+            for w in relators:
+                for x in w:
+                    _int(x, f"letter {x!r} of the relator {w}")
         n = len(generators)
         for w in relators:
             for x in w:

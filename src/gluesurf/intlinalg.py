@@ -4,9 +4,9 @@ Everything runs on Python's arbitrary-precision integers.  Intermediate
 entries of a Smith reduction can outgrow any fixed-width type even for
 small matrices, so no floating point or fixed-width shortcuts anywhere.
 The matrices reduced are sparse, and most pivots are +-1: the
-homology's sphere-level map (2001 x 4000 on a 4000-curve cycle) and
-tau-pairs x cusps matrix, and pi1's exponent sums; the cusp matrix,
--2 times a transpose of the second, has none.  So
+homology's sphere-level map (2001 x 4000 on a 4000-curve cycle), the
+tau-pairs x cusps matrix that the irregularity and the homology read,
+and pi1's exponent sums.  So
 ``IntegerMatrix`` keeps only its nonzero entries, row by row, and ``snf``
 is one elimination loop on those rows: it takes each unit pivot of low
 Markowitz cost from one column, the first of the sparsest that holds a

@@ -1,9 +1,9 @@
 """Numerical invariants of the glued surface: irregularity, genus, K², Picard data.
 
-The irregularity comes from a small integer matrix: rows are the
-degenerate cusps, columns a basis of anti-invariant locally constant
-functions on the normalized conductor, entries the alternating sums of
-function values over each cusp's point cycle.
+The irregularity comes from the kernel of the paper's cusp matrix C (rows:
+the degenerate cusps; columns: the anti-invariant functions, one per tau-pair).
+C is -2 times the transpose of ``topology``'s relation matrix R, which the
+homology reduces too, so q is read from the rank of R.
 """
 
 from __future__ import annotations
@@ -17,47 +17,32 @@ from .errors import (
     NormalizationIrregularError,
     SurfaceNotConnectedError,
 )
-from .gluing import DegenerateCusp, ValidatedGluing, cusp_pair_sums, cusps, euler_characteristics
+from .gluing import DegenerateCusp, ValidatedGluing, cusps, euler_characteristics
 from .grouptheory import (
     Fingerprint,
     GroupPresentation,
     fingerprint,
     tietze_simplify,
 )
-from .intlinalg import AbelianGroup, IntegerMatrix, snf
-from .topology import HomologyOfX, homology_of_X, pi1_presentation
+from .intlinalg import AbelianGroup, snf
+from .topology import HomologyOfX, cusp_relations, homology_of_X, pi1_presentation
 
 
-def cusp_matrix(g: ValidatedGluing) -> IntegerMatrix:
-    """Rows: degenerate cusps in canonical order; columns: the tau-pairs.
+def irregularity(g: ValidatedGluing) -> tuple[int, int]:
+    """(q, p_g) of the glued surface; requires X connected and regular normalization.
 
-    The anti-invariant function of a pair is +1 on its lexicographically
-    smaller component and -1 on the partner (validation rejects fixed
-    components).  Entry = sum over the cusp's cycle of f(r_i) - f(s_i),
-    which is -2 times the sum of f(s_i) (see ``topology``).
+    q = dim ker C - #normal components + 1, and dim ker C = #tau-pairs - rank R.
     """
+    if g.x_component_count != 1:
+        raise SurfaceNotConnectedError(
+            f"X has {g.x_component_count} components; the count enters the formula"
+        )
     for n in g.normals:
         if n.q != 0:
             raise NormalizationIrregularError(
                 f"normal component {n.id} has q = {n.q}; the algorithm needs q = 0"
             )
-    rows = [{} for _ in cusps(g)]
-    for k, sums in enumerate(cusp_pair_sums(g)):
-        for c, x in sums.items():
-            rows[c][k] = -2 * x
-    return IntegerMatrix(len(rows), len(g.tau_pairs), dict(enumerate(rows)))
-
-
-def irregularity(g: ValidatedGluing) -> tuple[int, int]:
-    """(q, p_g) of the glued surface; requires X connected and regular normalization."""
-    if g.x_component_count != 1:
-        raise SurfaceNotConnectedError(
-            f"X has {g.x_component_count} components; the count enters the formula"
-        )
-    m = len(g.normals)
-    matrix = cusp_matrix(g)
-    kernel_dim = matrix.cols - snf(matrix).rank
-    q = kernel_dim - m + 1
+    q = len(g.tau_pairs) - snf(cusp_relations(g)).rank - len(g.normals) + 1
     chi = euler_characteristics(g).chi_x
     p_g = chi - 1 + q
     if q < 0 or p_g < 0:
@@ -96,8 +81,8 @@ def compute_report(g: ValidatedGluing, *, catalog=None,
     """The full report; it carries a fingerprint against ``catalog`` when one is given.
 
     The abelianization of pi1 is H1, so the Smith form of the tau-pairs x
-    cusps relation matrix that ``homology_of_X`` runs serves both; the
-    presentation's exponent-sum matrix is not reduced.
+    cusps matrix R that ``homology_of_X`` runs serves both (``irregularity``
+    reduces R for its rank); the exponent-sum matrix is not reduced.
     """
     chi = euler_characteristics(g).chi_x
     q, p_g = irregularity(g)

@@ -7,7 +7,7 @@ the quotient by the involution gives one for the conductor itself.  The
 fundamental group comes from their spanning trees.  The homology of the
 glued surface comes from two integer matrices read off the gluing with
 no graph model: the sphere-level map and R, the tau-pairs x cusps
-relation matrix.
+relation matrix, from which the irregularity is read as well.
 
 R is the node matrix N reduced (N: the mapping cone of the graph of
 D-bar into that of D, D rows eliminated, one row per node; Hatcher,
@@ -43,7 +43,7 @@ from .errors import (
     SurfaceNotConnectedError,
     UnsupportedNormalHomologyError,
 )
-from .gluing import ValidatedGluing, cusp_pair_sums, cusps, node_id, per_gluing
+from .gluing import ValidatedGluing, cusps, node_id, per_gluing
 from .intlinalg import AbelianGroup, IntegerMatrix, snf
 
 EdgeKey = tuple[object, int]  # (owning component, segment position)
@@ -226,30 +226,32 @@ def pi1_presentation(g: ValidatedGluing) -> grouptheory.GroupPresentation:
     return grouptheory.GroupPresentation(names, relators)
 
 
-class MayerVietorisMatrices(Record):
-    """The sphere-level map and the cusp relation matrix of the glued surface.
-
-    h2_map: sphere classes of the normalized conductor into quotient
-    spheres plus the normal components' H2 (rows: quotient pairs, then
-    each normal component's H2 basis; columns: curve components).
-    cusp_map: R of the module docstring (rows: tau-pairs; columns: cusps).
-    """
-
-    __slots__ = ("h2_map", "cusp_map")
-
-    def __init__(self, h2_map: IntegerMatrix, cusp_map: IntegerMatrix):
-        self._set(h2_map, cusp_map)
+@per_gluing
+def cusp_relations(g: ValidatedGluing) -> IntegerMatrix:
+    """R of the module docstring.  It runs none of pi1's checks: the
+    irregularity reads it on a disconnected D-bar and curves of any genus."""
+    entry = {}
+    for k, (a, b) in enumerate(g.tau_pairs):
+        entry[a], entry[b] = (k, 1), (k, -1)
+    found = cusps(g)
+    rows: list[dict[int, int]] = [{} for _ in g.tau_pairs]
+    for c, cusp in enumerate(found):
+        for s in cusp.s_cycle:
+            k, f = entry[g.point_component[s]]
+            rows[k][c] = rows[k].get(c, 0) + f
+    return IntegerMatrix(len(rows), len(found), dict(enumerate(rows)))
 
 
 @per_gluing
-def mv_matrices(g: ValidatedGluing) -> MayerVietorisMatrices:
+def mv_matrices(g: ValidatedGluing) -> IntegerMatrix:
+    """The sphere-level map (rows: quotient pairs, then each normal
+    component's H2 basis; columns: curve components)."""
     _check_pi1_preconditions(g)
-    pairs = g.tau_pairs
     curves = g.curves
     normals = g.normals
 
     block_start = {}
-    offset = len(pairs)
+    offset = len(g.tau_pairs)
     for n in normals:
         block_start[n.id] = offset
         offset += n.h2_rank
@@ -260,10 +262,7 @@ def mv_matrices(g: ValidatedGluing) -> MayerVietorisMatrices:
         nonzero[g.pair_index[c.id]][j] = 1
         for r, coeff in enumerate(c.h2_class):
             nonzero[block_start[c.ambient] + r][j] = coeff
-    h2_map = IntegerMatrix(offset, len(curves), nonzero)
-
-    cusp_map = IntegerMatrix(len(pairs), len(cusps(g)), dict(enumerate(cusp_pair_sums(g))))
-    return MayerVietorisMatrices(h2_map=h2_map, cusp_map=cusp_map)
+    return IntegerMatrix(offset, len(curves), nonzero)
 
 
 @dataclass(frozen=True)
@@ -293,14 +292,14 @@ def homology_of_X(g: ValidatedGluing) -> HomologyOfX:
             raise UnsupportedNormalHomologyError(
                 f"normal component {n.id} must have trivial H1 and H3 and H4 = Z"
             )
-    mv = mv_matrices(g)
+    spheres, relations = mv_matrices(g), cusp_relations(g)
     # one SNF per matrix gives both its rank and its cokernel
-    dec_n, dec_r = snf(mv.h2_map), snf(mv.cusp_map)
+    dec_n, dec_r = snf(spheres), snf(relations)
     coker_n = dec_n.cokernel
     return HomologyOfX(
         h0=AbelianGroup(g.x_component_count),
         h1=dec_r.cokernel,
-        h2=AbelianGroup(coker_n.free_rank + (mv.cusp_map.cols - dec_r.rank), coker_n.torsion),
-        h3=AbelianGroup(mv.h2_map.cols - dec_n.rank),
+        h2=AbelianGroup(coker_n.free_rank + (relations.cols - dec_r.rank), coker_n.torsion),
+        h3=AbelianGroup(spheres.cols - dec_n.rank),
         h4=AbelianGroup(len(g.normals)),
     )

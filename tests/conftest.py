@@ -12,6 +12,7 @@ from gluesurf.gluing import (
     GluingData,
     NormalComponent,
     ValidatedGluing,
+    cusps,
     validate_gluing,
 )
 from gluesurf.grouptheory import exponent_sum_matrix
@@ -85,6 +86,28 @@ def node_matrix(data: GluingData) -> IntegerMatrix:
         for r, x in column.items():
             nonzero.setdefault(r, {})[j] = x
     return IntegerMatrix(len(row), len(columns), nonzero)
+
+
+def cusp_matrix(g: ValidatedGluing) -> IntegerMatrix:
+    """The paper's cusp matrix C of ``g``, read straight off the r- and s-cycles.
+
+    One row per degenerate cusp in canonical order and one column per
+    tau-pair, whose anti-invariant function f is +1 on the pair's smaller
+    curve and -1 on its partner; the entry is the sum over the cusp's
+    cycle of f(r_i) - f(s_i).  Its kernel dimension is #pairs - rank C.
+    """
+    f = {}
+    for k, (a, b) in enumerate(g.tau_pairs):
+        f[a], f[b] = (k, 1), (k, -1)
+    rows = []
+    for cusp in cusps(g):
+        row = {}
+        for points, sign in ((cusp.r_cycle, 1), (cusp.s_cycle, -1)):
+            for p in points:
+                k, value = f[g.point_component[p]]
+                row[k] = row.get(k, 0) + sign * value
+        rows.append(row)
+    return IntegerMatrix(len(rows), len(g.tau_pairs), dict(enumerate(rows)))
 
 
 def letter(g: int, s: int) -> int:

@@ -10,7 +10,15 @@ import random
 
 import pytest
 
-from conftest import from_rows, letter, replace, row_lists, table_gluing, tree_word_map
+from conftest import (
+    cusp_matrix,
+    from_rows,
+    letter,
+    replace,
+    row_lists,
+    table_gluing,
+    tree_word_map,
+)
 from gluesurf.fourlines import (
     D4_ELEMENTS,
     TABLE,
@@ -29,7 +37,7 @@ from gluesurf.grouptheory import (
     word_from_str,
 )
 from gluesurf.intlinalg import AbelianGroup, cokernel_invariants, snf
-from gluesurf.invariants import cusp_matrix, irregularity
+from gluesurf.invariants import irregularity
 from gluesurf.topology import homology_of_X, mv_matrices, pi1_presentation
 
 EXPECTED_CHI = [3, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0]
@@ -122,14 +130,14 @@ def test_criterion_05_homology_of_irregular_surfaces(irregular_records):
 def test_criterion_06_snf_cross_checks(irregular_records):
     for r in irregular_records:
         vg = validate_gluing(build_four_lines(r.representative))
-        mv = mv_matrices(vg)
+        spheres = mv_matrices(vg)
         loops = tree_word_map(vg)
         assert snf(loops).divisors == (1, 1, 1)
         assert cokernel_invariants(loops) == AbelianGroup(1)
-        dec = snf(mv.h2_map)
+        dec = snf(spheres)
         assert dec.divisors == (1, 1)
-        assert mv.h2_map.cols - dec.rank == 2
-        assert cokernel_invariants(mv.h2_map) == AbelianGroup(1)
+        assert spheres.cols - dec.rank == 2
+        assert cokernel_invariants(spheres) == AbelianGroup(1)
 
 
 def test_criterion_07_pi1_pipeline(irregular_records):

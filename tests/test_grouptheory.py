@@ -1030,6 +1030,20 @@ class TestCatalog:
         with pytest.raises(TypeError, match=message):
             FiniteGroup("bad", degree, elements)
 
+    @pytest.mark.parametrize("generators, relators, message", [
+        # True == 1 == 1.0, so this presentation once equalled < a | a^2 >
+        (("a",), ((True, 1.0),), r"letter True of the relator \(True, 1\.0\) .* not bool"),
+        (("a",), ((1, 1.0),), r"letter 1\.0 of the relator \(1, 1\.0\) .* not float"),
+        # accepted once, and then str() raised
+        ((1, 2), ((1,),), "generator must be a str, not int"),
+        # once read as the names "a" and "b"
+        ("ab", ((1, 2),), "generators must be a list or tuple, not str"),
+    ], ids=["bool-letter", "float-letter", "int-generator", "str-generators"])
+    def test_presentation_rejects_non_int_letters_and_non_str_generators(
+            self, generators, relators, message):
+        with pytest.raises(TypeError, match=message):
+            GroupPresentation(generators, relators)
+
 
 def _parity(p) -> int:
     return sum(p[i] > p[j] for i, j in itertools.combinations(range(len(p)), 2)) % 2

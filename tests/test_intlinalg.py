@@ -25,7 +25,7 @@ if str(ROOT / "bench") not in sys.path:
     sys.path.append(str(ROOT / "bench"))
 
 import nlines  # noqa: E402
-from conftest import from_rows, node_matrix, row_lists, tree_word_map  # noqa: E402
+from conftest import cusp_matrix, from_rows, node_matrix, row_lists, tree_word_map  # noqa: E402
 
 from gluesurf import intlinalg  # noqa: E402
 from gluesurf.gluing import gluing_from_dict, validate_gluing  # noqa: E402
@@ -41,8 +41,13 @@ from gluesurf.intlinalg import (  # noqa: E402
     cokernel_invariants,
     snf,
 )
-from gluesurf.invariants import cusp_matrix, irregularity  # noqa: E402
-from gluesurf.topology import homology_of_X, mv_matrices, pi1_presentation  # noqa: E402
+from gluesurf.invariants import irregularity  # noqa: E402
+from gluesurf.topology import (  # noqa: E402
+    cusp_relations,
+    homology_of_X,
+    mv_matrices,
+    pi1_presentation,
+)
 
 # matrices appearing in the homology computation of the two irregular surfaces
 M1 = from_rows([[2, 0, 1], [0, -1, 1], [1, 0, 0], [0, 1, -2]])
@@ -472,9 +477,8 @@ def generated_matrices(n: int, seed: int) -> dict[str, IntegerMatrix]:
     the node matrix of the plane glued along n random lines, and "h1", the
     tree-word loop-level map."""
     g = validate_gluing(gluing_from_dict(nlines.random_n_lines(n, seed)))
-    mv = mv_matrices(g)
-    return {"h2": mv.h2_map, "h1": tree_word_map(g), "cusp": cusp_matrix(g),
-            "relations": mv.cusp_map, "node": node_matrix(g.data)}
+    return {"h2": mv_matrices(g), "h1": tree_word_map(g), "cusp": cusp_matrix(g),
+            "relations": cusp_relations(g), "node": node_matrix(g.data)}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

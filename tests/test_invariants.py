@@ -15,7 +15,9 @@ if str(ROOT / "bench") not in sys.path:
 
 import nlines  # noqa: E402
 from conftest import (  # noqa: E402
+    cusp_matrix,
     from_rows,
+    joined_planes,
     replace,
     row_lists,
     table_gluing,
@@ -24,6 +26,7 @@ from conftest import (  # noqa: E402
 )
 from gluesurf import intlinalg, invariants, topology  # noqa: E402
 from gluesurf.errors import (  # noqa: E402
+    DbarDisconnectedError,
     GeometricGenusNonzeroError,
     MissingFieldError,
     NegativeResultError,
@@ -35,6 +38,8 @@ from gluesurf.gluing import (  # noqa: E402
     CurveComponent,
     GluingData,
     NormalComponent,
+    cusps,
+    euler_characteristics,
     gluing_from_dict,
     per_gluing,
     validate_gluing,
@@ -43,7 +48,6 @@ from gluesurf.grouptheory import abelianization, catalog_group, default_catalog 
 from gluesurf.intlinalg import AbelianGroup, snf  # noqa: E402
 from gluesurf.invariants import (  # noqa: E402
     compute_report,
-    cusp_matrix,
     irregularity,
     k_squared,
     picard_summary,
@@ -114,8 +118,6 @@ class TestCuspMatrix:
         m = cusp_matrix(x31)
         basis = x31.tau_pairs
         assert basis == (("L1", "L2"), ("L3", "L4"))
-        from gluesurf.gluing import cusps
-
         for i, cusp in enumerate(cusps(x31)):
             for j, (plus, minus) in enumerate(basis):
                 assert m[i, j] == alternating_sum_oracle(x31, cusp.points, plus, minus)
@@ -131,7 +133,7 @@ class TestCuspMatrix:
             ),
         )
         with pytest.raises(NormalizationIrregularError):
-            cusp_matrix(validate_gluing(bad))
+            irregularity(validate_gluing(bad))
 
     def test_kernel_dimension_invariant_under_sign_flips(self, x31):
         m = cusp_matrix(x31)
@@ -174,6 +176,21 @@ class TestIrregularity:
         )
         with pytest.raises(NegativeResultError):
             irregularity(validate_gluing(lying))
+
+    def test_each_normal_component_beyond_the_first_lowers_q(self):
+        # X is connected and D-bar is not: one cusp of mu = 2 joins the two
+        # planes' nodes, and R = (-1, 1)^T leaves a kernel of C of dimension
+        # 1, which the - m + 1 term cancels; the homology needs D-bar connected
+        vg = validate_gluing(joined_planes())
+        assert (vg.x_component_count, vg.dbar_connected) == (1, False)
+        assert [c.mu for c in cusps(vg)] == [2]
+        assert euler_characteristics(vg).chi_x == 1
+        r = topology.cusp_relations(vg)
+        assert r == from_rows([[-1], [1]])
+        assert len(vg.tau_pairs) - snf(r).rank == 1
+        assert irregularity(vg) == (0, 0)
+        with pytest.raises(DbarDisconnectedError):
+            homology_of_X(vg)
 
 
 class TestKSquared:
@@ -247,11 +264,11 @@ class TestReportAndPicard:
             ("gluing", "cusps"), ("gluing", "quotient_curve"),
             ("gluing", "euler_characteristics"), ("topology", "homotopy_graph"),
             ("topology", "_generator_images"), ("topology", "mv_matrices"),
-            ("gluing", "cusp_pair_sums")))
+            ("topology", "cusp_relations")))
 
         # the Euler numbers sum over the tau-pairs, so no stage builds the
-        # quotient curve; the cusp matrix and R share one walk of the cusps
-        once = {("cusps",): 1, ("euler_characteristics",): 1, ("cusp_pair_sums",): 1,
+        # quotient curve; the irregularity and the homology read one R
+        once = {("cusps",): 1, ("euler_characteristics",): 1, ("cusp_relations",): 1,
                 ("homotopy_graph", "D"): 1, ("homotopy_graph", "Dbar"): 1,
                 ("_generator_images",): 1, ("mv_matrices",): 1}
         vg = table_gluing("X0.2")
@@ -289,11 +306,11 @@ class TestReportAndPicard:
                 assert report.pi1_abelianization == abelianization(pi1_presentation(vg))
 
     def test_fingerprint_shares_the_abelianization_smith_form(self, monkeypatch):
-        # X0.2: the 1 x 2 cusp matrix, the sphere-level map and the 2 x 1
-        # tau-pairs x cusps matrix R; R's Smith form gives H1, which is
-        # pi1's abelianization too.  With a catalog the cyclic counts add
-        # the 2 x 1 one of the simplified presentation, and the 4 x 3 one
-        # of the raw presentation is not reduced
+        # X0.2: the 2 x 1 tau-pairs x cusps matrix R, once for q and once
+        # for H1, which is pi1's abelianization too, and the sphere-level
+        # map; no all-even cusp matrix is reduced.  With a catalog the
+        # cyclic counts add the 2 x 1 one of the simplified presentation,
+        # and the 4 x 3 one of the raw presentation is not reduced
         shapes = []
 
         def counted(a, snf=snf):
@@ -303,10 +320,10 @@ class TestReportAndPicard:
         for module in (intlinalg, invariants, topology):
             monkeypatch.setattr(module, "snf", counted)
         compute_report(table_gluing("X0.2"))
-        assert sorted(shapes) == [(1, 2), (2, 1), (3, 4)]
+        assert sorted(shapes) == [(2, 1), (2, 1), (3, 4)]
         shapes.clear()
         compute_report(table_gluing("X0.2"), catalog=default_catalog())
-        assert sorted(shapes) == [(1, 2), (2, 1), (2, 1), (3, 4)]
+        assert sorted(shapes) == [(2, 1), (2, 1), (2, 1), (3, 4)]
 
     def test_mixed_rank_case_omits_structure(self, x01):
         report = compute_report(x01)

@@ -181,3 +181,10 @@ def occurrences(source: Path, text: str) -> int:
 def test_each_budget_message_is_written_once(message):
     # one helper checks both of hom_count's bounds, for hom_count and fingerprint alike
     assert occurrences(SOURCE, message) == 1
+
+
+@pytest.mark.parametrize("name", ["cusp_matrix", "cusp_pair_sums", "MayerVietorisMatrices"])
+def test_the_cusp_matrix_route_is_gone(name):
+    # R is the one matrix over the cusps: q and H1 both read it, and the
+    # paper's cusp matrix C = -2 R^T is built only by the tests, as an oracle
+    assert occurrences(SOURCE, name) == 0

@@ -17,6 +17,7 @@ import nlines  # noqa: E402
 import oracles  # noqa: E402
 from conftest import (  # noqa: E402
     curve_cycle,
+    cusp_matrix,
     from_rows,
     node_matrix,
     replace,
@@ -49,8 +50,8 @@ from gluesurf.grouptheory import (  # noqa: E402
 )
 from gluesurf import intlinalg, topology  # noqa: E402
 from gluesurf.intlinalg import AbelianGroup, IntegerMatrix, cokernel_invariants, snf  # noqa: E402
-from gluesurf.invariants import cusp_matrix  # noqa: E402
 from gluesurf.topology import (  # noqa: E402
+    cusp_relations,
     homology_of_X,
     homotopy_graph,
     mv_matrices,
@@ -208,8 +209,8 @@ class TestMayerVietorisMatrices:
         expected = from_rows(
             [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]]
         )
-        assert mv_matrices(x01).h2_map == expected
-        assert mv_matrices(x02).h2_map == expected
+        assert mv_matrices(x01) == expected
+        assert mv_matrices(x02) == expected
 
     def test_loop_level_map(self, x01):
         m = tree_word_map(x01)
@@ -227,7 +228,7 @@ class TestMayerVietorisMatrices:
         assert len(cusps(x01)) == 1
         assert snf(m).divisors == (1, 1, 1, 1)
         assert cokernel_invariants(m) == AbelianGroup(2)
-        r = mv_matrices(x01).cusp_map
+        r = cusp_relations(x01)
         assert (r.rows, r.cols) == (2, 1)
         assert cokernel_invariants(r) == AbelianGroup(1)
 
@@ -240,8 +241,7 @@ class TestMayerVietorisMatrices:
                 replace(data.curve_components[1], h2_class=(5,)),
             ),
         )
-        mv = mv_matrices(validate_gluing(graded))
-        assert mv.h2_map == from_rows([[1, 1], [3, 5]])
+        assert mv_matrices(validate_gluing(graded)) == from_rows([[1, 1], [3, 5]])
 
 
 class TestHomology:
@@ -264,12 +264,11 @@ class TestHomology:
 
     def test_one_snf_per_level_map(self, monkeypatch):
         vg = table_gluing("X0.2")
-        mv = mv_matrices(vg)
         seen = []
         for module in (topology, intlinalg):  # cokernel_invariants calls intlinalg.snf
             monkeypatch.setattr(module, "snf", lambda a: seen.append(a) or snf(a))
         homology_of_X(vg)
-        assert seen == [mv.h2_map, mv.cusp_map]
+        assert seen == [mv_matrices(vg), cusp_relations(vg)]
 
     def test_long_node_cycle_reads_no_dense_level_map(self, monkeypatch):
         # the sphere-level map is 2001 x 4000 with two entries per column;
@@ -333,7 +332,7 @@ def test_h1_and_loop_kernel_match_the_node_matrix_oracle():
         coker = oracle.cokernel
         cusp_count = oracles.cusp_count(gluing_to_dict(data))
         h1 = AbelianGroup(coker.free_rank - cusp_count, coker.torsion)
-        r, loops = mv_matrices(vg).cusp_map, tree_word_map(vg)
+        r, loops = cusp_relations(vg), tree_word_map(vg)
         assert homology_of_X(vg).h1 == h1 == snf(loops).cokernel
         assert loops.cols - snf(loops).rank == oracle.matrix.cols - oracle.rank
         assert cusp_count - snf(r).rank == oracle.matrix.cols - oracle.rank
@@ -342,11 +341,11 @@ def test_h1_and_loop_kernel_match_the_node_matrix_oracle():
 
 
 def test_cusp_map_is_minus_half_the_transposed_cusp_matrix():
-    # the homology's R and the irregularity's cusp matrix C share one walk
-    # of the cusp cycles; C's entries are even and R = -C^T / 2
+    # the test-side cusp matrix C reads the r- and s-cycles, the package's
+    # R sums f over the s-cycles alone; C's entries are even and R = -C^T / 2
     for data in oracle_gluings():
         vg = validate_gluing(data)
-        c, r = cusp_matrix(vg), mv_matrices(vg).cusp_map
+        c, r = cusp_matrix(vg), cusp_relations(vg)
         assert all(x % 2 == 0 for x in c.entries)
         assert r == from_rows([[-c[j, i] // 2 for j in range(c.rows)] for i in range(c.cols)],
                               cols=c.rows)

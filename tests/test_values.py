@@ -8,13 +8,13 @@ import pickle
 
 import pytest
 
-from conftest import table_gluing
+from conftest import cusp_matrix, table_gluing
 from gluesurf.fourlines import enumerate_orbits
 from gluesurf.gluing import CurveComponent, GluingData, NormalComponent, cusps, quotient_curve
 from gluesurf.grouptheory import FiniteGroup, catalog_group
 from gluesurf.intlinalg import IntegerMatrix, Record, snf
-from gluesurf.invariants import compute_report, cusp_matrix, picard_summary
-from gluesurf.topology import homotopy_graph, mv_matrices
+from gluesurf.invariants import compute_report, picard_summary
+from gluesurf.topology import homotopy_graph
 
 
 def samples() -> list:
@@ -27,7 +27,7 @@ def samples() -> list:
         vg.data.normal_components[0], vg.data.curve_components[0], vg.data, cusps(vg)[0], vg,
         quotient_curve(vg),
         report.pi1, catalog_group("S3"), report.fingerprint,
-        homotopy_graph("D", vg), mv_matrices(vg),
+        homotopy_graph("D", vg),
         report, picard_summary(report),
         record.representative, record,
     ]
