@@ -68,7 +68,7 @@ def _fingerprint_catalog(with_fingerprint: bool, names: list[str] | None):
 
 def report_to_dict(report: invariants.InvariantReport) -> dict:
     pi1 = {**grouptheory.presentation_to_dict(report.pi1),
-           "abelianization": report.pi1_abelianization.as_dict()}
+           "abelianization": report.homology.h1.as_dict()}
     if report.fingerprint is not None:
         pi1["fingerprint"] = report.fingerprint.as_dict()
     return {
@@ -96,7 +96,7 @@ def _report_lines(report: invariants.InvariantReport) -> list[str]:
             f"H{i}={h}" for i, h in enumerate(report.homology.as_tuple())
         ),
         f"pi1      = {report.pi1}",
-        f"pi1 ab.  = {report.pi1_abelianization}",
+        f"pi1 ab.  = {report.homology.h1}",
     ]
     if report.fingerprint is not None:
         lines.append(f"fingerprint = {report.fingerprint}")

@@ -34,9 +34,9 @@ multiplied out once into constants between the innermost generator's
 letters, and each of its images is then tried at two table lookups per
 letter of it.
 
-The subgroup closure is ``base.closure``, the routine the gluing's orbits
-use too.  ``intlinalg`` is read, qualified, only to abelianize, as a count
-into a cyclic group does; building the catalog runs no linear algebra, and
+The subgroup closure is ``base.closure``, which finds a gluing's components
+too.  ``intlinalg`` is read, qualified, only to abelianize, as a count into
+a cyclic group does; building the catalog runs no linear algebra, and
 neither does the rank-0 fingerprint a fresh process can start with.
 """
 
@@ -67,28 +67,6 @@ _EXPONENT = re.compile(r"[+-]?[0-9]+")
 
 def inverse(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
-
-
-def _exponent_column(w: Word) -> dict[int, int]:
-    """The exponent sums of w, by generator index, for the generators in w."""
-    sums: dict[int, int] = {}
-    for x in w:
-        g = abs(x) - 1
-        sums[g] = sums.get(g, 0) + (1 if x > 0 else -1)
-    return sums
-
-
-def exponent_sum_matrix(words: Sequence[Word], num_generators: int) -> intlinalg.IntegerMatrix:
-    """Generators x words matrix whose column j is word j's exponent sums,
-    built from its nonzero entries alone."""
-    nonzero: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    for j, w in enumerate(words):
-        for x in w:
-            row = nonzero[abs(x) - 1]
-            # a sum that cancels is dropped here, so the constructor copies no row twice
-            if y := row.pop(j, 0) + (1 if x > 0 else -1):
-                row[j] = y
-    return intlinalg.IntegerMatrix(num_generators, len(words), nonzero)
 
 
 def free_reduce(w: Word) -> Word:
@@ -137,12 +115,20 @@ class GroupPresentation(Record):
         """The cokernel of the exponent-sum columns; a repeated or zero
         column spans nothing new, so only the distinct nonzero ones are
         reduced, and 10^5 relators ``a`` make a 1 x 1 Smith form."""
-        distinct: dict[frozenset, Word] = {}
+        columns: dict[frozenset, None] = {}  # in first-seen order
         for w in self.relators:
-            if column := frozenset((g, e) for g, e in _exponent_column(w).items() if e):
-                distinct.setdefault(column, w)
-        return intlinalg.cokernel_invariants(exponent_sum_matrix(list(distinct.values()),
-                                                                 len(self.generators)))
+            sums: dict[int, int] = {}
+            for x in w:
+                g = abs(x) - 1
+                sums[g] = sums.get(g, 0) + (1 if x > 0 else -1)
+            if column := frozenset((g, e) for g, e in sums.items() if e):
+                columns[column] = None
+        nonzero: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        for j, column in enumerate(columns):
+            for g, e in column:
+                nonzero[g][j] = e
+        return intlinalg.cokernel_invariants(
+            intlinalg.IntegerMatrix(len(self.generators), len(columns), nonzero))
 
     @cached_property
     def _rarest_last(self) -> tuple[list[Word], list[list[tuple[Word, bool]]]]:
@@ -220,7 +206,7 @@ def presentation_to_dict(p: GroupPresentation) -> dict:
 
 
 def abelianization(p: GroupPresentation) -> intlinalg.AbelianGroup:
-    """Cokernel of the exponent-sum matrix (generators x relators); p keeps it."""
+    """Cokernel of the exponent sums (generators x relators); p keeps it."""
     return p._abelianization
 
 

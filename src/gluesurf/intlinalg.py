@@ -18,9 +18,12 @@ Euclidean chain done at once (Cohen, *A Course in Computational
 Algebraic Number Theory*, 2.4).  The divisors, and so the rank and the
 cokernel, come from that loop without the transforms U and V; they are
 built only when a caller reads them, by the same loop with their updates
-on.  ``Record``, the base of the value types here, and the field checks
-``_int`` and ``_typed`` live in ``base``, so the group theory, which needs
-them at import, loads this module only when it abelianizes.
+on.  A matrix keeps its divisors once reduced, so the tau-pairs x cusps
+matrix, which the irregularity and the homology read from the per-gluing
+cache, is reduced once per gluing.  ``Record``, the base of the value
+types here, and the field checks ``_int`` and ``_typed`` live in
+``base``, so the group theory, which needs them at import, loads this
+module only when it abelianizes.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from itertools import chain
 from math import gcd
 from typing import Mapping, Sequence
 
-from .base import Record, _int, _typed
+from .base import Record, _int, _store, _typed
 
 
 class AbelianGroup(Record):
@@ -84,10 +87,11 @@ class IntegerMatrix(Record):
     ``nonzero`` nor a 0 is stored, so a row with no entry costs nothing.
     A shape, index or entry that is not an ``int`` is rejected, not coerced.
     Equality and hashing are by value, and the dense row-major ``entries``
-    are built when read.
+    are built when read.  ``snf`` keeps the Smith divisors in ``_divisors``,
+    None until the first reduction.
     """
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ("rows", "cols", "_rows", "_divisors")
 
     def __init__(self, rows: int, cols: int, nonzero: Mapping[int, Mapping[int, int]]):
         if _int(rows, "rows") < 0 or _int(cols, "cols") < 0:
@@ -110,7 +114,7 @@ class IntegerMatrix(Record):
         if kept and not (0 <= min(kept) and max(kept) < rows
                          and 0 <= min(used) and max(used) < cols):
             raise IndexError(f"an entry lies outside the {rows} x {cols} matrix")
-        self._set(rows, cols, kept)
+        self._set(rows, cols, kept, None)
 
     @property
     def entries(self) -> tuple[int, ...]:
@@ -235,11 +239,14 @@ def snf(a: IntegerMatrix) -> SmithDecomposition:
     changes.  A row with no entry is never read, so it only adds free rank
     to the cokernel.  At the end each pair of pivots (a, b) that
     breaks the divisibility chain becomes (gcd, lcm).  The divisors are
-    found without U and V; reading ``u``, ``s`` or ``v`` of the result runs
+    found without U and V and kept on ``a``, so a later ``snf`` of the same
+    matrix runs no loop; reading ``u``, ``s`` or ``v`` of the result runs
     the loop once more with them, U kept as sparse rows and V as sparse
     columns.  S is diag(1, ..., 1, other divisors, 0, ...).
     """
-    return SmithDecomposition(a, _smith(a, transforms=False)[0])
+    if a._divisors is None:
+        _store(a, "_divisors", _smith(a, transforms=False)[0])
+    return SmithDecomposition(a, a._divisors)
 
 
 def _smith(a: IntegerMatrix, transforms: bool):

@@ -2,8 +2,8 @@
 
 The irregularity comes from the kernel of the paper's cusp matrix C (rows:
 the degenerate cusps; columns: the anti-invariant functions, one per tau-pair).
-C is -2 times the transpose of ``topology``'s relation matrix R, which the
-homology reduces too, so q is read from the rank of R.
+C is -2 times the transpose of ``topology``'s relation matrix R, so q is read
+from the rank of R; R keeps its Smith divisors, which the homology reuses.
 """
 
 from __future__ import annotations
@@ -64,25 +64,23 @@ class InvariantReport(Record):
     """Everything the CLI reports for one glued surface."""
 
     __slots__ = ("chi", "q", "p_g", "k_squared", "cusp_partition", "homology", "pi1",
-                 "pi1_abelianization", "fingerprint")
+                 "fingerprint")
 
     def __init__(self, chi: int, q: int, p_g: int, k_squared: int,
                  cusp_partition: tuple[DegenerateCusp, ...], homology: HomologyOfX,
-                 pi1: GroupPresentation, pi1_abelianization: AbelianGroup,
-                 fingerprint: Fingerprint | None = None):
+                 pi1: GroupPresentation, fingerprint: Fingerprint | None = None):
         if p_g != chi - 1 + q:
             raise ValueError("p_g, chi and q are inconsistent")
-        self._set(chi, q, p_g, k_squared, cusp_partition, homology, pi1, pi1_abelianization,
-                  fingerprint)
+        self._set(chi, q, p_g, k_squared, cusp_partition, homology, pi1, fingerprint)
 
 
 def compute_report(g: ValidatedGluing, *, catalog=None,
                    budget: int = DEFAULT_BUDGET) -> InvariantReport:
     """The full report; it carries a fingerprint against ``catalog`` when one is given.
 
-    The abelianization of pi1 is H1, so the Smith form of the tau-pairs x
-    cusps matrix R that ``homology_of_X`` runs serves both (``irregularity``
-    reduces R for its rank); the exponent-sum matrix is not reduced.
+    The abelianization of pi1 is H1, the cokernel of the tau-pairs x cusps
+    matrix R, which ``irregularity`` reduces for its rank and ``homology_of_X``
+    reads from the divisors R keeps; the exponent-sum matrix is not reduced.
     """
     chi = euler_characteristics(g).chi_x
     q, p_g = irregularity(g)
@@ -91,16 +89,14 @@ def compute_report(g: ValidatedGluing, *, catalog=None,
     if catalog is not None:
         fp = fingerprint(tietze_simplify(presentation), catalog=catalog, budget=budget)
     k2 = k_squared(g)
-    homology = homology_of_X(g)
     return InvariantReport(
         chi=chi,
         q=q,
         p_g=p_g,
         k_squared=k2,
         cusp_partition=cusps(g),
-        homology=homology,
+        homology=homology_of_X(g),
         pi1=presentation,
-        pi1_abelianization=homology.h1,
         fingerprint=fp,
     )
 

@@ -15,7 +15,6 @@ from gluesurf.gluing import (
     cusps,
     validate_gluing,
 )
-from gluesurf.grouptheory import exponent_sum_matrix
 from gluesurf.intlinalg import IntegerMatrix
 from gluesurf.topology import _generator_images
 
@@ -43,6 +42,17 @@ def row_lists(m: IntegerMatrix) -> list[list[int]]:
     """The dense rows of ``m``, as lists."""
     c, entries = m.cols, m.entries
     return [list(entries[i * c:(i + 1) * c]) for i in range(m.rows)]
+
+
+def exponent_sum_matrix(words, num_generators: int) -> IntegerMatrix:
+    """Generators x words matrix whose column j is word j's exponent sums,
+    every word a column of its own, repeated and zero ones included."""
+    nonzero: dict[int, dict[int, int]] = {}
+    for j, w in enumerate(words):
+        for x in w:
+            row = nonzero.setdefault(abs(x) - 1, {})
+            row[j] = row.get(j, 0) + (1 if x > 0 else -1)
+    return IntegerMatrix(num_generators, len(words), nonzero)
 
 
 def tree_word_map(g: ValidatedGluing) -> IntegerMatrix:

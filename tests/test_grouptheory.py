@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import letter
+from conftest import exponent_sum_matrix, letter
 from gluesurf import grouptheory, intlinalg
 from gluesurf.errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
+from gluesurf.fourlines import all_gluings, build_four_lines
 from gluesurf.gluing import gluing_from_dict, validate_gluing
 from gluesurf.grouptheory import (
     CATALOG_NAMES,
@@ -28,7 +29,6 @@ from gluesurf.grouptheory import (
     catalog_group,
     cyclic_reduce,
     default_catalog,
-    exponent_sum_matrix,
     fingerprint,
     free_reduce,
     hom_count,
@@ -222,6 +222,42 @@ class TestTietze:
             )
             p = GroupPresentation(gens, relators)
             assert abelianization(tietze_simplify(p)) == abelianization(p)
+
+
+def with_redundant_columns(rng: random.Random, p: GroupPresentation) -> GroupPresentation:
+    """p with relators added, in shuffled order, whose exponent-sum columns
+    repeat one of p's (a relator read backwards), flip its sign (its
+    inverse) or vanish (a commutator, w w^-1 shuffled, the empty word)."""
+    rank, words = len(p.generators), list(p.relators)
+    for w in p.relators:
+        extra = [w[::-1], inverse(w), ()]
+        if rank:
+            a, b = letter(rng.randrange(rank), 1), letter(rng.randrange(rank), 1)
+            extra.append((a, b, -a, -b))
+        zero = list(w + inverse(w))
+        rng.shuffle(zero)
+        extra.append(tuple(zero))
+        words += rng.sample(extra, rng.randint(1, len(extra)))
+    rng.shuffle(words)
+    return GroupPresentation(p.generators, tuple(words))
+
+
+def test_abelianization_is_the_cokernel_of_every_exponent_sum_column():
+    # abelianization reduces only the distinct nonzero columns; the oracle
+    # reduces one column per relator, repeated and zero ones included
+    raw = [pi1_presentation(validate_gluing(build_four_lines(b))) for b in all_gluings()]
+    raw += [pi1_presentation(validate_gluing(gluing_from_dict(nlines.random_n_lines(n, seed))))
+            for n in range(4, 13, 2) for seed in range(4)]
+    assert len(raw) == 36 + 20
+    rng = random.Random(13)
+    seeded = [with_redundant_columns(rng, random_presentation(rng, rng.randint(0, 5),
+                                                              rng.randint(0, 4)))
+              for _ in range(80)]
+    seeded += [with_redundant_columns(rng, p) for p in raw[::7]]
+    for p in raw + seeded:
+        full = exponent_sum_matrix(p.relators, len(p.generators))
+        assert abelianization(p) == cokernel_invariants(full), p
+    assert any(abelianization(p).torsion for p in seeded)
 
 
 # -- the Nielsen search and its kept counts, against the rewrite they replace --

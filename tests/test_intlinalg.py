@@ -9,8 +9,10 @@ maps and cusp matrices of generated gluings.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -594,6 +596,13 @@ def test_sparse_and_dense_builds_are_one_value(m):
     assert from_rows(row_lists(m), cols=m.cols) == m
     assert all(sparse[i, j] == m[i, j] for i in range(m.rows) for j in range(m.cols))
     assert snf(sparse).divisors == snf(m).divisors
+    # m is reduced now and keeps its divisors, which equality, hashing and
+    # the repr do not read, and which a copy or a pickle carries
+    fresh = as_sparse(m)
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == fresh and hash(twin) == hash(fresh)
+        assert snf(twin).divisors == snf(fresh).divisors == snf(m).divisors
 
 
 class TestIntegerMatrix:

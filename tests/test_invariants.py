@@ -14,6 +14,7 @@ if str(ROOT / "bench") not in sys.path:
     sys.path.append(str(ROOT / "bench"))
 
 import nlines  # noqa: E402
+import workloads  # noqa: E402
 from conftest import (  # noqa: E402
     cusp_matrix,
     from_rows,
@@ -52,7 +53,7 @@ from gluesurf.invariants import (  # noqa: E402
     k_squared,
     picard_summary,
 )
-from gluesurf.topology import homology_of_X, pi1_presentation  # noqa: E402
+from gluesurf.topology import cusp_relations, homology_of_X, pi1_presentation  # noqa: E402
 
 
 def counting_stubs(monkeypatch, cached: tuple[tuple[str, str], ...]) -> collections.Counter:
@@ -235,7 +236,7 @@ class TestReportAndPicard:
         report = compute_report(x01)
         assert (report.chi, report.q, report.p_g, report.k_squared) == (0, 1, 0, 1)
         assert report.p_g == report.chi - 1 + report.q
-        assert report.pi1_abelianization == report.homology.h1
+        assert report.homology.h1 == abelianization(report.pi1)
 
     def test_picard_of_irregular_surface(self, x01):
         summary = picard_summary(compute_report(x01))
@@ -303,14 +304,16 @@ class TestReportAndPicard:
             for catalog in (None, (catalog_group("C2"),)):
                 vg = validate_gluing(data)
                 report = compute_report(vg, catalog=catalog)
-                assert report.pi1_abelianization == abelianization(pi1_presentation(vg))
+                assert report.homology.h1 == abelianization(pi1_presentation(vg))
 
     def test_fingerprint_shares_the_abelianization_smith_form(self, monkeypatch):
-        # X0.2: the 2 x 1 tau-pairs x cusps matrix R, once for q and once
-        # for H1, which is pi1's abelianization too, and the sphere-level
-        # map; no all-even cusp matrix is reduced.  With a catalog the
-        # cyclic counts add the 2 x 1 one of the simplified presentation,
-        # and the 4 x 3 one of the raw presentation is not reduced
+        # X0.2: the 2 x 1 tau-pairs x cusps matrix R, read once for q and
+        # once for H1, which is pi1's abelianization too, and the
+        # sphere-level map; no all-even cusp matrix is reduced.  R keeps its
+        # divisors, so its second snf runs no elimination (see
+        # test_each_report_reduces_r_once).  With a catalog the cyclic
+        # counts add the 2 x 1 one of the simplified presentation, and the
+        # 4 x 3 one of the raw presentation is not reduced
         shapes = []
 
         def counted(a, snf=snf):
@@ -324,6 +327,27 @@ class TestReportAndPicard:
         shapes.clear()
         compute_report(table_gluing("X0.2"), catalog=default_catalog())
         assert sorted(shapes) == [(2, 1), (2, 1), (2, 1), (3, 4)]
+
+    def test_each_report_reduces_r_once(self, monkeypatch):
+        # the matrices the elimination loop runs on: R's second snf, from
+        # homology_of_X, reads the divisors R kept from irregularity's
+        reduced = []
+        smith = intlinalg._smith
+        monkeypatch.setattr(intlinalg, "_smith",
+                            lambda a, transforms: reduced.append(a) or smith(a, transforms))
+        compute_report(table_gluing("X0.2"))
+        assert sorted((a.rows, a.cols) for a in reduced) == [(2, 1), (3, 4)]
+        reduced.clear()
+        compute_report(table_gluing("X0.2"), catalog=default_catalog())
+        assert sorted((a.rows, a.cols) for a in reduced) == [(2, 1), (2, 1), (3, 4)]
+        for index in range(3):
+            reduced.clear()
+            vg = validate_gluing(gluing_from_dict(workloads.homology_input(1, index)["doc"]))
+            q, _ = irregularity(vg)
+            h1 = homology_of_X(vg).h1
+            r = cusp_relations(vg)
+            assert [a is r for a in reduced] == [True, False]
+            assert h1.free_rank == q == len(vg.tau_pairs) - snf(r).rank
 
     def test_mixed_rank_case_omits_structure(self, x01):
         report = compute_report(x01)
