@@ -239,31 +239,41 @@ class ValidatedGluing(Record):
 
 def _check_involution(name: str, mapping: Mapping[str, str], domain: AbstractSet[str],
                       issues: list[str]):
-    # a point outside domain is reported as dangling by the caller
+    """Report each way ``mapping`` fails to be a fixed-point-free involution of ``domain``.
+
+    get(y) == x makes y a key, so while the keys are ``domain`` a pair x != y
+    needs that one lookup; only keys that differ build the set differences."""
+    get = mapping.get
     for x, y in mapping.items():
-        if x not in domain:
-            continue
-        if y not in domain:
-            issues.append(f"DanglingPoint: {name} sends {x} to unknown point {y}")
-        elif mapping.get(y) != x:
-            issues.append(f"NonInvolutive: {name}({name}({x})) != {x}")
-        if x == y:
-            issues.append(f"FixedMarkedPoint: {name} fixes {x}")
-    for x in domain - mapping.keys():
-        issues.append(f"UnpairedPoint: {x} has no {name}-partner")
+        if (get(y) != x or x == y) and x in domain:
+            if y not in domain:
+                issues.append(f"DanglingPoint: {name} sends {x} to unknown point {y}")
+            elif get(y) != x:
+                issues.append(f"NonInvolutive: {name}({name}({x})) != {x}")
+            if x == y:
+                issues.append(f"FixedMarkedPoint: {name} fixes {x}")
+    if mapping.keys() != domain:
+        for y in mapping.keys() - domain:
+            issues.append(f"DanglingPoint: {name} defined on unknown point {y}")
+            if get(x := mapping[y]) == y and x in domain:  # the loop passed x by
+                issues.append(f"DanglingPoint: {name} sends {x} to unknown point {y}")
+        for x in domain - mapping.keys():
+            issues.append(f"UnpairedPoint: {x} has no {name}-partner")
 
 
 def validate_gluing(data: GluingData) -> ValidatedGluing:
     """Check every structural invariant; raise GluingValidationError listing all failures.
 
-    On success the returned value is annotated with the connected
-    components of the glued conductor curve and the component count of
+    Once the maps are involutions, the points are walked curve by curve, each
+    curve's tau partner and ambient component read once.  On success the value
+    is annotated with the connected components of the glued conductor curve,
+    joined where a curve meets another at a node, and the component count of
     the glued surface.
     """
     issues: list[str] = []
 
-    normal_ids = [n.id for n in data.normal_components]
-    if len(set(normal_ids)) != len(normal_ids):
+    normals = {n.id: n for n in data.normal_components}
+    if len(normals) != len(data.normal_components):
         issues.append("DuplicateId: repeated normal component id")
     for n in data.normal_components:
         # H1 is the abelianised pi1, so a trivial pi1 has trivial H1
@@ -273,14 +283,13 @@ def validate_gluing(data: GluingData) -> ValidatedGluing:
         for key in ("q", "h2_rank", "h4_rank"):
             if getattr(n, key) < 0:
                 issues.append(f"BadRank: {n.id} has {key} = {getattr(n, key)}")
-    curve_ids = [c.id for c in data.curve_components]
-    if len(set(curve_ids)) != len(curve_ids):
-        issues.append("DuplicateId: repeated curve component id")
-    normals = {n.id: n for n in data.normal_components}
     curves = {c.id: c for c in data.curve_components}
+    if len(curves) != len(data.curve_components):
+        issues.append("DuplicateId: repeated curve component id")
+    by_id = sorted(data.curve_components, key=lambda c: c.id)
 
     point_component: dict[str, str] = {}
-    for c in sorted(data.curve_components, key=lambda c: c.id):
+    for c in by_id:
         if not c.marked_points:
             issues.append(f"EmptyComponent: {c.id} has no marked points")
         if len(set(c.marked_points)) != len(c.marked_points):
@@ -300,13 +309,8 @@ def validate_gluing(data: GluingData) -> ValidatedGluing:
             point_component[p] = c.id
 
     # the issues are sorted at the end, so they are found in any order
-    all_points = point_component.keys()
-    for p in data.sigma.keys() - all_points:
-        issues.append(f"DanglingPoint: sigma defined on unknown point {p}")
-    for p in data.tau_points.keys() - all_points:
-        issues.append(f"DanglingPoint: tau defined on unknown point {p}")
-    _check_involution("sigma", data.sigma, all_points, issues)
-    _check_involution("tau", data.tau_points, all_points, issues)
+    _check_involution("sigma", data.sigma, point_component.keys(), issues)
+    _check_involution("tau", data.tau_points, point_component.keys(), issues)
 
     for cid, partner in data.tau_components.items():
         if cid not in curves or partner not in curves:
@@ -324,39 +328,31 @@ def validate_gluing(data: GluingData) -> ValidatedGluing:
     for cid in curves.keys() - data.tau_components.keys():
         issues.append(f"ComponentMismatch: component {cid} missing from the involution")
 
+    meets: dict[str, set[str]] = {}  # the curves each curve meets at a node
+    # the normal components tau joins to each; sigma joins none, as checked below
+    tau_joins: dict[str, set[str]] = {n: set() for n in normals}
     if not issues:
-        for p, cid in point_component.items():
-            img = data.tau_points[p]
-            expected = data.tau_components[cid]
-            if point_component[img] != expected:
-                issues.append(
-                    f"ComponentMismatch: tau({p}) = {img} lies on "
-                    f"{point_component[img]}, expected {expected}"
-                )
-            q = data.sigma[p]
-            if curves[cid].ambient != curves[point_component[q]].ambient:
-                issues.append(
-                    f"ComponentMismatch: node {{{p},{q}}} joins curves on "
-                    "different normal components"
-                )
+        sigma, tau = data.sigma, data.tau_points
+        for c in by_id:
+            expected = data.tau_components[c.id]
+            for p in c.marked_points:
+                if point_component[tau[p]] != expected:
+                    issues.append(f"ComponentMismatch: tau({p}) = {tau[p]} lies on "
+                                  f"{point_component[tau[p]]}, expected {expected}")
+            meets[c.id] = met = {point_component[sigma[p]] for p in c.marked_points}
+            for other in met:
+                if curves[other].ambient != c.ambient:
+                    issues += [f"ComponentMismatch: node {{{p},{sigma[p]}}} joins curves on "
+                               "different normal components"
+                               for p in c.marked_points if point_component[sigma[p]] == other]
+            tau_joins[c.ambient].add(curves[expected].ambient)
 
     if issues:
         raise GluingValidationError(sorted(set(issues)))
-
-    # connectivity of the glued conductor curve: components joined along nodes
-    dbar_components = _components(sorted(curves), lambda c: (
-        point_component[data.sigma[p]] for p in curves[c].marked_points))
-
-    # components of the glued surface: normal components joined by tau;
-    # sigma never joins two of them, as checked above
-    x_count = len(_components(normals, lambda n: (
-        curves[data.tau_components[c.id]].ambient
-        for c in curves.values() if c.ambient == n)))
-
     return ValidatedGluing(
         data=data,
-        dbar_components=dbar_components,
-        x_component_count=x_count,
+        dbar_components=_components(sorted(curves), meets.__getitem__),
+        x_component_count=len(_components(normals, tau_joins.__getitem__)),
         point_component=point_component,
     )
 
@@ -366,7 +362,9 @@ def cusps(g: ValidatedGluing) -> tuple[DegenerateCusp, ...]:
     """Partition the marked points into orbits of <sigma, tau>.
 
     Within each orbit the r-cycle is the orbit of rho = tau∘sigma through
-    the smallest point id; the result is sorted by smallest contained node.
+    the smallest point id, and the s-cycle is read on the same walk.  The
+    points are walked in order, so each orbit is entered at its smallest
+    point, whose node is its smallest: the result is sorted by that node.
     """
     sigma, tau = g.data.sigma, g.data.tau_points
     seen: set[str] = set()
@@ -374,19 +372,19 @@ def cusps(g: ValidatedGluing) -> tuple[DegenerateCusp, ...]:
     for start in g.points():
         if start in seen:
             continue
-        r = [start]
+        r, s = [], []
         cur = start
         while True:
-            cur = tau[sigma[cur]]
-            if cur == start:
-                break
             r.append(cur)
-        cusp = DegenerateCusp(r_cycle=tuple(r), s_cycle=tuple(sigma[x] for x in r))
-        if len(cusp.points) != 2 * cusp.mu:
+            s.append(cur := sigma[cur])
+            if (cur := tau[cur]) == start:
+                break
+        size = len(seen)
+        seen.update(r, s)
+        if len(seen) - size != 2 * len(r):
             raise RuntimeError(f"orbit of {start} is not an alternating cycle")
-        seen |= cusp.points
-        out.append(cusp)
-    return tuple(sorted(out, key=lambda c: min(c.nodes)))
+        out.append(DegenerateCusp(r_cycle=tuple(r), s_cycle=tuple(s)))
+    return tuple(out)
 
 
 class DCurveModel(Record):
@@ -443,7 +441,7 @@ def euler_characteristics(g: ValidatedGluing) -> EulerCharacteristics:
     needed.  The surface value is the inclusion-exclusion of the
     normalization against the two curves.
     """
-    chi_dbar = sum(1 - c.genus for c in g.curves) - len(g.nodes())
+    chi_dbar = sum(1 - c.genus for c in g.curves) - len(g.data.sigma) // 2
     chi_d = sum(1 - g.curve(a).genus for a, _b in g.tau_pairs) - sum(
         c.mu - 1 for c in cusps(g)
     )

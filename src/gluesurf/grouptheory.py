@@ -520,6 +520,12 @@ class FiniteGroup(Record):
                      for a, size in _orbits(self.order, automorphisms))
 
     @cached_property
+    def _pair_heads(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        """``_orbit_heads(G, 2)``, which every count and budget check of rank 2 or more reads."""
+        return tuple(((a, b), size * orbit)
+                     for a, size, orbits in self._orbit_table for b, orbit in orbits)
+
+    @cached_property
     def _third_level(self) -> dict[tuple[int, int], tuple[bool, tuple[tuple[int, int], ...]]]:
         """Per head (a, b) of ``_orbit_heads(G, 2)``: whether a and b generate G, and the
         ``_orbits`` of the automorphisms fixing both (the identity alone, if they do)."""
@@ -624,14 +630,13 @@ def default_catalog() -> tuple[FiniteGroup, ...]:
     return tuple(catalog_group(name) for name in CATALOG_NAMES)
 
 
-def _orbit_heads(group: FiniteGroup, k: int) -> list[tuple[tuple[int, ...], int]]:
+def _orbit_heads(group: FiniteGroup, k: int) -> Sequence[tuple[tuple[int, ...], int]]:
     """One (first images, orbit size) pair per Aut(G)-orbit of the first min(k, 2) images."""
     if k == 0:
         return [((), 1)]
-    table = group._orbit_table
     if k == 1:
-        return [((a,), size) for a, size, _ in table]
-    return [((a, b), size * orbit) for a, size, orbits in table for b, orbit in orbits]
+        return [((a,), size) for a, size, _ in group._orbit_table]
+    return group._pair_heads
 
 
 def _cyclic_counts(p: GroupPresentation, n: int) -> tuple[int, int]:

@@ -25,6 +25,7 @@ if str(ROOT / "bench") not in sys.path:
 
 import nlines  # noqa: E402
 import oracles  # noqa: E402
+import workloads  # noqa: E402
 
 from gluesurf.cli import main, report_to_dict  # noqa: E402
 from gluesurf.fourlines import all_gluings, build_four_lines  # noqa: E402
@@ -67,6 +68,15 @@ def test_oracles_hold_on_generated_gluings(n, seed):
     # Euler number, H0/H3/H4, chi, K² and H1 against the abelianized pi1
     assert oracles.check_homology(doc, out, out["pi1"]["abelianization"]) == []
     assert len(out["cusps"]) == oracles.cusp_count(doc)
+
+
+@pytest.mark.parametrize("n, seed", [(48, 0), (48, 1), (160, 0), (160, 1)])
+def test_oracles_hold_at_hundreds_of_marked_points(n, seed):
+    # the benchmark's homology op on up to 25,440 marked points; nothing is timed
+    doc = nlines.random_n_lines(n, seed)
+    out = workloads.homology_summary(workloads.homology_run({"doc": doc, "text": json.dumps(doc)}))
+    assert oracles.check_homology(doc, out, None) == []
+    assert len(cusps(validate_gluing(gluing_from_dict(doc)))) == oracles.cusp_count(doc)
 
 
 @settings(max_examples=25, deadline=None)

@@ -342,6 +342,13 @@ class TestEulerCharacteristics:
         assert chi.chi_d == 1 - 0
         assert chi.chi_x == 1 - chi.chi_dbar + chi.chi_d
 
+    def test_chi_dbar_counts_half_of_sigma_as_nodes(self):
+        # sigma pairs the marked points without a fixed point, so it holds each node twice
+        for b in all_gluings():
+            vg = validate_gluing(build_four_lines(b))
+            chi_dbar = euler_characteristics(vg).chi_dbar
+            assert chi_dbar == sum(1 - c.genus for c in vg.curves) - len(vg.nodes()) == -2
+
     def test_chi_d_matches_the_quotient_curve(self):
         # the quotient curve's components are the tau-pairs with their genus
         gluings = [build_four_lines(b) for b in all_gluings()]

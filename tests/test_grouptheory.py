@@ -885,6 +885,8 @@ class TestAutomorphismOrbits:
         for k in range(4):
             heads = grouptheory._orbit_heads(group, k)
             assert sum(weight for _, weight in heads) == group.order ** min(k, 2)
+        # the pair heads are built once per group, for every rank past 1
+        assert grouptheory._orbit_heads(group, 2) is grouptheory._orbit_heads(group, 3)
         # a table walks no more heads than the conjugation orbits
         assert len(group._orbit_table) <= len(conjugation_orbit_table(group))
 

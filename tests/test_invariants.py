@@ -349,6 +349,18 @@ class TestReportAndPicard:
             assert [a is r for a in reduced] == [True, False]
             assert h1.free_rank == q == len(vg.tau_pairs) - snf(r).rank
 
+    def test_only_pi1_sorts_the_nodes(self, monkeypatch):
+        # the benchmark's homology op, on the gluings it validates
+        loaded = []
+        load = workloads._load
+        monkeypatch.setattr(workloads, "_load", lambda text: loaded.append(load(text)) or loaded[-1])
+        for index in range(3):
+            workloads.homology_run(workloads.homology_input(1, index))
+        assert len(loaded) == 3
+        assert [key for vg in loaded for key in vg._memo if key[0] == "nodes"] == []
+        pi1_presentation(loaded[0])
+        assert ("nodes",) in loaded[0]._memo
+
     def test_mixed_rank_case_omits_structure(self, x01):
         report = compute_report(x01)
         hacked = replace(
