@@ -22,17 +22,18 @@ Two facts cut the enumeration into other groups.  Aut(G), found from the
 Cayley table alone, acts on the homomorphisms by applying one automorphism
 to every image at once, which keeps the image subgroup's order (P. Hall,
 1936; Holt, Eick and O'Brien, ch. 9).  A tuple's count therefore stands
-for its orbit: one image pair (a, b) per orbit of Aut(G) on pairs is
-tried, a over the Aut(G)-orbits on G and b over those of a's stabilizer,
-weighted by the orbit sizes (44 pairs in A5, where conjugation has 77).
-From three generators on, the one with the fewest letters runs innermost
-over the orbits of the automorphisms fixing a and b, weighted likewise
-(1,862 images in A5, not 44 * 60); only the identity fixes a pair that
-generates G, and every count under such a pair is onto.  Images between
-are enumerated in full: for each tuple of them, every relator is
-multiplied out once into constants between the innermost generator's
-letters, and each of its images is then tried at two table lookups per
-letter of it.
+for its orbit: each group keeps one image pair (a, b) per orbit of Aut(G)
+on pairs, a over the Aut(G)-orbits on G and b over those of a's
+stabilizer, with the orbit size and whether a and b generate G (44 pairs
+in A5, where conjugation has 77).  From three generators on, the one with
+the fewest letters runs innermost over the orbits of the automorphisms
+fixing a and b, weighted likewise (1,862 images in A5, not 44 * 60); only
+the identity fixes a pair that generates G, and every count under such a
+pair is onto, while under one that does not a last image that holds is
+closed once per group.  Images between are enumerated in full.  Per tuple of
+outer images, read from one list by letter slot, every relator is
+multiplied out into constants between the innermost generator's letters,
+and each of its images is then tried at two table lookups per letter.
 
 The subgroup closure is ``base.closure``, which finds a gluing's components
 too.  ``intlinalg`` is read, qualified, only to abelianize, as a count into
@@ -131,9 +132,33 @@ class GroupPresentation(Record):
             intlinalg.IntegerMatrix(len(self.generators), len(columns), nonzero))
 
     @cached_property
-    def _rarest_last(self) -> tuple[list[Word], list[list[tuple[Word, bool]]]]:
-        """``_split_at_rarest`` of the non-empty relators, for counts of rank 3 or more."""
-        return _split_at_rarest(len(self.generators), [w for w in self.relators if w])
+    def _slots(self) -> tuple[list[list[int]], list[list[tuple[list[int], bool]]]]:
+        """The non-empty relators as ``hom_count`` walks them.  Generators are renumbered
+        by falling letter count, and each letter becomes the slot of its image: generator
+        x at x - 1, its inverse at k + x - 1.  From rank 3 on, a relator holding the last
+        generator z is cyclic, so it is rotated to end with z^±1 and read as B_1 z^s_1 ...
+        B_m z^s_m; its steps (B_m, s_m > 0) ... (B_1, s_1 > 0) evaluate it from the right.
+        Returns the relators without z, then those steps."""
+        k = len(self.generators)
+        words = [w for w in self.relators if w]
+        counts = Counter(map(abs, itertools.chain.from_iterable(words)))
+        order = sorted(range(1, k + 1), key=lambda g: -counts[g])
+        slot = {**{g: x for x, g in enumerate(order)}, **{-g: k + x for x, g in enumerate(order)}}
+        z = order[-1] if k > 2 else 0
+        settled, around = [], []
+        for w in words:
+            cuts = [i for i, x in enumerate(w) if abs(x) == z]
+            if not cuts:
+                settled.append([slot[x] for x in w])
+                continue
+            w = w[cuts[-1] + 1:] + w[:cuts[-1] + 1]
+            steps, start = [], 0
+            for i, x in enumerate(w):
+                if abs(x) == z:
+                    steps.append(([slot[y] for y in w[start:i]], x > 0))
+                    start = i + 1
+            around.append(steps[::-1])
+        return settled, around
 
 
 def word_to_str(w: Word, generators: tuple[str, ...]) -> str:
@@ -501,12 +526,15 @@ class FiniteGroup(Record):
         cached = cache.get(key)
         if cached is not None:
             return cached
-        table = self._mult
-        size = len(closure((self.identity_index,), lambda h: map(table[h].__getitem__, key)))
+        size = self._span(key)
         if len(cache) >= MAX_CLOSURE_CACHE:
             cache.clear()
         cache[key] = size
         return size
+
+    def _span(self, gens) -> int:
+        """``subgroup_size`` with no cache, for callers that keep their answer."""
+        return len(closure((self.identity_index,), lambda h: map(self._mult[h].__getitem__, gens)))
 
     @cached_property
     def _aut(self) -> list[tuple[int, ...]]:
@@ -520,19 +548,24 @@ class FiniteGroup(Record):
                      for a, size in _orbits(self.order, automorphisms))
 
     @cached_property
-    def _pair_heads(self) -> tuple[tuple[tuple[int, int], int], ...]:
-        """``_orbit_heads(G, 2)``, which every count and budget check of rank 2 or more reads."""
-        return tuple(((a, b), size * orbit)
+    def _pair_heads(self) -> tuple[tuple[tuple[int, int], int, bool], ...]:
+        """``_orbit_heads(G, 2)``, which every count and budget check of rank 2 or more
+        reads, each head with whether it generates G, found by one closure."""
+        return tuple(((a, b), size * orbit, self._span((a, b)) == self.order)
                      for a, size, orbits in self._orbit_table for b, orbit in orbits)
 
     @cached_property
-    def _third_level(self) -> dict[tuple[int, int], tuple[bool, tuple[tuple[int, int], ...]]]:
-        """Per head (a, b) of ``_orbit_heads(G, 2)``: whether a and b generate G, and the
-        ``_orbits`` of the automorphisms fixing both (the identity alone, if they do)."""
-        n, singles = self.order, tuple((c, 1) for c in range(self.order))
-        return {(a, b): (True, singles) if self.subgroup_size((a, b)) == n else
-                (False, _orbits(n, [s for s in self._aut if s[a] == a and s[b] == b]))
-                for (a, b), _ in _orbit_heads(self, 2)}
+    def _third_level(self) -> dict[tuple[int, int], tuple[tuple, list[bool | None] | None]]:
+        """Per head (a, b) of ``_pair_heads``: the ``_orbits`` of the automorphisms fixing
+        both (the identity alone if a and b generate G), each with the rows of its least
+        member z and of z^-1; and if a and b do not generate G, a list that ``_onto`` fills
+        as a rank-3 count reads it: per last image z, whether a, b, z do."""
+        n, mult, inv = self.order, self._mult, self._inv
+        singles = tuple((c, 1, mult[c], mult[inv[c]]) for c in range(n))
+        return {(a, b): (singles, None) if onto else
+                (tuple((c, size, mult[c], mult[inv[c]]) for c, size in _orbits(
+                    n, [s for s in self._aut if s[a] == a and s[b] == b])), [None] * n)
+                for (a, b), _, onto in self._pair_heads}
 
 
 def _orbits(n: int, maps: list[tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
@@ -630,12 +663,12 @@ def default_catalog() -> tuple[FiniteGroup, ...]:
     return tuple(catalog_group(name) for name in CATALOG_NAMES)
 
 
-def _orbit_heads(group: FiniteGroup, k: int) -> Sequence[tuple[tuple[int, ...], int]]:
-    """One (first images, orbit size) pair per Aut(G)-orbit of the first min(k, 2) images."""
+def _orbit_heads(group: FiniteGroup, k: int) -> Sequence[tuple[tuple[int, ...], int, bool]]:
+    """(first images, orbit size, whether they generate G) per Aut(G)-orbit of min(k, 2)."""
     if k == 0:
-        return [((), 1)]
+        return [((), 1, group.order == 1)]
     if k == 1:
-        return [((a,), size) for a, size, _ in group._orbit_table]
+        return [((a,), size, group._orders[a] == group.order) for a, size, _ in group._orbit_table]
     return group._pair_heads
 
 
@@ -656,86 +689,32 @@ def _cyclic_counts(p: GroupPresentation, n: int) -> tuple[int, int]:
     return homs, onto[n]  # t = n came last
 
 
-def _split_at_rarest(k: int, relators: Sequence[Word]
-                     ) -> tuple[list[Word], list[list[tuple[Word, bool]]]]:
-    """Renumber generators by falling letter count; then the relators
-    without the last generator z, and the others as steps around it.
-
-    A relator is cyclic, so one holding z^±1 is rotated to end with it and
-    read as B_1 z^s_1 ... B_m z^s_m; its steps (B_m, s_m > 0) ... (B_1,
-    s_1 > 0) evaluate it from the right.
-    """
-    counts = Counter(map(abs, itertools.chain.from_iterable(relators)))
-    order = sorted(range(1, k + 1), key=lambda g: -counts[g])
-    position = {g: new for new, g in enumerate(order, 1)}
-    z = k
-    settled, around = [], []
-    for w in relators:
-        w = tuple(position[x] if x > 0 else -position[-x] for x in w)
-        cuts = [i for i, x in enumerate(w) if abs(x) == z]
-        if not cuts:
-            settled.append(w)
-            continue
-        w = w[cuts[-1] + 1:] + w[:cuts[-1] + 1]
-        steps, start = [], 0
-        for i, x in enumerate(w):
-            if abs(x) == z:
-                steps.append((w[start:i], x > 0))
-                start = i + 1
-        around.append(steps[::-1])
-    return settled, around
-
-
-def _last_images(group: FiniteGroup, outer: tuple[int, ...], vals: dict[int, int],
-                 around: list[list[tuple[Word, bool]]], images: Sequence[tuple[int, int]],
-                 onto: bool | None) -> tuple[int, int]:
-    """Weighted (homomorphisms, surjections) among the extensions of the outer images by
-    a last image z, for each (z, weight) of ``images``; ``vals`` holds the image of each
-    outer letter; ``onto`` tells whether the outer images generate G, None if not yet known."""
-    mult, inv, e, n = group._mult, group._inv, group.identity_index, group.order
-    # step (B, s) becomes (row of B, s > 0), which takes cur to B z^s cur
-    relators = []
-    for rel in around:
-        steps = []
-        for segment, positive in rel:
-            cur = e
-            for x in segment:
-                cur = mult[cur][vals[x]]
-            steps.append((mult[cur], positive))
-        relators.append(steps)
-    homs = surjective = 0
-    for z, weight in images:
-        zrow, zinv = mult[z], mult[inv[z]]
-        for steps in relators:
-            cur = e
-            for row, positive in steps:
-                cur = row[zrow[cur] if positive else zinv[cur]]
-            if cur != e:
-                break
-        else:
-            homs += weight
-            if onto is None:
-                onto = group.subgroup_size(outer) == n
-            if onto or group.subgroup_size(outer + (z,)) == n:
-                surjective += weight
-    return homs, surjective
+def _onto(group: FiniteGroup, head: tuple[int, int], middle: tuple[int, ...], z: int) -> bool:
+    """Whether ``head``, a pair that does not generate G, ``middle`` and z do: from rank 4
+    on by ``subgroup_size``, at rank 3 closed once per (head, z) and kept in ``_third_level``."""
+    n, known = group.order, group._third_level[head][1]
+    if middle:
+        return (group.subgroup_size(head + middle) == n
+                or group.subgroup_size((*head, *middle, z)) == n)
+    if known[z] is None:
+        known[z] = group._span((*head, z)) == n
+    return known[z]
 
 
 def _check_budget(p: GroupPresentation, group: FiniteGroup, budget: int) -> None:
     """Raise BudgetExceededError if counting p into ``group`` stands for more than ``budget``
-    image tuples, |G|^k at rank k, or walks more than ``MAX_LETTER_STEPS`` relator letters."""
+    image tuples, |G|^k at rank k, or walks more than ``MAX_LETTER_STEPS`` relator letters;
+    a budget that is not an int, a bool included, raises TypeError."""
     k, n = len(p.generators), group.order
-    if n ** k > budget:
+    if n ** k > _int(budget, "budget"):
         raise BudgetExceededError(f"{group.name}: {n}^{k} image tuples exceed the budget of "
                                   f"{budget}; apply tietze_simplify first")
     if k and group.is_cyclic:
         return
-    inner = k > 2  # whether the rarest generator runs innermost
-    around = p._rarest_last[1] if inner else []
     # per tuple of outer images, the third level's orbits not counted: every relator
     # letter once, then two per letter of the innermost generator for each of n images
-    outer = len(_orbit_heads(group, k)) * n ** (k - min(k, 2) - inner)
-    steps = sum(map(len, p.relators)) + 2 * n * sum(map(len, around))
+    outer = len(_orbit_heads(group, k)) * n ** max(k - 3, 0)
+    steps = sum(map(len, p.relators)) + 2 * n * sum(map(len, p._slots[1]))
     if outer * steps > MAX_LETTER_STEPS:
         raise BudgetExceededError(
             f"{group.name}: hom_count: {outer} image tuples walking {steps} relator letters "
@@ -749,47 +728,68 @@ def hom_count(p: GroupPresentation, group: FiniteGroup, budget: int = DEFAULT_BU
     A cyclic group is counted in closed form from the exact invariant
     factors of p's abelianization, kept on p, by Moebius inversion over the
     divisors of its order; no tuple is walked.
-    Into any other group, the first two images run over one pair per
-    orbit of Aut(G) acting on both at once, weighted by the orbit's size.  With
-    three or more generators, the one with the fewest letters runs
-    innermost, against relators multiplied out once per tuple of the other
-    images, and over the orbits of the automorphisms fixing the first pair,
-    weighted likewise; under a pair that generates G all of them are onto.
-    ``budget`` bounds the |G|^k tuples this count stands for, k being p's
-    rank, and ``MAX_LETTER_STEPS`` the relator letters the enumeration walks;
-    ``fingerprint`` has checked both when it passes ``_checked``.
+    Into any other group, the first two images run over the pair heads: one
+    pair per orbit of Aut(G) acting on both at once, weighted by the orbit's
+    size, with whether it generates G.  With three or more generators, the
+    one with the fewest letters runs innermost, against relators multiplied
+    out once per tuple of the other images, over the orbits of the
+    automorphisms fixing the first pair, weighted likewise; under a pair
+    that generates G all of them are onto, and under one that does not
+    ``_onto`` decides.  ``budget``, an int, bounds the |G|^k tuples this count
+    stands for, k being p's rank, and ``MAX_LETTER_STEPS`` the relator letters
+    the enumeration walks; ``fingerprint`` checked both if it passes ``_checked``.
     """
     if not _checked:
         _check_budget(p, group, budget)
     k, n = len(p.generators), group.order
     if k and group.is_cyclic:
         return _cyclic_counts(p, n)
-    inner = k > 2  # whether the rarest generator runs innermost
-    # an empty relator always holds
-    settled, around = p._rarest_last if inner else ([w for w in p.relators if w], [])
+    settled, around = p._slots
     mult, inv, e = group._mult, group._inv, group.identity_index
     total = surjective = 0
-    # the image of each letter ±1..±k; a dict, since a negative tuple
-    # subscript misses the interpreter's fast path in the inner loop
-    vals: dict[int, int] = {}
-    for head, weight in _orbit_heads(group, k):
-        for x, g in enumerate(head, 1):
-            vals[x], vals[-x] = g, inv[g]
-        if inner:
-            onto, last = group._third_level[head]
-        for rest in itertools.product(range(n), repeat=k - len(head) - inner):
-            for x, g in enumerate(rest, len(head) + 1):
-                vals[x], vals[-x] = g, inv[g]
+    # the image of generator x in slot x - 1 and of its inverse in slot k + x - 1: a
+    # negative subscript, as a letter -x would be, misses the interpreter's fast path
+    images = [e] * (2 * k)
+    for head, weight, onto in _orbit_heads(group, k):
+        for x, g in enumerate(head):
+            images[x], images[k + x] = g, inv[g]
+        # the images between the pair and the innermost one, from rank 4 on
+        for middle in itertools.product(range(n), repeat=k - 3) if k > 3 else [()]:
+            for x, g in enumerate(middle, 2):
+                images[x], images[k + x] = g, inv[g]
             for rel in settled:
                 cur = e
                 for x in rel:
-                    cur = mult[cur][vals[x]]
+                    cur = mult[cur][images[x]]
                 if cur != e:
                     break
             else:
-                homs, surj = (_last_images(group, head + rest, vals, around, last,
-                                           onto or (None if rest else False)) if inner
-                              else (1, group.subgroup_size(head + rest) == n))
+                if k < 3:
+                    total += weight
+                    surjective += weight if onto else 0
+                    continue
+                # step (B, s) becomes (row of B, s > 0), which takes cur to B z^s cur
+                relators = []
+                for rel in around:
+                    steps = []
+                    for segment, positive in rel:
+                        cur = e
+                        for x in segment:
+                            cur = mult[cur][images[x]]
+                        steps.append((mult[cur], positive))
+                    relators.append(steps)
+                homs = surj = 0
+                for z, w, zrow, zinv in group._third_level[head][0]:
+                    for steps in relators:
+                        cur = e
+                        for row, positive in steps:
+                            cur = row[zrow[cur] if positive else zinv[cur]]
+                        if cur != e:
+                            break
+                    else:
+                        homs += w
+                        if onto or _onto(group, head, middle, z):
+                            surj += w
                 total += weight * homs
                 surjective += weight * surj
     return total, surjective

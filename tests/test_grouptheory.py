@@ -650,10 +650,12 @@ class TestHomCount:
         assert hom_count(p, catalog_group(name)) == brute_force_hom_count(p, catalog_oracle(name))
 
     def test_rarest_generator_runs_innermost(self):
-        settled, around = grouptheory._split_at_rarest(3, RAREST_FIRST.relators)
-        # a is renumbered last; c^3 b^-3 lacks it, the others hold it once
-        assert [sorted(set(map(abs, w))) for w in settled] == [[1, 2]]
+        settled, around = RAREST_FIRST._slots
+        # b and c keep slots 0 and 1 (inverses 3 and 4) and a is renumbered last, to
+        # slots 2 and 5; c^3 b^-3 lacks it, the others hold it once
+        assert [sorted(set(w)) for w in settled] == [[1, 3]]
         assert [len(steps) for steps in around] == [1, 1]
+        assert {2, 5}.isdisjoint(x for steps in around for segment, _ in steps for x in segment)
 
     def test_budget_is_on_the_given_rank(self):
         # abelianizes to Z/2: a cyclic group walks no tuple, but the budget
@@ -692,12 +694,22 @@ class TestHomCount:
         with pytest.raises(BudgetExceededError):
             hom_count(p, catalog_group("A5"), budget=10 ** 6)
 
+    @pytest.mark.parametrize("budget", [True, 2.5e9, None, "9"],
+                             ids=["bool", "float", "None", "str"])
+    def test_a_budget_that_is_not_an_int_raises_type_error(self, budget):
+        # rejected, not coerced: True once counted as a budget of 1, and 2.5e9 passed
+        for name in ("A4", "C6"):
+            with pytest.raises(TypeError, match="^budget must be an integer, not "):
+                hom_count(TWO_GEN_FIRST, catalog_group(name), budget=budget)
+        with pytest.raises(TypeError, match="^budget must be an integer, not "):
+            fingerprint(TWO_GEN_FIRST, budget=budget)
+
     def test_a_budget_exit_counts_no_group(self, monkeypatch):
         # S3 ... D6 pass 60^3 at rank 4 and S4 does not: no group is counted before it raises
         def count(*args):
             raise AssertionError("a group was counted")
 
-        monkeypatch.setattr(grouptheory, "_last_images", count)
+        monkeypatch.setattr(grouptheory, "hom_count", count)
         monkeypatch.setattr(FiniteGroup, "subgroup_size", count)
         p = pres("a b c d", "a b c d a^-1 b^-1 c^-1 d^-1")
         message = "S4: 24^4 image tuples exceed the budget of 216000; apply tietze_simplify first"
@@ -729,6 +741,31 @@ class TestHomCount:
         assert hom_count(pres("a b c d"), group) == brute_force_hom_count(pres("a b c d"),
                                                                           catalog_oracle("S3"))
         assert [t for t in sizes if len(t) == 4 and size(group, t[:3]) == 6] == []
+
+    def test_counts_below_rank_four_compute_no_subgroup_size(self, monkeypatch):
+        # the pair heads carry whether they generate G, and a rank-3 count keeps its
+        # own closures per (head, last image), so only middle tuples fill the cache
+        presentations = [TWO_GEN_FIRST, TWO_GEN_SECOND, RAREST_FIRST,
+                         pres("a b c", "a b c a^-1 b^-1 c^-1")]
+        expected = [fingerprint(p, non_cyclic_groups()) for p in presentations]
+
+        def size(*args):
+            raise AssertionError("subgroup_size was called")
+
+        monkeypatch.setattr(FiniteGroup, "subgroup_size", size)
+        groups = tuple(FiniteGroup(g.name, g.degree, g.elements) for g in non_cyclic_groups())
+        assert [fingerprint(p, groups) for p in presentations] == expected
+
+    def test_rank_three_fingerprints_close_each_head_and_last_image_once(self, monkeypatch):
+        closed = []
+        span = FiniteGroup._span
+        monkeypatch.setattr(FiniteGroup, "_span", lambda g, gens: closed.append(
+            (g.name, tuple(gens))) or span(g, gens))
+        groups = tuple(FiniteGroup(g.name, g.degree, g.elements) for g in non_cyclic_groups())
+        for p in (RAREST_FIRST, pres("a b c", "a b c a^-1 b^-1 c^-1"), RAREST_FIRST):
+            assert fingerprint(p, groups) == fingerprint(p, non_cyclic_groups())
+        triples = Counter(key for key in closed if len(key[1]) == 3)
+        assert triples and max(triples.values()) == 1
 
     def test_the_first_group_to_fail_gives_the_message(self, monkeypatch):
         # S3 fails the letter steps before S4 fails its 24^4 tuples
@@ -884,25 +921,31 @@ class TestAutomorphismOrbits:
     def test_head_weights_cover_every_image_tuple(self, group):
         for k in range(4):
             heads = grouptheory._orbit_heads(group, k)
-            assert sum(weight for _, weight in heads) == group.order ** min(k, 2)
+            assert sum(weight for _, weight, _ in heads) == group.order ** min(k, 2)
         # the pair heads are built once per group, for every rank past 1
         assert grouptheory._orbit_heads(group, 2) is grouptheory._orbit_heads(group, 3)
         # a table walks no more heads than the conjugation orbits
         assert len(group._orbit_table) <= len(conjugation_orbit_table(group))
 
     @pytest.mark.parametrize("group", non_cyclic_groups(), ids=lambda g: g.name)
+    def test_each_pair_head_knows_whether_it_generates(self, group):
+        for (a, b), _, onto in group._pair_heads:
+            assert onto == (generated_order(group, (a, b)) == group.order)
+
+    @pytest.mark.parametrize("group", non_cyclic_groups(), ids=lambda g: g.name)
     def test_third_level_orbits_partition_the_group(self, group):
         # per head: orbits closed under the automorphisms fixing it, disjoint,
         # covering G; only the identity fixes a head that generates G
         automorphisms = grouptheory._automorphisms(group)
-        for (a, b), _ in grouptheory._orbit_heads(group, 2):
-            onto, orbits = group._third_level[a, b]
+        for (a, b), _, onto in grouptheory._orbit_heads(group, 2):
+            orbits, _ = group._third_level[a, b]
             fixers = [s for s in automorphisms if s[a] == a and s[b] == b]
             assert onto == (generated_order(group, (a, b)) == group.order)
             assert not onto or fixers == [tuple(range(group.order))]
-            assert sum(size for _, size in orbits) == group.order
+            assert sum(size for _, size, _, _ in orbits) == group.order
             covered: set[int] = set()
-            for c, size in orbits:
+            for c, size, row, inverse_row in orbits:
+                assert (row, inverse_row) == (group._mult[c], group._mult[group._inv[c]])
                 orbit = {s[c] for s in fixers}
                 assert len(orbit) == size and {s[x] for s in fixers for x in orbit} == orbit
                 assert c == min(orbit) and not orbit & covered
