@@ -29,6 +29,12 @@ def _typed(value, kind: type | tuple[type, ...], where: str):
     return value
 
 
+def _tuples(rows) -> tuple[tuple, ...]:
+    """``rows`` and each row as tuples, so the value hashes; a tuple of tuples is kept."""
+    kept = type(rows) is tuple and all(type(row) is tuple for row in rows)
+    return rows if kept else tuple(map(tuple, rows))
+
+
 class Record:
     """Base of the immutable value types.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .base import Record
+from .base import Record, _tuples
 from .errors import LabelAmbiguousError, NotInD4Error
 from .gluing import (
     CurveComponent,
@@ -290,7 +290,7 @@ class OrbitRecord(Record):
 
     def __init__(self, representative: LinePairBijections, orbit: tuple[LinePairBijections, ...],
                  stabilizer: tuple[Perm4, ...], report: InvariantReport, table_label: str):
-        self._set(representative, orbit, stabilizer, report, table_label)
+        self._set(representative, tuple(orbit), _tuples(stabilizer), report, table_label)
 
     @property
     def orbit_size(self) -> int:

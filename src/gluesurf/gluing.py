@@ -15,7 +15,7 @@ import re
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple
 
-from .base import Record, _int, _typed, closure
+from .base import Record, _int, _tuples, _typed, closure
 from .errors import GluingFormatError, GluingValidationError
 from .intlinalg import AbelianGroup
 
@@ -115,13 +115,13 @@ class DegenerateCusp(Record):
     """One orbit of marked points under the group generated by sigma and tau.
 
     The r-cycle is the orbit of tau∘sigma through the lexicographically
-    smallest point; s_i = sigma(r_i), and tau(s_i) = r_{i+1 mod mu}.
+    smallest point; s_i = sigma(r_i), and tau(s_i) = r_{i+1 mod mu}; both cycles are tuples.
     """
 
     __slots__ = ("r_cycle", "s_cycle", "__dict__")
 
     def __init__(self, r_cycle: tuple[str, ...], s_cycle: tuple[str, ...]):
-        self._set(r_cycle, s_cycle)
+        self._set(tuple(r_cycle), tuple(s_cycle))
 
     @property
     def mu(self) -> int:
@@ -175,7 +175,8 @@ def per_gluing(fn):
 
 
 class ValidatedGluing(Record):
-    """Gluing data with all invariants checked, plus connectivity annotations.
+    """Gluing data with all invariants checked, plus connectivity annotations
+    (``dbar_components`` and each component kept as tuples).
 
     Structures derived from the gluing are computed once per instance: the
     sorted components, the tau-pairs and ``pair_index`` are cached
@@ -188,7 +189,7 @@ class ValidatedGluing(Record):
 
     def __init__(self, data: GluingData, dbar_components: tuple[tuple[str, ...], ...],
                  x_component_count: int, point_component: Mapping[str, str]):
-        self._set(data, dbar_components, x_component_count,
+        self._set(data, _tuples(dbar_components), x_component_count,
                   MappingProxyType(dict(point_component)), {})
 
     def __hash__(self) -> int:
@@ -383,7 +384,7 @@ def cusps(g: ValidatedGluing) -> tuple[DegenerateCusp, ...]:
         seen.update(r, s)
         if len(seen) - size != 2 * len(r):
             raise RuntimeError(f"orbit of {start} is not an alternating cycle")
-        out.append(DegenerateCusp(r_cycle=tuple(r), s_cycle=tuple(s)))
+        out.append(DegenerateCusp(r_cycle=r, s_cycle=s))
     return tuple(out)
 
 

@@ -30,14 +30,17 @@ the fewest letters runs innermost over the orbits of the automorphisms
 fixing a and b, weighted likewise (1,862 images in A5, not 44 * 60); only
 the identity fixes a pair that generates G, and every count under such a
 pair is onto, while under one that does not a last image that holds is
-closed once per group.  Images between are enumerated in full.  Per tuple of
-outer images, read from one list by letter slot, every relator is
-multiplied out into constants between the innermost generator's letters,
-and each of its images is then tried at two table lookups per letter.
+closed once per group.  Images between are enumerated in full, each tuple
+closed with the pair at most once, at the first last image that holds.
+Per tuple of outer images, read from one list by letter slot, every
+relator is multiplied out into constants between the innermost
+generator's letters, and each of its images is then tried at two table
+lookups per letter.
 
-The subgroup closure is ``base.closure``, which finds a gluing's components
-too.  ``intlinalg`` is read, qualified, only to abelianize, as a count into
-a cyclic group does; building the catalog runs no linear algebra, and
+``FiniteGroup.subgroup_size`` alone closes images, and keeps nothing; its
+closure is ``base.closure``, which finds a gluing's components too.
+``intlinalg`` is read, qualified, only to abelianize, as a count into a
+cyclic group does; building the catalog runs no linear algebra, and
 neither does the rank-0 fingerprint a fresh process can start with.
 """
 
@@ -51,13 +54,11 @@ from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from . import intlinalg  # read at call time, to abelianize
-from .base import Record, _int, _typed, closure
+from .base import Record, _int, _tuples, _typed, closure
 from .errors import DEFAULT_BUDGET, BudgetExceededError, PresentationFormatError, UnknownGroupError
 
 Word = tuple[int, ...]  # letter +(g+1) is generator g, -(g+1) its inverse
 
-# entries a group's subgroup-order cache keeps before it is cleared
-MAX_CLOSURE_CACHE = 2 ** 16
 # a parsed word is expanded letter by letter, so ``a^N`` would cost N
 # letters; the bound holds for one word and for a whole presentation
 MAX_WORD_LETTERS = 10 ** 5
@@ -515,26 +516,16 @@ class FiniteGroup(Record):
         """Whether the powers of one element run through the whole group."""
         return self.order in self._orders
 
-    @cached_property
-    def _closure_cache(self) -> dict:
-        return {}
-
-    def subgroup_size(self, generator_indices) -> int:
-        """Order of the subgroup generated by the given element indices."""
-        key = tuple(sorted(set(generator_indices)))
-        cache = self._closure_cache
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        size = self._span(key)
-        if len(cache) >= MAX_CLOSURE_CACHE:
-            cache.clear()
-        cache[key] = size
-        return size
-
-    def _span(self, gens) -> int:
-        """``subgroup_size`` with no cache, for callers that keep their answer."""
-        return len(closure((self.identity_index,), lambda h: map(self._mult[h].__getitem__, gens)))
+    def subgroup_size(self, generator_indices: Iterable[int]) -> int:
+        """Order of the subgroup generated by the element indices, read once, by one closure
+        with no cache.  An index that is a bool or not an int raises TypeError, and one
+        outside ``range(order)`` IndexError."""
+        gens = tuple(generator_indices)
+        for x in gens:
+            if not 0 <= _int(x, f"element index {x!r}") < self.order:
+                raise IndexError(f"element index {x} is outside range({self.order})")
+        mult = self._mult
+        return len(closure((self.identity_index,), lambda h: map(mult[h].__getitem__, gens)))
 
     @cached_property
     def _aut(self) -> list[tuple[int, ...]]:
@@ -551,7 +542,7 @@ class FiniteGroup(Record):
     def _pair_heads(self) -> tuple[tuple[tuple[int, int], int, bool], ...]:
         """``_orbit_heads(G, 2)``, which every count and budget check of rank 2 or more
         reads, each head with whether it generates G, found by one closure."""
-        return tuple(((a, b), size * orbit, self._span((a, b)) == self.order)
+        return tuple(((a, b), size * orbit, self.subgroup_size((a, b)) == self.order)
                      for a, size, orbits in self._orbit_table for b, orbit in orbits)
 
     @cached_property
@@ -690,14 +681,13 @@ def _cyclic_counts(p: GroupPresentation, n: int) -> tuple[int, int]:
 
 
 def _onto(group: FiniteGroup, head: tuple[int, int], middle: tuple[int, ...], z: int) -> bool:
-    """Whether ``head``, a pair that does not generate G, ``middle`` and z do: from rank 4
-    on by ``subgroup_size``, at rank 3 closed once per (head, z) and kept in ``_third_level``."""
-    n, known = group.order, group._third_level[head][1]
+    """Whether ``head`` and ``middle``, which do not generate G, do with z: from rank 4 on
+    by one closure, at rank 3 closed once per (head, z) and kept in ``_third_level``."""
     if middle:
-        return (group.subgroup_size(head + middle) == n
-                or group.subgroup_size((*head, *middle, z)) == n)
+        return group.subgroup_size((*head, *middle, z)) == group.order
+    known = group._third_level[head][1]
     if known[z] is None:
-        known[z] = group._span((*head, z)) == n
+        known[z] = group.subgroup_size((*head, z)) == group.order
     return known[z]
 
 
@@ -735,9 +725,11 @@ def hom_count(p: GroupPresentation, group: FiniteGroup, budget: int = DEFAULT_BU
     out once per tuple of the other images, over the orbits of the
     automorphisms fixing the first pair, weighted likewise; under a pair
     that generates G all of them are onto, and under one that does not
-    ``_onto`` decides.  ``budget``, an int, bounds the |G|^k tuples this count
-    stands for, k being p's rank, and ``MAX_LETTER_STEPS`` the relator letters
-    the enumeration walks; ``fingerprint`` checked both if it passes ``_checked``.
+    ``_onto`` decides, once the pair and any images between, closed at most
+    once, do not generate G.  ``budget``, an int, bounds the |G|^k tuples
+    this count stands for, k being p's rank, and ``MAX_LETTER_STEPS`` the
+    relator letters the enumeration walks; ``fingerprint`` checked both if
+    it passes ``_checked``.
     """
     if not _checked:
         _check_budget(p, group, budget)
@@ -779,6 +771,8 @@ def hom_count(p: GroupPresentation, group: FiniteGroup, budget: int = DEFAULT_BU
                         steps.append((mult[cur], positive))
                     relators.append(steps)
                 homs = surj = 0
+                # whether head and middle generate G, None until a last image holds
+                spans = None if middle and not onto else onto
                 for z, w, zrow, zinv in group._third_level[head][0]:
                     for steps in relators:
                         cur = e
@@ -788,7 +782,9 @@ def hom_count(p: GroupPresentation, group: FiniteGroup, budget: int = DEFAULT_BU
                             break
                     else:
                         homs += w
-                        if onto or _onto(group, head, middle, z):
+                        if spans is None:
+                            spans = group.subgroup_size(head + middle) == n
+                        if spans or _onto(group, head, middle, z):
                             surj += w
                 total += weight * homs
                 surjective += weight * surj
@@ -796,12 +792,13 @@ def hom_count(p: GroupPresentation, group: FiniteGroup, budget: int = DEFAULT_BU
 
 
 class Fingerprint(Record):
-    """Per-group (total, surjective) homomorphism counts; an isomorphism invariant."""
+    """Per-group (total, surjective) homomorphism counts, each row and all of
+    them kept as tuples; an isomorphism invariant."""
 
     __slots__ = ("counts",)
 
     def __init__(self, counts: tuple[tuple[str, int, int], ...]):
-        self._set(counts)
+        self._set(_tuples(counts))
 
     def as_dict(self) -> dict:
         return {name: [total, surj] for name, total, surj in self.counts}

@@ -138,12 +138,6 @@ class IntegerMatrix(Record):
         nonzero = {i: dict(sorted(row.items())) for i, row in sorted(self._rows.items())}
         return f"IntegerMatrix({self.rows}, {self.cols}, {nonzero})"
 
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(key)
-        return self._rows.get(i, {}).get(j, 0)
-
 
 class SmithDecomposition(Record):
     """U @ A @ V == S with U, V unimodular and S diagonal, for A = ``matrix``.
@@ -157,7 +151,7 @@ class SmithDecomposition(Record):
     __slots__ = ("matrix", "divisors", "__dict__")
 
     def __init__(self, matrix: IntegerMatrix, divisors: tuple[int, ...]):
-        self._set(matrix, divisors)
+        self._set(matrix, tuple(divisors))
 
     @cached_property
     def _transforms(self) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:

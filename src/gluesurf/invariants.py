@@ -61,7 +61,7 @@ def k_squared(g: ValidatedGluing) -> int:
 
 
 class InvariantReport(Record):
-    """Everything the CLI reports for one glued surface."""
+    """Everything the CLI reports for one glued surface; ``cusp_partition`` is kept as a tuple."""
 
     __slots__ = ("chi", "q", "p_g", "k_squared", "cusp_partition", "homology", "pi1",
                  "fingerprint")
@@ -71,7 +71,7 @@ class InvariantReport(Record):
                  pi1: GroupPresentation, fingerprint: Fingerprint | None = None):
         if p_g != chi - 1 + q:
             raise ValueError("p_g, chi and q are inconsistent")
-        self._set(chi, q, p_g, k_squared, cusp_partition, homology, pi1, fingerprint)
+        self._set(chi, q, p_g, k_squared, tuple(cusp_partition), homology, pi1, fingerprint)
 
 
 def compute_report(g: ValidatedGluing, *, catalog=None,

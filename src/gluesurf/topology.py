@@ -62,14 +62,15 @@ class HomotopyGraph(Record):
     ``tree_step[v]`` is the tree edge into v, as a step running toward v,
     or None at a BFS root; one step per vertex keeps the forest linear in
     size however deep it is.  ``generator_edges`` are the non-tree edges in
-    key order; they index the fundamental-group basis.
+    key order; they index the fundamental-group basis.  Each field is
+    kept as a tuple.
     """
 
     __slots__ = ("vertices", "edges", "tree_step", "generator_edges")
 
     def __init__(self, vertices: tuple[tuple, ...], edges: tuple[GraphEdge, ...],
                  tree_step: tuple[Step | None, ...], generator_edges: tuple[int, ...]):
-        self._set(vertices, edges, tree_step, generator_edges)
+        self._set(tuple(vertices), tuple(edges), tuple(tree_step), tuple(generator_edges))
 
 
 def _require_genus_zero(g: ValidatedGluing):
@@ -138,9 +139,8 @@ def homotopy_graph(side: str, g: ValidatedGluing) -> HomotopyGraph:
     for owner, pts in rows:
         at = [vertex_of_point[p] for p in pts]
         edges += map(GraphEdge, at, at[1:], [(owner, i) for i in range(len(at) - 1)])
-    edges = tuple(edges)
     tree_step, generators = _spanning_forest(len(vertices), edges)
-    return HomotopyGraph(vertices=tuple(vertices), edges=edges, tree_step=tree_step,
+    return HomotopyGraph(vertices=vertices, edges=edges, tree_step=tree_step,
                          generator_edges=generators)
 
 

@@ -38,6 +38,13 @@ def from_rows(rows, cols: int | None = None) -> IntegerMatrix:
     return IntegerMatrix(len(rows), width, {i: dict(enumerate(r)) for i, r in enumerate(rows)})
 
 
+def entry(m: IntegerMatrix, i: int, j: int) -> int:
+    """The (i, j) entry of ``m``, read from its stored nonzero entries."""
+    if not (0 <= i < m.rows and 0 <= j < m.cols):
+        raise IndexError((i, j))
+    return m._rows.get(i, {}).get(j, 0)
+
+
 def row_lists(m: IntegerMatrix) -> list[list[int]]:
     """The dense rows of ``m``, as lists."""
     c, entries = m.cols, m.entries

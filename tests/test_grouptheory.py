@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exponent_sum_matrix, letter
+from conftest import entry, exponent_sum_matrix, letter
 from gluesurf import grouptheory, intlinalg
 from gluesurf.errors import BudgetExceededError, PresentationFormatError, UnknownGroupError
 from gluesurf.fourlines import all_gluings, build_four_lines
@@ -132,7 +133,7 @@ class TestWordProperties:
         m = exponent_sum_matrix(words, len(GENERATORS))
         assert (m.rows, m.cols) == (len(GENERATORS), len(words))
         for j, w in enumerate(words):
-            assert [m[i, j] for i in range(m.rows)] == exponent_sums(w, len(GENERATORS))
+            assert [entry(m, i, j) for i in range(m.rows)] == exponent_sums(w, len(GENERATORS))
 
     def test_exponent_sum_matrix_without_words_or_generators(self):
         assert exponent_sum_matrix([], 3) == IntegerMatrix(3, 0, {})
@@ -705,17 +706,22 @@ class TestHomCount:
             fingerprint(TWO_GEN_FIRST, budget=budget)
 
     def test_a_budget_exit_counts_no_group(self, monkeypatch):
-        # S3 ... D6 pass 60^3 at rank 4 and S4 does not: no group is counted before it raises
+        # S3 ... D6 pass 60^3 at rank 4 and S4 does not: no group is counted before it
+        # raises, and the letter-step checks close no more than the pair heads they read
         def count(*args):
             raise AssertionError("a group was counted")
 
+        closed = []
+        size = FiniteGroup.subgroup_size
         monkeypatch.setattr(grouptheory, "hom_count", count)
-        monkeypatch.setattr(FiniteGroup, "subgroup_size", count)
+        monkeypatch.setattr(FiniteGroup, "subgroup_size",
+                            lambda g, images: closed.append(len(images)) or size(g, images))
         p = pres("a b c d", "a b c d a^-1 b^-1 c^-1 d^-1")
         message = "S4: 24^4 image tuples exceed the budget of 216000; apply tietze_simplify first"
         with pytest.raises(BudgetExceededError) as raised:
             fingerprint(p, budget=60 ** 3)
         assert str(raised.value) == message
+        assert set(closed) <= {2}
 
     def test_a_fingerprint_checks_each_group_once_and_counts_it_through_hom_count(
             self, monkeypatch):
@@ -743,29 +749,45 @@ class TestHomCount:
         assert [t for t in sizes if len(t) == 4 and size(group, t[:3]) == 6] == []
 
     def test_counts_below_rank_four_compute_no_subgroup_size(self, monkeypatch):
-        # the pair heads carry whether they generate G, and a rank-3 count keeps its
-        # own closures per (head, last image), so only middle tuples fill the cache
+        # of more than three images: the pair heads close two and carry whether they
+        # generate G, and a rank-3 count closes a head with one last image
         presentations = [TWO_GEN_FIRST, TWO_GEN_SECOND, RAREST_FIRST,
                          pres("a b c", "a b c a^-1 b^-1 c^-1")]
         expected = [fingerprint(p, non_cyclic_groups()) for p in presentations]
-
-        def size(*args):
-            raise AssertionError("subgroup_size was called")
-
-        monkeypatch.setattr(FiniteGroup, "subgroup_size", size)
+        closed = []
+        size = FiniteGroup.subgroup_size
+        monkeypatch.setattr(FiniteGroup, "subgroup_size",
+                            lambda g, images: closed.append(len(images)) or size(g, images))
         groups = tuple(FiniteGroup(g.name, g.degree, g.elements) for g in non_cyclic_groups())
         assert [fingerprint(p, groups) for p in presentations] == expected
+        assert max(closed) == 3
 
     def test_rank_three_fingerprints_close_each_head_and_last_image_once(self, monkeypatch):
         closed = []
-        span = FiniteGroup._span
-        monkeypatch.setattr(FiniteGroup, "_span", lambda g, gens: closed.append(
-            (g.name, tuple(gens))) or span(g, gens))
+        size = FiniteGroup.subgroup_size
+        monkeypatch.setattr(FiniteGroup, "subgroup_size", lambda g, images: closed.append(
+            (g.name, tuple(images))) or size(g, images))
         groups = tuple(FiniteGroup(g.name, g.degree, g.elements) for g in non_cyclic_groups())
         for p in (RAREST_FIRST, pres("a b c", "a b c a^-1 b^-1 c^-1"), RAREST_FIRST):
             assert fingerprint(p, groups) == fingerprint(p, non_cyclic_groups())
         triples = Counter(key for key in closed if len(key[1]) == 3)
         assert triples and max(triples.values()) == 1
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
+    def test_rank_four_counts_close_each_head_and_middle_once(self, name, monkeypatch):
+        # a pair and the image between are closed at the first last image that holds,
+        # not again for each last image after it, and each (pair, between, last) once
+        closed = []
+        size = FiniteGroup.subgroup_size
+        monkeypatch.setattr(FiniteGroup, "subgroup_size", lambda g, images: closed.append(
+            tuple(images)) or size(g, images))
+        for p in (pres("a b c d"), pres("a b c d", "a b c d a^-1 b^-1 c^-1 d^-1")):
+            group = FiniteGroup(name, catalog_group(name).degree, catalog_group(name).elements)
+            closed.clear()
+            assert hom_count(p, group) == brute_force_hom_count(p, catalog_oracle(name))
+            by_rank = Counter(map(len, closed))
+            assert by_rank[3] and by_rank[4]
+            assert max(Counter(closed).values()) == 1
 
     def test_the_first_group_to_fail_gives_the_message(self, monkeypatch):
         # S3 fails the letter steps before S4 fails its 24^4 tuples
@@ -852,16 +874,15 @@ class TestHomCount:
                 gens = tuple(rng.randrange(group.order)
                              for _ in range(rng.randint(0, 3)))
                 assert group.subgroup_size(gens) == generated_order(group, gens)
+                assert group.subgroup_size(iter(gens)) == generated_order(group, gens)
 
-    def test_closure_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(grouptheory, "MAX_CLOSURE_CACHE", 5)
-        s4 = catalog_group("S4")
-        group = FiniteGroup("S4", s4.degree, s4.elements)
-        pairs = list(itertools.combinations(range(group.order), 2))[:12]
-        for _ in range(2):
-            for pair in pairs:
-                assert group.subgroup_size(pair) == generated_order(group, pair)
-                assert len(group._closure_cache) <= 5
+    @pytest.mark.parametrize("index, error", [(-1, IndexError), (6, IndexError),
+                                              (True, TypeError), (1.0, TypeError),
+                                              ("1", TypeError)])
+    def test_subgroup_size_rejects_a_bad_index(self, index, error):
+        # rejected, not coerced: -1 once read element 5 and True element 1
+        with pytest.raises(error, match=f"^element index {re.escape(repr(index))} "):
+            catalog_group("S3").subgroup_size((index,))
 
 
 def conjugation_orbit_table(group: FiniteGroup):

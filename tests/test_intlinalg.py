@@ -27,7 +27,14 @@ if str(ROOT / "bench") not in sys.path:
     sys.path.append(str(ROOT / "bench"))
 
 import nlines  # noqa: E402
-from conftest import cusp_matrix, from_rows, node_matrix, row_lists, tree_word_map  # noqa: E402
+from conftest import (  # noqa: E402
+    cusp_matrix,
+    entry,
+    from_rows,
+    node_matrix,
+    row_lists,
+    tree_word_map,
+)
 
 from gluesurf import intlinalg  # noqa: E402
 from gluesurf.gluing import gluing_from_dict, validate_gluing  # noqa: E402
@@ -357,9 +364,9 @@ class TestKernel:
         k = kernel_basis(N)
         assert k.cols == 2
         for j in range(k.cols):
-            col = [k[i, j] for i in range(k.rows)]
+            col = [entry(k, i, j) for i in range(k.rows)]
             assert all(
-                sum(N[i, t] * col[t] for t in range(N.cols)) == 0
+                sum(entry(N, i, t) * col[t] for t in range(N.cols)) == 0
                 for i in range(N.rows)
             )
         # e1 - e2 and e3 - e4 lie in the integer span of the basis
@@ -594,7 +601,7 @@ def test_sparse_and_dense_builds_are_one_value(m):
     assert sparse == m and hash(sparse) == hash(m)
     assert sparse.entries == m.entries and row_lists(sparse) == row_lists(m)
     assert from_rows(row_lists(m), cols=m.cols) == m
-    assert all(sparse[i, j] == m[i, j] for i in range(m.rows) for j in range(m.cols))
+    assert all(entry(sparse, i, j) == entry(m, i, j) for i in range(m.rows) for j in range(m.cols))
     assert snf(sparse).divisors == snf(m).divisors
     # m is reduced now and keeps its divisors, which equality, hashing and
     # the repr do not read, and which a copy or a pickle carries

@@ -17,6 +17,7 @@ import nlines  # noqa: E402
 import workloads  # noqa: E402
 from conftest import (  # noqa: E402
     cusp_matrix,
+    entry,
     from_rows,
     joined_planes,
     replace,
@@ -121,7 +122,7 @@ class TestCuspMatrix:
         assert basis == (("L1", "L2"), ("L3", "L4"))
         for i, cusp in enumerate(cusps(x31)):
             for j, (plus, minus) in enumerate(basis):
-                assert m[i, j] == alternating_sum_oracle(x31, cusp.points, plus, minus)
+                assert entry(m, i, j) == alternating_sum_oracle(x31, cusp.points, plus, minus)
         assert row_lists(m) == [[2, 0], [2, -2], [2, 2], [0, 2]]
         assert snf(m).rank == 2
 

@@ -172,9 +172,10 @@ def test_only_cli_main_prints_to_stdout():
     assert stdout_prints(SOURCE) == ["cli.py main"]
 
 
-def occurrences(source: Path, text: str) -> int:
-    """How often ``text`` stands in ``source/*.py``, code, strings and comments alike."""
-    return sum(path.read_text().count(text) for path in source.glob("*.py"))
+def occurrences(source: Path, pattern: str) -> int:
+    """How often the regular expression ``pattern`` matches in ``source/*.py``, code,
+    strings and comments alike; a pattern with no special character counts its text."""
+    return sum(len(re.findall(pattern, path.read_text())) for path in source.glob("*.py"))
 
 
 @pytest.mark.parametrize("message", ["image tuples exceed the budget", "letter steps"])
@@ -185,11 +186,14 @@ def test_each_budget_message_is_written_once(message):
 
 @pytest.mark.parametrize("name", ["cusp_matrix", "cusp_pair_sums", "MayerVietorisMatrices",
                                   "exponent_sum_matrix", "_exponent_column",
-                                  "pi1_abelianization"])
+                                  "pi1_abelianization",
+                                  r"_span\b", "_closure_cache", "MAX_CLOSURE_CACHE"])
 def test_each_value_has_one_route(name):
     # R is the one matrix over the cusps: q and H1 both read it, and the
     # paper's cusp matrix C = -2 R^T is built only by the tests, as an
     # oracle.  A presentation counts its exponent sums once, into the matrix
     # it reduces; the tests keep the full exponent-sum matrix as the oracle.
-    # The report's ab(pi1) is its H1, with no field of its own
+    # The report's ab(pi1) is its H1, with no field of its own.  Whether
+    # images generate a finite group is decided by subgroup_size alone, with
+    # no cache (the word end after _span leaves topology's _spanning_forest)
     assert occurrences(SOURCE, name) == 0

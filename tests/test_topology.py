@@ -18,6 +18,7 @@ import oracles  # noqa: E402
 from conftest import (  # noqa: E402
     curve_cycle,
     cusp_matrix,
+    entry,
     from_rows,
     node_matrix,
     replace,
@@ -347,8 +348,8 @@ def test_cusp_map_is_minus_half_the_transposed_cusp_matrix():
         vg = validate_gluing(data)
         c, r = cusp_matrix(vg), cusp_relations(vg)
         assert all(x % 2 == 0 for x in c.entries)
-        assert r == from_rows([[-c[j, i] // 2 for j in range(c.rows)] for i in range(c.cols)],
-                              cols=c.rows)
+        assert r == from_rows([[-entry(c, j, i) // 2 for j in range(c.rows)]
+                               for i in range(c.cols)], cols=c.rows)
 
 
 @pytest.mark.parametrize("build, shapes", [

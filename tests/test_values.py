@@ -8,13 +8,21 @@ import pickle
 
 import pytest
 
-from conftest import cusp_matrix, table_gluing
-from gluesurf.fourlines import enumerate_orbits
-from gluesurf.gluing import CurveComponent, GluingData, NormalComponent, cusps, quotient_curve
-from gluesurf.grouptheory import FiniteGroup, catalog_group
-from gluesurf.intlinalg import IntegerMatrix, Record, snf
-from gluesurf.invariants import compute_report, picard_summary
-from gluesurf.topology import homotopy_graph
+from conftest import cusp_matrix, replace, table_gluing
+from gluesurf.fourlines import OrbitRecord, enumerate_orbits
+from gluesurf.gluing import (
+    CurveComponent,
+    DegenerateCusp,
+    GluingData,
+    NormalComponent,
+    ValidatedGluing,
+    cusps,
+    quotient_curve,
+)
+from gluesurf.grouptheory import FiniteGroup, Fingerprint, catalog_group
+from gluesurf.intlinalg import IntegerMatrix, Record, SmithDecomposition, snf
+from gluesurf.invariants import InvariantReport, compute_report, picard_summary
+from gluesurf.topology import GraphEdge, HomotopyGraph, homotopy_graph
 
 
 def samples() -> list:
@@ -34,6 +42,11 @@ def samples() -> list:
 
 
 SAMPLES = samples()
+
+
+def sample(cls):
+    """The one sample of type ``cls``."""
+    return next(v for v in SAMPLES if type(v) is cls)
 
 
 def test_every_value_type_has_a_sample():
@@ -69,9 +82,24 @@ def test_value_semantics(value):
     lambda seq: GluingData(seq([NormalComponent("p", 1)]),
                            seq([CurveComponent("L", "p", 0, ("a",), ())]), {}, {}, {}),
     lambda seq: FiniteGroup("C2", 2, seq([seq([0, 1]), seq([1, 0])])),
-], ids=["CurveComponent", "GluingData", "FiniteGroup"])
+    lambda seq: DegenerateCusp(seq(["a", "b"]), seq(["c", "d"])),
+    lambda seq: Fingerprint(seq([seq(["C2", 1, 1]), seq(["S3", 6, 0])])),
+    lambda seq: replace(sample(OrbitRecord), orbit=seq(sample(OrbitRecord).orbit),
+                        stabilizer=seq(map(seq, sample(OrbitRecord).stabilizer))),
+    lambda seq: replace(sample(InvariantReport),
+                        cusp_partition=seq(sample(InvariantReport).cusp_partition)),
+    lambda seq: SmithDecomposition(IntegerMatrix(1, 1, {0: {0: 2}}), seq([2])),
+    lambda seq: HomotopyGraph(seq([("u", 0), ("v", 1)]), seq([GraphEdge(0, 1, ("L", 0))]),
+                              seq([None, (0, 1)]), seq([])),
+    lambda seq: replace(sample(ValidatedGluing),
+                        dbar_components=seq(map(seq, sample(ValidatedGluing).dbar_components))),
+], ids=["CurveComponent", "GluingData", "FiniteGroup", "DegenerateCusp", "Fingerprint",
+        "OrbitRecord", "InvariantReport", "SmithDecomposition", "HomotopyGraph",
+        "ValidatedGluing"])
 def test_built_from_lists_equals_its_tuple_twin(build):
-    # the lists are kept as tuples, so a caller's list cannot change the value
+    # the lists are kept as tuples, so a caller's list cannot change the value,
+    # and the value hashes
     from_lists, from_tuples = build(list), build(tuple)
     assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
     assert all(type(getattr(from_lists, name)) is not list for name in type(from_lists)._fields)
+
