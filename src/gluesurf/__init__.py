@@ -28,8 +28,8 @@ _EXPORTS = {
                   "snf"),
     "invariants": ("InvariantReport", "PicardSummary", "compute_report", "irregularity",
                    "k_squared", "picard_summary"),
-    "topology": ("HomologyOfX", "HomotopyGraph", "homology_of_X", "homotopy_graph",
-                 "mv_matrices", "pi1_presentation"),
+    "topology": ("HomologyOfX", "homology_of_X", "homotopy_graph", "mv_matrices",
+                 "pi1_presentation"),
     "fourlines": ("LinePairBijections", "OrbitRecord", "all_gluings", "build_four_lines",
                   "d4_action", "enumerate_orbits", "orbit_and_stabilizer"),
 }

@@ -130,18 +130,22 @@ _RELABELLINGS = {g: _relabelling(g) for g in D4_ELEMENTS}
 
 
 def _conjugate(relabelling: tuple[tuple[int, ...], tuple[int, ...]],
-               tau: list[int]) -> LinePairBijections:
-    # the conjugated involution sends an L1 or L3 point q to g(tau(g^-1(q)))
+               tau: list[int]) -> tuple[int, ...]:
+    """The key of the conjugated involution, which sends an L1 or L3 point
+    q to g(tau(g^-1(q)))."""
     preimages, position = relabelling
-    phi = tuple(position[tau[p]] for p in preimages)
-    return LinePairBijections(phi12=phi[:3], phi34=phi[3:])
+    return tuple(position[tau[p]] for p in preimages)
+
+
+def _from_key(key: tuple[int, ...]) -> LinePairBijections:
+    return LinePairBijections(phi12=key[:3], phi34=key[3:])
 
 
 def d4_action(g: Perm4, b: LinePairBijections) -> LinePairBijections:
     """Relabel the line indices by g and re-read the conjugated involution."""
     if tuple(g) not in D4_ELEMENTS:
         raise NotInD4Error(f"{g} does not preserve the line pairing")
-    return _conjugate(_RELABELLINGS[tuple(g)], _tau_indices(b))
+    return _from_key(_conjugate(_RELABELLINGS[tuple(g)], _tau_indices(b)))
 
 
 def orbit_and_stabilizer(
@@ -149,12 +153,12 @@ def orbit_and_stabilizer(
     """The orbit of b in key order, and its stabilizer in the index group.
 
     The stabilizer equals the surface's automorphism group.  Both come
-    from one image of b per group element, all read off one involution.
+    from one image key of b per group element, all read off one involution.
     """
-    tau = _tau_indices(b)
+    tau, key = _tau_indices(b), b.key()
     images = {g: _conjugate(relabelling, tau) for g, relabelling in _RELABELLINGS.items()}
-    orbit = tuple(sorted(set(images.values()), key=LinePairBijections.key))
-    return orbit, tuple(g for g, image in images.items() if image == b)
+    orbit = tuple(map(_from_key, sorted(set(images.values()))))
+    return orbit, tuple(g for g, image in images.items() if image == key)
 
 
 def perm_to_cycles(g: Perm4) -> str:

@@ -156,19 +156,20 @@ def _components(items: Iterable, neighbours: Callable) -> tuple[tuple, ...]:
 
 
 def per_gluing(fn):
-    """Cache ``fn``'s result on the ValidatedGluing that is its last argument.
+    """Cache ``fn``'s result on the ValidatedGluing that is its one argument.
 
-    The key is the function name and the other arguments; the cache lives
-    and dies with the gluing.  Exceptions are not cached.
+    The key is the function name; the cache lives and dies with the
+    gluing.  Exceptions are not cached.
     """
+    key = fn.__name__
+
     @functools.wraps(fn)
     def cached(*args):
-        if not args or not isinstance(args[-1], ValidatedGluing):
-            raise TypeError(f"{fn.__name__} takes a ValidatedGluing as its last argument")
-        memo = args[-1]._memo
-        key = (fn.__name__, *args[:-1])
+        if len(args) != 1 or not isinstance(args[0], ValidatedGluing):
+            raise TypeError(f"{key} takes a ValidatedGluing as its one argument")
+        memo = args[0]._memo
         if key not in memo:
-            memo[key] = fn(*args)
+            memo[key] = fn(args[0])
         return memo[key]
 
     return cached

@@ -32,10 +32,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import grouptheory  # read at call time, by pi1 alone: homology runs no group theory
-from .base import Record
 from .errors import (
     DbarDisconnectedError,
     GenusNotZeroError,
@@ -46,32 +44,6 @@ from .errors import (
 from .gluing import ValidatedGluing, cusps, node_id, per_gluing
 from .intlinalg import AbelianGroup, IntegerMatrix, snf
 
-EdgeKey = tuple[object, int]  # (owning component, segment position)
-Step = tuple[int, int]  # (edge index, direction): +1 runs u -> v, -1 runs v -> u
-
-
-class GraphEdge(NamedTuple):
-    u: int
-    v: int
-    key: EdgeKey
-
-
-class HomotopyGraph(Record):
-    """1-skeleton, spanning forest, and generator edges.
-
-    ``tree_step[v]`` is the tree edge into v, as a step running toward v,
-    or None at a BFS root; one step per vertex keeps the forest linear in
-    size however deep it is.  ``generator_edges`` are the non-tree edges in
-    key order; they index the fundamental-group basis.  Each field is
-    kept as a tuple.
-    """
-
-    __slots__ = ("vertices", "edges", "tree_step", "generator_edges")
-
-    def __init__(self, vertices: tuple[tuple, ...], edges: tuple[GraphEdge, ...],
-                 tree_step: tuple[Step | None, ...], generator_edges: tuple[int, ...]):
-        self._set(tuple(vertices), tuple(edges), tuple(tree_step), tuple(generator_edges))
-
 
 def _require_genus_zero(g: ValidatedGluing):
     for c in g.curves:
@@ -79,69 +51,71 @@ def _require_genus_zero(g: ValidatedGluing):
             raise GenusNotZeroError(f"component {c.id} has genus {c.genus}")
 
 
-def _spanning_forest(n: int, edges: tuple[GraphEdge, ...]):
-    # edges come in key order, so each adjacency list is in key order too
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for idx, (u, v, _key) in enumerate(edges):
-        adjacency[u].append((idx, 1, v))
-        adjacency[v].append((idx, -1, u))
-    tree_step: list[Step | None] = [None] * n
-    visited = [False] * n
-    tree: set[int] = set()
-    for root in range(n):
-        if visited[root]:
-            continue
-        visited[root] = True
-        queue = [root]
-        for u in queue:
-            for idx, direction, other in adjacency[u]:
-                if not visited[other]:
-                    visited[other] = True
-                    tree_step[other] = (idx, direction)
-                    tree.add(idx)
-                    queue.append(other)
-    return tuple(tree_step), tuple(i for i in range(len(edges)) if i not in tree)
-
-
-@per_gluing
-def homotopy_graph(side: str, g: ValidatedGluing) -> HomotopyGraph:
-    """Graph model of the normalized conductor (side="Dbar") or its quotient (side="D").
+def homotopy_graph(side: str, g: ValidatedGluing) -> tuple[list, list, list, list]:
+    """Graph model of the normalized conductor (side="Dbar") or its quotient
+    (side="D"), as flat lists: the edges as (u, v) vertex indices, curve
+    by curve; each edge's key (its tau-pair's index, its position on the
+    curve), which an upstairs edge shares with the quotient edge under it;
+    each vertex's BFS tree step (parent, edge, +1 if the edge runs parent ->
+    vertex else -1), or None at a root; and the non-tree edges, which index
+    the fundamental-group basis, in edge order.  One step per vertex keeps
+    the forest linear in size however deep it is.
 
     Each curve is a path through its marked points: the smaller curve of a
     tau-pair in stored order, its partner through their tau-images, so tau
-    is simplicial on the models.  The k-th pair (a, b) owns ("a+b", k) in D.
+    is simplicial on the models.  The k-th pair (a, b) owns "a+b" in D.
     """
     _require_genus_zero(g)
-    # Vertices and edge owners are keyed by their printed label, then by the
-    # structure it names: two labels glued from ids can be equal, and the
-    # label order is kept because the generator names follow this order.
+    # Vertices and curves are sorted by their printed label, ties kept in
+    # structural order: two labels glued from ids can be equal, and the
+    # generator names follow this order.
     if side == "Dbar":
-        vertices = sorted([(node_id(n), n) for n in g.nodes()])
-        points = [n for _label, n in vertices]
+        nodes = sorted(g.nodes(), key=node_id)
+        count = len(nodes)
+        vertex_of_point = {p: v for v, node in enumerate(nodes) for p in node}
         tau = g.data.tau_points.__getitem__
         rows = []
         for a, b in g.tau_pairs:
             pts = g.curve(a).marked_points
             rows += ((a, pts), (b, tuple(map(tau, pts))))
-        rows.sort()
+        rows = [(g.pair_index[owner], pts) for owner, pts in sorted(rows)]
     elif side == "D":
         found = cusps(g)
-        vertices = sorted([(c.label, i) for i, c in enumerate(found)])
-        points = [found[i].points for _label, i in vertices]
-        rows = sorted([((f"{a}+{b}", k), g.curve(a).marked_points)
+        count = len(found)
+        order = sorted(range(count), key=lambda i: found[i].label)
+        vertex_of_point = {p: v for v, i in enumerate(order) for p in found[i].points}
+        rows = sorted([(f"{a}+{b}", k, g.curve(a).marked_points)
                        for k, (a, b) in enumerate(g.tau_pairs)])
+        rows = [(k, pts) for _label, k, pts in rows]
     else:
         raise ValueError(f"side must be 'Dbar' or 'D', got {side!r}")
 
-    vertex_of_point = {p: i for i, pts in enumerate(points) for p in pts}
-    # the rows are sorted by their distinct owners, so the edges come in key order
-    edges = []
-    for owner, pts in rows:
+    edges, keys = [], []
+    for k, pts in rows:
         at = [vertex_of_point[p] for p in pts]
-        edges += map(GraphEdge, at, at[1:], [(owner, i) for i in range(len(at) - 1)])
-    tree_step, generators = _spanning_forest(len(vertices), edges)
-    return HomotopyGraph(vertices=vertices, edges=edges, tree_step=tree_step,
-                         generator_edges=generators)
+        edges += zip(at, at[1:])
+        keys += [(k, i) for i in range(len(at) - 1)]
+    # each adjacency list keeps the edges' order
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]
+    for e, (u, v) in enumerate(edges):
+        adjacency[u].append((v, e, 1))
+        adjacency[v].append((u, e, -1))
+    steps: list[tuple[int, int, int] | None] = [None] * count
+    seen = [False] * count
+    in_tree = [False] * len(edges)
+    for root in range(count):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for u in queue:
+            for v, e, direction in adjacency[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    steps[v] = (u, e, direction)
+                    in_tree[e] = True
+                    queue.append(v)
+    return edges, keys, steps, [e for e, tree in enumerate(in_tree) if not tree]
 
 
 def _check_pi1_preconditions(g: ValidatedGluing):
@@ -165,43 +139,32 @@ def _generator_images(g: ValidatedGluing) -> tuple[int, tuple[grouptheory.Word, 
     its image is read off edge by edge: quotient tree edges contribute
     nothing, quotient generator edges contribute one letter.
     """
-    gbar = homotopy_graph("Dbar", g)
-    gd = homotopy_graph("D", g)
-
-    # an upstairs edge lies over the quotient edge at the same position on
-    # its tau-pair; letter[i] is that edge's letter, or 0
-    d_letter = {}
-    for x, eidx in enumerate(gd.generator_edges, 1):
-        (_label, k), pos = gd.edges[eidx].key
-        d_letter[k, pos] = x
-    pair = g.pair_index
-    letter = [d_letter.get((pair[owner], pos), 0) for _u, _v, (owner, pos) in gbar.edges]
-    # each vertex's tree step as (the vertex it leaves, its letter toward the vertex)
-    up: list[tuple[int, int] | None] = [None] * len(gbar.vertices)
-    for vertex, step in enumerate(gbar.tree_step):
-        if step is not None:
-            u, v, _key = gbar.edges[step[0]]
-            up[vertex] = (u, letter[step[0]]) if step[1] == 1 else (v, -letter[step[0]])
+    edges, keys, steps, generators = homotopy_graph("Dbar", g)
+    _edges, d_keys, _steps, d_generators = homotopy_graph("D", g)
+    # an upstairs edge lies over the quotient edge of the same key;
+    # letter[e] is that edge's letter, or 0
+    d_letter = {d_keys[e]: x for x, e in enumerate(d_generators, 1)}
+    letter = [d_letter.get(key, 0) for key in keys]
 
     def letters_to_root(vertex: int) -> list[int]:
         # the letters of the tree path from the root to vertex, last first
         out = []
-        while (step := up[vertex]) is not None:
-            vertex, x = step
-            if x:
-                out.append(x)
+        while (step := steps[vertex]) is not None:
+            vertex, e, direction = step
+            if letter[e]:
+                out.append(direction * letter[e])
         return out
 
     words = []
-    for eidx in gbar.generator_edges:
-        u, v, _key = gbar.edges[eidx]
+    for e in generators:
+        u, v = edges[e]
         loop = letters_to_root(u)
         loop.reverse()
-        if letter[eidx]:
-            loop.append(letter[eidx])
+        if letter[e]:
+            loop.append(letter[e])
         loop += [-x for x in letters_to_root(v)]
         words.append(grouptheory.free_reduce(loop))
-    return len(gd.generator_edges), tuple(words)
+    return len(d_generators), tuple(words)
 
 
 def _letter_names(count: int) -> tuple[str, ...]:

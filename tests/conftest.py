@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import inspect
+import itertools
+from collections import Counter
 
 import pytest
 
@@ -15,7 +17,8 @@ from gluesurf.gluing import (
     cusps,
     validate_gluing,
 )
-from gluesurf.intlinalg import IntegerMatrix
+from gluesurf.grouptheory import GroupPresentation
+from gluesurf.intlinalg import IntegerMatrix, cokernel_invariants
 from gluesurf.topology import _generator_images
 
 _ROWS = {row.label: row for row in TABLE}
@@ -68,6 +71,53 @@ def tree_word_map(g: ValidatedGluing) -> IntegerMatrix:
     quotient graph's generators (rows: those generators)."""
     count, words = _generator_images(g)
     return exponent_sum_matrix(words, count)
+
+
+def kernel_homology(p: GroupPresentation, d: int) -> Counter:
+    """How often each H1(ker eps) occurs, printed, over every eps of p's
+    group onto C_d, d prime (Reidemeister-Schreier; Magnus, Karrass and
+    Solitar, *Combinatorial Group Theory*, 2.3).
+
+    eps runs over the nonzero combinations of a basis of the generator
+    vectors mod d that annul every relator's exponent sums; eps and its
+    d - 1 unit multiples share one kernel, which is built once.  On sheets
+    i in Z/d, generator x's copy leaving sheet i is row x * d + i.  Each
+    relator read from each sheet is one column, and so is each edge of a
+    spanning tree of the Schreier graph: the copies of one generator t,
+    eps(t) != 0, leaving sheets 0, eps(t), ..., (d - 2) eps(t).
+    """
+    k = len(p.generators)
+    reduced: dict[int, list[int]] = {}  # pivot column -> its row, mod d, in echelon form
+    for w in p.relators:
+        row = [sum(1 if x > 0 else -1 for x in w if abs(x) == g + 1) % d for g in range(k)]
+        for c, r in reduced.items():
+            row = [(a - row[c] * b) % d for a, b in zip(row, r)]
+        if (lead := next((c for c, a in enumerate(row) if a), None)) is not None:
+            row = [a * pow(row[lead], -1, d) % d for a in row]
+            reduced = {c: [(a - r[lead] * b) % d for a, b in zip(r, row)]
+                       for c, r in reduced.items()}
+            reduced[lead] = row
+    basis = [[int(c == f) if c not in reduced else -reduced[c][f] % d for c in range(k)]
+             for f in range(k) if f not in reduced]
+    found = Counter()
+    for coeffs in itertools.product(range(d), repeat=len(basis)):
+        if next((c for c in coeffs if c), None) != 1:
+            continue
+        eps = [sum(c * v[x] for c, v in zip(coeffs, basis)) % d for x in range(k)]
+        t = next(x for x in range(k) if eps[x])
+        nonzero: dict[int, dict[int, int]] = {t * d + j * eps[t] % d: {j: 1} for j in range(d - 1)}
+        for j, (w, sheet) in enumerate(itertools.product(p.relators, range(d)), d - 1):
+            for x in w:
+                g, sign = abs(x) - 1, 1 if x > 0 else -1
+                if sign < 0:  # x runs backwards along the copy that enters the sheet
+                    sheet = (sheet - eps[g]) % d
+                column = nonzero.setdefault(g * d + sheet, {})
+                column[j] = column.get(j, 0) + sign
+                if sign > 0:
+                    sheet = (sheet + eps[g]) % d
+        found[str(cokernel_invariants(IntegerMatrix(k * d, len(p.relators) * d + d - 1,
+                                                    nonzero)))] += d - 1
+    return found
 
 
 def node_matrix(data: GluingData) -> IntegerMatrix:
@@ -139,6 +189,38 @@ def table_element(label: str) -> LinePairBijections:
 
 def table_gluing(label: str) -> ValidatedGluing:
     return validate_gluing(build_four_lines(table_element(label)))
+
+
+def wire_ids(doc: dict) -> list[str]:
+    """Every normal, curve and point id of a wire-format gluing, sorted."""
+    curves = doc["curve_components"]
+    return sorted({n["id"] for n in doc["normalization"]} | {c["id"] for c in curves}
+                  | {p for c in curves for p in c["marked_points"]})
+
+
+def renamed(doc: dict, renaming: dict) -> dict:
+    """``doc`` with every id x replaced by renaming.get(x, x)."""
+    r = lambda x: renaming.get(x, x)  # noqa: E731
+    pairs = lambda ps: [[r(a), r(b)] for a, b in ps]  # noqa: E731
+    return {
+        "normalization": [dict(n, id=r(n["id"])) for n in doc["normalization"]],
+        "curve_components": [
+            dict(c, id=r(c["id"]), on=r(c["on"]), marked_points=[r(p) for p in c["marked_points"]])
+            for c in doc["curve_components"]],
+        "node_pairing": pairs(doc["node_pairing"]),
+        "involution": {
+            "components": pairs(doc["involution"]["components"]),
+            "points": {r(a): r(b) for a, b in doc["involution"]["points"].items()}},
+    }
+
+
+# renamings of random_n_lines(4, 0) whose glued labels collide
+COLLIDING_RENAMINGS = (
+    # node labels: "A|B" + "C" and "A" + "B|C" both print as A|B|C
+    {"P1_2": "A|B", "P2_1": "C", "P1_3": "A", "P3_1": "B|C"},
+    # tau-pair labels: both pairs print as A+B+C
+    {"L1": "A+B", "L2": "C", "L3": "A", "L4": "B+C"},
+)
 
 
 def toy_pair(npoints: int, shift: int) -> GluingData:

@@ -34,7 +34,7 @@ from gluesurf.gluing import (  # noqa: E402
 from gluesurf.grouptheory import catalog_group, fingerprint, tietze_simplify  # noqa: E402
 from gluesurf.intlinalg import snf  # noqa: E402
 from gluesurf.invariants import compute_report, irregularity  # noqa: E402
-from conftest import node_matrix  # noqa: E402
+from conftest import COLLIDING_RENAMINGS, node_matrix, renamed, wire_ids  # noqa: E402
 from test_cli import invoke  # noqa: E402
 
 SMALL_CATALOG = ("C2", "C3", "S3")
@@ -141,36 +141,13 @@ def test_irregularity_is_the_first_betti_number(case):
     assert irregularity(vg) == (b1, euler_characteristics(vg).chi_x - 1 + b1)
 
 
-def _ids(doc: dict) -> list[str]:
-    """Every normal, curve and point id of a wire-format gluing, sorted."""
-    curves = doc["curve_components"]
-    return sorted({n["id"] for n in doc["normalization"]} | {c["id"] for c in curves}
-                  | {p for c in curves for p in c["marked_points"]})
-
-
-def _renamed(doc: dict, renaming: dict) -> dict:
-    """``doc`` with every id x replaced by renaming.get(x, x)."""
-    r = lambda x: renaming.get(x, x)  # noqa: E731
-    pairs = lambda ps: [[r(a), r(b)] for a, b in ps]  # noqa: E731
-    return {
-        "normalization": [dict(n, id=r(n["id"])) for n in doc["normalization"]],
-        "curve_components": [
-            dict(c, id=r(c["id"]), on=r(c["on"]), marked_points=[r(p) for p in c["marked_points"]])
-            for c in doc["curve_components"]],
-        "node_pairing": pairs(doc["node_pairing"]),
-        "involution": {
-            "components": pairs(doc["involution"]["components"]),
-            "points": {r(a): r(b) for a, b in doc["involution"]["points"].items()}},
-    }
-
-
 @st.composite
 def renamed_n_lines(draw):
     """(n, seed, an injective renaming of every id) with names over A, B, | and +,
     the characters the program itself glues ids with, so that one name is
     often a prefix of another or one name glued to another equals a third."""
     n, seed = draw(st.sampled_from((4, 6))), draw(seeds)
-    ids = _ids(nlines.random_n_lines(n, seed))
+    ids = wire_ids(nlines.random_n_lines(n, seed))
     names = draw(st.lists(st.text("AB|+", min_size=1, max_size=4),
                           min_size=len(ids), max_size=len(ids), unique=True))
     return n, seed, dict(zip(ids, names))
@@ -178,14 +155,12 @@ def renamed_n_lines(draw):
 
 @settings(max_examples=15, deadline=None)
 @given(renamed_n_lines())
-# node labels collide: "A|B" + "C" and "A" + "B|C" both print as A|B|C
-@example((4, 0, {"P1_2": "A|B", "P2_1": "C", "P1_3": "A", "P3_1": "B|C"}))
-# tau-pair labels collide: both pairs print as A+B+C
-@example((4, 0, {"L1": "A+B", "L2": "C", "L3": "A", "L4": "B+C"}))
+@example((4, 0, COLLIDING_RENAMINGS[0]))
+@example((4, 0, COLLIDING_RENAMINGS[1]))
 def test_renaming_ids_keeps_the_invariants(case):
     n, seed, renaming = case
     doc = nlines.random_n_lines(n, seed)
-    moved = _renamed(doc, renaming)
+    moved = renamed(doc, renaming)
     assert _shape(moved) == _shape(doc)
     assert _report(moved)["pi1"]["abelianization"] == _report(doc)["pi1"]["abelianization"]
     assert _fingerprint(moved) == _fingerprint(doc)

@@ -20,7 +20,6 @@ from gluesurf.gluing import (
     validate_gluing,
 )
 from gluesurf.intlinalg import AbelianGroup
-from gluesurf.topology import homotopy_graph
 
 
 def orbit_partition_oracle(sigma, tau, points):
@@ -370,13 +369,16 @@ class TestPerGluing:
         with pytest.raises(TypeError, match="ValidatedGluing"):
             cusps()
 
-    def test_the_gluing_is_the_last_argument(self, x01):
-        with pytest.raises(TypeError, match="homotopy_graph"):
-            homotopy_graph(x01, "D")
+    def test_the_gluing_is_the_only_argument(self, x01):
+        with pytest.raises(TypeError, match="cusps"):
+            cusps("D", x01)
+        with pytest.raises(TypeError, match="cusps"):
+            cusps(x01, x01)
 
-    def test_the_other_arguments_key_the_cache(self, x01):
-        assert homotopy_graph("D", x01) is homotopy_graph("D", x01)
-        assert homotopy_graph("D", x01) is not homotopy_graph("Dbar", x01)
+    def test_the_function_keys_the_cache(self, x01):
+        assert cusps(x01) is cusps(x01)
+        assert quotient_curve(x01) is quotient_curve(x01)
+        assert {"cusps", "quotient_curve"} <= set(x01._memo)
 
 
 class TestImmutability:

@@ -195,5 +195,5 @@ def test_each_value_has_one_route(name):
     # it reduces; the tests keep the full exponent-sum matrix as the oracle.
     # The report's ab(pi1) is its H1, with no field of its own.  Whether
     # images generate a finite group is decided by subgroup_size alone, with
-    # no cache (the word end after _span leaves topology's _spanning_forest)
+    # no cache
     assert occurrences(SOURCE, name) == 0

@@ -72,50 +72,49 @@ def _tree_count_holds(vg, side: str) -> bool:
     the gluing rather than from the graph's own forest."""
     components = (len(vg.dbar_components) if side == "Dbar"
                   else quotient_curve(vg).component_count)
-    g = homotopy_graph(side, vg)
-    return len(g.edges) - len(g.generator_edges) == len(g.vertices) - components
+    edges, _keys, steps, generators = homotopy_graph(side, vg)
+    return len(edges) - len(generators) == len(steps) - components
 
 
-def root_path(graph, vertex: int) -> list[tuple[int, int]]:
+def root_path(steps, vertex: int) -> list[tuple[int, int, int]]:
     """The tree steps from the BFS root of ``vertex``'s component to ``vertex``."""
     path = []
-    while (step := graph.tree_step[vertex]) is not None:
+    while (step := steps[vertex]) is not None:
         path.append(step)
-        edge = graph.edges[step[0]]
-        vertex = edge.u if step[1] == 1 else edge.v
+        vertex = step[0]
     path.reverse()
     return path
 
 
-def _least_vertex_of_component(g) -> list[int]:
+def _least_vertex_of_component(edges, count: int) -> list[int]:
     """Each vertex's least component mate, by label propagation over all edges."""
-    least = list(range(len(g.vertices)))
+    least = list(range(count))
     changed = True
     while changed:
         changed = False
-        for e in g.edges:
-            low = min(least[e.u], least[e.v])
-            if (least[e.u], least[e.v]) != (low, low):
-                least[e.u] = least[e.v] = low
+        for u, v in edges:
+            low = min(least[u], least[v])
+            if (least[u], least[v]) != (low, low):
+                least[u] = least[v] = low
                 changed = True
     return least
 
 
 class TestHomotopyGraph:
     def test_normalized_conductor_graph(self, x01):
-        g = homotopy_graph("Dbar", x01)
-        assert len(g.vertices) == 6
-        assert len(g.edges) == 8
+        edges, _keys, steps, generators = homotopy_graph("Dbar", x01)
+        assert len(steps) == 6
+        assert len(edges) == 8
         assert len(x01.dbar_components) == 1
-        assert len(g.generator_edges) == 3
+        assert len(generators) == 3
         assert _tree_count_holds(x01, "Dbar")
 
     def test_quotient_conductor_graph(self, x01):
-        g = homotopy_graph("D", x01)
-        assert len(g.vertices) == 1
-        assert len(g.edges) == 4
+        edges, _keys, steps, generators = homotopy_graph("D", x01)
+        assert len(steps) == 1
+        assert len(edges) == 4
         assert _tree_count_holds(x01, "D")
-        assert len(g.generator_edges) == 4
+        assert len(generators) == 4
 
     def test_unknown_side_rejected(self, x01):
         with pytest.raises(ValueError, match="side must be 'Dbar' or 'D', got 'd'"):
@@ -129,15 +128,14 @@ class TestHomotopyGraph:
     def test_root_paths_walk_the_tree_from_each_component_root(self, x01, x31):
         for vg in (x01, x31, validate_gluing(toy_pair(3, 1)), validate_gluing(two_planes())):
             for side in ("Dbar", "D"):
-                g = homotopy_graph(side, vg)
-                generators = set(g.generator_edges)
-                for v, start in enumerate(_least_vertex_of_component(g)):
+                edges, _keys, steps, generators = homotopy_graph(side, vg)
+                for v, start in enumerate(_least_vertex_of_component(edges, len(steps))):
                     at = start
-                    for eidx, direction in root_path(g, v):
-                        edge = g.edges[eidx]
-                        assert eidx not in generators
-                        assert at == (edge.u if direction == 1 else edge.v)
-                        at = edge.v if direction == 1 else edge.u
+                    for parent, e, direction in root_path(steps, v):
+                        u, w = edges[e]
+                        assert e not in generators
+                        assert at == parent == (u if direction == 1 else w)
+                        at = w if direction == 1 else u
                     assert at == v
 
     def test_deep_spanning_tree_stays_linear(self):
@@ -152,8 +150,8 @@ class TestHomotopyGraph:
 
     def test_single_node_pair(self):
         vg = validate_gluing(toy_pair(1, 0))
-        g = homotopy_graph("Dbar", vg)
-        assert (len(g.vertices), len(g.edges), len(g.generator_edges)) == (1, 0, 0)
+        edges, _keys, steps, generators = homotopy_graph("Dbar", vg)
+        assert (len(steps), len(edges), len(generators)) == (1, 0, 0)
 
     def test_genus_rejected(self):
         data = toy_pair(2, 1)

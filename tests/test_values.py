@@ -22,7 +22,6 @@ from gluesurf.gluing import (
 from gluesurf.grouptheory import FiniteGroup, Fingerprint, catalog_group
 from gluesurf.intlinalg import IntegerMatrix, Record, SmithDecomposition, snf
 from gluesurf.invariants import InvariantReport, compute_report, picard_summary
-from gluesurf.topology import GraphEdge, HomotopyGraph, homotopy_graph
 
 
 def samples() -> list:
@@ -35,7 +34,6 @@ def samples() -> list:
         vg.data.normal_components[0], vg.data.curve_components[0], vg.data, cusps(vg)[0], vg,
         quotient_curve(vg),
         report.pi1, catalog_group("S3"), report.fingerprint,
-        homotopy_graph("D", vg),
         report, picard_summary(report),
         record.representative, record,
     ]
@@ -89,13 +87,10 @@ def test_value_semantics(value):
     lambda seq: replace(sample(InvariantReport),
                         cusp_partition=seq(sample(InvariantReport).cusp_partition)),
     lambda seq: SmithDecomposition(IntegerMatrix(1, 1, {0: {0: 2}}), seq([2])),
-    lambda seq: HomotopyGraph(seq([("u", 0), ("v", 1)]), seq([GraphEdge(0, 1, ("L", 0))]),
-                              seq([None, (0, 1)]), seq([])),
     lambda seq: replace(sample(ValidatedGluing),
                         dbar_components=seq(map(seq, sample(ValidatedGluing).dbar_components))),
 ], ids=["CurveComponent", "GluingData", "FiniteGroup", "DegenerateCusp", "Fingerprint",
-        "OrbitRecord", "InvariantReport", "SmithDecomposition", "HomotopyGraph",
-        "ValidatedGluing"])
+        "OrbitRecord", "InvariantReport", "SmithDecomposition", "ValidatedGluing"])
 def test_built_from_lists_equals_its_tuple_twin(build):
     # the lists are kept as tuples, so a caller's list cannot change the value,
     # and the value hashes
